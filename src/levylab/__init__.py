@@ -15,6 +15,7 @@ from .measures import (
     JumpMeasure,
     LevyTriplet,
     McEstimate,
+    PreconditionError,
     brownian_triplet,
     poisson_example_space,
     poisson_example_triplet,
@@ -41,6 +42,7 @@ __all__ = [
     "JumpMeasure",
     "LevyTriplet",
     "McEstimate",
+    "PreconditionError",
     "SpaceModel",
     "brownian_triplet",
     "build_growth_basis",

@@ -19,7 +19,9 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--samples-scale", type=float, default=1.0)
     r.add_argument("--out", default=None)
     r.add_argument("--filter", default=None, help="glob on experiment names")
-    r.add_argument("--workers", type=int, default=1)
+    r.add_argument(
+        "--workers", type=int, default=None, help="default: the config's workers, else 1"
+    )
     return p
 
 

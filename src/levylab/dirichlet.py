@@ -17,8 +17,9 @@ from typing import Callable
 
 import numpy as np
 
-from .measures import DEFAULT_CONFIDENCE, LevyTriplet, McEstimate
+from .measures import DEFAULT_CONFIDENCE, LevyTriplet, McEstimate, z_value
 from .potential import PathConfig, PointCloud, TargetSet, simulate_hit_batch
+from .potential import box_complement, e_ball_complement, slab_complement
 from .space import SpaceModel
 
 
@@ -73,9 +74,7 @@ def e_ball_domain(model: SpaceModel, center: np.ndarray, radius: float) -> Domai
         model=model,
         membership=lambda z: model.e_norm(z - c) < radius,
         boundary_distance=lambda z: radius - model.e_norm(z - c),
-        exit_target=TargetSet(
-            f"exit_e_ball(r={radius})", lambda z: model.e_norm(z - c) >= radius
-        ),
+        exit_target=e_ball_complement(model, c, radius, closed=True),
         params={"center": c, "radius": float(radius)},
     )
 
@@ -89,11 +88,7 @@ def slab_domain(model: SpaceModel, coord: int, a: float, b: float) -> Domain:
         model=model,
         membership=lambda z: (z[..., j] > a) & (z[..., j] < b),
         boundary_distance=lambda z: np.minimum(z[..., j] - a, b - z[..., j]),
-        exit_target=TargetSet(
-            f"exit_slab(c{coord})",
-            lambda z: (z[..., j] <= a) | (z[..., j] >= b),
-            faces=((j, a, -1), (j, b, +1)),
-        ),
+        exit_target=slab_complement(model, coord, a, b),
         params={"coord": coord, "a": float(a), "b": float(b)},
     )
 
@@ -104,9 +99,6 @@ def box_domain(model: SpaceModel, lows, highs) -> Domain:
     if lo.shape != hi.shape or np.any(lo >= hi):
         raise ValueError("need elementwise lows < highs")
     k = lo.size
-    faces = tuple((j, lo[j], -1) for j in range(k)) + tuple(
-        (j, hi[j], +1) for j in range(k)
-    )
     return Domain(
         kind="box",
         model=model,
@@ -114,11 +106,7 @@ def box_domain(model: SpaceModel, lows, highs) -> Domain:
         boundary_distance=lambda z: np.min(
             np.minimum(z[..., :k] - lo, hi - z[..., :k]), axis=-1
         ),
-        exit_target=TargetSet(
-            "exit_box",
-            lambda z: np.any((z[..., :k] <= lo) | (z[..., :k] >= hi), axis=-1),
-            faces=faces,
-        ),
+        exit_target=box_complement(model, lo, hi),
         params={"lows": lo, "highs": hi},
     )
 
@@ -144,18 +132,26 @@ class DirichletEstimate:
     flagged: bool
 
 
-def _bisect_to_boundary(domain: Domain, n_iter: int = 40):
-    """Refinement callback: bisect the last step onto the boundary."""
+def _exact_exit(domain: Domain):
+    """Refinement callback: the point where the last step's segment
+    z_in + theta*(z_out - z_in), z_in inside, meets the boundary."""
 
     def refine(z_in: np.ndarray, z_out: np.ndarray) -> np.ndarray:
-        lo = z_in.copy()
-        hi = z_out.copy()
-        for _ in range(n_iter):
-            mid = 0.5 * (lo + hi)
-            inside = domain.membership(mid)
-            lo[inside] = mid[inside]
-            hi[~inside] = mid[~inside]
-        return hi
+        d = z_out - z_in
+        if domain.kind == "e_ball":
+            # a theta^2 + 2b theta + q = 0 with a > 0 > q: the positive root,
+            # in a form that does not cancel
+            w, p = domain.model.weights, z_in - domain.params["center"]
+            a, b = np.sum(w * d * d, axis=-1), np.sum(w * p * d, axis=-1)
+            q = np.sum(w * p * p, axis=-1) - domain.params["radius"] ** 2
+            theta = -q / (b + np.sqrt(b * b - a * q))
+        else:  # the segment leaves through the first face it crosses
+            theta = np.ones(len(z_in))
+            for j, v, side in domain.exit_target.faces:
+                crossed = side * (z_out[:, j] - v) >= 0
+                frac = (v - z_in[crossed, j]) / d[crossed, j]
+                theta[crossed] = np.minimum(theta[crossed], frac)
+        return z_in + theta[:, None] * d
 
     return refine
 
@@ -170,11 +166,11 @@ def sample_exits(
 ):
     """Exit simulation; returns (exited mask, times, locations).
 
-    Continuous paths get bisection refinement of the crossing step, so the
-    reported locations sit on the boundary up to collar width; jump paths
-    report the landing point, which may lie outside the closure.
+    Continuous paths report the point where the crossing step's segment
+    meets the boundary; jump paths report the landing point, which may lie
+    outside the closure.
     """
-    refine = _bisect_to_boundary(domain) if triplet.is_continuous else None
+    refine = _exact_exit(domain) if triplet.is_continuous else None
     return simulate_hit_batch(
         triplet, z, domain.exit_target, cfg, n, rng, refine=refine
     )
@@ -194,8 +190,7 @@ def solve(
     """Mean of f at the exit location from z; non-exit paths contribute 0
     and their mass is reported (and flagged above max_non_exit)."""
     z = np.asarray(z, dtype=float)
-    start_check = z[0] if z.ndim == 2 else z
-    if not domain.contains(start_check if z.ndim == 1 else z):
+    if not domain.contains(z):
         raise ValueError("start point must lie inside the domain")
     hit, _, loc = sample_exits(triplet, domain, z, n, cfg, rng)
     vals = np.zeros(n)
@@ -245,8 +240,6 @@ def boundary_continuity_check(
         est = solve(triplet, domain, f, xk, n, cfg, rng, confidence=confidence)
         gap = abs(est.estimate.mean - fy)
         rows.append({"x": xk, "estimate": est.estimate, "gap": gap})
-    from .measures import z_value
-
     zc = z_value(confidence)
     noise = [3.0 * zc * r["estimate"].stderr for r in rows]
     trend = all(

@@ -7,6 +7,7 @@ so parallel scheduling never reaches the output.  Wall-clock times are
 reported only in the JSON detail, never in the CSV.
 """
 
+import csv
 import fnmatch
 import hashlib
 import json
@@ -118,14 +119,15 @@ def run(
     samples_scale: float = 1.0,
     out_dir=None,
     name_filter: str | None = None,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> dict:
     """Execute a config; returns a summary dict with the written paths and
-    the exit code (0 clean, 1 when any experiment failed or errored)."""
+    the exit code (0 clean, 1 when any experiment failed or errored).
+    `workers` overrides the config's "workers" (default 1)."""
     raw = load_config(config_path)
     base_seed = int(seed if seed is not None else raw.get("seed", 0))
     out = Path(out_dir if out_dir is not None else raw.get("out_dir", "."))
-    workers = int(workers or raw.get("workers", 1))
+    workers = int(workers if workers is not None else raw.get("workers", 1))
     specs = []
     for exp in raw.get("experiments", []):
         op = exp["operation"]
@@ -151,40 +153,25 @@ def run(
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "summary.csv"
     json_path = out / "detail.json"
-    lines = [",".join(CSV_COLUMNS)]
+    lines = [CSV_COLUMNS]
     counts = {"pass": 0, "fail": 0, "inconclusive": 0, "error": 0, "info": 0}
     for rec in records:
-        if rec.error is not None:
-            counts["error"] += 1
-            lines.append(
-                ",".join(
-                    [rec.spec.name, "error", rec.spec.param_hash, "", "", "", "", "error", ""]
-                )
-            )
-            continue
-        for row in rec.rows:
+        rows = rec.rows if rec.error is None else [{"op": "error", "verdict": "error"}]
+        for row in rows:
             verdict = row.get("verdict")
             counts[verdict if verdict in counts else "info"] += 1
+            stats = [_fmt(row.get(k)) for k in ("mean", "stderr", "n", "target")]
+            # wall time kept out of the CSV for determinism
             lines.append(
-                ",".join(
-                    [
-                        rec.spec.name,
-                        str(row["op"]),
-                        rec.spec.param_hash,
-                        _fmt(row.get("mean")),
-                        _fmt(row.get("stderr")),
-                        _fmt(row.get("n")),
-                        _fmt(row.get("target")),
-                        verdict or "",
-                        "",  # wall time kept out of the CSV for determinism
-                    ]
-                )
+                [rec.spec.name, str(row["op"]), rec.spec.param_hash, *stats, verdict or "", ""]
             )
-    csv_path.write_text("\n".join(lines) + "\n")
+    with open(csv_path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(lines)
     detail = {
         "version": __version__,
         "rng_algorithm": ALGORITHM,
         "seed": base_seed,
+        "workers": workers,
         "counts": counts,
         "experiments": [
             {

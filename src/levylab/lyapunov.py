@@ -23,13 +23,10 @@ from .measures import (
     InstabilityError,
     LevyTriplet,
     McEstimate,
+    PreconditionError,
     sample_increments,
 )
-from .space import GrowthBasis, SpaceModel, project
-
-
-class PreconditionError(ValueError):
-    """The operation was called outside its proven hypotheses."""
+from .space import GrowthBasis, SpaceModel
 
 
 def select_subsequence(model: SpaceModel, depth: int) -> list[int]:
@@ -94,8 +91,6 @@ def levy_norm(model: SpaceModel, growth_basis: GrowthBasis, alphas="2^n") -> Lya
         if alphas != "2^n":
             raise ValueError(f"unknown alpha formula {alphas!r}")
         a = 2.0 ** np.arange(1, model.dim + 1)
-        if model.generator == "4^-n":
-            pass  # sum 2^n 4^-n = 1 < infinity against the generator
     else:
         a = np.asarray(alphas, dtype=float)
         if a.shape != (model.dim,):

@@ -13,12 +13,12 @@ Every stochastic operation returns an McEstimate; assertions on estimates
 yield three-valued verdicts (pass / fail / inconclusive).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import norm as _normal
 
-from .space import SpaceModel, make_space
+from .space import SpaceModel
 
 DEFAULT_CONFIDENCE = 0.999
 DEFAULT_ATOL = 1e-9
@@ -26,6 +26,10 @@ DEFAULT_ATOL = 1e-9
 
 class InstabilityError(RuntimeError):
     """A Monte Carlo estimate failed its convergence self-check."""
+
+
+class PreconditionError(ValueError):
+    """The operation was called outside its stated hypotheses."""
 
 
 def z_value(confidence: float) -> float:
@@ -78,32 +82,22 @@ class McEstimate:
 
     # -- three-valued assertions ------------------------------------------
 
-    def _band(self) -> float:
-        return z_value(self.confidence) * self.stderr
+    def _classify(self, gap: float, atol: float) -> str:
+        band = z_value(self.confidence) * self.stderr
+        if gap <= band + atol:
+            return "pass"
+        if gap > 3.0 * band + atol:
+            return "fail"
+        return "inconclusive"
 
     def verdict(self, target: float, atol: float = DEFAULT_ATOL) -> str:
-        gap = abs(self.mean - target)
-        if gap <= self._band() + atol:
-            return "pass"
-        if gap > 3.0 * self._band() + atol:
-            return "fail"
-        return "inconclusive"
+        return self._classify(abs(self.mean - target), atol)
 
     def verdict_at_least(self, bound: float, atol: float = DEFAULT_ATOL) -> str:
-        gap = bound - self.mean
-        if gap <= self._band() + atol:
-            return "pass"
-        if gap > 3.0 * self._band() + atol:
-            return "fail"
-        return "inconclusive"
+        return self._classify(bound - self.mean, atol)
 
     def verdict_at_most(self, bound: float, atol: float = DEFAULT_ATOL) -> str:
-        gap = self.mean - bound
-        if gap <= self._band() + atol:
-            return "pass"
-        if gap > 3.0 * self._band() + atol:
-            return "fail"
-        return "inconclusive"
+        return self._classify(self.mean - bound, atol)
 
 
 @dataclass(frozen=True)
@@ -241,15 +235,17 @@ def sample_increments(
     triplet: LevyTriplet, t, n: int, rng: np.random.Generator
 ) -> np.ndarray:
     """n independent draws of Z_t; t may be a scalar or a length-n array."""
-    t = np.broadcast_to(np.asarray(t, dtype=float), (n,))
+    t = np.asarray(t, dtype=float)
     if np.any(t <= 0):
         raise ValueError("time must be positive")
     dim = triplet.model.dim
-    out = t[:, None] * triplet.drift
-    scale = np.sqrt(t)[:, None] * np.sqrt(triplet.gaussian_diag)
+    # a scalar time broadcasts without building per-row copies of it
+    tc = t if t.ndim == 0 else np.broadcast_to(t, (n,))[:, None]
+    out = tc * triplet.drift
+    scale = np.sqrt(tc) * np.sqrt(triplet.gaussian_diag)
     out = out + scale * rng.standard_normal((n, dim))
     if triplet.jumps is not None:
-        counts = rng.poisson(t * triplet.jumps.intensity)
+        counts = rng.poisson(np.broadcast_to(t, (n,)) * triplet.jumps.intensity)
         total = int(counts.sum())
         if total:
             draws = triplet.jumps.sample(total, dim, rng)

@@ -1,26 +1,26 @@
 """Path simulation, hitting times, reduced functions, capacity and balayage.
 
-Paths are stepped on a fixed time grid; each increment is drawn exactly from
-the increment law at the step size, so there is no Euler error, only the
-discrete monitoring of the target.  For continuous triplets and
-coordinate-aligned target faces a Brownian-bridge crossing draw removes most
-of the monitoring bias; the residual is folded into test tolerances.
+Every path estimator runs on one stepping engine.  Paths are stepped on a
+fixed time grid; each increment is drawn exactly from the increment law at
+the step size, so there is no Euler error, only the discrete monitoring of
+the target.  For continuous triplets and coordinate-aligned target faces a
+Brownian-bridge crossing draw removes most of the monitoring bias; the
+residual is folded into test tolerances.  A continuous triplet steps only
+the coordinates its targets read (`TargetSet.coords`); the others are drawn
+exactly at each stopping time.
 
 Hitting uses the D-convention: membership is checked at time 0, so a start
 inside an open target hits immediately.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .measures import DEFAULT_CONFIDENCE, LevyTriplet, McEstimate, sample_increments
+from .measures import PreconditionError, z_value
 from .space import SpaceModel
-
-
-class PreconditionError(ValueError):
-    """The operation was called outside its stated hypotheses."""
 
 
 @dataclass(frozen=True)
@@ -40,12 +40,18 @@ class TargetSet:
 
     A face (j, v, side) certifies that the target contains the halfspace
     side*(c_j - v) >= 0 locally, enabling the bridge crossing draw on
-    coordinate j.
+    coordinate j.  `coords` lists the 0-based coordinates the membership
+    reads; None means all of them.
     """
 
     name: str
     membership: Callable[[np.ndarray], np.ndarray]
     faces: tuple = ()
+    coords: tuple | None = None
+
+    def __post_init__(self):
+        if self.coords is not None and any(j not in self.coords for j, _, _ in self.faces):
+            raise ValueError("every face coordinate must be among the declared coords")
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         return np.asarray(self.membership(np.asarray(z, dtype=float)), dtype=bool)
@@ -82,11 +88,11 @@ class PointCloud:
 
 
 def empty_set(model: SpaceModel) -> TargetSet:
-    return TargetSet("empty", lambda z: np.zeros(z.shape[:-1], dtype=bool))
+    return TargetSet("empty", lambda z: np.zeros(z.shape[:-1], dtype=bool), coords=())
 
 
 def whole_space(model: SpaceModel) -> TargetSet:
-    return TargetSet("whole", lambda z: np.ones(z.shape[:-1], dtype=bool))
+    return TargetSet("whole", lambda z: np.ones(z.shape[:-1], dtype=bool), coords=())
 
 
 def e_ball(model: SpaceModel, center: np.ndarray, radius: float) -> TargetSet:
@@ -97,11 +103,16 @@ def e_ball(model: SpaceModel, center: np.ndarray, radius: float) -> TargetSet:
     )
 
 
-def e_ball_complement(model: SpaceModel, center: np.ndarray, radius: float) -> TargetSet:
+def e_ball_complement(
+    model: SpaceModel, center: np.ndarray, radius: float, closed: bool = False
+) -> TargetSet:
+    """||z - center||_E > radius, or >= radius when closed (the exit set of
+    the open ball)."""
     c = np.asarray(center, dtype=float)
+    beyond = np.greater_equal if closed else np.greater
     return TargetSet(
-        f"e_ball_complement(r={radius})",
-        lambda z: model.e_norm2(z - c) > radius * radius,
+        f"e_ball_complement(r={radius}{', closed' if closed else ''})",
+        lambda z: beyond(model.e_norm2(z - c), radius * radius),
     )
 
 
@@ -112,6 +123,7 @@ def coord_halfspace(model: SpaceModel, coord: int, level: float, side: int) -> T
         f"halfspace(c{coord}{'>=' if side > 0 else '<='}{level})",
         lambda z: side * (z[..., j] - level) >= 0,
         faces=((j, level, side),),
+        coords=(j,),
     )
 
 
@@ -122,6 +134,7 @@ def slab_complement(model: SpaceModel, coord: int, a: float, b: float) -> Target
         f"slab_complement(c{coord} outside ({a},{b}))",
         lambda z: (z[..., j] <= a) | (z[..., j] >= b),
         faces=((j, a, -1), (j, b, +1)),
+        coords=(j,),
     )
 
 
@@ -132,6 +145,21 @@ def coordinate_box(model: SpaceModel, lows: np.ndarray, highs: np.ndarray) -> Ta
     return TargetSet(
         "coordinate_box",
         lambda z: np.all((z[..., :k] >= lo) & (z[..., :k] <= hi), axis=-1),
+        coords=tuple(range(k)),
+    )
+
+
+def box_complement(model: SpaceModel, lows: np.ndarray, highs: np.ndarray) -> TargetSet:
+    """Complement of the open box lows < c < highs in the first k coordinates."""
+    lo = np.asarray(lows, dtype=float)
+    hi = np.asarray(highs, dtype=float)
+    k = lo.size
+    return TargetSet(
+        "box_complement",
+        lambda z: np.any((z[..., :k] <= lo) | (z[..., :k] >= hi), axis=-1),
+        faces=tuple((j, lo[j], -1) for j in range(k))
+        + tuple((j, hi[j], +1) for j in range(k)),
+        coords=tuple(range(k)),
     )
 
 
@@ -141,6 +169,7 @@ def coord_ball(model: SpaceModel, center: np.ndarray, radius: float, k: int) -> 
     return TargetSet(
         f"coord_ball(k={k}, r={radius})",
         lambda z: np.sum((z[..., :k] - c) ** 2, axis=-1) <= radius * radius,
+        coords=tuple(range(k)),
     )
 
 
@@ -148,14 +177,6 @@ def h_ball(model: SpaceModel, radius: float) -> TargetSet:
     """Truncated H-norm ball around the origin."""
     return TargetSet(
         f"h_ball(r={radius})", lambda z: model.h_norm2(z) <= radius * radius
-    )
-
-
-def qx_levelset_complement(norm, level: float) -> TargetSet:
-    from .lyapunov import q_x_eval
-
-    return TargetSet(
-        f"qx_above({level})", lambda z: q_x_eval(norm, z) > level
     )
 
 
@@ -171,26 +192,143 @@ def _bridge_cross(
     dt: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Sample within-step crossings of coordinate faces; snaps the crossing
-    coordinate onto the face.  Mutates znew and m, returns m."""
-    for j, v, side in faces:
-        g = float(gaussian_diag[j])
-        if g <= 0:
-            continue
-        rem = np.flatnonzero(~m)
-        if rem.size == 0:
-            break
-        d0 = side * (v - zpre[rem, j])
-        d1 = side * (v - znew[rem, j])
-        ok = (d0 > 0) & (d1 > 0)
-        p = np.zeros(rem.size)
-        p[ok] = np.exp(-2.0 * d0[ok] * d1[ok] / (g * dt))
-        crossed = rng.random(rem.size) < p
-        if crossed.any():
-            ci = rem[crossed]
-            znew[ci, j] = v
-            m[ci] = True
+    """Sample within-step crossings of coordinate faces, given as arrays
+    (j, v, side); snaps the coordinate of a row's first crossed face onto
+    it.  Mutates znew and m, returns m."""
+    j, v, side = faces
+    g = gaussian_diag[j]
+    d0 = side * (v - zpre[:, j])
+    d1 = side * (v - znew[:, j])
+    rows, fi = np.nonzero(~m[:, None] & (d0 > 0) & (d1 > 0) & (g > 0))
+    p = np.exp(-2.0 * d0[rows, fi] * d1[rows, fi] / (g[fi] * dt))
+    crossed = rng.random(rows.size) < p
+    if crossed.any():
+        # nonzero lists faces in order within a row: keep each row's first
+        rows, fi = rows[crossed], fi[crossed]
+        first = np.unique(rows, return_index=True)[1]
+        rows, fi = rows[first], fi[first]
+        znew[rows, j[fi]] = v[fi]
+        m[rows] = True
     return m
+
+
+def _support(targets):
+    """Union of the targets' declared coordinates; None when one reads all."""
+    if any(t.coords is None for t in targets):
+        return None
+    return tuple(sorted(set().union(*(t.coords for t in targets))))
+
+
+def _restrict(triplet: LevyTriplet, cols: np.ndarray) -> LevyTriplet:
+    """A continuous triplet's law on the coordinates `cols` alone."""
+    return LevyTriplet(
+        SpaceModel(triplet.model.weights[cols]),
+        triplet.drift[cols],
+        triplet.gaussian_diag[cols],
+    )
+
+
+def _step_paths(
+    triplet: LevyTriplet,
+    start: np.ndarray,
+    member,
+    coords,
+    cfg: PathConfig,
+    n_paths: int,
+    rng: np.random.Generator,
+    refine=None,
+    faces=(),
+    observe=None,
+    to_horizon: bool = False,
+):
+    """The stepping engine behind every path estimator.
+
+    `member(z)` maps points (rows, N) to a (targets, rows) membership matrix
+    that reads only the coordinates `coords` (None: all).  A path steps until
+    it has entered every target, or to the horizon with to_horizon.  With one
+    target, `refine` moves the entering step's end point and `faces` get the
+    bridge draw; `observe(t, idx, z, times)` sees the stepped paths idx.
+    Returns entry times (inf when missed), entry points (the start when
+    missed) and each path's last position.
+
+    A continuous triplet steps only `coords`; membership sees zeros in the
+    other columns.  Those are independent of every stopping time, so each
+    path draws them at its entry times and last step time, in time order.
+    """
+    start = np.asarray(start, dtype=float)
+    if start.ndim == 2:
+        if start.shape[0] != n_paths:
+            raise ValueError("per-path starts must supply one row per path")
+        z0 = start.copy()
+    else:
+        z0 = np.tile(start, (n_paths, 1))
+    dim = z0.shape[1]
+    if coords is None or not triplet.is_continuous:
+        coords = range(dim)
+    cols = np.array(sorted(set(coords)), dtype=int)
+    full = cols.size == dim
+    law = triplet if full else _restrict(triplet, cols) if cols.size else None
+
+    def widen(y):
+        if full:
+            return y
+        z = np.zeros((y.shape[0], dim))
+        z[:, cols] = y
+        return z
+
+    if faces:
+        j, v, side = (np.array(x) for x in zip(*faces))
+        faces = (np.searchsorted(cols, j), v, side)
+    times = np.where(member(z0), 0.0, np.inf)
+    locs = np.repeat(z0[None], times.shape[0], axis=0)
+    y = z0 if full else z0[:, cols]
+    active = np.ones(n_paths, bool) if to_horizon else np.isinf(times).any(axis=0)
+    n_steps = int(np.ceil(cfg.horizon / cfg.dt))
+    for i in range(1, n_steps + 1):
+        if not active.any():
+            break
+        t = i * cfg.dt
+        idx = np.flatnonzero(active)
+        ypre = y[idx]
+        ynew = ypre.copy() if law is None else ypre + sample_increments(law, cfg.dt, idx.size, rng)
+        z = widen(ynew)
+        pending = np.isinf(times[:, idx])
+        fresh = pending & member(z)
+        if refine is not None and fresh[0].any():
+            m = fresh[0]
+            ynew[m] = refine(widen(ypre[m]), z[m])[:, cols]
+        if faces:
+            fresh[0] = _bridge_cross(ypre, ynew, fresh[0], faces, law.gaussian_diag, cfg.dt, rng)
+        for ti in np.flatnonzero(fresh.any(axis=1)):
+            newly = idx[fresh[ti]]
+            times[ti, newly] = t
+            locs[ti, newly[:, None], cols] = ynew[fresh[ti]]
+        y[idx] = ynew
+        if observe is not None:
+            observe(t, idx, z, times)
+        if not to_horizon:
+            active[idx] = (pending & ~fresh).any(axis=0)
+    if full:
+        return times, locs, y
+    last = z0.copy()
+    last[:, cols] = y
+    rest = np.setdiff1d(np.arange(dim), cols)
+    points = np.concatenate([locs, last[None]])
+    done = np.isfinite(times).all(axis=0) & (not to_horizon)
+    stops = np.vstack([times, np.where(done, times.max(axis=0), n_steps * cfg.dt)])
+    rest_law = _restrict(triplet, rest)
+    u = z0[:, rest]
+    paths = np.arange(n_paths)
+    t_prev = np.zeros(n_paths)
+    for k in np.argsort(stops, axis=0, kind="stable"):
+        tk = stops[k, paths]
+        seen = np.isfinite(tk)
+        move = seen & (tk > t_prev)
+        if move.any():
+            u[move] += sample_increments(rest_law, (tk - t_prev)[move], int(move.sum()), rng)
+            t_prev[move] = tk[move]
+        points[k[seen, None], paths[seen, None], rest] = u[seen]
+    return times, points[:-1], points[-1]
 
 
 def simulate_hit_batch(
@@ -205,44 +343,18 @@ def simulate_hit_batch(
     """Step n_paths trajectories from `start` until they enter the target or
     the horizon runs out.  Returns (hit mask, times, locations); non-hit
     rows carry time=inf and the final position.  A 2-d start gives each
-    path its own origin (one row per path)."""
-    start = np.asarray(start, dtype=float)
-    if start.ndim == 2:
-        if start.shape[0] != n_paths:
-            raise ValueError("per-path starts must supply one row per path")
-        z = start.copy()
-    else:
-        z = np.tile(start, (n_paths, 1))
-    hit = target(z)
-    time = np.where(hit, 0.0, np.inf)
-    loc = z.copy()
-    active = ~hit
+    path its own origin (one row per path).  `refine(z_in, z_out)` moves
+    the entering step's end point; like the membership, it may read only
+    the target's coords."""
     use_bridge = cfg.bridge and triplet.is_continuous and bool(target.faces)
-    n_steps = int(np.ceil(cfg.horizon / cfg.dt))
-    t = 0.0
-    for _ in range(n_steps):
-        if not active.any():
-            break
-        idx = np.flatnonzero(active)
-        zpre = z[idx]
-        znew = zpre + sample_increments(triplet, cfg.dt, idx.size, rng)
-        m = target(znew)
-        if refine is not None and m.any():
-            znew[m] = refine(zpre[m], znew[m])
-        if use_bridge:
-            m = _bridge_cross(
-                zpre, znew, m, target.faces, triplet.gaussian_diag, cfg.dt, rng
-            )
-        t += cfg.dt
-        z[idx] = znew
-        newly = idx[m]
-        if newly.size:
-            hit[newly] = True
-            time[newly] = t
-            loc[newly] = znew[m]
-            active[newly] = False
-    loc[~hit] = z[~hit]
-    return hit, time, loc
+    times, locs, last = _step_paths(
+        triplet, start, lambda z: target(z)[None], target.coords, cfg, n_paths, rng,
+        refine=refine, faces=target.faces if use_bridge else (),
+    )
+    hit = np.isfinite(times[0])
+    loc = locs[0]
+    loc[~hit] = last[~hit]
+    return hit, times[0], loc
 
 
 def simulate_to_hit(
@@ -265,32 +377,17 @@ def multi_target_hit(
     rng: np.random.Generator,
 ):
     """First hit times and locations of several targets along one common
-    trajectory per path.  Returns (times (nT, n), locations (nT, n, N)).
+    trajectory per path.  Returns (times (nT, n), locations (nT, n, N));
+    a missed target keeps the start as its location.
 
     Sharing the trajectory turns set inclusions into per-sample time
     orderings: if one target contains another, it is hit no later, path by
     path.  No bridge correction (membership on the grid only), so all
     targets are monitored identically."""
-    start = np.asarray(start, dtype=float)
-    z = np.tile(start, (n_paths, 1))
-    nT = len(targets)
-    times = np.full((nT, n_paths), np.inf)
-    locs = np.tile(start, (nT, n_paths, 1))
-    for ti, tgt in enumerate(targets):
-        hit0 = tgt(z)
-        times[ti, hit0] = 0.0
-    n_steps = int(np.ceil(cfg.horizon / cfg.dt))
-    t = 0.0
-    for _ in range(n_steps):
-        if not np.isinf(times).any():
-            break
-        z += sample_increments(triplet, cfg.dt, n_paths, rng)
-        t += cfg.dt
-        for ti, tgt in enumerate(targets):
-            fresh = np.isinf(times[ti]) & tgt(z)
-            if fresh.any():
-                times[ti, fresh] = t
-                locs[ti, fresh] = z[fresh]
+    times, locs, _ = _step_paths(
+        triplet, start, lambda z: np.array([t(z) for t in targets]), _support(targets),
+        cfg, n_paths, rng,
+    )
     return times, locs
 
 
@@ -340,23 +437,10 @@ def level_crossing_times(
     from .lyapunov import q_x_eval
 
     levels = np.asarray(levels, dtype=float)
-    z = np.tile(np.asarray(start, dtype=float), (n_paths, 1))
-    times = np.full((levels.size, n_paths), np.inf)
-    q0 = q_x_eval(norm, z)
-    for li, lv in enumerate(levels):
-        times[li, q0 > lv] = 0.0
-    n_steps = int(np.ceil(cfg.horizon / cfg.dt))
-    t = 0.0
-    for _ in range(n_steps):
-        pending = np.isinf(times).any(axis=0)
-        if not pending.any():
-            break
-        z += sample_increments(triplet, cfg.dt, n_paths, rng)
-        t += cfg.dt
-        q = q_x_eval(norm, z)
-        for li, lv in enumerate(levels):
-            fresh = np.isinf(times[li]) & (q > lv)
-            times[li, fresh] = t
+    times, _, _ = _step_paths(
+        triplet, start, lambda z: q_x_eval(norm, z) > levels[:, None], None, cfg,
+        n_paths, rng,
+    )
     return times
 
 
@@ -378,29 +462,22 @@ def discounted_occupancy(
     along one common trajectory per path (the strong-Markov route to the
     balayage comparison: B_F <= A_F per path, with equality when F lies in
     M).  Returns (T_M array, A matrix, B matrix, hit locations)."""
-    start = np.asarray(start, dtype=float)
-    z = np.tile(start, (n_paths, 1))
-    T = np.where(M(z), 0.0, np.inf)
-    loc = z.copy()
-    nF = len(F_targets)
-    A = np.zeros((nF, n_paths))
-    B = np.zeros((nF, n_paths))
-    n_steps = int(np.ceil(cfg.horizon / cfg.dt))
-    t = 0.0
-    for _ in range(n_steps):
-        z += sample_increments(triplet, cfg.dt, n_paths, rng)
-        t += cfg.dt
-        fresh = np.isinf(T) & M(z)
-        if fresh.any():
-            T[fresh] = t
-            loc[fresh] = z[fresh]
+    A = np.zeros((len(F_targets), n_paths))
+    B = np.zeros_like(A)
+
+    def observe(t, idx, z, times):
         w = np.exp(-beta * t) * cfg.dt
-        after = t >= T
+        after = t >= times[0, idx]
         for fi, F in enumerate(F_targets):
             inF = F(z)
-            A[fi] += w * inF
-            B[fi] += w * (inF & after)
-    return T, A, B, loc
+            A[fi, idx] += w * inF
+            B[fi, idx] += w * (inF & after)
+
+    times, locs, _ = _step_paths(
+        triplet, start, lambda z: M(z)[None], _support([M, *F_targets]), cfg, n_paths, rng,
+        observe=observe, to_horizon=True,
+    )
+    return times[0], A, B, locs[0]
 
 
 # -- potential-theoretic operations ----------------------------------------
@@ -648,8 +725,6 @@ def polarity_diagnostic_point(
     r_grid = sorted(r_grid, reverse=True)
     rows = []
     consistent = True
-    from .measures import z_value
-
     for start in starts:
         ests = []
         for r in r_grid:

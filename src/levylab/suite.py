@@ -24,6 +24,7 @@ from .measures import (
     pairing_second_moment,
     pairing_second_moment_target,
     poisson_example_triplet,
+    sample_increments,
 )
 from .operators import TestFunction, apply_Ualpha, apply_Ualpha_projected
 from .potential import (
@@ -35,7 +36,6 @@ from .potential import (
     coord_halfspace,
     empty_set,
     projection_convergence,
-    qx_levelset_complement,
     reduced_function_family,
     whole_space,
 )
@@ -55,6 +55,16 @@ def _row(op, est=None, target=None, verdict=None, mean=None, stderr=None, n=None
         "target": target,
         "verdict": verdict,
     }
+
+
+def _check(op, est, target):
+    """Row of an estimate against its exact target."""
+    return _row(op, est=est, target=target, verdict=est.verdict(target))
+
+
+def _flag(op, ok, n):
+    """Row of a structural check that holds or not."""
+    return _row(op, mean=float(ok), stderr=0.0, n=n, target=1.0, verdict="pass" if ok else "fail")
 
 
 def _default_norm(kind, dim=32):
@@ -77,8 +87,6 @@ def variance_identity(params, samples, seed, confidence):
         "e1+e2": model.basis_vector(1) + model.basis_vector(2),
     }
     rows = []
-    from .measures import sample_increments
-
     for xi_name, xi in xis.items():
         for t in (0.1, 1.0, 5.0):
             for z_name, z in (("0", np.zeros(dim)), ("rand", z_rand)):
@@ -86,14 +94,7 @@ def variance_identity(params, samples, seed, confidence):
                 vals = ((z + incr) @ xi) ** 2
                 est = McEstimate.from_samples(vals, confidence)
                 target = t * float(xi @ xi) + float(xi @ z) ** 2
-                rows.append(
-                    _row(
-                        f"second_moment[xi={xi_name},t={t},z={z_name}]",
-                        est=est,
-                        target=target,
-                        verdict=est.verdict(target),
-                    )
-                )
+                rows.append(_check(f"second_moment[xi={xi_name},t={t},z={z_name}]", est, target))
     return rows
 
 
@@ -161,54 +162,31 @@ def levy_sandwich(params, samples, seed, confidence):
     return rows
 
 
-def moment_pointmass(params, samples, seed, confidence):
-    dim = int(params.get("dim", 32))
-    triplet = _jump_triplet(dim)
-    model = triplet.model
-    rng = substream(seed, "moment_pointmass")
+def _moment_rows(triplet, xis, times, samples, rng, confidence):
+    """Second pairing moments against their closed form on an (xi, t) grid."""
     rows = []
-    for xi_name, xi in (
-        ("e1", model.basis_vector(1)),
-        ("e2", model.basis_vector(2)),
-        ("e1+e2", model.basis_vector(1) + model.basis_vector(2)),
-    ):
-        for t in (0.5, 1.0, 2.0):
+    for xi_name, xi in xis:
+        for t in times:
             est = pairing_second_moment(triplet, xi, t, samples, rng, confidence)
             target = pairing_second_moment_target(triplet, xi, t)
-            rows.append(
-                _row(
-                    f"second_moment[xi={xi_name},t={t}]",
-                    est=est,
-                    target=target,
-                    verdict=est.verdict(target),
-                )
-            )
+            rows.append(_check(f"second_moment[xi={xi_name},t={t}]", est, target))
     return rows
+
+
+def moment_pointmass(params, samples, seed, confidence):
+    triplet = _jump_triplet(int(params.get("dim", 32)))
+    e = triplet.model.basis_vector
+    xis = (("e1", e(1)), ("e2", e(2)), ("e1+e2", e(1) + e(2)))
+    rng = substream(seed, "moment_pointmass")
+    return _moment_rows(triplet, xis, (0.5, 1.0, 2.0), samples, rng, confidence)
 
 
 def moment_poisson01(params, samples, seed, confidence):
-    dim = int(params.get("dim", 32))
-    triplet = poisson_example_triplet(dim)
-    model = triplet.model
+    triplet = poisson_example_triplet(int(params.get("dim", 32)))
+    e = triplet.model.basis_vector
+    xis = (("e1", e(1)), ("e2", e(2)), ("e1+2e3", e(1) + 2.0 * e(3)))
     rng = substream(seed, "moment_poisson01")
-    rows = []
-    for xi_name, xi in (
-        ("e1", model.basis_vector(1)),
-        ("e2", model.basis_vector(2)),
-        ("e1+2e3", model.basis_vector(1) + 2.0 * model.basis_vector(3)),
-    ):
-        for t in (0.5, 1.0):
-            est = pairing_second_moment(triplet, xi, t, samples, rng, confidence)
-            target = pairing_second_moment_target(triplet, xi, t)
-            rows.append(
-                _row(
-                    f"second_moment[xi={xi_name},t={t}]",
-                    est=est,
-                    target=target,
-                    verdict=est.verdict(target),
-                )
-            )
-    return rows
+    return _moment_rows(triplet, xis, (0.5, 1.0), samples, rng, confidence)
 
 
 def projection_identity(params, samples, seed, confidence):
@@ -293,11 +271,14 @@ def reduced_projection_cases(model):
         M = coord_halfspace(model, coord, level, side)
         cases.append((f"{M.name}|k={coord}", M, M))
     box = coordinate_box(model, np.array([1.0, 1.0]), np.array([9.0, 9.0]))
-    box1 = TargetSet("box_proj_k1", lambda z: (z[..., 0] >= 1.0) & (z[..., 0] <= 9.0))
+    box1 = TargetSet(
+        "box_proj_k1", lambda z: (z[..., 0] >= 1.0) & (z[..., 0] <= 9.0), coords=(0,)
+    )
     cases.append(("box2d|k=1", box, box1))
     shell = e_ball_complement(model, np.zeros(dim), 1.5)
     # every k-dim point extends into the shell, so the projection is total
-    cases.append(("eball_shell|k=1", shell, TargetSet("whole_proj", lambda z: np.ones(z.shape[:-1], dtype=bool))))
+    whole = TargetSet("whole_proj", lambda z: np.ones(z.shape[:-1], dtype=bool), coords=())
+    cases.append(("eball_shell|k=1", shell, whole))
     return cases
 
 
@@ -320,14 +301,7 @@ def dirichlet_slab(params, samples, seed, confidence):
         z[0] = x
         est = solve(triplet, dom, f, z, samples, rng=rng, cfg=cfg, confidence=confidence)
         target = gambler_ruin_value(dom, fa, fb, x)
-        rows.append(
-            _row(
-                f"gambler_ruin[x={x}]",
-                est=est.estimate,
-                target=target,
-                verdict=est.estimate.verdict(target),
-            )
-        )
+        rows.append(_check(f"gambler_ruin[x={x}]", est.estimate, target))
     return rows
 
 
@@ -341,16 +315,9 @@ def capacity_basics(params, samples, seed, confidence):
     cfg = PathConfig(dt=float(params.get("dt", 0.05)), horizon=float(params.get("horizon", 20.0)))
     rows = []
     c_empty = capacity(triplet, cloud, empty_set(model), beta, samples, cfg, rng, confidence)
-    rows.append(_row("capacity_empty", est=c_empty, target=0.0, verdict=c_empty.verdict(0.0)))
+    rows.append(_check("capacity_empty", c_empty, 0.0))
     c_whole = capacity(triplet, cloud, whole_space(model), beta, samples, cfg, rng, confidence)
-    rows.append(
-        _row(
-            "capacity_whole",
-            est=c_whole,
-            target=cloud.total_mass / beta,
-            verdict=c_whole.verdict(cloud.total_mass / beta),
-        )
-    )
+    rows.append(_check("capacity_whole", c_whole, cloud.total_mass / beta))
     prof = capacity_tightness_profile(
         norm, triplet, cloud, [1.0, 2.0, 3.0], beta, samples, cfg, rng, confidence
     )
@@ -358,16 +325,7 @@ def capacity_basics(params, samples, seed, confidence):
     decreasing = all(means[i + 1] <= means[i] for i in range(len(means) - 1))
     for p in prof:
         rows.append(_row(f"capacity_level[{p['level']}]", est=p["estimate"]))
-    rows.append(
-        _row(
-            "capacity_tightness_trend",
-            mean=float(decreasing),
-            stderr=0.0,
-            n=samples,
-            target=1.0,
-            verdict="pass" if decreasing else "fail",
-        )
-    )
+    rows.append(_flag("capacity_tightness_trend", decreasing, samples))
     return rows
 
 
@@ -403,16 +361,7 @@ def balayage(params, samples, seed, confidence):
                 verdict=r["verdict"],
             )
         )
-    rows.append(
-        _row(
-            "per_sample_inequality",
-            mean=float(rep["per_sample_inequality"]),
-            stderr=0.0,
-            n=samples,
-            target=1.0,
-            verdict="pass" if rep["per_sample_inequality"] else "fail",
-        )
-    )
+    rows.append(_flag("per_sample_inequality", rep["per_sample_inequality"], samples))
     return rows
 
 

@@ -134,6 +134,24 @@ def test_exit_locations_on_boundary(setup):
     assert np.all(np.abs(r - 1.0) < 0.05)  # collar from one dt step
 
 
+def test_exit_locations_exactly_on_boundary(setup):
+    """The crossing step's segment is cut at the boundary in closed form."""
+    model, triplet = setup
+    cfg = PathConfig(dt=0.01, horizon=20.0)
+    start = np.zeros(DIM)
+    start[:2] = (0.3, -0.2)
+    for i, dom in enumerate(
+        (
+            slab_domain(model, 1, -1.0, 1.0),
+            box_domain(model, [-1.0, -1.0], [1.0, 1.0]),
+            e_ball_domain(model, np.zeros(DIM), 1.0),
+        )
+    ):
+        hit, _, loc = sample_exits(triplet, dom, start, 400, cfg, substream(30 + i))
+        assert hit.all()
+        assert np.all(np.abs(dom.boundary_distance(loc)) < 1e-9), dom.kind
+
+
 def test_harmonicity_tower(setup):
     model, triplet = setup
     a, b, fa, fb = -1.0, 1.0, 0.0, 1.0

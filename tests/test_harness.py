@@ -140,3 +140,30 @@ def test_samples_scale_floor(tmp_path):
     p = _write(tmp_path, {"experiments": [{"operation": "tail_projection", "samples": 500}]})
     res = run(p, out_dir=tmp_path / "o", samples_scale=0.01)
     assert res["records"][0].spec.samples == 100  # floored at the minimum
+
+
+def test_csv_rows_parse_to_fixed_columns(tmp_path):
+    """Op labels carry commas; every row of a small paper_suite run must
+    still parse to the fixed columns."""
+    import csv
+    import importlib.resources as res
+
+    from levylab.harness import CSV_COLUMNS
+
+    cfg = res.files("levylab") / "configs" / "paper_suite.json"
+    assert run(str(cfg), out_dir=tmp_path / "out", samples_scale=0.05)["exit_code"] == 0
+    with open(tmp_path / "out" / "summary.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == list(CSV_COLUMNS)
+    assert any("," in row[1] for row in rows[1:])
+    assert all(len(row) == len(CSV_COLUMNS) for row in rows)
+
+
+def test_config_workers_applies(tmp_path):
+    p = _write(tmp_path, dict(SMALL_CONFIG, workers=2))
+    run(p, out_dir=tmp_path / "cfg")
+    detail = json.loads((tmp_path / "cfg" / "detail.json").read_text())
+    assert detail["workers"] == 2
+    run(p, out_dir=tmp_path / "override", workers=1)
+    detail = json.loads((tmp_path / "override" / "detail.json").read_text())
+    assert detail["workers"] == 1

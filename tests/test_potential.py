@@ -1,15 +1,18 @@
 """Hitting simulation, reduced functions, capacity, balayage, domination."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from levylab.lyapunov import gaussian_norm
-from levylab.measures import brownian_triplet
+from levylab.measures import McEstimate, brownian_triplet
 from levylab.operators import TestFunction
 from levylab.potential import (
     PathConfig,
     PointCloud,
     PreconditionError,
+    TargetSet,
     balayage_check,
     capacity,
     capacity_tightness_profile,
@@ -355,3 +358,62 @@ def test_e_ball_complement_membership():
     far = np.zeros(4)
     far[0] = 10.0
     assert bool(shell(far))
+
+
+def test_wald_identity_unstepped_coordinate(setup):
+    """A slab in c1 steps c1 alone; c2 is drawn at the exit time, so its
+    variance there is E[T] = (x - a)(b - x) (Wald's identity)."""
+    model, triplet = setup
+    a, b, x = -1.0, 2.0, 0.5
+    start = np.zeros(8)
+    start[0] = x
+    cfg = PathConfig(dt=0.01, horizon=40.0)
+    target = slab_complement(model, 1, a, b)
+    hit, T, loc = simulate_hit_batch(triplet, start, target, cfg, 4000, substream(21))
+    assert hit.all()
+    expected = (x - a) * (b - x)
+    assert McEstimate.from_samples(T).verdict(expected) == "pass"
+    assert McEstimate.from_samples(loc[:, 1] ** 2).verdict(expected) == "pass"
+    assert McEstimate.from_samples(loc[:, 1] ** 2 - T).verdict(0.0) == "pass"
+
+
+def test_multi_target_joint_law(setup):
+    """Nested c1 halfspaces: the unstepped c2 moves between the two hit
+    locations as one trajectory, with variance E[T2 - T1]."""
+    model, triplet = setup
+    cfg = PathConfig(dt=0.02, horizon=20.0)
+    near = coord_halfspace(model, 1, 0.5, +1)
+    far = coord_halfspace(model, 1, 1.5, +1)
+    times, locs = multi_target_hit(triplet, np.zeros(8), [near, far], cfg, 4000, substream(22))
+    both = np.isfinite(times).all(axis=0)
+    assert both.mean() > 0.5
+    gap = times[1, both] - times[0, both]
+    step2 = (locs[1, both, 1] - locs[0, both, 1]) ** 2
+    assert McEstimate.from_samples(step2 - gap).verdict(0.0) == "pass"
+    # independent draws from the start would give variance T1 + T2 instead
+    total = times[0, both] + times[1, both]
+    assert McEstimate.from_samples(step2 - total).verdict(0.0) == "fail"
+
+
+def test_fallback_agreement_undeclared_coords(setup):
+    """The same halfspace with coords=None steps every coordinate; both
+    engines agree on the discounted hit value and on c2 at the hit."""
+    model, triplet = setup
+    cfg = PathConfig(dt=0.02, horizon=10.0)
+    declared = coord_halfspace(model, 1, 1.0, +1)
+    undeclared = replace(declared, coords=None)
+
+    def stats(target, seed):
+        hit, T, loc = simulate_hit_batch(triplet, np.zeros(8), target, cfg, 3000, substream(seed))
+        disc = McEstimate.from_samples(np.exp(-T))  # T = inf on a miss
+        c2 = McEstimate.from_samples(np.where(hit, loc[:, 1] ** 2, 0.0))
+        return disc, c2
+
+    for fast, slow in zip(stats(declared, 23), stats(undeclared, 24)):
+        diff = McEstimate(fast.mean - slow.mean, float(np.hypot(fast.stderr, slow.stderr)), 3000)
+        assert diff.verdict(0.0) == "pass"
+
+
+def test_face_coords_must_be_declared():
+    with pytest.raises(ValueError):
+        TargetSet("bad", lambda z: z[..., 1] > 0, faces=((1, 0.0, +1),), coords=(0,))
