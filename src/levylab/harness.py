@@ -2,9 +2,10 @@
 
 Determinism contract: a fixed (config, seed) pair produces byte-identical
 CSV output across runs and across worker counts.  Every experiment draws
-from its own counter-based substream and rows are written in config order,
-so parallel scheduling never reaches the output.  Wall-clock times are
-reported only in the JSON detail, never in the CSV.
+from its own counter-based substream, keyed by the seed and the experiment's
+name (unique within a config, defaulting to its operation), and rows are
+written in config order, so parallel scheduling never reaches the output.
+Wall-clock times are reported only in the JSON detail, never in the CSV.
 """
 
 import csv
@@ -85,12 +86,18 @@ def load_config(path) -> dict:
     unknown = set(raw) - _TOP_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    names = set()
     for i, exp in enumerate(raw.get("experiments", [])):
         bad = set(exp) - _EXP_KEYS
         if bad:
             raise ConfigError(f"experiment #{i}: unknown keys {sorted(bad)}")
         if "operation" not in exp:
             raise ConfigError(f"experiment #{i}: missing 'operation'")
+        name = exp.get("name", exp["operation"])
+        if name in names:
+            # the name keys the experiment's random stream
+            raise ConfigError(f"experiment #{i}: duplicate name {name!r}")
+        names.add(name)
     return raw
 
 
@@ -98,7 +105,7 @@ def _execute(spec: ExperimentSpec) -> RunRecord:
     t0 = time.perf_counter()
     try:
         rows = REGISTRY[spec.operation](
-            spec.parameters, spec.samples, spec.seed, spec.confidence
+            spec.parameters, spec.samples, spec.seed, spec.confidence, spec.name
         )
         return RunRecord(spec, rows, time.perf_counter() - t0)
     except Exception as exc:  # recorded, run continues

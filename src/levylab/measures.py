@@ -14,9 +14,9 @@ yield three-valued verdicts (pass / fail / inconclusive).
 """
 
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm as _normal
 
 from .space import SpaceModel
 
@@ -34,7 +34,7 @@ class PreconditionError(ValueError):
 
 def z_value(confidence: float) -> float:
     """Two-sided normal quantile for the given confidence level."""
-    return float(_normal.ppf(0.5 * (1.0 + confidence)))
+    return NormalDist().inv_cdf(0.5 * (1.0 + confidence))
 
 
 @dataclass(frozen=True)
@@ -241,9 +241,10 @@ def sample_increments(
     dim = triplet.model.dim
     # a scalar time broadcasts without building per-row copies of it
     tc = t if t.ndim == 0 else np.broadcast_to(t, (n,))[:, None]
-    out = tc * triplet.drift
-    scale = np.sqrt(tc) * np.sqrt(triplet.gaussian_diag)
-    out = out + scale * rng.standard_normal((n, dim))
+    # in place, so a batch holds one (n, dim) array; the sums are unchanged
+    out = rng.standard_normal((n, dim))
+    out *= np.sqrt(tc) * np.sqrt(triplet.gaussian_diag)
+    out += tc * triplet.drift
     if triplet.jumps is not None:
         counts = rng.poisson(np.broadcast_to(t, (n,)) * triplet.jumps.intensity)
         total = int(counts.sum())

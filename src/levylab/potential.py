@@ -7,7 +7,11 @@ the target.  For continuous triplets and coordinate-aligned target faces a
 Brownian-bridge crossing draw removes most of the monitoring bias; the
 residual is folded into test tolerances.  A continuous triplet steps only
 the coordinates its targets read (`TargetSet.coords`); the others are drawn
-exactly at each stopping time.
+exactly at each stopping time.  Each engine iteration advances the live
+paths by a block of grid steps, sized so that steps x paths x stepped
+coordinates stay near `_BLOCK` elements; a path stops inside its block at
+its entry step, which is exact because the draws after that step are
+independent of everything kept.
 
 Hitting uses the D-convention: membership is checked at time 0, so a start
 inside an open target hits immediately.
@@ -41,7 +45,8 @@ class TargetSet:
     A face (j, v, side) certifies that the target contains the halfspace
     side*(c_j - v) >= 0 locally, enabling the bridge crossing draw on
     coordinate j.  `coords` lists the 0-based coordinates the membership
-    reads; None means all of them.
+    reads; None means all of them.  A membership with declared coords may
+    be handed only the first max(coords) + 1 columns.
     """
 
     name: str
@@ -183,35 +188,6 @@ def h_ball(model: SpaceModel, radius: float) -> TargetSet:
 # -- the stepping engine ----------------------------------------------------
 
 
-def _bridge_cross(
-    zpre: np.ndarray,
-    znew: np.ndarray,
-    m: np.ndarray,
-    faces,
-    gaussian_diag: np.ndarray,
-    dt: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Sample within-step crossings of coordinate faces, given as arrays
-    (j, v, side); snaps the coordinate of a row's first crossed face onto
-    it.  Mutates znew and m, returns m."""
-    j, v, side = faces
-    g = gaussian_diag[j]
-    d0 = side * (v - zpre[:, j])
-    d1 = side * (v - znew[:, j])
-    rows, fi = np.nonzero(~m[:, None] & (d0 > 0) & (d1 > 0) & (g > 0))
-    p = np.exp(-2.0 * d0[rows, fi] * d1[rows, fi] / (g[fi] * dt))
-    crossed = rng.random(rows.size) < p
-    if crossed.any():
-        # nonzero lists faces in order within a row: keep each row's first
-        rows, fi = rows[crossed], fi[crossed]
-        first = np.unique(rows, return_index=True)[1]
-        rows, fi = rows[first], fi[first]
-        znew[rows, j[fi]] = v[fi]
-        m[rows] = True
-    return m
-
-
 def _support(targets):
     """Union of the targets' declared coordinates; None when one reads all."""
     if any(t.coords is None for t in targets):
@@ -228,6 +204,11 @@ def _restrict(triplet: LevyTriplet, cols: np.ndarray) -> LevyTriplet:
     )
 
 
+# Elements (grid steps x live paths x stepped coordinates) one engine
+# iteration draws at most, unless a single step is already larger.
+_BLOCK = 4096
+
+
 def _step_paths(
     triplet: LevyTriplet,
     start: np.ndarray,
@@ -240,20 +221,35 @@ def _step_paths(
     faces=(),
     observe=None,
     to_horizon: bool = False,
+    locate: bool = True,
 ):
     """The stepping engine behind every path estimator.
 
-    `member(z)` maps points (rows, N) to a (targets, rows) membership matrix
-    that reads only the coordinates `coords` (None: all).  A path steps until
-    it has entered every target, or to the horizon with to_horizon.  With one
-    target, `refine` moves the entering step's end point and `faces` get the
-    bridge draw; `observe(t, idx, z, times)` sees the stepped paths idx.
-    Returns entry times (inf when missed), entry points (the start when
-    missed) and each path's last position.
+    `member(z)` maps points (rows, N') to a (targets, rows) membership matrix
+    that reads only the coordinates `coords` (None: all); N' is N, or
+    max(coords) + 1 when a continuous triplet steps coords alone.  A path
+    steps until it has entered every target, or to the horizon with
+    to_horizon.  With one target, `refine(z_in, z_out)` moves an entering
+    grid step's end point and `faces` (j, v, side) get the bridge crossing
+    draw, which snaps c_j of a crossing step's end point onto v;
+    `observe(t, idx, z, times)` sees the block grid times t (B,) and points
+    z (B, len(idx), N') of the stepped paths idx.  Returns entry times (inf
+    when missed), entry points (the start when missed; none without
+    locate) and each path's last position.
+
+    Each iteration advances the live paths by a block of B grid steps, the
+    largest B (at least 1) with B * paths * stepped coordinates <= _BLOCK, so
+    blocks grow as the live set shrinks.  One draw of B * paths increments,
+    summed along the step axis, gives the block's grid points; a path stops
+    at the step where it entered its last target.  Stopping inside a block
+    is exact: that step's decision reads only the increments up to it, the
+    discarded draws after it are independent of everything kept, and the
+    bridge events of the steps are independent given the grid points.
 
     A continuous triplet steps only `coords`; membership sees zeros in the
-    other columns.  Those are independent of every stopping time, so each
-    path draws them at its entry times and last step time, in time order.
+    other columns up to max(coords).  The rest are independent of every
+    stopping time, so each path draws them at its entry times and last step
+    time, in time order.
     """
     start = np.asarray(start, dtype=float)
     if start.ndim == 2:
@@ -266,68 +262,115 @@ def _step_paths(
     if coords is None or not triplet.is_continuous:
         coords = range(dim)
     cols = np.array(sorted(set(coords)), dtype=int)
-    full = cols.size == dim
-    law = triplet if full else _restrict(triplet, cols) if cols.size else None
+    k = cols.size
+    full = k == dim
+    law = triplet if full else _restrict(triplet, cols) if k else None
+    width = cols[-1] + 1 if k else 0
+    dense = np.array_equal(cols, np.arange(width))
 
     def widen(y):
-        if full:
+        if dense:
             return y
-        z = np.zeros((y.shape[0], dim))
-        z[:, cols] = y
+        z = np.zeros(y.shape[:-1] + (width,))
+        z[..., cols] = y
         return z
 
     if faces:
-        j, v, side = (np.array(x) for x in zip(*faces))
-        faces = (np.searchsorted(cols, j), v, side)
+        fj, fv, fside = (np.array(x) for x in zip(*faces))
+        fj = np.searchsorted(cols, fj)
+        fg = law.gaussian_diag[fj]
+        fk = np.divide(2.0, fg * cfg.dt, out=np.zeros_like(fg), where=fg > 0)
     times = np.where(member(z0), 0.0, np.inf)
-    locs = np.repeat(z0[None], times.shape[0], axis=0)
+    n_t = times.shape[0]
+    locs = np.repeat(z0[None], n_t if locate else 0, axis=0)
     y = z0 if full else z0[:, cols]
     active = np.ones(n_paths, bool) if to_horizon else np.isinf(times).any(axis=0)
     n_steps = int(np.ceil(cfg.horizon / cfg.dt))
-    for i in range(1, n_steps + 1):
-        if not active.any():
-            break
-        t = i * cfg.dt
+    done = 0
+    while done < n_steps and active.any():
         idx = np.flatnonzero(active)
-        ypre = y[idx]
-        ynew = ypre.copy() if law is None else ypre + sample_increments(law, cfg.dt, idx.size, rng)
-        z = widen(ynew)
+        r = idx.size
+        nb = min(n_steps - done, max(1, _BLOCK // (r * max(k, 1))))
+        # no copy while every path is live; read before y is written
+        pre = y if r == n_paths else y[idx]
+        if law is None:
+            path = np.empty((nb, r, 0))
+        else:
+            path = sample_increments(law, cfg.dt, nb * r, rng).reshape(nb, r, k)
+            if nb > 1:
+                np.cumsum(path, axis=0, out=path)
+        path += pre
+        z = widen(path)
         pending = np.isinf(times[:, idx])
-        fresh = pending & member(z)
-        if refine is not None and fresh[0].any():
-            m = fresh[0]
-            ynew[m] = refine(widen(ypre[m]), z[m])[:, cols]
+        inside = member(z.reshape(nb * r, width)).reshape(n_t, nb, r) & pending[:, None]
+        if nb == 1:  # many live paths: no block axis to search
+            entered, first = inside[:, 0].copy(), np.zeros((n_t, r), dtype=int)
+        else:
+            entered, first = inside.any(axis=1), inside.argmax(axis=1)
         if faces:
-            fresh[0] = _bridge_cross(ypre, ynew, fresh[0], faces, law.gaussian_diag, cfg.dt, rng)
-        for ti in np.flatnonzero(fresh.any(axis=1)):
-            newly = idx[fresh[ti]]
-            times[ti, newly] = t
-            locs[ti, newly[:, None], cols] = ynew[fresh[ti]]
-        y[idx] = ynew
+            # crossings inside the steps before a row's first grid entry
+            prev = np.concatenate([pre[None], path[:-1]])
+            d0 = fside * (fv - prev[..., fj])
+            d1 = fside * (fv - path[..., fj])
+            before = np.arange(nb)[:, None] < np.where(entered[0], first[0], nb)
+            cand = (before & pending[0])[..., None] & (d0 > 0) & (d1 > 0) & (fg > 0)
+            crossed = np.zeros_like(cand)
+            crossed[cand] = rng.random(np.count_nonzero(cand)) < np.exp(-(d0 * d1 * fk)[cand])
+            s, rows, fi = np.nonzero(crossed)
+            if s.size:
+                # nonzero lists (step, row, face) in order: keep each row's first
+                keep = np.unique(rows, return_index=True)[1]
+                s, rows, fi = s[keep], rows[keep], fi[keep]
+                path[s, rows, fj[fi]] = fv[fi]
+                entered[0, rows] = True
+                first[0, rows] = s
+        if refine is not None:
+            # rows that entered at a grid point, not by a bridge crossing
+            rows = np.flatnonzero(entered[0])
+            s = first[0, rows]
+            grid = inside[0, s, rows]
+            rows, s = rows[grid], s[grid]
+            if rows.size:
+                z_in = np.where((s > 0)[:, None], path[s - 1, rows], pre[rows])
+                path[s, rows] = refine(widen(z_in), widen(path[s, rows]))[:, cols]
+        t = (done + 1 + np.arange(nb)) * cfg.dt
+        for ti in np.flatnonzero(entered.any(axis=1)):
+            rows = np.flatnonzero(entered[ti])
+            s = first[ti, rows]
+            times[ti, idx[rows]] = t[s]
+            if locate:
+                locs[ti, idx[rows, None], cols] = path[s, rows]
         if observe is not None:
             observe(t, idx, z, times)
-        if not to_horizon:
-            active[idx] = (pending & ~fresh).any(axis=0)
+        going = (pending & ~entered).any(axis=0) | to_horizon
+        if nb == 1:
+            y[idx] = path[0]
+        else:  # a stopped path stays at its last entry, the others move on
+            y[idx] = path[np.where(going, nb - 1, first.max(axis=0)), np.arange(r)]
+        active[idx] = going
+        done += nb
+        del path, z  # free this block before the next one is drawn
     if full:
         return times, locs, y
     last = z0.copy()
     last[:, cols] = y
     rest = np.setdiff1d(np.arange(dim), cols)
     points = np.concatenate([locs, last[None]])
-    done = np.isfinite(times).all(axis=0) & (not to_horizon)
-    stops = np.vstack([times, np.where(done, times.max(axis=0), n_steps * cfg.dt)])
+    entries = times if locate else times[:0]
+    stopped = np.isfinite(times).all(axis=0) & (not to_horizon)
+    stops = np.vstack([entries, np.where(stopped, times.max(axis=0), n_steps * cfg.dt)])
     rest_law = _restrict(triplet, rest)
     u = z0[:, rest]
     paths = np.arange(n_paths)
     t_prev = np.zeros(n_paths)
-    for k in np.argsort(stops, axis=0, kind="stable"):
-        tk = stops[k, paths]
+    for kth in np.argsort(stops, axis=0, kind="stable"):
+        tk = stops[kth, paths]
         seen = np.isfinite(tk)
         move = seen & (tk > t_prev)
         if move.any():
             u[move] += sample_increments(rest_law, (tk - t_prev)[move], int(move.sum()), rng)
             t_prev[move] = tk[move]
-        points[k[seen, None], paths[seen, None], rest] = u[seen]
+        points[kth[seen, None], paths[seen, None], rest] = u[seen]
     return times, points[:-1], points[-1]
 
 
@@ -439,7 +482,7 @@ def level_crossing_times(
     levels = np.asarray(levels, dtype=float)
     times, _, _ = _step_paths(
         triplet, start, lambda z: q_x_eval(norm, z) > levels[:, None], None, cfg,
-        n_paths, rng,
+        n_paths, rng, locate=False,
     )
     return times
 
@@ -466,12 +509,12 @@ def discounted_occupancy(
     B = np.zeros_like(A)
 
     def observe(t, idx, z, times):
-        w = np.exp(-beta * t) * cfg.dt
-        after = t >= times[0, idx]
+        w = (np.exp(-beta * t) * cfg.dt)[:, None]
+        after = t[:, None] >= times[0, idx]
         for fi, F in enumerate(F_targets):
             inF = F(z)
-            A[fi, idx] += w * inF
-            B[fi, idx] += w * (inF & after)
+            A[fi, idx] += (w * inF).sum(axis=0)
+            B[fi, idx] += (w * (inF & after)).sum(axis=0)
 
     times, locs, _ = _step_paths(
         triplet, start, lambda z: M(z)[None], _support([M, *F_targets]), cfg, n_paths, rng,

@@ -1,9 +1,10 @@
 """Registry of named experiments for the CLI harness.
 
-Each experiment maps (parameters, samples, seed, confidence) to a list of
-result rows.  Randomness is drawn only from counter-based substreams keyed
-by the seed and the experiment name, so results are independent of worker
-scheduling.
+Each experiment maps (parameters, samples, seed, confidence, name) to a list
+of result rows.  Randomness is drawn only from the counter-based substream
+keyed by the seed and the experiment's config name (which defaults to its
+operation), so results are independent of worker scheduling, and two
+experiments running one operation under different names draw independently.
 """
 
 import numpy as np
@@ -75,11 +76,11 @@ def _default_norm(kind, dim=32):
     return model, levy_norm(model, growth_basis)
 
 
-def variance_identity(params, samples, seed, confidence):
+def variance_identity(params, samples, seed, confidence, name):
     dim = int(params.get("dim", 32))
     model = make_space(dim)
     triplet = brownian_triplet(model)
-    rng = substream(seed, "variance_identity")
+    rng = substream(seed, name)
     z_rand = rng.standard_normal(dim)
     xis = {
         "e1": model.basis_vector(1),
@@ -98,12 +99,12 @@ def variance_identity(params, samples, seed, confidence):
     return rows
 
 
-def gaussian_lyapunov(params, samples, seed, confidence):
+def gaussian_lyapunov(params, samples, seed, confidence, name):
     dim = int(params.get("dim", 32))
     n_points = int(params.get("points", 5))
     model, norm = _default_norm("gaussian", dim)
     triplet = brownian_triplet(model)
-    rng = substream(seed, "gaussian_lyapunov")
+    rng = substream(seed, name)
     mass = qx_square_mean(norm, triplet, 1.0, samples, rng, confidence)
     rows = [_row("qx2_mass_at_1", est=mass)]
     for i in range(n_points):
@@ -137,12 +138,12 @@ def _jump_triplet(dim):
     )
 
 
-def levy_sandwich(params, samples, seed, confidence):
+def levy_sandwich(params, samples, seed, confidence, name):
     dim = int(params.get("dim", 32))
     n_points = int(params.get("points", 5))
     model, norm = _default_norm("levy", dim)
     triplet = _jump_triplet(dim)
-    rng = substream(seed, "levy_sandwich")
+    rng = substream(seed, name)
     c_tilde = moment_constant_estimate(
         norm, triplet, (0.25, 0.5, 1.0, 2.0, 4.0), samples, rng
     )
@@ -173,27 +174,27 @@ def _moment_rows(triplet, xis, times, samples, rng, confidence):
     return rows
 
 
-def moment_pointmass(params, samples, seed, confidence):
+def moment_pointmass(params, samples, seed, confidence, name):
     triplet = _jump_triplet(int(params.get("dim", 32)))
     e = triplet.model.basis_vector
     xis = (("e1", e(1)), ("e2", e(2)), ("e1+e2", e(1) + e(2)))
-    rng = substream(seed, "moment_pointmass")
+    rng = substream(seed, name)
     return _moment_rows(triplet, xis, (0.5, 1.0, 2.0), samples, rng, confidence)
 
 
-def moment_poisson01(params, samples, seed, confidence):
+def moment_poisson01(params, samples, seed, confidence, name):
     triplet = poisson_example_triplet(int(params.get("dim", 32)))
     e = triplet.model.basis_vector
     xis = (("e1", e(1)), ("e2", e(2)), ("e1+2e3", e(1) + 2.0 * e(3)))
-    rng = substream(seed, "moment_poisson01")
+    rng = substream(seed, name)
     return _moment_rows(triplet, xis, (0.5, 1.0), samples, rng, confidence)
 
 
-def projection_identity(params, samples, seed, confidence):
+def projection_identity(params, samples, seed, confidence, name):
     dim = int(params.get("dim", 32))
     model = make_space(dim)
     triplet = brownian_triplet(model)
-    rng = substream(seed, "projection_identity")
+    rng = substream(seed, name)
     z = rng.standard_normal(dim)
     rows = []
     for k in (1, 2, 3):
@@ -226,11 +227,11 @@ def projection_identity(params, samples, seed, confidence):
     return rows
 
 
-def reduced_projection(params, samples, seed, confidence):
+def reduced_projection(params, samples, seed, confidence, name):
     dim = int(params.get("dim", 32))
     model = make_space(dim)
     triplet = brownian_triplet(model)
-    rng = substream(seed, "reduced_projection")
+    rng = substream(seed, name)
     cfg = PathConfig(
         dt=float(params.get("dt", 0.02)), horizon=float(params.get("horizon", 8.0))
     )
@@ -282,11 +283,11 @@ def reduced_projection_cases(model):
     return cases
 
 
-def dirichlet_slab(params, samples, seed, confidence):
+def dirichlet_slab(params, samples, seed, confidence, name):
     dim = int(params.get("dim", 32))
     model = make_space(dim)
     triplet = brownian_triplet(model)
-    rng = substream(seed, "dirichlet_slab")
+    rng = substream(seed, name)
     a, b, fa, fb = -1.0, 2.0, 3.0, -1.0
     dom = slab_domain(model, 1, a, b)
     f = BoundaryData(
@@ -305,11 +306,11 @@ def dirichlet_slab(params, samples, seed, confidence):
     return rows
 
 
-def capacity_basics(params, samples, seed, confidence):
+def capacity_basics(params, samples, seed, confidence, name):
     dim = int(params.get("dim", 16))
     model, norm = _default_norm("gaussian", dim)
     triplet = brownian_triplet(model)
-    rng = substream(seed, "capacity_basics")
+    rng = substream(seed, name)
     beta = 1.0
     cloud = PointCloud(np.zeros((1, dim)), np.array([2.0]))
     cfg = PathConfig(dt=float(params.get("dt", 0.05)), horizon=float(params.get("horizon", 20.0)))
@@ -329,11 +330,11 @@ def capacity_basics(params, samples, seed, confidence):
     return rows
 
 
-def balayage(params, samples, seed, confidence):
+def balayage(params, samples, seed, confidence, name):
     dim = int(params.get("dim", 8))
     model = make_space(dim)
     triplet = brownian_triplet(model)
-    rng = substream(seed, "balayage")
+    rng = substream(seed, name)
     M = coord_halfspace(model, 1, 1.0, +1)
     start = np.zeros(dim)
     nu = PointCloud(start[None, :], np.array([1.0]))
@@ -365,11 +366,11 @@ def balayage(params, samples, seed, confidence):
     return rows
 
 
-def tail_projection(params, samples, seed, confidence):
+def tail_projection(params, samples, seed, confidence, name):
     dim = int(params.get("dim", 32))
     model = make_space(dim)
     triplet = brownian_triplet(model)
-    rng = substream(seed, "tail_projection")
+    rng = substream(seed, name)
     rep = projection_convergence(triplet, 1.0, (4, 8, 16), samples, rng, confidence)
     rows = []
     for r in rep["rows"]:

@@ -90,6 +90,25 @@ def test_seed_changes_results(tmp_path):
     )
 
 
+def test_streams_keyed_by_experiment_name(tmp_path):
+    """One operation under two names draws two independent streams; the
+    default name is the operation, so unnamed experiments keep theirs."""
+    exp = {"operation": "tail_projection", "samples": 500}
+    p = _write(tmp_path, {"experiments": [exp, dict(exp, name="tail_b")]})
+    res = run(p, out_dir=tmp_path / "o")
+    a, b = ([r["mean"] for r in rec.rows] for rec in res["records"])
+    assert a != b
+    alone = run(_write(tmp_path, {"experiments": [exp]}, "one.json"), out_dir=tmp_path / "p")
+    assert [r["mean"] for r in alone["records"][0].rows] == a
+
+
+def test_duplicate_experiment_names_rejected(tmp_path):
+    exp = {"operation": "tail_projection", "samples": 500}
+    for dup in ([exp, exp], [dict(exp, name="t"), dict(exp, name="t")]):
+        with pytest.raises(ConfigError):
+            load_config(_write(tmp_path, {"experiments": dup}))
+
+
 def test_filter_selects_experiments(tmp_path):
     p = _write(tmp_path, SMALL_CONFIG)
     res = run(p, out_dir=tmp_path / "out", name_filter="tail*")

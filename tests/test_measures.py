@@ -1,5 +1,10 @@
 """Increment laws, jump measures, and the estimate/verdict machinery."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +24,7 @@ from levylab.measures import (
     poisson_example_triplet,
     sample_increment,
     sample_increments,
+    z_value,
 )
 from levylab.rng import substream
 from levylab.space import make_space
@@ -38,6 +44,29 @@ def test_one_sided_verdicts():
     assert est.verdict_at_least(2.0) == "fail"
     assert est.verdict_at_most(2.0) == "pass"
     assert est.verdict_at_most(0.5) == "fail"
+
+
+def test_z_value_matches_tabulated_quantiles():
+    """Two-sided normal quantiles, to 16 significant digits."""
+    table = {
+        0.9: 1.6448536269514727,
+        0.95: 1.9599639845400542,
+        0.99: 2.5758293035489004,
+        0.999: 3.2905267314919255,
+    }
+    for confidence, z in table.items():
+        assert abs(z_value(confidence) - z) < 1e-12
+
+
+def test_harness_import_leaves_scipy_out():
+    """scipy is a test dependency only: the runtime import path avoids it."""
+    src = str(Path(__import__("levylab").__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, levylab.harness; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_estimate_validation():

@@ -1,10 +1,14 @@
 """Hitting simulation, reduced functions, capacity, balayage, domination."""
 
+import tracemalloc
 from dataclasses import replace
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 
+from levylab import potential
+from levylab.dirichlet import e_ball_domain, sample_exits
 from levylab.lyapunov import gaussian_norm
 from levylab.measures import McEstimate, brownian_triplet
 from levylab.operators import TestFunction
@@ -18,6 +22,7 @@ from levylab.potential import (
     capacity_tightness_profile,
     coord_halfspace,
     coordinate_box,
+    discounted_occupancy,
     domination_check,
     e_ball,
     e_ball_complement,
@@ -207,6 +212,29 @@ def test_level_crossing_monotone(setup):
         norm, triplet, np.zeros(8), [1.0, 2.0, 4.0], cfg, 300, substream(10)
     )
     assert np.all(times[0] <= times[1]) and np.all(times[1] <= times[2])
+
+
+def test_level_crossing_keeps_no_locations():
+    """Crossing times alone: the peak memory does not grow with the levels
+    by the (levels, paths, N) hit locations, which the caller never reads.
+    At 3 levels x 1000 paths x N=32 those are 768 KB; the path state and
+    q_x's temporaries, the same for any number of levels, come on top."""
+    model = make_space(32)
+    norm = gaussian_norm(model, build_growth_basis(model, canonical_x(model)))
+    cfg = PathConfig(dt=0.05, horizon=20.0)
+
+    def peak(levels):
+        tracemalloc.start()
+        try:
+            level_crossing_times(
+                norm, brownian_triplet(model), np.zeros(32), levels, cfg, 1000, substream(30)
+            )
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one_level_locations = 1000 * 32 * 8
+    assert peak([1.0, 2.0, 3.0]) - peak([1.0]) < one_level_locations
 
 
 def test_balayage_atom_inside_M(setup):
@@ -417,3 +445,123 @@ def test_fallback_agreement_undeclared_coords(setup):
 def test_face_coords_must_be_declared():
     with pytest.raises(ValueError):
         TargetSet("bad", lambda z: z[..., 1] > 0, faces=((1, 0.0, +1),), coords=(0,))
+
+
+def test_occupancy_counts_every_grid_time_once(setup):
+    """F = whole space: every path's occupancy is the grid sum over steps
+    1..ceil(H/dt), whatever the block boundaries."""
+    model, triplet = setup
+    beta, cfg = 0.7, PathConfig(dt=0.02, horizon=3.01)  # 151 steps
+    M = coord_halfspace(model, 1, 0.5, +1)
+    for n in (50, 3000):  # blocks of 81 steps, and of one
+        T, A, B, _ = discounted_occupancy(
+            triplet, np.zeros(8), M, [whole_space(model)], beta, cfg, n, substream(25)
+        )
+        steps = np.arange(1, int(np.ceil(cfg.horizon / cfg.dt)) + 1)
+        exact = np.sum(np.exp(-beta * steps * cfg.dt) * cfg.dt)
+        assert np.all(np.abs(A[0] - exact) < 1e-12)
+        assert np.all(B[0] <= A[0] + 1e-12)
+
+
+def test_hit_times_on_the_grid_within_horizon(setup, monkeypatch):
+    model, triplet = setup
+    cfg = PathConfig(dt=0.03, horizon=2.0)  # 67 steps, the last past the horizon
+    n_steps = int(np.ceil(cfg.horizon / cfg.dt))
+    rows = []
+    draw = potential.sample_increments
+
+    def counted(law, dt, n, rng):
+        if np.ndim(dt) == 0:  # grid steps, not the terminal draw of unstepped coords
+            rows.append(n)
+        return draw(law, dt, n, rng)
+
+    monkeypatch.setattr(potential, "sample_increments", counted)
+    hit, T, _ = simulate_hit_batch(
+        triplet, np.zeros(8), coord_halfspace(model, 1, 0.8, +1), cfg, 300, substream(26)
+    )
+    assert 0.2 < hit.mean() < 1.0
+    assert np.all(T[hit] == np.rint(T[hit] / cfg.dt) * cfg.dt)
+    assert np.all((T[hit] > 0) & (T[hit] <= n_steps * cfg.dt))
+    # a target no path reaches: every path draws exactly n_steps increments
+    rows.clear()
+    far = coord_halfspace(model, 1, 100.0, +1)
+    simulate_hit_batch(triplet, np.zeros(8), far, cfg, 20, substream(27))
+    assert sum(rows) == 20 * n_steps
+
+
+def test_block_steps_agree_with_single_steps(setup, monkeypatch):
+    """Blocks of grid steps give the same law as one step per iteration:
+    a slab exit with the bridge draw, an E-ball exit cut at the boundary,
+    and two targets on shared paths."""
+    model, triplet = setup
+    slab = slab_complement(model, 1, -1.0, 2.0)
+    ball = e_ball_domain(model, np.zeros(8), 1.0)
+    near = coord_halfspace(model, 1, 0.5, +1)
+    far = coord_halfspace(model, 2, -1.0, -1)
+
+    def slab_case(rng):
+        hit, T, loc = simulate_hit_batch(
+            triplet, np.zeros(8), slab, PathConfig(dt=0.01, horizon=40.0), 1500, rng
+        )
+        return [loc[:, 0], np.exp(-T)]
+
+    def ball_case(rng):
+        hit, T, loc = sample_exits(
+            triplet, ball, np.zeros(8), 1500, PathConfig(dt=0.01, horizon=20.0), rng
+        )
+        assert hit.all()
+        return [loc[:, 0], np.exp(-T)]
+
+    def multi_case(rng):
+        times, locs = multi_target_hit(
+            triplet, np.zeros(8), [near, far], PathConfig(dt=0.02, horizon=10.0), 1500, rng
+        )
+        return [locs[1, :, 0], *np.exp(-times)]
+
+    for case in (slab_case, ball_case, multi_case):
+        blocked = case(substream(28))
+        with monkeypatch.context() as m:
+            m.setattr(potential, "_BLOCK", 1)
+            single = case(substream(29))
+        for a, b in zip(blocked, single):
+            ea, eb = McEstimate.from_samples(a), McEstimate.from_samples(b)
+            diff = McEstimate(ea.mean - eb.mean, float(np.hypot(ea.stderr, eb.stderr)), a.size)
+            assert diff.verdict(0.0) == "pass", case.__name__
+
+
+@pytest.mark.parametrize("block", [None, 2**20])
+def test_bridge_hit_probability_exact_within_blocks(setup, monkeypatch, block):
+    """With the bridge draw in every step, P(hit c1 >= L by H) is exactly
+    the reflection-principle value 2(1 - Phi(L / sqrt(H))), also when the
+    whole horizon is one block."""
+    model, triplet = setup
+    if block is not None:
+        monkeypatch.setattr(potential, "_BLOCK", block)
+    level, cfg = 1.0, PathConfig(dt=0.125, horizon=2.0)
+    hit, _, _ = simulate_hit_batch(
+        triplet, np.zeros(8), coord_halfspace(model, 1, level, +1), cfg, 4000, substream(31)
+    )
+    exact = 2.0 * (1.0 - NormalDist().cdf(level / np.sqrt(cfg.horizon)))
+    assert McEstimate.from_samples(hit.astype(float)).verdict(exact) == "pass"
+
+
+def test_refine_sees_the_entering_step(setup, monkeypatch):
+    """refine(z_in, z_out) gets the two grid points around the entry, also
+    deep inside a block: c8 barely moves the E-norm, so its change between
+    them is close to N(0, dt)."""
+    model, triplet = setup
+    monkeypatch.setattr(potential, "_BLOCK", 2**20)
+    seen = []
+
+    def refine(z_in, z_out):
+        seen.append(z_out - z_in)
+        return z_out
+
+    cfg = PathConfig(dt=0.01, horizon=20.0)
+    shell = e_ball_complement(model, np.zeros(8), 1.0)
+    hit, _, _ = simulate_hit_batch(
+        triplet, np.zeros(8), shell, cfg, 2000, substream(32), refine=refine
+    )
+    assert hit.all()
+    step = np.concatenate(seen)[:, 7]
+    assert McEstimate.from_samples(step**2 / cfg.dt).verdict(1.0) == "pass"
