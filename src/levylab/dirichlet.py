@@ -233,13 +233,14 @@ def boundary_continuity_check(
 ) -> dict:
     """Solve along an approach sequence to the boundary point y and test the
     trend toward f(y): gaps nonincreasing within noise, final gap inside
-    3 bands plus the declared continuity allowance."""
+    3 bands plus the declared continuity allowance.  Each row keeps its
+    DirichletEstimate under "solve", with the non-exit mass."""
     fy = float(f(np.asarray(y, dtype=float)[None, :])[0])
     rows = []
     for xk in np.atleast_2d(sequence):
         est = solve(triplet, domain, f, xk, n, cfg, rng, confidence=confidence)
         gap = abs(est.estimate.mean - fy)
-        rows.append({"x": xk, "estimate": est.estimate, "gap": gap})
+        rows.append({"x": xk, "estimate": est.estimate, "gap": gap, "solve": est})
     zc = z_value(confidence)
     noise = [3.0 * zc * r["estimate"].stderr for r in rows]
     trend = all(
@@ -267,7 +268,8 @@ def harmonicity_check(
 ) -> list[dict]:
     """Strong-Markov consistency: exit a small inner neighborhood of x
     first, then solve from its exit points; the two-stage mean must agree
-    with the direct solve at x within the combined confidence bands."""
+    with the direct solve at x within the combined confidence bands.  Each
+    row holds the difference estimate and both DirichletEstimates."""
     x = np.asarray(x, dtype=float)
     rows = []
     for r in r_grid:
@@ -288,6 +290,8 @@ def harmonicity_check(
                 "r": r,
                 "two_stage": staged.estimate,
                 "direct": direct.estimate,
+                "difference": diff,
+                "solves": (staged, direct),
                 "verdict": diff.verdict(0.0),
             }
         )

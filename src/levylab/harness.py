@@ -13,6 +13,7 @@ import fnmatch
 import hashlib
 import json
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -69,7 +70,7 @@ class RunRecord:
     spec: ExperimentSpec
     rows: list
     seconds: float
-    error: str | None = None
+    error: str | None = None  # traceback of an experiment that raised
 
 
 _TOP_KEYS = {"seed", "out_dir", "workers", "experiments"}
@@ -108,8 +109,8 @@ def _execute(spec: ExperimentSpec) -> RunRecord:
             spec.parameters, spec.samples, spec.seed, spec.confidence, spec.name
         )
         return RunRecord(spec, rows, time.perf_counter() - t0)
-    except Exception as exc:  # recorded, run continues
-        return RunRecord(spec, [], time.perf_counter() - t0, error=f"{type(exc).__name__}: {exc}")
+    except Exception:  # recorded with its traceback, run continues
+        return RunRecord(spec, [], time.perf_counter() - t0, error=traceback.format_exc())
 
 
 def _fmt(x) -> str:
@@ -207,17 +208,3 @@ def run(
         "records": records,
     }
 
-
-def verdict_aggregate(estimates, targets, tolerances=None) -> dict:
-    """Three-valued verdict table for aligned estimates and targets."""
-    if tolerances is None:
-        tolerances = [1e-9] * len(estimates)
-    if not (len(estimates) == len(targets) == len(tolerances)):
-        raise ValueError("estimates, targets and tolerances must align")
-    rows = []
-    counts = {"pass": 0, "fail": 0, "inconclusive": 0}
-    for est, tgt, tol in zip(estimates, targets, tolerances):
-        v = est.verdict(tgt, atol=tol)
-        counts[v] += 1
-        rows.append({"estimate": est, "target": tgt, "verdict": v})
-    return {"rows": rows, "counts": counts}

@@ -103,7 +103,8 @@ def levy_norm(model: SpaceModel, growth_basis: GrowthBasis, alphas="2^n") -> Lya
 
 
 def _growth_sum(norm: LyapunovNorm, z: np.ndarray) -> np.ndarray:
-    pair = np.abs(norm.growth_basis.pairings(z))
+    pair = norm.growth_basis.pairings(z)
+    np.abs(pair, out=pair)  # in place: a batch holds one (rows, depth) array
     w = 2.0 ** (-0.5 * np.arange(1, norm.growth_basis.depth + 1))
     return pair @ w
 

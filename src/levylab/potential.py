@@ -816,6 +816,7 @@ def polarity_diagnostic_H(
     """
     model = triplet.model
     rho_grid = sorted(rho_grid, reverse=True)
+    zc = z_value(confidence)
     rows = []
     shrinks = True
     for start in starts:
@@ -828,7 +829,7 @@ def polarity_diagnostic_H(
             ests.append(est)
             rows.append({"start": np.asarray(start), "rho": rho, "estimate": est})
         shrinks &= all(
-            ests[i + 1].mean <= ests[i].mean + 3 * np.hypot(ests[i].stderr, ests[i + 1].stderr)
+            ests[i + 1].mean <= ests[i].mean + 3 * zc * np.hypot(ests[i].stderr, ests[i + 1].stderr)
             for i in range(len(ests) - 1)
         )
     out = {"hit_rows": rows, "shrinking": shrinks}

@@ -5,10 +5,32 @@ of result rows.  Randomness is drawn only from the counter-based substream
 keyed by the seed and the experiment's config name (which defaults to its
 operation), so results are independent of worker scheduling, and two
 experiments running one operation under different names draw independently.
+
+Each experiment is also an acceptance criterion, and its last row is the
+criterion's gate, `gate[...]`.  The gate counts units (a row, or a cell of
+rows that must all pass) against the criterion's threshold: at most so many
+units may miss.  It is `pass` when the criterion holds, `fail` when the
+failing units alone already break the threshold, and `inconclusive`
+otherwise, so a down-scaled run never fails a gate that its rows do not
+already fail.  Failure signals are rows too (Dirichlet non-exit mass,
+balayage carrier and degeneracy), so the gates read them.  The shipped
+`configs/acceptance.json` runs every criterion at full scale.
 """
 
 import numpy as np
 
+from .dirichlet import (
+    BoundaryData,
+    approach_sequence,
+    boundary_continuity_check,
+    controlled_convergence_check,
+    e_ball_domain,
+    gambler_ruin_value,
+    harmonicity_check,
+    majorant_stability_check,
+    slab_domain,
+    solve,
+)
 from .lyapunov import (
     gaussian_norm,
     levy_norm,
@@ -18,6 +40,7 @@ from .lyapunov import (
     v0_estimate,
 )
 from .measures import (
+    DEFAULT_ATOL,
     JumpMeasure,
     LevyTriplet,
     McEstimate,
@@ -35,14 +58,17 @@ from .potential import (
     capacity,
     capacity_tightness_profile,
     coord_halfspace,
+    domination_check,
+    e_ball,
     empty_set,
+    horizon_bias_bound,
     projection_convergence,
     reduced_function_family,
+    simulate_hit_batch,
     whole_space,
 )
 from .rng import substream
 from .space import build_growth_basis, canonical_x, make_space
-from .dirichlet import BoundaryData, gambler_ruin_value, slab_domain, solve
 
 
 def _row(op, est=None, target=None, verdict=None, mean=None, stderr=None, n=None):
@@ -58,9 +84,9 @@ def _row(op, est=None, target=None, verdict=None, mean=None, stderr=None, n=None
     }
 
 
-def _check(op, est, target):
+def _check(op, est, target, atol=DEFAULT_ATOL):
     """Row of an estimate against its exact target."""
-    return _row(op, est=est, target=target, verdict=est.verdict(target))
+    return _row(op, est=est, target=target, verdict=est.verdict(target, atol))
 
 
 def _flag(op, ok, n):
@@ -68,19 +94,73 @@ def _flag(op, ok, n):
     return _row(op, mean=float(ok), stderr=0.0, n=n, target=1.0, verdict="pass" if ok else "fail")
 
 
-def _default_norm(kind, dim=32):
-    model = make_space(dim)
+def _non_exit(label, res):
+    """Row of a Dirichlet solve's non-exit mass: `fail` when the horizon cut
+    off more paths than the solver tolerates."""
+    return _row(
+        f"non_exit[{label}]",
+        mean=res.non_exit_fraction,
+        stderr=0.0,
+        n=res.estimate.n_samples,
+        verdict="fail" if res.flagged else "pass",
+    )
+
+
+def _verdicts(rows, not_fail=False):
+    """Unit verdicts of the checked rows (info rows carry none).  With
+    not_fail, a unit holds unless it fails (one-sided bounds that the
+    criterion asks only not to be refuted)."""
+    verdicts = [r["verdict"] for r in rows if r["verdict"] is not None]
+    return ["fail" if v == "fail" else "pass" for v in verdicts] if not_fail else verdicts
+
+
+def _cell(verdicts):
+    """Verdict of a unit whose rows must all pass."""
+    verdicts = set(verdicts)
+    return "fail" if "fail" in verdicts else "pass" if verdicts == {"pass"} else "inconclusive"
+
+
+def _gate(name, *groups):
+    """The experiment's gate row.  Each group is (unit verdicts, misses
+    allowed); the criterion holds when no group has more misses than it
+    allows.  mean counts the passing units, target the units needed."""
+    holds = all(sum(v != "pass" for v in vs) <= m for vs, m in groups)
+    broken = any(sum(v == "fail" for v in vs) > m for vs, m in groups)
+    return _row(
+        f"gate[{name}]",
+        mean=sum(vs.count("pass") for vs, _ in groups),
+        stderr=0.0,
+        n=sum(len(vs) for vs, _ in groups),
+        target=sum(len(vs) - m for vs, m in groups),
+        verdict="pass" if holds else "fail" if broken else "inconclusive",
+    )
+
+
+def _brownian(params, seed, name, dim=32):
+    """Model of the `dim` parameter, its unit Brownian triplet and the
+    experiment's stream."""
+    model = make_space(int(params.get("dim", dim)))
+    return model, brownian_triplet(model), substream(seed, name)
+
+
+def _cfg(params, dt, horizon):
+    return PathConfig(
+        dt=float(params.get("dt", dt)), horizon=float(params.get("horizon", horizon))
+    )
+
+
+def _norm(model, kind):
     growth_basis = build_growth_basis(model, canonical_x(model))
     if kind == "gaussian":
-        return model, gaussian_norm(model, growth_basis)
-    return model, levy_norm(model, growth_basis)
+        return gaussian_norm(model, growth_basis)
+    return levy_norm(model, growth_basis)
 
 
 def variance_identity(params, samples, seed, confidence, name):
-    dim = int(params.get("dim", 32))
-    model = make_space(dim)
-    triplet = brownian_triplet(model)
-    rng = substream(seed, name)
+    """Criterion 1: E<xi, z + Z_t>^2 = t|xi|^2 + <xi, z>^2; a cell (xi, t)
+    holds when both starts pass, and at least 8 of the 9 cells must."""
+    model, triplet, rng = _brownian(params, seed, name)
+    dim = model.dim
     z_rand = rng.standard_normal(dim)
     xis = {
         "e1": model.basis_vector(1),
@@ -96,33 +176,33 @@ def variance_identity(params, samples, seed, confidence, name):
                 est = McEstimate.from_samples(vals, confidence)
                 target = t * float(xi @ xi) + float(xi @ z) ** 2
                 rows.append(_check(f"second_moment[xi={xi_name},t={t},z={z_name}]", est, target))
+    cells = [_cell(_verdicts(rows[i : i + 2])) for i in range(0, len(rows), 2)]
+    return rows + [_gate("cells", (cells, 1))]
+
+
+def _v0_rows(norm, triplet, bounds, params, samples, rng, confidence):
+    """v_0 = U_1 q_x^2 against (lower, upper) = bounds(q_x^2(z)) at `points`
+    random starts z."""
+    rows = []
+    for i in range(int(params.get("points", 5))):
+        z = rng.standard_normal(norm.model.dim)
+        lo, hi = bounds(float(q_x_eval(norm, z)) ** 2)
+        v0 = v0_estimate(norm, triplet, z, samples, rng, confidence)
+        rows.append(_row(f"v0_lower[{i}]", est=v0, target=lo, verdict=v0.verdict_at_least(lo)))
+        rows.append(_row(f"v0_upper[{i}]", est=v0, target=hi, verdict=v0.verdict_at_most(hi)))
     return rows
 
 
 def gaussian_lyapunov(params, samples, seed, confidence, name):
-    dim = int(params.get("dim", 32))
-    n_points = int(params.get("points", 5))
-    model, norm = _default_norm("gaussian", dim)
-    triplet = brownian_triplet(model)
-    rng = substream(seed, name)
+    """Criterion 2: q_x^2 <= v_0 <= 2 q_x^2 + 2 E q_x^2(Z_1) at `points`
+    random starts; every lower bound holds and at most one upper misses."""
+    model, triplet, rng = _brownian(params, seed, name)
+    norm = _norm(model, "gaussian")
     mass = qx_square_mean(norm, triplet, 1.0, samples, rng, confidence)
     rows = [_row("qx2_mass_at_1", est=mass)]
-    for i in range(n_points):
-        z = rng.standard_normal(dim)
-        q2 = float(q_x_eval(norm, z)) ** 2
-        v0 = v0_estimate(norm, triplet, z, samples, rng, confidence)
-        rows.append(
-            _row(
-                f"v0_lower[{i}]", est=v0, target=q2, verdict=v0.verdict_at_least(q2)
-            )
-        )
-        upper = 2.0 * q2 + 2.0 * mass.mean
-        rows.append(
-            _row(
-                f"v0_upper[{i}]", est=v0, target=upper, verdict=v0.verdict_at_most(upper)
-            )
-        )
-    return rows
+    bounds = lambda q2: (q2, 2.0 * q2 + 2.0 * mass.mean)
+    rows += _v0_rows(norm, triplet, bounds, params, samples, rng, confidence)
+    return rows + [_gate("v0_bounds", (_verdicts(rows[1::2]), 0), (_verdicts(rows[2::2]), 1))]
 
 
 def _jump_triplet(dim):
@@ -139,39 +219,29 @@ def _jump_triplet(dim):
 
 
 def levy_sandwich(params, samples, seed, confidence, name):
+    """Criterion 3: q_x^2/2 - 3C <= v_0 <= 2 q_x^2 + 6C for the jump triplet,
+    at every one of `points` random starts."""
     dim = int(params.get("dim", 32))
-    n_points = int(params.get("points", 5))
-    model, norm = _default_norm("levy", dim)
+    norm = _norm(make_space(dim), "levy")
     triplet = _jump_triplet(dim)
     rng = substream(seed, name)
-    c_tilde = moment_constant_estimate(
-        norm, triplet, (0.25, 0.5, 1.0, 2.0, 4.0), samples, rng
-    )
+    c_tilde = moment_constant_estimate(norm, triplet, (0.25, 0.5, 1.0, 2.0, 4.0), samples, rng)
     rows = [_row("moment_constant", mean=c_tilde, stderr=0.0, n=samples)]
-    for i in range(n_points):
-        z = rng.standard_normal(dim)
-        q2 = float(q_x_eval(norm, z)) ** 2
-        v0 = v0_estimate(norm, triplet, z, samples, rng, confidence)
-        lo = 0.5 * q2 - 3.0 * c_tilde
-        hi = 2.0 * q2 + 6.0 * c_tilde
-        rows.append(
-            _row(f"v0_lower[{i}]", est=v0, target=lo, verdict=v0.verdict_at_least(lo))
-        )
-        rows.append(
-            _row(f"v0_upper[{i}]", est=v0, target=hi, verdict=v0.verdict_at_most(hi))
-        )
-    return rows
+    bounds = lambda q2: (0.5 * q2 - 3.0 * c_tilde, 2.0 * q2 + 6.0 * c_tilde)
+    rows += _v0_rows(norm, triplet, bounds, params, samples, rng, confidence)
+    return rows + [_gate("sandwich", (_verdicts(rows), 0))]
 
 
 def _moment_rows(triplet, xis, times, samples, rng, confidence):
-    """Second pairing moments against their closed form on an (xi, t) grid."""
+    """Criterion 4: second pairing moments against their closed form on an
+    (xi, t) grid, every cell passing."""
     rows = []
     for xi_name, xi in xis:
         for t in times:
             est = pairing_second_moment(triplet, xi, t, samples, rng, confidence)
             target = pairing_second_moment_target(triplet, xi, t)
             rows.append(_check(f"second_moment[xi={xi_name},t={t}]", est, target))
-    return rows
+    return rows + [_gate("moments", (_verdicts(rows), 0))]
 
 
 def moment_pointmass(params, samples, seed, confidence, name):
@@ -191,11 +261,10 @@ def moment_poisson01(params, samples, seed, confidence, name):
 
 
 def projection_identity(params, samples, seed, confidence, name):
-    dim = int(params.get("dim", 32))
-    model = make_space(dim)
-    triplet = brownian_triplet(model)
-    rng = substream(seed, name)
-    z = rng.standard_normal(dim)
+    """Criterion 5: U_alpha of a k-cylinder function equals its projected
+    estimate, for every k in 1..3 and alpha."""
+    model, triplet, rng = _brownian(params, seed, name)
+    z = rng.standard_normal(model.dim)
     rows = []
     for k in (1, 2, 3):
         f = TestFunction(
@@ -207,57 +276,31 @@ def projection_identity(params, samples, seed, confidence, name):
         phi = lambda y, k=k: np.cos(np.sum(y[..., :k], axis=-1)) / 1.0
         for alpha in (0.5, 1.0, 2.0):
             full = apply_Ualpha(triplet, f, alpha, z, samples, rng, confidence)
-            proj = apply_Ualpha_projected(
-                triplet, phi, k, alpha, z, samples, rng, confidence
-            )
-            diff = McEstimate(
-                full.mean - proj.mean,
-                float(np.hypot(full.stderr, proj.stderr)),
-                samples,
-                confidence,
-            )
-            rows.append(
-                _row(
-                    f"resolvent_vs_projected[k={k},alpha={alpha}]",
-                    est=diff,
-                    target=0.0,
-                    verdict=diff.verdict(0.0),
-                )
-            )
-    return rows
+            proj = apply_Ualpha_projected(triplet, phi, k, alpha, z, samples, rng, confidence)
+            se = float(np.hypot(full.stderr, proj.stderr))
+            diff = McEstimate(full.mean - proj.mean, se, samples, confidence)
+            rows.append(_check(f"resolvent_vs_projected[k={k},alpha={alpha}]", diff, 0.0))
+    return rows + [_gate("projection", (_verdicts(rows), 0))]
 
 
 def reduced_projection(params, samples, seed, confidence, name):
-    dim = int(params.get("dim", 32))
-    model = make_space(dim)
-    triplet = brownian_triplet(model)
-    rng = substream(seed, name)
-    cfg = PathConfig(
-        dt=float(params.get("dt", 0.02)), horizon=float(params.get("horizon", 8.0))
-    )
-    start = np.zeros(dim)
+    """Criterion 6: the projected reduced function dominates the full one
+    per shared path (a violation fails its row), and no gap is refuted."""
+    model, triplet, rng = _brownian(params, seed, name)
+    cfg = _cfg(params, 0.02, 8.0)
+    start = np.zeros(model.dim)
     beta = 1.0
     rows = []
-    cases = reduced_projection_cases(model)
     v = TestFunction(lambda y: np.ones(y.shape[:-1]), bound=1.0, name="one")
-    for label, M, M_proj in cases:
-        ests, samp = reduced_function_family(
+    for label, M, M_proj in reduced_projection_cases(model):
+        _, samp = reduced_function_family(
             triplet, v, [M, M_proj], beta, start, samples, cfg, rng, confidence
         )
         diff = McEstimate.from_samples(samp[1] - samp[0], confidence)
         per_sample = bool(np.all(samp[1] >= samp[0] - 1e-12))
-        verdict = diff.verdict_at_least(0.0)
-        if not per_sample and verdict == "pass":
-            verdict = "inconclusive"
-        rows.append(
-            _row(
-                f"projection_inequality[{label}]",
-                est=diff,
-                target=0.0,
-                verdict=verdict,
-            )
-        )
-    return rows
+        verdict = diff.verdict_at_least(0.0) if per_sample else "fail"
+        rows.append(_row(f"projection_inequality[{label}]", est=diff, target=0.0, verdict=verdict))
+    return rows + [_gate("dominance", (_verdicts(rows, not_fail=True), 0))]
 
 
 def reduced_projection_cases(model):
@@ -284,10 +327,9 @@ def reduced_projection_cases(model):
 
 
 def dirichlet_slab(params, samples, seed, confidence, name):
-    dim = int(params.get("dim", 32))
-    model = make_space(dim)
-    triplet = brownian_triplet(model)
-    rng = substream(seed, name)
+    """Criterion 7, gambler's ruin: the slab solution at five starts equals
+    the linear interpolation of the face values, with every path exited."""
+    model, triplet, rng = _brownian(params, seed, name)
     a, b, fa, fb = -1.0, 2.0, 3.0, -1.0
     dom = slab_domain(model, 1, a, b)
     f = BoundaryData(
@@ -295,94 +337,192 @@ def dirichlet_slab(params, samples, seed, confidence, name):
         bound=max(abs(fa), abs(fb)),
         name="slab_faces",
     )
-    cfg = PathConfig(dt=float(params.get("dt", 0.01)), horizon=float(params.get("horizon", 40.0)))
+    cfg = _cfg(params, 0.01, 40.0)
     rows = []
     for x in (-0.5, 0.0, 0.5, 1.0, 1.5):
-        z = np.zeros(dim)
+        z = np.zeros(model.dim)
         z[0] = x
-        est = solve(triplet, dom, f, z, samples, rng=rng, cfg=cfg, confidence=confidence)
+        res = solve(triplet, dom, f, z, samples, rng=rng, cfg=cfg, confidence=confidence)
         target = gambler_ruin_value(dom, fa, fb, x)
-        rows.append(_check(f"gambler_ruin[x={x}]", est.estimate, target))
-    return rows
+        rows += [_check(f"gambler_ruin[x={x}]", res.estimate, target), _non_exit(f"x={x}", res)]
+    return rows + [_gate("gambler_ruin", (_verdicts(rows), 0))]
+
+
+def dirichlet_oracles(params, samples, seed, confidence, name):
+    """Criterion 7 beyond the slab, on a unit E-ball and the slab |x1| < 1:
+    the ball's center value for linear data is 0 by symmetry (`samples`
+    paths, dt 0.005); the harmonicity tower at radii 0.2, 0.4, 0.6
+    (samples/2, dt 0.01); the boundary-continuity trend toward x1 = 1
+    (5/8 samples, dt 0.005); and its negative control, data with a point
+    jump at that boundary point, which the checker must reject (3/10
+    samples, dt 0.01, horizon 20; the others run to horizon 30).  Each
+    check keeps its own step and horizon, so `dt` and `horizon` are not
+    read.  Every solve must exit."""
+    model, triplet, rng = _brownian(params, seed, name)
+    origin = np.zeros(model.dim)
+    fine, coarse = PathConfig(dt=0.005, horizon=30.0), PathConfig(dt=0.01, horizon=30.0)
+    short = PathConfig(dt=0.01, horizon=20.0)
+    ball = e_ball_domain(model, origin, 1.0)
+    f_lin = BoundaryData(lambda y: y[..., 0], bound=2.0 / float(np.sqrt(model.weights[0])))
+    res = solve(triplet, ball, f_lin, origin, samples, fine, rng, confidence=confidence)
+    rows = [_check("ball_center[linear]", res.estimate, 0.0), _non_exit("ball_center", res)]
+    slab = slab_domain(model, 1, -1.0, 1.0)
+    f_step = BoundaryData(lambda y: np.where(y[..., 0] > 0, 1.0, 0.0), bound=1.0)
+    tower = harmonicity_check(
+        triplet, slab, f_step, origin, [0.2, 0.4, 0.6], samples // 2, coarse, rng, confidence
+    )
+    for r in tower:
+        rows.append(_check(f"harmonicity[r={r['r']}]", r["difference"], 0.0))
+        for stage, sol in zip(("two_stage", "direct"), r["solves"]):
+            rows.append(_non_exit(f"r={r['r']},{stage}", sol))
+    y = origin.copy()
+    y[0] = 1.0
+    seq = approach_sequence(y, origin, n_points=5)
+    f_cont = BoundaryData(lambda z: 0.5 * (z[..., 0] + 1.0), bound=1.0)
+    f_jump = BoundaryData(
+        lambda z: np.where(np.all(np.isclose(z, y, atol=1e-6), axis=-1), 5.0, 0.0), bound=5.0
+    )
+    for label, f, xs, n, cfg, want in (
+        ("continuous", f_cont, seq, samples * 5 // 8, fine, "pass"),
+        ("point_jump", f_jump, seq[:4], samples * 3 // 10, short, "fail"),
+    ):
+        rep = boundary_continuity_check(triplet, slab, f, y, xs, n, cfg, rng, confidence=confidence)
+        rows.append(_flag(f"continuity[{label}]={want}", rep["verdict"] == want, n))
+        rows += [_non_exit(f"{label},k={k}", r["solve"]) for k, r in enumerate(rep["rows"], 1)]
+    return rows + [_gate("oracles", (_verdicts(rows), 0))]
+
+
+def controlled_convergence(params, samples, seed, confidence, name):
+    """Criterion 8 on the slab |x1| < 1 of the plane, where h = x1 is
+    harmonic: the bounded-control branch c1 under a zero control, for
+    linear data and for face data approached from both faces; and, on
+    `points` random fixtures, every pass survives doubling the control."""
+    rng = substream(seed, name)
+    origin, y_in, y_out = np.zeros(2), np.array([1.0, 0.0]), np.array([-1.0, 0.0])
+    seq_in, seq_out = approach_sequence(y_in, origin, 8), approach_sequence(y_out, origin, 8)
+    V0 = lambda xs: np.ones(xs.shape[0], dtype=bool)
+    zero = lambda xs: np.zeros(xs.shape[0])
+    x1 = lambda xs: xs[:, 0]
+    faces = lambda xs: np.where(xs[:, 0] > 0.0, 1.0, 0.0)
+    rows = []
+    for label, h, f, seqs, ys in (
+        ("linear", x1, x1, [seq_in], [y_in]),
+        ("faces", lambda xs: 0.5 * (xs[:, 0] + 1.0), faces, [seq_in, seq_out], [y_in, y_out]),
+    ):
+        rep = controlled_convergence_check(h, f, zero, V0, seqs, ys, tol=0.02)
+        ok = rep.all_pass and all(r.branch == "c1" for r in rep.records)
+        rows.append(_flag(f"c1[{label}]", ok, len(seqs)))
+    for i in range(int(params.get("points", 10))):
+        slope, k_slope, y1 = rng.uniform(0.5, 2.0), rng.uniform(0.0, 5.0), rng.uniform(0.5, 1.5)
+        h = lambda xs, s=slope: s * xs[:, 0]
+        k = lambda xs, s=k_slope: s * np.abs(xs[:, 0])
+        yb = np.array([y1, 0.0])
+        seq = approach_sequence(yb, origin, 8)
+        stab = majorant_stability_check(h, h, k, V0, [seq], [yb], majorant_factors=(2.0,), tol=0.05)
+        rows.append(_flag(f"majorant_stable[{i}]", stab["stable"] and stab["base"].all_pass, 1))
+    return rows + [_gate("controlled_convergence", (_verdicts(rows), 0))]
 
 
 def capacity_basics(params, samples, seed, confidence, name):
-    dim = int(params.get("dim", 16))
-    model, norm = _default_norm("gaussian", dim)
-    triplet = brownian_triplet(model)
-    rng = substream(seed, name)
+    """Criterion 9, capacity: exact on the empty set and the whole space,
+    and strictly decreasing (and nonnegative) over the complements of the
+    q_x level sets 1..5."""
+    model, triplet, rng = _brownian(params, seed, name, dim=16)
+    norm = _norm(model, "gaussian")
     beta = 1.0
-    cloud = PointCloud(np.zeros((1, dim)), np.array([2.0]))
-    cfg = PathConfig(dt=float(params.get("dt", 0.05)), horizon=float(params.get("horizon", 20.0)))
-    rows = []
+    cloud = PointCloud(np.zeros((1, model.dim)), np.array([2.0]))
+    cfg = _cfg(params, 0.05, 20.0)
     c_empty = capacity(triplet, cloud, empty_set(model), beta, samples, cfg, rng, confidence)
-    rows.append(_check("capacity_empty", c_empty, 0.0))
+    rows = [_check("capacity_empty", c_empty, 0.0, atol=0.0)]
     c_whole = capacity(triplet, cloud, whole_space(model), beta, samples, cfg, rng, confidence)
-    rows.append(_check("capacity_whole", c_whole, cloud.total_mass / beta))
+    rows.append(_check("capacity_whole", c_whole, cloud.total_mass / beta, atol=0.0))
     prof = capacity_tightness_profile(
-        norm, triplet, cloud, [1.0, 2.0, 3.0], beta, samples, cfg, rng, confidence
+        norm, triplet, cloud, [1.0, 2.0, 3.0, 4.0, 5.0], beta, samples, cfg, rng, confidence
     )
     means = [p["estimate"].mean for p in prof]
-    decreasing = all(means[i + 1] <= means[i] for i in range(len(means) - 1))
+    decreasing = all(b < a for a, b in zip(means, means[1:])) and means[-1] >= 0.0
     for p in prof:
         rows.append(_row(f"capacity_level[{p['level']}]", est=p["estimate"]))
     rows.append(_flag("capacity_tightness_trend", decreasing, samples))
-    return rows
+    bias = horizon_bias_bound(cloud.total_mass / beta, beta, cfg)
+    rows.append(_row("horizon_bias_bound", mean=bias))
+    return rows + [_gate("capacity", (_verdicts(rows), 0))]
 
 
 def balayage(params, samples, seed, confidence, name):
-    dim = int(params.get("dim", 8))
-    model = make_space(dim)
-    triplet = brownian_triplet(model)
-    rng = substream(seed, name)
+    """Criterion 9, balayage onto M = {x1 >= 1}: equality on F inside M, no
+    refuted inequality off M, per-sample inequality, hitting locations in M,
+    and at least one hit."""
+    model, triplet, rng = _brownian(params, seed, name, dim=8)
     M = coord_halfspace(model, 1, 1.0, +1)
-    start = np.zeros(dim)
+    start = np.zeros(model.dim)
     nu = PointCloud(start[None, :], np.array([1.0]))
     F_in = coord_halfspace(model, 1, 1.5, +1)
-    F_out = coord_halfspace(model, 1, -1.0, -1)
-    cfg = PathConfig(dt=float(params.get("dt", 0.02)), horizon=float(params.get("horizon", 12.0)))
-    rep = balayage_check(
-        triplet,
-        nu,
-        M,
-        1.0,
-        [{"target": F_in, "inside": True}, {"target": F_out, "inside": False}],
-        samples,
-        cfg,
-        rng,
-        confidence,
-    )
-    rows = []
+    F_out = coord_halfspace(model, 1, -0.5, -1)
+    F_specs = [{"target": F_in, "inside": True}, {"target": F_out, "inside": False}]
+    cfg = _cfg(params, 0.02, 12.0)
+    rep = balayage_check(triplet, nu, M, 1.0, F_specs, samples, cfg, rng, confidence)
+    rows, units = [], []
     for r in rep["rows"]:
-        rows.append(
-            _row(
-                f"balayage[{r['F']},inside={r['inside']}]",
-                est=r["difference"],
-                target=0.0,
-                verdict=r["verdict"],
-            )
-        )
+        op = f"balayage[{r['F']},inside={r['inside']}]"
+        rows.append(_row(op, est=r["difference"], target=0.0, verdict=r["verdict"]))
+        units += _verdicts(rows[-1:], not_fail=not r["inside"])
     rows.append(_flag("per_sample_inequality", rep["per_sample_inequality"], samples))
-    return rows
+    rows.append(_flag("carrier_ok", rep["carrier_ok"], samples))
+    rows.append(_flag("not_degenerate", not rep["degenerate"], samples))
+    return rows + [_gate("balayage", (units + _verdicts(rows[-3:]), 0))]
+
+
+def domination(params, samples, seed, confidence, name):
+    """Criterion 9, domination: the measure swept onto {x1 >= 1} from the
+    origin (its first 60 hits of samples/10 paths) is dominated by the unit
+    mass at the origin on two balls at hit points, and then off the carrier;
+    the doubled unit mass, a negative control, fails the hypothesis."""
+    model, triplet, rng = _brownian(params, seed, name)
+    beta, start = 1.0, np.zeros(model.dim)
+    M = coord_halfspace(model, 1, 1.0, +1)
+    cfg = _cfg(params, 0.02, 12.0)
+    hit, T, loc = simulate_hit_batch(triplet, start, M, cfg, samples // 10, rng)
+    idx = np.flatnonzero(hit)[:60]
+    swept = PointCloud(loc[idx], np.exp(-beta * T[idx]) * (hit.mean() / idx.size))
+    nu = PointCloud(start[None, :], np.array([1.0]))
+    far = start.copy()
+    far[0] = -2.0
+    probes_in = [e_ball(model, loc[idx[0]], 0.5), e_ball(model, loc[idx[1]], 0.4)]
+    dom = domination_check(
+        triplet, swept, nu, probes_in, [e_ball(model, far, 0.5)], beta, samples, rng, confidence
+    )
+    rows = [
+        _row(f"{side}[{i}]", est=r["difference"], target=0.0, verdict=r["verdict"])
+        for side in ("hypothesis", "conclusion")
+        for i, r in enumerate(dom[f"{side}_rows"])
+    ]
+    doubled = PointCloud(start[None, :], np.array([2.0]))
+    control = domination_check(
+        triplet, doubled, nu, [e_ball(model, start, 1.0)], [], beta, samples, rng, confidence
+    )
+    rows.append(_flag("doubled_mass_rejected", not control["hypothesis_ok"], samples))
+    return rows + [_gate("domination", (_verdicts(rows, not_fail=True), 0))]
 
 
 def tail_projection(params, samples, seed, confidence, name):
-    dim = int(params.get("dim", 32))
-    model = make_space(dim)
-    triplet = brownian_triplet(model)
-    rng = substream(seed, name)
+    """Criterion 10: E||Z_1 - Q_n Z_1||_E^2 matches its closed form and does
+    not increase in n for the Brownian triplet, and strictly decreases for
+    the embedded Poisson triplet."""
+    model, triplet, rng = _brownian(params, seed, name)
     rep = projection_convergence(triplet, 1.0, (4, 8, 16), samples, rng, confidence)
-    rows = []
-    for r in rep["rows"]:
-        rows.append(
-            _row(
-                f"tail_norm[n={r['n']}]",
-                est=r["estimate"],
-                target=r.get("target"),
-                verdict=r.get("verdict"),
-            )
-        )
-    return rows
+    rows = [
+        _row(f"tail_norm[n={r['n']}]", est=r["estimate"], target=r["target"], verdict=r["verdict"])
+        for r in rep["rows"]
+    ]
+    rows.append(_flag("tail_decreasing", rep["decreasing"], samples))
+    poisson = poisson_example_triplet(model.dim)
+    rep = projection_convergence(poisson, 1.0, (4, 8, 16), samples, rng, confidence)
+    means = [r["estimate"].mean for r in rep["rows"]]
+    rows += [_row(f"poisson_tail_norm[n={r['n']}]", est=r["estimate"]) for r in rep["rows"]]
+    strict = all(b < a for a, b in zip(means, means[1:]))
+    rows.append(_flag("poisson_tail_strictly_decreasing", strict, samples))
+    return rows + [_gate("tails", (_verdicts(rows), 0))]
 
 
 REGISTRY = {
@@ -394,7 +534,10 @@ REGISTRY = {
     "projection_identity": projection_identity,
     "reduced_projection": reduced_projection,
     "dirichlet_slab": dirichlet_slab,
+    "dirichlet_oracles": dirichlet_oracles,
+    "controlled_convergence": controlled_convergence,
     "capacity_basics": capacity_basics,
     "balayage": balayage,
+    "domination": domination,
     "tail_projection": tail_projection,
 }

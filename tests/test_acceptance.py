@@ -1,64 +1,19 @@
 """Acceptance battery: one test per criterion, one printed verdict line each.
 
-Every criterion runs at full scale with fresh substreams, so this module is
-slower than the unit tests (a few minutes total)."""
+Criteria 1-10 are defined once, as suite experiments whose last row is the
+criterion's gate (see `levylab.suite`).  The shipped acceptance config runs
+them all at full scale, once per module, through the harness; experiment
+`c<k>` and its `c<k>-...` siblings make up criterion k.  Criterion 11 checks
+byte-level determinism of the paper suite.
+"""
 
-import numpy as np
+import importlib.resources as res
+
 import pytest
 
-from levylab.dirichlet import (
-    BoundaryData,
-    approach_sequence,
-    boundary_continuity_check,
-    controlled_convergence_check,
-    e_ball_domain,
-    gambler_ruin_value,
-    harmonicity_check,
-    majorant_stability_check,
-    slab_domain,
-    solve,
-)
 from levylab.harness import run
-from levylab.lyapunov import (
-    gaussian_norm,
-    levy_norm,
-    moment_constant_estimate,
-    q_x_eval,
-    qx_square_mean,
-    v0_estimate,
-)
-from levylab.measures import (
-    JumpMeasure,
-    LevyTriplet,
-    McEstimate,
-    brownian_triplet,
-    pairing_second_moment,
-    pairing_second_moment_target,
-    poisson_example_triplet,
-    sample_increments,
-)
-from levylab.operators import TestFunction, apply_Ualpha, apply_Ualpha_projected
-from levylab.potential import (
-    PathConfig,
-    PointCloud,
-    balayage_check,
-    capacity,
-    capacity_tightness_profile,
-    coord_halfspace,
-    domination_check,
-    e_ball,
-    empty_set,
-    projection_convergence,
-    reduced_function_family,
-    simulate_hit_batch,
-    whole_space,
-)
-from levylab.rng import substream
-from levylab.space import build_growth_basis, canonical_x, make_space
-from levylab.suite import reduced_projection_cases
 
-DIM = 32
-SEED = 2024
+CONFIGS = res.files("levylab") / "configs"
 
 
 def _report(num: int, description: str, ok: bool) -> None:
@@ -67,327 +22,73 @@ def _report(num: int, description: str, ok: bool) -> None:
 
 
 @pytest.fixture(scope="module")
-def model():
-    return make_space(DIM)
+def battery(tmp_path_factory):
+    out = tmp_path_factory.mktemp("acceptance")
+    return run(str(CONFIGS / "acceptance.json"), out_dir=out)["records"]
 
 
-@pytest.fixture(scope="module")
-def gaussian(model):
-    growth_basis = build_growth_basis(model, canonical_x(model))
-    return gaussian_norm(model, growth_basis), brownian_triplet(model)
+def _criterion(battery, num: int, description: str) -> None:
+    """Every experiment of the criterion ran and its gate row passes."""
+    records = [rec for rec in battery if rec.spec.name.split("-")[0] == f"c{num}"]
+    notes, ok = [], bool(records)
+    for rec in records:
+        gates = [row for row in rec.rows if row["op"].startswith("gate[")]
+        ok &= rec.error is None and len(gates) == 1 and gates[0]["verdict"] == "pass"
+        if rec.error is not None:
+            notes.append(f"{rec.spec.operation}: error")
+        for g in gates:
+            notes.append(f"{g['op']} {g['verdict']} ({g['mean']}/{g['n']}, need {g['target']})")
+    _report(num, f"{description}: {'; '.join(notes)}", ok)
 
 
-@pytest.fixture(scope="module")
-def levy(model):
-    growth_basis = build_growth_basis(model, canonical_x(model))
-    atoms = np.zeros((2, DIM))
-    atoms[0, 0] = 1.0
-    atoms[1, 1] = -0.5
-    triplet = LevyTriplet(
-        model,
-        np.zeros(DIM),
-        np.ones(DIM),
-        JumpMeasure(intensity=0.7, kind="pointmass", atoms=atoms),
-    )
-    return levy_norm(model, build_growth_basis(model, canonical_x(model))), triplet
+def test_every_experiment_is_gated(battery):
+    """No experiment of the battery stands outside a criterion."""
+    names = {rec.spec.name.split("-")[0] for rec in battery}
+    assert names == {f"c{k}" for k in range(1, 11)}
 
 
-def test_criterion_01_variance_identity(model):
-    """Second pairing moment matches t|l|^2 + l(z)^2 on a 3x3x2 grid."""
-    triplet = brownian_triplet(model)
-    rng = substream(SEED, "c1")
-    z_rand = rng.standard_normal(DIM)
-    xis = [
-        model.basis_vector(1),
-        model.basis_vector(3),
-        model.basis_vector(1) + model.basis_vector(2),
-    ]
-    cells_pass = 0
-    for xi in xis:
-        for t in (0.1, 1.0, 5.0):
-            cell_ok = True
-            for z in (np.zeros(DIM), z_rand):
-                incr = sample_increments(triplet, t, 100_000, rng)
-                est = McEstimate.from_samples(((z + incr) @ xi) ** 2)
-                target = t * float(xi @ xi) + float(xi @ z) ** 2
-                cell_ok &= est.verdict(target) == "pass"
-            cells_pass += cell_ok
-    _report(1, f"variance identity cells {cells_pass}/9 (need >= 8)", cells_pass >= 8)
+def test_criterion_01_variance_identity(battery):
+    _criterion(battery, 1, "variance identity cells")
 
 
-def test_criterion_02_gaussian_lyapunov_bounds(gaussian):
-    norm, triplet = gaussian
-    rng = substream(SEED, "c2")
-    mass = qx_square_mean(norm, triplet, 1.0, 100_000, rng)
-    lower, upper = 0, 0
-    for _ in range(20):
-        z = rng.standard_normal(DIM)
-        q2 = float(q_x_eval(norm, z)) ** 2
-        v0 = v0_estimate(norm, triplet, z, 100_000, rng)
-        lower += v0.verdict_at_least(q2) == "pass"
-        upper += v0.verdict_at_most(2.0 * q2 + 2.0 * mass.mean) == "pass"
-    _report(
-        2,
-        f"Gaussian resolvent bounds: lower {lower}/20 (need 20), upper {upper}/20",
-        lower == 20 and upper >= 19,
-    )
+def test_criterion_02_gaussian_lyapunov_bounds(battery):
+    _criterion(battery, 2, "Gaussian resolvent bounds")
 
 
-def test_criterion_03_levy_sandwich(levy):
-    norm, triplet = levy
-    rng = substream(SEED, "c3")
-    c_tilde = moment_constant_estimate(
-        norm, triplet, (0.25, 0.5, 1.0, 2.0, 4.0), 50_000, rng
-    )
-    ok = 0
-    for _ in range(20):
-        z = rng.standard_normal(DIM)
-        q2 = float(q_x_eval(norm, z)) ** 2
-        v0 = v0_estimate(norm, triplet, z, 100_000, rng)
-        ok += (
-            v0.verdict_at_least(0.5 * q2 - 3.0 * c_tilde) == "pass"
-            and v0.verdict_at_most(2.0 * q2 + 6.0 * c_tilde) == "pass"
-        )
-    _report(3, f"Levy two-sided resolvent sandwich {ok}/20", ok == 20)
+def test_criterion_03_levy_sandwich(battery):
+    _criterion(battery, 3, "Levy two-sided resolvent sandwich")
 
 
-def test_criterion_04_moment_formulas(model, levy):
-    _, jump_triplet = levy
-    rng = substream(SEED, "c4")
-    ok = True
-    xis = [
-        model.basis_vector(1),
-        model.basis_vector(2),
-        model.basis_vector(1) + model.basis_vector(2),
-    ]
-    for xi in xis:
-        for t in (0.5, 1.0, 2.0):
-            est = pairing_second_moment(jump_triplet, xi, t, 100_000, rng)
-            ok &= est.verdict(pairing_second_moment_target(jump_triplet, xi, t)) == "pass"
-    poisson = poisson_example_triplet(DIM)
-    pm = poisson.model
-    for xi in (
-        pm.basis_vector(1),
-        pm.basis_vector(2),
-        pm.basis_vector(1) + 2.0 * pm.basis_vector(3),
-    ):
-        est = pairing_second_moment(poisson, xi, 1.0, 100_000, rng)
-        ok &= est.verdict(pairing_second_moment_target(poisson, xi, 1.0)) == "pass"
-    _report(4, "closed-form second moments (point-mass and embedded Poisson)", ok)
+def test_criterion_04_moment_formulas(battery):
+    _criterion(battery, 4, "closed-form second moments (point-mass and embedded Poisson)")
 
 
-def test_criterion_05_projection_consistency(model):
-    triplet = brownian_triplet(model)
-    rng = substream(SEED, "c5")
-    z = rng.standard_normal(DIM)
-    ok = True
-    for k in (1, 2, 3):
-        f = TestFunction(
-            lambda y, k=k: np.cos(np.sum(y[..., :k], axis=-1)), bound=1.0, cylinder=k
-        )
-        phi = lambda y, k=k: np.cos(np.sum(y[..., :k], axis=-1))
-        for alpha in (0.5, 1.0, 2.0):
-            full = apply_Ualpha(triplet, f, alpha, z, 100_000, rng)
-            proj = apply_Ualpha_projected(triplet, phi, k, alpha, z, 100_000, rng)
-            diff = McEstimate(
-                full.mean - proj.mean,
-                float(np.hypot(full.stderr, proj.stderr)),
-                full.n_samples,
-            )
-            ok &= diff.verdict(0.0) == "pass"
-    _report(5, "cylinder resolvent equals projected estimate (9 combos)", ok)
+def test_criterion_05_projection_consistency(battery):
+    _criterion(battery, 5, "cylinder resolvent equals projected estimate")
 
 
-def test_criterion_06_reduced_projection_inequality(model):
-    triplet = brownian_triplet(model)
-    rng = substream(SEED, "c6")
-    cfg = PathConfig(dt=0.02, horizon=8.0)
-    v = TestFunction(lambda y: np.ones(y.shape[:-1]), bound=1.0, name="one")
-    ok = True
-    for label, M, M_proj in reduced_projection_cases(model):
-        _, samp = reduced_function_family(
-            triplet, v, [M, M_proj], 1.0, np.zeros(DIM), 3000, cfg, rng
-        )
-        per_sample = bool(np.all(samp[1] >= samp[0] - 1e-12))
-        diff = McEstimate.from_samples(samp[1] - samp[0])
-        ok &= per_sample and diff.verdict_at_least(0.0) != "fail"
-    _report(6, "projected reduced function dominates per sample (5 sets)", ok)
+def test_criterion_06_reduced_projection_inequality(battery):
+    _criterion(battery, 6, "projected reduced function dominates per sample")
 
 
-def test_criterion_07_dirichlet_oracles(model):
-    triplet = brownian_triplet(model)
-    rng = substream(SEED, "c7")
-    ok = True
-
-    # slab gambler's ruin at five interior points
-    a, b, fa, fb = -1.0, 2.0, 3.0, -1.0
-    slab = slab_domain(model, 1, a, b)
-    f_slab = BoundaryData(
-        lambda y: np.where(np.abs(y[..., 0] - a) < np.abs(y[..., 0] - b), fa, fb),
-        bound=3.0,
-    )
-    cfg = PathConfig(dt=0.01, horizon=40.0)
-    for x in (-0.5, 0.0, 0.5, 1.0, 1.5):
-        z = np.zeros(DIM)
-        z[0] = x
-        est = solve(triplet, slab, f_slab, z, 4000, cfg, rng)
-        ok &= est.estimate.verdict(gambler_ruin_value(slab, fa, fb, x)) == "pass"
-
-    # centered ball, linear data: symmetry gives the center value
-    ball = e_ball_domain(model, np.zeros(DIM), 1.0)
-    xi = model.basis_vector(1)
-    f_lin = BoundaryData(lambda y: y @ xi, bound=2.0 / float(np.sqrt(model.weights[0])))
-    est = solve(triplet, ball, f_lin, np.zeros(DIM), 4000, PathConfig(dt=0.005, horizon=30.0), rng)
-    ok &= est.estimate.verdict(0.0) == "pass"
-
-    # harmonicity tower at three radii
-    sym_slab = slab_domain(model, 1, -1.0, 1.0)
-    f_step = BoundaryData(lambda y: np.where(y[..., 0] > 0, 1.0, 0.0), bound=1.0)
-    rows = harmonicity_check(
-        triplet, sym_slab, f_step, np.zeros(DIM), [0.2, 0.4, 0.6], 2000,
-        PathConfig(dt=0.01, horizon=30.0), rng,
-    )
-    ok &= all(r["verdict"] == "pass" for r in rows)
-
-    # boundary continuity trend for continuous data
-    f_cont = BoundaryData(lambda y: 0.5 * (y[..., 0] + 1.0), bound=1.0)
-    y_pt = np.zeros(DIM)
-    y_pt[0] = 1.0
-    seq = approach_sequence(y_pt, np.zeros(DIM), n_points=5)
-    rep = boundary_continuity_check(
-        triplet, sym_slab, f_cont, y_pt, seq, 2500, PathConfig(dt=0.005, horizon=30.0), rng
-    )
-    ok &= rep["verdict"] == "pass"
-
-    # negative control: point discontinuity at the approached boundary point
-    f_disc = BoundaryData(
-        lambda y_: np.where(np.all(np.isclose(y_, y_pt, atol=1e-6), axis=-1), 5.0, 0.0),
-        bound=5.0,
-    )
-    rep_neg = boundary_continuity_check(
-        triplet, sym_slab, f_disc, y_pt, seq[:4], 1200, PathConfig(dt=0.01, horizon=20.0), rng
-    )
-    ok &= rep_neg["verdict"] == "fail"
-
-    _report(7, "Dirichlet oracles + harmonicity + continuity + negative control", ok)
+def test_criterion_07_dirichlet_oracles(battery):
+    _criterion(battery, 7, "Dirichlet oracles + harmonicity + continuity + negative control")
 
 
-def test_criterion_08_controlled_convergence():
-    rng = np.random.default_rng(SEED)
-    V0 = lambda xs: np.ones(xs.shape[0], dtype=bool)
-    ok = True
-
-    # classical case: zero control, analytic slab solution h(x) = x
-    h = lambda xs: xs[:, 0]
-    f = lambda xs: xs[:, 0]
-    k0 = lambda xs: np.zeros(xs.shape[0])
-    y_in = np.array([1.0, 0.0])
-    seq = approach_sequence(y_in, np.zeros(2), 8)
-    rep = controlled_convergence_check(h, f, k0, V0, [seq], [y_in], tol=0.02)
-    ok &= rep.all_pass and rep.records[0].branch == "c1"
-
-    # indicator-cap data on the slab: h(x) = x is the exit probability of
-    # the cap face; approaches to cap-interior and cap-exterior points
-    f_cap = lambda xs: np.where(xs[:, 0] > 0.5, 1.0, 0.0)
-    y_out = np.array([-1.0, 0.0])
-    seq_out = approach_sequence(y_out, np.zeros(2), 8)
-    h_cap = lambda xs: 0.5 * (xs[:, 0] + 1.0)  # harmonic, hits {1} face
-    f_faces = lambda xs: np.where(xs[:, 0] > 0.0, 1.0, 0.0)
-    rep2 = controlled_convergence_check(
-        h_cap, f_faces, k0, V0, [seq, seq_out], [y_in, y_out], tol=0.02
-    )
-    ok &= rep2.all_pass and all(r.branch == "c1" for r in rep2.records)
-
-    # majorant stability over 10 random fixtures: a pass never flips
-    for i in range(10):
-        slope = rng.uniform(0.5, 2.0)
-        kslope = rng.uniform(0.0, 5.0)
-        hi = lambda xs, s=slope: s * xs[:, 0]
-        fi = lambda xs, s=slope: s * xs[:, 0]
-        ki = lambda xs, s=kslope: s * np.abs(xs[:, 0])
-        yb = np.array([rng.uniform(0.5, 1.5), 0.0])
-        si = approach_sequence(yb, np.zeros(2), 8)
-        stab = majorant_stability_check(
-            hi, fi, ki, V0, [si], [yb], majorant_factors=(2.0,), tol=0.05
-        )
-        ok &= stab["stable"] and stab["base"].all_pass
-    _report(8, "controlled convergence (c1) cases + majorant stability", ok)
+def test_criterion_08_controlled_convergence(battery):
+    _criterion(battery, 8, "controlled convergence (c1) cases + majorant stability")
 
 
-def test_criterion_09_capacity_balayage_domination(model, gaussian):
-    norm, triplet = gaussian
-    rng = substream(SEED, "c9")
-    beta = 1.0
-    ok = True
-
-    cloud = PointCloud(np.zeros((1, DIM)), np.array([2.0]))
-    cfg_fast = PathConfig(dt=0.05, horizon=10.0)
-    c_empty = capacity(triplet, cloud, empty_set(model), beta, 500, cfg_fast, rng)
-    c_whole = capacity(triplet, cloud, whole_space(model), beta, 500, cfg_fast, rng)
-    ok &= c_empty.mean == 0.0 and abs(c_whole.mean - 2.0 / beta) < 1e-12
-
-    # tightness: capacity of level-set complements strictly decreasing
-    prof = capacity_tightness_profile(
-        norm, triplet, cloud, [1.0, 2.0, 3.0, 4.0, 5.0], beta, 1000,
-        PathConfig(dt=0.05, horizon=20.0), rng,
-    )
-    means = [p["estimate"].mean for p in prof]
-    ok &= all(means[i + 1] < means[i] for i in range(4)) and means[-1] >= 0.0
-
-    # balayage: equality inside M, one-sided outside, per-sample CRN
-    M = coord_halfspace(model, 1, 1.0, +1)
-    nu = PointCloud(np.zeros((1, DIM)), np.array([1.0]))
-    F_in = coord_halfspace(model, 1, 1.5, +1)
-    F_out = coord_halfspace(model, 1, -0.5, -1)
-    bal = balayage_check(
-        triplet, nu, M, beta,
-        [{"target": F_in, "inside": True}, {"target": F_out, "inside": False}],
-        2000, PathConfig(dt=0.02, horizon=12.0), rng,
-    )
-    ok &= bal["per_sample_inequality"] and bal["carrier_ok"]
-    ok &= bal["rows"][0]["verdict"] == "pass" and bal["rows"][1]["verdict"] != "fail"
-
-    # domination chain with the empirically swept measure
-    hit, T, loc = simulate_hit_batch(
-        triplet, np.zeros(DIM), M, PathConfig(dt=0.02, horizon=12.0), 4000, rng
-    )
-    idx = np.flatnonzero(hit)[:60]
-    swept = PointCloud(loc[idx], np.exp(-beta * T[idx]) * (hit.mean() / idx.size))
-    probes_in = [e_ball(model, loc[idx[0]], 0.5), e_ball(model, loc[idx[1]], 0.4)]
-    far = np.zeros(DIM)
-    far[0] = -2.0
-    probes_out = [e_ball(model, far, 0.5)]
-    dom = domination_check(
-        triplet, swept, nu, probes_in, probes_out, beta, 40_000, rng
-    )
-    ok &= dom["hypothesis_ok"] and dom["conclusion_ok"]
-
-    # negative control: doubled measure fails the hypothesis gate
-    dbl = PointCloud(np.zeros((1, DIM)), np.array([2.0]))
-    dom_neg = domination_check(
-        triplet, dbl, nu, [e_ball(model, np.zeros(DIM), 1.0)], [], beta, 40_000, rng
-    )
-    ok &= not dom_neg["hypothesis_ok"]
-
-    _report(9, "capacity exact/tight + balayage + domination chain + control", ok)
+def test_criterion_09_capacity_balayage_domination(battery):
+    _criterion(battery, 9, "capacity exact/tight + balayage + domination chain + control")
 
 
-def test_criterion_10_projection_tails(model):
-    triplet = brownian_triplet(model)
-    rng = substream(SEED, "c10")
-    rep = projection_convergence(triplet, 1.0, (4, 8, 16), 100_000, rng)
-    ok = rep["decreasing"] and all(r["verdict"] == "pass" for r in rep["rows"])
-    poisson = poisson_example_triplet(DIM)
-    rep_p = projection_convergence(poisson, 1.0, (4, 8, 16), 100_000, rng)
-    means = [r["estimate"].mean for r in rep_p["rows"]]
-    ok &= all(means[i + 1] < means[i] for i in range(len(means) - 1))
-    _report(10, "projection tail norms: Gaussian closed form + Poisson decrease", ok)
+def test_criterion_10_projection_tails(battery):
+    _criterion(battery, 10, "projection tail norms: Gaussian closed form + Poisson decrease")
 
 
 def test_criterion_11_determinism(tmp_path):
-    import importlib.resources as res
-
-    cfg = res.files("levylab") / "configs" / "paper_suite.json"
+    cfg = CONFIGS / "paper_suite.json"
     r1 = run(str(cfg), out_dir=tmp_path / "a", workers=1, samples_scale=0.25)
     r2 = run(str(cfg), out_dir=tmp_path / "b", workers=1, samples_scale=0.25)
     r3 = run(str(cfg), out_dir=tmp_path / "c", workers=4, samples_scale=0.25)

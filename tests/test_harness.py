@@ -1,19 +1,11 @@
-"""Config validation, determinism, and verdict aggregation."""
+"""Config validation, determinism, error records and gate rows."""
 
 import json
 
-import numpy as np
 import pytest
 
-from levylab.harness import (
-    ConfigError,
-    ExperimentSpec,
-    load_config,
-    run,
-    verdict_aggregate,
-)
+from levylab.harness import ConfigError, ExperimentSpec, load_config, run
 from levylab.cli import main
-from levylab.measures import McEstimate
 
 SMALL_CONFIG = {
     "seed": 3,
@@ -127,19 +119,53 @@ def test_json_detail_records_metadata(tmp_path):
         assert len(exp["param_hash"]) == 12
 
 
-def test_verdict_aggregate():
-    ests = [
-        McEstimate(1.0, 0.1, 100),
-        McEstimate(1.0, 0.1, 100),
-        McEstimate(1.0, 0.1, 100),
-    ]
-    # on target / 10 stderr away / between the bands
-    targets = [1.0, 1.0 + 10 * 0.1 * 3.3, 1.0 + 2 * 0.1 * 3.3]
-    rep = verdict_aggregate(ests, targets)
-    verdicts = [r["verdict"] for r in rep["rows"]]
-    assert verdicts == ["pass", "fail", "inconclusive"]
-    with pytest.raises(ValueError):
-        verdict_aggregate(ests, targets[:2])
+def test_error_detail_carries_traceback(tmp_path, monkeypatch):
+    """A raising experiment keeps one error row in the CSV, and its
+    detail.json entry holds the traceback down to the raising function."""
+    from levylab import suite
+
+    def exploding_experiment(params, samples, seed, confidence, name):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(suite.REGISTRY, "tail_projection", exploding_experiment)
+    p = _write(tmp_path, {"experiments": [{"operation": "tail_projection", "samples": 500}]})
+    assert run(p, out_dir=tmp_path / "o")["exit_code"] == 1
+    error = json.loads((tmp_path / "o" / "detail.json").read_text())["experiments"][0]["error"]
+    assert error.startswith("Traceback") and "exploding_experiment" in error
+    assert error.rstrip().endswith("RuntimeError: boom")
+    rows = (tmp_path / "o" / "summary.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1::6] for row in rows] == [["error", "error"]]  # op, verdict
+
+
+def test_gate_fails_only_when_failing_units_break_it():
+    """A gate holds when no group misses more units than it allows, fails
+    when a group's fail units alone exceed its allowance, and is
+    inconclusive in between."""
+    from levylab.suite import _gate
+
+    def verdict(*groups):
+        return _gate("g", *groups)["verdict"]
+
+    assert verdict((["pass", "inconclusive"], 1)) == "pass"
+    assert verdict((["inconclusive", "inconclusive"], 1)) == "inconclusive"
+    assert verdict((["fail", "inconclusive"], 1)) == "inconclusive"
+    assert verdict((["fail", "fail"], 1)) == "fail"
+    assert verdict((["pass"], 0), (["inconclusive"], 1)) == "pass"
+    assert verdict((["pass"], 0), (["fail"], 0)) == "fail"
+
+
+def test_truncated_paths_fail_their_gates(tmp_path):
+    """Failure signals reach the gates: slab paths cut off by the horizon
+    fail their non-exit rows, and a balayage whose paths never reach M fails
+    its degeneracy flag, although its occupancy rows pass."""
+    params = {"dim": 2, "horizon": 0.05}
+    ops = ("dirichlet_slab", "balayage")
+    exps = [{"operation": op, "samples": 200, "parameters": params} for op in ops]
+    slab, bal = run(_write(tmp_path, {"experiments": exps}), out_dir=tmp_path / "o")["records"]
+    slab, bal = ({row["op"]: row["verdict"] for row in rec.rows} for rec in (slab, bal))
+    assert slab["non_exit[x=0.5]"] == "fail" and slab["gate[gambler_ruin]"] == "fail"
+    assert bal["balayage[halfspace(c1>=1.5),inside=True]"] == "pass"
+    assert bal["not_degenerate"] == "fail" and bal["gate[balayage]"] == "fail"
 
 
 def test_cli_config_error_exit_code(tmp_path):

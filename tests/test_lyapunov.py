@@ -1,5 +1,7 @@
 """Lyapunov norms, subsequence certificates, and resolvent bounds."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,21 @@ def test_gaussian_norm_bounded_on_H(gaussian_setup):
     h = rng.standard_normal((50, 32))
     q = q_x_eval(norm, h)
     assert np.all(q <= np.sqrt(3.0) * model.h_norm(h) + 1e-12)
+
+
+def test_q_x_eval_gaussian_batch_memory(gaussian_setup):
+    """One Gaussian q_x_eval at 1000 x 32 holds at most one pairing array:
+    its tracemalloc peak stays below 1.5 times the input."""
+    _, _, norm = gaussian_setup
+    z = np.random.default_rng(0).standard_normal((1000, 32))
+    q_x_eval(norm, z)
+    tracemalloc.start()
+    try:
+        q_x_eval(norm, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * z.nbytes
 
 
 def test_levy_norm_unit_value(levy_setup):

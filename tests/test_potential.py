@@ -362,6 +362,26 @@ def test_polarity_H_structural(setup):
     assert rep["structural"]["verdict"] == "pass"
 
 
+def test_polarity_H_band_uses_confidence(setup, monkeypatch):
+    """A rise between radii inside 3·z·hypot(se), the band of
+    polarity_diagnostic_point, but beyond 3·hypot(se) still shrinks."""
+    model, triplet = setup
+    n, fractions = 400, iter((0.5, 0.7))  # hit fractions at rho = 2, then 1
+
+    def fake_hits(triplet, z, target, cfg, n, rng, refine=None):
+        hit = np.arange(n) < next(fractions) * n
+        return hit, np.zeros(n), np.zeros((n, model.dim))
+
+    monkeypatch.setattr(potential, "simulate_hit_batch", fake_hits)
+    rep = polarity_diagnostic_H(
+        triplet, [2.0, 1.0], [np.zeros(8)], n, PathConfig(dt=0.05, horizon=1.0), substream(21)
+    )
+    a, b = (row["estimate"] for row in rep["hit_rows"])
+    rise, se = b.mean - a.mean, np.hypot(a.stderr, b.stderr)
+    assert 3 * se < rise <= 3 * NormalDist().inv_cdf(0.9995) * se
+    assert rep["shrinking"]
+
+
 def test_projection_convergence_gaussian(setup):
     model, triplet = setup
     rep = projection_convergence(triplet, 1.0, (2, 4, 8), 40_000, substream(20))
