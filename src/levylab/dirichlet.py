@@ -142,8 +142,8 @@ def _exact_exit(domain: Domain):
             # a theta^2 + 2b theta + q = 0 with a > 0 > q: the positive root,
             # in a form that does not cancel
             w, p = domain.model.weights, z_in - domain.params["center"]
-            a, b = np.sum(w * d * d, axis=-1), np.sum(w * p * d, axis=-1)
-            q = np.sum(w * p * p, axis=-1) - domain.params["radius"] ** 2
+            a, b = (d * d) @ w, (p * d) @ w
+            q = (p * p) @ w - domain.params["radius"] ** 2
             theta = -q / (b + np.sqrt(b * b - a * q))
         else:  # the segment leaves through the first face it crosses
             theta = np.ones(len(z_in))
@@ -151,7 +151,7 @@ def _exact_exit(domain: Domain):
                 crossed = side * (z_out[:, j] - v) >= 0
                 frac = (v - z_in[crossed, j]) / d[crossed, j]
                 theta[crossed] = np.minimum(theta[crossed], frac)
-        return z_in + theta[:, None] * d
+        return z_in + theta[..., None] * d
 
     return refine
 

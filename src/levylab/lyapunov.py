@@ -69,21 +69,27 @@ def _max_depth(model: SpaceModel) -> int:
 
 @dataclass(frozen=True)
 class LyapunovNorm:
-    """Evaluator for q_x with its certified coefficient data."""
+    """Evaluator for q_x with its certified coefficient data.
+
+    Both kinds reduce the first sum to one diagonal form, sum_j coef_j c_j^2:
+    coef_j = 2^n lambda_j on the certified block n (m_n < j <= m_{n+1},
+    m_0 = 0; the remainder beyond the last m_n is block depth) for the
+    gaussian kind, and coef_j = a_j lambda_j for the levy kind.
+    """
 
     kind: str  # "gaussian" | "levy"
     model: SpaceModel
     growth_basis: GrowthBasis
-    subseq: tuple[int, ...] = ()  # gaussian kind: m_1 < m_2 < ...
-    alphas: np.ndarray | None = None  # levy kind: nondecreasing, sum a_n l_n < inf
+    coef: np.ndarray
 
 
 def gaussian_norm(
     model: SpaceModel, growth_basis: GrowthBasis, depth: int | None = None
 ) -> LyapunovNorm:
     depth = _max_depth(model) if depth is None else depth
-    subseq = tuple(select_subsequence(model, depth))
-    return LyapunovNorm("gaussian", model, growth_basis, subseq=subseq)
+    bounds = (0, *select_subsequence(model, depth), model.dim)
+    dyadic = np.repeat(2.0 ** np.arange(len(bounds) - 1), np.diff(bounds))
+    return LyapunovNorm("gaussian", model, growth_basis, dyadic * model.weights)
 
 
 def levy_norm(model: SpaceModel, growth_basis: GrowthBasis, alphas="2^n") -> LyapunovNorm:
@@ -99,7 +105,7 @@ def levy_norm(model: SpaceModel, growth_basis: GrowthBasis, alphas="2^n") -> Lya
         raise ValueError("alphas must be positive and nondecreasing")
     if not np.isfinite((a * model.weights).sum()):
         raise ValueError("sum alpha_n lambda_n must be finite")
-    return LyapunovNorm("levy", model, growth_basis, alphas=a)
+    return LyapunovNorm("levy", model, growth_basis, a * model.weights)
 
 
 def _growth_sum(norm: LyapunovNorm, z: np.ndarray) -> np.ndarray:
@@ -110,23 +116,10 @@ def _growth_sum(norm: LyapunovNorm, z: np.ndarray) -> np.ndarray:
 
 
 def q_x_eval(norm: LyapunovNorm, z: np.ndarray) -> np.ndarray:
-    """q_x at a point or a batch (..., N) of points; exact at truncation."""
+    """q_x at a point or a batch (..., N) of points; exact at truncation.
+    The first sum is one pass over the batch, (z * z) @ norm.coef."""
     z = np.asarray(z, dtype=float)
-    w = norm.model.weights
-    if norm.kind == "levy":
-        first = np.sum(norm.alphas * w * z**2, axis=-1)
-    else:
-        bounds = (0,) + norm.subseq
-        first = np.zeros(z.shape[:-1])
-        for n in range(len(norm.subseq)):
-            lo, hi = bounds[n], bounds[n + 1]
-            first = first + 2.0**n * np.sum(w[lo:hi] * z[..., lo:hi] ** 2, axis=-1)
-        # remainder block beyond the last certified projection
-        tail = norm.subseq[-1]
-        first = first + 2.0 ** len(norm.subseq) * np.sum(
-            w[tail:] * z[..., tail:] ** 2, axis=-1
-        )
-    return np.sqrt(first + _growth_sum(norm, z) ** 2)
+    return np.sqrt((z * z) @ norm.coef + _growth_sum(norm, z) ** 2)
 
 
 def _check_shrinking(samples: np.ndarray, what: str) -> None:

@@ -134,6 +134,13 @@ class JumpMeasure:
         elif self.kind != "poisson01":
             raise ValueError(f"unknown jump kind {self.kind!r}")
 
+    def support(self, dim: int) -> np.ndarray:
+        """0-based coordinates a jump can move: the nonzero atom columns for
+        "pointmass", every coordinate for "poisson01"."""
+        if self.kind == "pointmass":
+            return np.flatnonzero(np.any(self.atoms != 0.0, axis=0))
+        return np.arange(dim)
+
     def sample(self, n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
         if self.kind == "pointmass":
             idx = rng.choice(self.atoms.shape[0], size=n, p=self.probs)

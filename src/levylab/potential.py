@@ -5,8 +5,10 @@ fixed time grid; each increment is drawn exactly from the increment law at
 the step size, so there is no Euler error, only the discrete monitoring of
 the target.  For continuous triplets and coordinate-aligned target faces a
 Brownian-bridge crossing draw removes most of the monitoring bias; the
-residual is folded into test tolerances.  A continuous triplet steps only
-the coordinates its targets read (`TargetSet.coords`); the others are drawn
+residual is folded into test tolerances.  Every triplet steps only the
+coordinates its targets read (`TargetSet.coords`) and the support of its
+jump measure; the others carry no jumps, so they are a diagonal Brownian
+motion with drift, independent of every stopping time, and are drawn
 exactly at each stopping time.  Each engine iteration advances the live
 paths by a block of grid steps, sized so that steps x paths x stepped
 coordinates stay near `_BLOCK` elements; a path stops inside its block at
@@ -17,7 +19,7 @@ Hitting uses the D-convention: membership is checked at time 0, so a start
 inside an open target hits immediately.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -45,8 +47,10 @@ class TargetSet:
     A face (j, v, side) certifies that the target contains the halfspace
     side*(c_j - v) >= 0 locally, enabling the bridge crossing draw on
     coordinate j.  `coords` lists the 0-based coordinates the membership
-    reads; None means all of them.  A membership with declared coords may
-    be handed only the first max(coords) + 1 columns.
+    reads; None means all of them.  The engine steps these, and for a jump
+    triplet the jump support too; a membership with declared coords may be
+    handed only the columns up to the largest stepped coordinate, with
+    zeros in the unstepped ones.
     """
 
     name: str
@@ -196,11 +200,19 @@ def _support(targets):
 
 
 def _restrict(triplet: LevyTriplet, cols: np.ndarray) -> LevyTriplet:
-    """A continuous triplet's law on the coordinates `cols` alone."""
+    """The triplet's law on the coordinates `cols` alone.  `cols` holds
+    either the whole jump support, and the jumps come along restricted to
+    it, or none of it, and the law there is a diagonal Brownian motion with
+    drift."""
+    jumps = triplet.jumps
+    if jumps is not None:
+        moved = np.isin(jumps.support(triplet.model.dim), cols).any()
+        jumps = replace(jumps, atoms=jumps.atoms[:, cols]) if moved else None
     return LevyTriplet(
         SpaceModel(triplet.model.weights[cols]),
         triplet.drift[cols],
         triplet.gaussian_diag[cols],
+        jumps,
     )
 
 
@@ -226,9 +238,9 @@ def _step_paths(
     """The stepping engine behind every path estimator.
 
     `member(z)` maps points (rows, N') to a (targets, rows) membership matrix
-    that reads only the coordinates `coords` (None: all); N' is N, or
-    max(coords) + 1 when a continuous triplet steps coords alone.  A path
-    steps until it has entered every target, or to the horizon with
+    that reads only the coordinates `coords` (None: all); N' is N, or the
+    largest stepped coordinate + 1 when some are not stepped.  A path steps
+    until it has entered every target, or to the horizon with
     to_horizon.  With one target, `refine(z_in, z_out)` moves an entering
     grid step's end point and `faces` (j, v, side) get the bridge crossing
     draw, which snaps c_j of a crossing step's end point onto v;
@@ -246,10 +258,13 @@ def _step_paths(
     discarded draws after it are independent of everything kept, and the
     bridge events of the steps are independent given the grid points.
 
-    A continuous triplet steps only `coords`; membership sees zeros in the
-    other columns up to max(coords).  The rest are independent of every
-    stopping time, so each path draws them at its entry times and last step
-    time, in time order.
+    The stepped coordinates are `coords` plus the jump measure's support
+    (`JumpMeasure.support`); membership sees zeros in the other columns up
+    to the largest stepped one.  The rest carry no jumps and a diagonal
+    Gaussian part, so they are independent of every stopping time: each
+    path draws them at its entry times and last step time, in time order,
+    into the entry points and its own copy of the start, in chunks of
+    consecutive paths of about _BLOCK elements.
     """
     start = np.asarray(start, dtype=float)
     if start.ndim == 2:
@@ -259,8 +274,10 @@ def _step_paths(
     else:
         z0 = np.tile(start, (n_paths, 1))
     dim = z0.shape[1]
-    if coords is None or not triplet.is_continuous:
+    if coords is None:
         coords = range(dim)
+    elif triplet.jumps is not None:  # a jump moves its whole support at once
+        coords = {*coords, *triplet.jumps.support(dim).tolist()}
     cols = np.array(sorted(set(coords)), dtype=int)
     k = cols.size
     full = k == dim
@@ -352,26 +369,32 @@ def _step_paths(
         del path, z  # free this block before the next one is drawn
     if full:
         return times, locs, y
-    last = z0.copy()
-    last[:, cols] = y
-    rest = np.setdiff1d(np.arange(dim), cols)
-    points = np.concatenate([locs, last[None]])
-    entries = times if locate else times[:0]
-    stopped = np.isfinite(times).all(axis=0) & (not to_horizon)
-    stops = np.vstack([entries, np.where(stopped, times.max(axis=0), n_steps * cfg.dt)])
+    # z0 becomes the last positions: the stepped columns are y, and the rest
+    # advance in place from the starts, one stopping time after the other,
+    # drawn in chunks of consecutive rows (the same draws as one call)
+    z0[:, cols] = y
+    rest = np.delete(np.arange(dim), cols)  # setdiff1d would import numpy.ma, about 1 MB
     rest_law = _restrict(triplet, rest)
-    u = z0[:, rest]
+    n_loc = locs.shape[0]
+    stopped = np.isfinite(times).all(axis=0) & (not to_horizon)
+    stops = np.vstack([times[:n_loc], np.where(stopped, times.max(axis=0), n_steps * cfg.dt)])
+    chunk = max(1, _BLOCK // rest.size)
     paths = np.arange(n_paths)
     t_prev = np.zeros(n_paths)
     for kth in np.argsort(stops, axis=0, kind="stable"):
         tk = stops[kth, paths]
-        seen = np.isfinite(tk)
-        move = seen & (tk > t_prev)
-        if move.any():
-            u[move] += sample_increments(rest_law, (tk - t_prev)[move], int(move.sum()), rng)
-            t_prev[move] = tk[move]
-        points[kth[seen, None], paths[seen, None], rest] = u[seen]
-    return times, points[:-1], points[-1]
+        seen = np.flatnonzero(np.isfinite(tk))
+        moving = seen[tk[seen] > t_prev[seen]]
+        for lo in range(0, moving.size, chunk):
+            rows = moving[lo : lo + chunk]
+            dt = tk[rows] - t_prev[rows]
+            z0[np.ix_(rows, rest)] += sample_increments(rest_law, dt, rows.size, rng)
+        t_prev[moving] = tk[moving]
+        entries = seen[kth[seen] < n_loc]  # the last row of stops is z0 itself
+        for lo in range(0, entries.size, chunk):
+            rows = entries[lo : lo + chunk]
+            locs[kth[rows, None], rows[:, None], rest] = z0[np.ix_(rows, rest)]
+    return times, locs, z0
 
 
 def simulate_hit_batch(

@@ -6,7 +6,9 @@ basis {e_n} lying in E'.  One representation carries all three norms:
     |z|_H^2  = sum c_n^2,        ||z||_E^2 = sum lambda_n c_n^2,
 
 with summable positive weights lambda_n.  Vectors are plain numpy arrays of
-shape (..., N); batch axes broadcast through every operation.
+shape (..., N); batch axes broadcast through every operation.  Diagonal
+quadratic forms such as the E-norm are one product and one matrix-vector
+contraction, (z * z) @ weights, not a sum over a weighted copy.
 """
 
 from dataclasses import dataclass
@@ -46,7 +48,8 @@ class SpaceModel:
         return int(self.weights.size)
 
     def e_norm2(self, z: np.ndarray) -> np.ndarray:
-        return np.sum(self.weights * np.asarray(z) ** 2, axis=-1)
+        z = np.asarray(z)
+        return (z * z) @ self.weights
 
     def h_norm2(self, z: np.ndarray) -> np.ndarray:
         return np.sum(np.asarray(z) ** 2, axis=-1)

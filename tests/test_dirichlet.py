@@ -5,6 +5,7 @@ import pytest
 
 from levylab.dirichlet import (
     BoundaryData,
+    _exact_exit,
     ControlReport,
     IntegrabilityError,
     approach_sequence,
@@ -150,6 +151,24 @@ def test_exit_locations_exactly_on_boundary(setup):
         hit, _, loc = sample_exits(triplet, dom, start, 400, cfg, substream(30 + i))
         assert hit.all()
         assert np.all(np.abs(dom.boundary_distance(loc)) < 1e-9), dom.kind
+
+
+@pytest.mark.parametrize("shape", [(7,), (3, 5), (2, 3, 4)])
+def test_eball_exit_root_matches_elementwise_sums(setup, shape):
+    """The E-ball exit point, with its quadratic forms in one pass, agrees
+    with the elementwise sums to 1e-12 for 1, 2 and 3 batch axes."""
+    model, _ = setup
+    rng = np.random.default_rng(len(shape))
+    center, radius = 0.1 * rng.standard_normal(DIM), 1.0
+    u, v = rng.standard_normal((2,) + shape + (DIM,))
+    z_in = center + 0.5 * u / model.e_norm(u)[..., None]
+    z_out = z_in + 3.0 * v / model.e_norm(v)[..., None]
+    w, p, d = model.weights, z_in - center, z_out - z_in
+    a, b = np.sum(w * d * d, axis=-1), np.sum(w * p * d, axis=-1)
+    q = np.sum(w * p * p, axis=-1) - radius**2
+    ref = z_in + (-q / (b + np.sqrt(b * b - a * q)))[..., None] * d
+    got = _exact_exit(e_ball_domain(model, center, radius))(z_in, z_out)
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
 
 
 def test_harmonicity_tower(setup):

@@ -77,11 +77,12 @@ def test_estimate_validation():
 
 
 @given(
-    a=st.lists(st.floats(-100, 100), min_size=2, max_size=40),
-    b=st.lists(st.floats(-100, 100), min_size=2, max_size=40),
+    a=st.lists(st.floats(-100, 100), min_size=1, max_size=40),
+    b=st.lists(st.floats(-100, 100), min_size=1, max_size=40),
 )
 @settings(max_examples=60, deadline=None)
 def test_merge_matches_pooled_samples(a, b):
+    """Sharded equals pooled at any split point, one-sample shards included."""
     a, b = np.array(a), np.array(b)
     ea = McEstimate.from_samples(a)
     eb = McEstimate.from_samples(b)
@@ -93,6 +94,32 @@ def test_merge_matches_pooled_samples(a, b):
     # order independence
     swapped = eb.merge(ea)
     assert swapped.mean == pytest.approx(merged.mean, abs=1e-9)
+
+
+@given(
+    a=st.lists(st.floats(-100, 100), min_size=1, max_size=30),
+    b=st.lists(st.floats(-100, 100), min_size=1, max_size=30),
+    c=st.lists(st.floats(-100, 100), min_size=1, max_size=30),
+)
+@settings(max_examples=60, deadline=None)
+def test_merge_is_associative(a, b, c):
+    ea, eb, ec = (McEstimate.from_samples(np.array(x)) for x in (a, b, c))
+    left, right = ea.merge(eb).merge(ec), ea.merge(eb.merge(ec))
+    assert left.n_samples == right.n_samples
+    assert left.mean == pytest.approx(right.mean, abs=1e-9)
+    assert left.stderr == pytest.approx(right.stderr, rel=1e-6, abs=1e-9)
+
+
+LABELS = st.lists(st.one_of(st.text(max_size=6), st.integers(-5, 5)), max_size=3)
+
+
+@given(seed=st.integers(0, 2**63), labels=LABELS, other=LABELS)
+@settings(max_examples=60, deadline=None)
+def test_substream_reproducible_and_label_keyed(seed, labels, other):
+    draws = substream(seed, *labels).standard_normal(8)
+    np.testing.assert_array_equal(draws, substream(seed, *labels).standard_normal(8))
+    if [str(l) for l in labels] != [str(l) for l in other]:  # labels key by str()
+        assert not np.array_equal(draws, substream(seed, *other).standard_normal(8))
 
 
 def test_merge_confidence_mismatch():

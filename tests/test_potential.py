@@ -10,7 +10,13 @@ import pytest
 from levylab import potential
 from levylab.dirichlet import e_ball_domain, sample_exits
 from levylab.lyapunov import gaussian_norm
-from levylab.measures import McEstimate, brownian_triplet
+from levylab.measures import (
+    JumpMeasure,
+    LevyTriplet,
+    McEstimate,
+    brownian_triplet,
+    poisson_example_triplet,
+)
 from levylab.operators import TestFunction
 from levylab.potential import (
     PathConfig,
@@ -585,3 +591,109 @@ def test_refine_sees_the_entering_step(setup, monkeypatch):
     assert hit.all()
     step = np.concatenate(seen)[:, 7]
     assert McEstimate.from_samples(step**2 / cfg.dt).verdict(1.0) == "pass"
+
+
+def _jump_law(model, cols=(0, 1)):
+    """Unit Brownian part plus atoms +-(0.6, 0.5) in the coordinates `cols`
+    at intensity 2: the jump law of the full_support_paths benchmark."""
+    atoms = np.zeros((2, model.dim))
+    atoms[0, list(cols)] = (0.6, 0.5)
+    atoms[1, list(cols)] = (-0.6, -0.5)
+    return LevyTriplet(
+        model, np.zeros(model.dim), np.ones(model.dim),
+        JumpMeasure(intensity=2.0, kind="pointmass", atoms=atoms),
+    )
+
+
+def _jump_slab_exits(model, target, n, rng):
+    """Exits of the jump law from the slab -1 < c1 < 1.5, started at c1 = 0.25."""
+    start = np.zeros(model.dim)
+    start[0] = 0.25
+    hit, T, loc = simulate_hit_batch(
+        _jump_law(model), start, target, PathConfig(dt=0.01, horizon=40.0), n, rng
+    )
+    assert hit.all()
+    return T, loc
+
+
+def test_jump_unstepped_coordinate_wald(setup):
+    """The slab steps c1 and the jumps' c2 alone; c3 is drawn at the exit
+    time as a unit Brownian coordinate, so E[c3^2] = E[T] (Wald)."""
+    model, _ = setup
+    T, loc = _jump_slab_exits(model, slab_complement(model, 1, -1.0, 1.5), 4000, substream(33))
+    assert McEstimate.from_samples(loc[:, 2] ** 2 - T).verdict(0.0) == "pass"
+
+
+def test_jump_stepped_coordinates_covary(setup):
+    """c1 c2 - 0.6 t is a martingale: the jumps move c1 and c2 together at
+    rate 2 * 0.6 * 0.5, so E[c1 c2] = 0.6 E[T] at the exit.  Drawing c2
+    apart from c1 would give E[c1 c2] = 0."""
+    model, _ = setup
+    T, loc = _jump_slab_exits(model, slab_complement(model, 1, -1.0, 1.5), 4000, substream(34))
+    assert McEstimate.from_samples(loc[:, 0] * loc[:, 1] - 0.6 * T).verdict(0.0) == "pass"
+
+
+def test_jump_restriction_agrees_with_full_stepping(setup):
+    """Stepping c1 and c2 alone and stepping every coordinate (coords=None)
+    give the same law of exp(-T), of the overshoot c1 and of c2 at exit."""
+    model, _ = setup
+    slab = slab_complement(model, 1, -1.0, 1.5)
+
+    def stats(target, seed):
+        T, loc = _jump_slab_exits(model, target, 3000, substream(seed))
+        return [McEstimate.from_samples(x) for x in (np.exp(-T), loc[:, 0], loc[:, 1], loc[:, 1] ** 2)]
+
+    for fast, slow in zip(stats(slab, 35), stats(replace(slab, coords=None), 36)):
+        diff = McEstimate(fast.mean - slow.mean, float(np.hypot(fast.stderr, slow.stderr)), 3000)
+        assert diff.verdict(0.0) == "pass"
+
+
+def test_jump_support_sets_the_stepped_coordinates(setup, monkeypatch):
+    """The support is the nonzero atom columns for pointmass and every
+    column for poisson01; a c1 target under atoms in (c1, c3) steps
+    {c1, c3} with the atoms restricted to them, and the rest carry no jumps."""
+    model, _ = setup
+    jump13 = _jump_law(model, cols=(0, 2))
+    assert jump13.jumps.support(8).tolist() == [0, 2]
+    assert JumpMeasure(1.0, "poisson01").support(8).tolist() == list(range(8))
+    steps, rests = [], []
+    draw = potential.sample_increments
+
+    def recorded(law, dt, n, rng):
+        (steps if np.ndim(dt) == 0 else rests).append(law)
+        return draw(law, dt, n, rng)
+
+    monkeypatch.setattr(potential, "sample_increments", recorded)
+    cfg = PathConfig(dt=0.05, horizon=1.0)
+    simulate_hit_batch(jump13, np.zeros(8), coord_halfspace(model, 1, 1.0, +1), cfg, 50, substream(37))
+    assert steps and all(law.model.dim == 2 for law in steps)
+    np.testing.assert_array_equal(steps[0].jumps.atoms, jump13.jumps.atoms[:, [0, 2]])
+    assert rests and all(law.model.dim == 6 and law.jumps is None for law in rests)
+    steps.clear()
+    poisson = poisson_example_triplet(8)
+    simulate_hit_batch(poisson, np.zeros(8), coord_halfspace(poisson.model, 1, 1.0, +1), cfg, 50, substream(38))
+    assert steps and all(law.model.dim == 8 for law in steps)
+
+
+@pytest.mark.parametrize("law", ["brownian", "jump"])
+def test_restricted_exit_memory_stays_flat(law):
+    """Stepping a c1 slab on its own coordinates (c1, and c2 for the jumps)
+    peaks no higher under tracemalloc than stepping all 32 (coords=None):
+    the unstepped coordinates are drawn straight into the returned arrays,
+    in chunks of consecutive paths."""
+    model = make_space(32)
+    triplet = _jump_law(model) if law == "jump" else brownian_triplet(model)
+    start = np.zeros(32)
+    start[0] = 0.25
+    slab = slab_complement(model, 1, -1.0, 1.5)
+    cfg = PathConfig(dt=0.01, horizon=40.0)
+
+    def peak(target):
+        tracemalloc.start()
+        try:
+            simulate_hit_batch(triplet, start, target, cfg, 1500, substream(39))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(slab) <= peak(replace(slab, coords=None))

@@ -92,6 +92,14 @@ def test_projection_contracts_norms():
         assert np.all(model.h_norm2(zp) <= model.h_norm2(z) + 1e-12)
 
 
+@pytest.mark.parametrize("shape", [(7,), (3, 5), (2, 3, 4)])
+def test_e_norm2_one_pass_matches_elementwise_sum(shape):
+    model = make_space(16)
+    z = np.random.default_rng(len(shape)).standard_normal(shape + (16,)) * 3.0
+    ref = np.sum(model.weights * z**2, axis=-1)
+    np.testing.assert_allclose(model.e_norm2(z), ref, rtol=1e-12, atol=0)
+
+
 def test_growth_basis_canonical_identity_basis():
     model = make_space(32)
     x = canonical_x(model)
