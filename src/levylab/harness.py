@@ -9,12 +9,14 @@ Wall-clock times are reported only in the JSON detail, never in the CSV.
 """
 
 import csv
+import ctypes
 import fnmatch
 import hashlib
 import json
 import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -121,6 +123,55 @@ def _fmt(x) -> str:
     return str(x)
 
 
+# (get, set) thread-count functions of OpenBLAS builds; numpy's wheels
+# bundle one whose symbols carry the scipy_openblas prefix and a 64_ suffix
+_BLAS_SYMBOLS = tuple(
+    (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
+    for prefix in ("scipy_openblas", "openblas")
+    for suffix in ("64_", "")
+)
+
+
+def _blas_threads():
+    """(library file, get, set) of the BLAS loaded in this process, found
+    among its mapped files (Linux); None when none exports a known setter."""
+    try:
+        maps = Path("/proc/self/maps").read_text().splitlines()
+    except OSError:
+        return None
+    for path in sorted({line.split()[-1] for line in maps if "blas" in line.lower()}):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get, set_ in _BLAS_SYMBOLS:
+            if hasattr(lib, get) and hasattr(lib, set_):
+                get, set_ = getattr(lib, get), getattr(lib, set_)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return Path(path).name, get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Pin BLAS to one thread and restore its count on exit, so worker
+    threads do not each start a full BLAS pool on a shared core budget.
+    Yields the library and its pinned thread count, or None (no-op) when no
+    setter is found."""
+    found = _blas_threads()
+    if found is None:
+        yield None
+        return
+    library, get, set_ = found
+    before = get()
+    set_(1)
+    try:
+        yield {"library": library, "threads": get(), "threads_outside_run": before}
+    finally:
+        set_(before)
+
+
 def run(
     config_path,
     seed: int | None = None,
@@ -152,11 +203,12 @@ def run(
     if name_filter:
         specs = [s for s in specs if fnmatch.fnmatch(s.name, name_filter)]
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_execute, specs))
-    else:
-        records = [_execute(s) for s in specs]
+    with _one_blas_thread() as blas:
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                records = list(pool.map(_execute, specs))
+        else:
+            records = [_execute(s) for s in specs]
 
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "summary.csv"
@@ -180,6 +232,7 @@ def run(
         "rng_algorithm": ALGORITHM,
         "seed": base_seed,
         "workers": workers,
+        "blas": blas,
         "counts": counts,
         "experiments": [
             {

@@ -14,6 +14,7 @@ yield three-valued verdicts (pass / fail / inconclusive).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from statistics import NormalDist
 
 import numpy as np
@@ -207,13 +208,21 @@ class LevyTriplet:
     def is_continuous(self) -> bool:
         return self.jumps is None
 
+    @cached_property
+    def unit_gaussian(self) -> bool:
+        """Every variance rate is 1, so the Gaussian part scales by sqrt(t)."""
+        return bool(np.all(self.gaussian_diag == 1.0))
+
+    @cached_property
+    def drift_is_noop(self) -> bool:
+        """Adding t*b changes no bit of the Gaussian part: the drift is zero
+        and every variance positive (a zero variance gives -0.0 for a
+        negative normal, and -0.0 + 0.0 is +0.0)."""
+        return not self.drift.any() and bool(self.gaussian_diag.all())
+
     @property
     def is_pure_unit_gaussian(self) -> bool:
-        return (
-            self.jumps is None
-            and not self.drift.any()
-            and np.all(self.gaussian_diag == 1.0)
-        )
+        return self.jumps is None and not self.drift.any() and self.unit_gaussian
 
 
 def brownian_triplet(model: SpaceModel) -> LevyTriplet:
@@ -243,15 +252,21 @@ def sample_increments(
 ) -> np.ndarray:
     """n independent draws of Z_t; t may be a scalar or a length-n array."""
     t = np.asarray(t, dtype=float)
-    if np.any(t <= 0):
+    if (t <= 0).any():
         raise ValueError("time must be positive")
     dim = triplet.model.dim
     # a scalar time broadcasts without building per-row copies of it
     tc = t if t.ndim == 0 else np.broadcast_to(t, (n,))[:, None]
-    # in place, so a batch holds one (n, dim) array; the sums are unchanged
+    # in place, so a batch holds one (n, dim) array; the sums are unchanged.
+    # The product with sqrt(g) = 1 and a no-op drift are skipped, which
+    # leaves the bits of the full formula G*(sqrt(t)*sqrt(g)) + t*b
     out = rng.standard_normal((n, dim))
-    out *= np.sqrt(tc) * np.sqrt(triplet.gaussian_diag)
-    out += tc * triplet.drift
+    if triplet.unit_gaussian:
+        out *= np.sqrt(tc)
+    else:
+        out *= np.sqrt(tc) * np.sqrt(triplet.gaussian_diag)
+    if not triplet.drift_is_noop:
+        out += tc * triplet.drift
     if triplet.jumps is not None:
         counts = rng.poisson(np.broadcast_to(t, (n,)) * triplet.jumps.intensity)
         total = int(counts.sum())

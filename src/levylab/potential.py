@@ -104,11 +104,18 @@ def whole_space(model: SpaceModel) -> TargetSet:
     return TargetSet("whole", lambda z: np.ones(z.shape[:-1], dtype=bool), coords=())
 
 
-def e_ball(model: SpaceModel, center: np.ndarray, radius: float) -> TargetSet:
+def _from_center(center):
+    """z - center, as a function of z; z itself for a center at the origin,
+    which saves a pass over every stepped point (z - 0.0 is z, bit for bit)."""
     c = np.asarray(center, dtype=float)
+    return (lambda z: z - c) if c.any() else (lambda z: z)
+
+
+def e_ball(model: SpaceModel, center: np.ndarray, radius: float) -> TargetSet:
+    offset = _from_center(center)
     return TargetSet(
         f"e_ball(r={radius})",
-        lambda z: model.e_norm2(z - c) <= radius * radius,
+        lambda z: model.e_norm2(offset(z)) <= radius * radius,
     )
 
 
@@ -117,11 +124,11 @@ def e_ball_complement(
 ) -> TargetSet:
     """||z - center||_E > radius, or >= radius when closed (the exit set of
     the open ball)."""
-    c = np.asarray(center, dtype=float)
+    offset = _from_center(center)
     beyond = np.greater_equal if closed else np.greater
     return TargetSet(
         f"e_ball_complement(r={radius}{', closed' if closed else ''})",
-        lambda z: beyond(model.e_norm2(z - c), radius * radius),
+        lambda z: beyond(model.e_norm2(offset(z)), radius * radius),
     )
 
 
@@ -258,6 +265,15 @@ def _step_paths(
     discarded draws after it are independent of everything kept, and the
     bridge events of the steps are independent given the grid points.
 
+    The live paths are held compacted, in their original order: their ids,
+    stepped positions and still-awaited targets are dense arrays, shrunk
+    only on an iteration where some path stopped; paths that start inside
+    every target are never live.  The draws are unchanged by this: each
+    iteration draws B * paths increments for the same live paths in the
+    same order as a scan of all paths would.  The positions stay in the
+    buffer allocated before the loop and shrink within it, so an iteration
+    allocates only its block and the membership's temporaries.
+
     The stepped coordinates are `coords` plus the jump measure's support
     (`JumpMeasure.support`); membership sees zeros in the other columns up
     to the largest stepped one.  The rest carry no jumps and a diagonal
@@ -300,25 +316,25 @@ def _step_paths(
     times = np.where(member(z0), 0.0, np.inf)
     n_t = times.shape[0]
     locs = np.repeat(z0[None], n_t if locate else 0, axis=0)
-    y = z0 if full else z0[:, cols]
-    active = np.ones(n_paths, bool) if to_horizon else np.isinf(times).any(axis=0)
+    # the live set, kept in path order: path ids, stepped positions and the
+    # targets each path still awaits; it shrinks only when a path stops, and
+    # the positions shrink within the buffer allocated here
+    ids = np.arange(n_paths) if to_horizon else np.flatnonzero(np.isinf(times).any(axis=0))
+    pending = np.isinf(times[:, ids])
+    y = z0[np.ix_(ids, cols)]
     n_steps = int(np.ceil(cfg.horizon / cfg.dt))
     done = 0
-    while done < n_steps and active.any():
-        idx = np.flatnonzero(active)
-        r = idx.size
+    while done < n_steps and ids.size:
+        r = ids.size
         nb = min(n_steps - done, max(1, _BLOCK // (r * max(k, 1))))
-        # no copy while every path is live; read before y is written
-        pre = y if r == n_paths else y[idx]
         if law is None:
             path = np.empty((nb, r, 0))
         else:
             path = sample_increments(law, cfg.dt, nb * r, rng).reshape(nb, r, k)
             if nb > 1:
                 np.cumsum(path, axis=0, out=path)
-        path += pre
+        path += y
         z = widen(path)
-        pending = np.isinf(times[:, idx])
         inside = member(z.reshape(nb * r, width)).reshape(n_t, nb, r) & pending[:, None]
         if nb == 1:  # many live paths: no block axis to search
             entered, first = inside[:, 0].copy(), np.zeros((n_t, r), dtype=int)
@@ -326,7 +342,7 @@ def _step_paths(
             entered, first = inside.any(axis=1), inside.argmax(axis=1)
         if faces:
             # crossings inside the steps before a row's first grid entry
-            prev = np.concatenate([pre[None], path[:-1]])
+            prev = np.concatenate([y[None], path[:-1]])
             d0 = fside * (fv - prev[..., fj])
             d1 = fside * (fv - path[..., fj])
             before = np.arange(nb)[:, None] < np.where(entered[0], first[0], nb)
@@ -341,38 +357,43 @@ def _step_paths(
                 path[s, rows, fj[fi]] = fv[fi]
                 entered[0, rows] = True
                 first[0, rows] = s
-        if refine is not None:
-            # rows that entered at a grid point, not by a bridge crossing
-            rows = np.flatnonzero(entered[0])
-            s = first[0, rows]
-            grid = inside[0, s, rows]
-            rows, s = rows[grid], s[grid]
-            if rows.size:
-                z_in = np.where((s > 0)[:, None], path[s - 1, rows], pre[rows])
-                path[s, rows] = refine(widen(z_in), widen(path[s, rows]))[:, cols]
         t = (done + 1 + np.arange(nb)) * cfg.dt
-        for ti in np.flatnonzero(entered.any(axis=1)):
-            rows = np.flatnonzero(entered[ti])
-            s = first[ti, rows]
-            times[ti, idx[rows]] = t[s]
-            if locate:
-                locs[ti, idx[rows, None], cols] = path[s, rows]
+        entering = entered.any()
+        if entering:
+            if refine is not None:
+                # rows that entered at a grid point, not by a bridge crossing
+                rows = np.flatnonzero(entered[0])
+                s = first[0, rows]
+                grid = inside[0, s, rows]
+                rows, s = rows[grid], s[grid]
+                if rows.size:
+                    z_in = np.where((s > 0)[:, None], path[s - 1, rows], y[rows])
+                    path[s, rows] = refine(widen(z_in), widen(path[s, rows]))[:, cols]
+            for ti in np.flatnonzero(entered.any(axis=1)):
+                rows = np.flatnonzero(entered[ti])
+                s = first[ti, rows]
+                times[ti, ids[rows]] = t[s]
+                if locate:
+                    locs[ti, ids[rows, None], cols] = path[s, rows]
+            pending &= ~entered
+            going = pending.any(axis=0) | to_horizon
         if observe is not None:
-            observe(t, idx, z, times)
-        going = (pending & ~entered).any(axis=0) | to_horizon
-        if nb == 1:
-            y[idx] = path[0]
-        else:  # a stopped path stays at its last entry, the others move on
-            y[idx] = path[np.where(going, nb - 1, first.max(axis=0)), np.arange(r)]
-        active[idx] = going
+            observe(t, ids, z, times)
+        if not entering or going.all():
+            y[...] = path[nb - 1]
+        else:  # a stopped path keeps its last entry point; the rest move on
+            stop = np.flatnonzero(~going)
+            z0[ids[stop, None], cols] = path[first[:, stop].max(axis=0), stop]
+            ids, pending = ids[going], pending[:, going]
+            y = np.compress(going, path[nb - 1], axis=0, out=y[: ids.size])
         done += nb
         del path, z  # free this block before the next one is drawn
+    z0[ids[:, None], cols] = y  # the paths still live at the horizon
     if full:
-        return times, locs, y
-    # z0 becomes the last positions: the stepped columns are y, and the rest
-    # advance in place from the starts, one stopping time after the other,
-    # drawn in chunks of consecutive rows (the same draws as one call)
-    z0[:, cols] = y
+        return times, locs, z0
+    # z0 becomes the last positions: its stepped columns are final, and the
+    # rest advance in place from the starts, one stopping time after the
+    # other, drawn in chunks of consecutive rows (the same draws as one call)
     rest = np.delete(np.arange(dim), cols)  # setdiff1d would import numpy.ma, about 1 MB
     rest_law = _restrict(triplet, rest)
     n_loc = locs.shape[0]

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from levylab import harness
 from levylab.harness import ConfigError, ExperimentSpec, load_config, run
 from levylab.cli import main
 
@@ -212,3 +213,29 @@ def test_config_workers_applies(tmp_path):
     run(p, out_dir=tmp_path / "override", workers=1)
     detail = json.loads((tmp_path / "override" / "detail.json").read_text())
     assert detail["workers"] == 1
+
+
+def test_blas_pinned_during_run_and_restored(tmp_path):
+    """run pins BLAS to one thread while its experiments run, records the
+    library and the pin in detail.json, and restores the count it found."""
+    found = harness._blas_threads()
+    if found is None:
+        pytest.skip("no BLAS thread setter found in this process")
+    library, get, set_ = found
+    before = get()
+    set_(2)
+    try:
+        run(_write(tmp_path, SMALL_CONFIG), out_dir=tmp_path / "out", workers=2)
+        assert get() == 2
+    finally:
+        set_(before)
+    detail = json.loads((tmp_path / "out" / "detail.json").read_text())
+    assert detail["blas"] == {"library": library, "threads": 1, "threads_outside_run": 2}
+
+
+def test_blas_pin_is_a_no_op_without_a_setter(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "_blas_threads", lambda: None)
+    res = run(_write(tmp_path, SMALL_CONFIG), out_dir=tmp_path / "out")
+    assert res["exit_code"] == 0
+    assert json.loads((tmp_path / "out" / "detail.json").read_text())["blas"] is None
+

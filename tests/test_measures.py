@@ -137,6 +137,48 @@ def test_brownian_increments_deterministic():
     assert not np.array_equal(z1, z3)
 
 
+def _general_increments(triplet, t, n, rng):
+    """G * (sqrt(t) * sqrt(g)) + t * b plus the jumps, with no term skipped."""
+    t = np.asarray(t, dtype=float)
+    tc = t if t.ndim == 0 else t[:, None]
+    out = rng.standard_normal((n, triplet.model.dim))
+    out = out * (np.sqrt(tc) * np.sqrt(triplet.gaussian_diag)) + tc * triplet.drift
+    if triplet.jumps is not None:
+        counts = rng.poisson(np.broadcast_to(t, (n,)) * triplet.jumps.intensity)
+        if counts.sum():
+            draws = triplet.jumps.sample(int(counts.sum()), triplet.model.dim, rng)
+            np.add.at(out, np.repeat(np.arange(n), counts), draws)
+    return out
+
+
+@pytest.mark.parametrize("jumps", [False, True])
+@pytest.mark.parametrize("per_row", [False, True])
+@pytest.mark.parametrize("drift", [False, True])
+@pytest.mark.parametrize("gauss", ["unit", "scaled", "degenerate"])
+def test_sample_increments_skips_change_no_bits(gauss, drift, per_row, jumps):
+    """Scaling a unit Gaussian part by sqrt(t) alone and leaving out a zero
+    drift give the bits of the general formula, also where a zero variance
+    meets a zero drift (the add turns -0.0 into +0.0 there, so it stays)."""
+    model = make_space(6)
+    g = {
+        "unit": np.ones(6),
+        "scaled": np.array([0.5, 2.0, 1.0, 3.0, 0.25, 1.5]),
+        "degenerate": np.array([1.0, 0.5, 0.0, 0.0, 1.0, 2.0]),
+    }[gauss]
+    b = np.array([0.3, -1.0, 0.0, 2.0, 0.0, 0.1]) if drift else np.zeros(6)
+    atoms = np.zeros((2, 6))
+    atoms[:, :2] = [(0.6, 0.5), (-0.6, -0.5)]
+    jump = JumpMeasure(intensity=3.0, kind="pointmass", atoms=atoms) if jumps else None
+    triplet = LevyTriplet(model, b, g, jump)
+    n = 400
+    t = np.linspace(0.01, 2.0, n) if per_row else 0.7
+    got = sample_increments(triplet, t, n, substream(12, gauss, drift, per_row, jumps))
+    want = _general_increments(triplet, t, n, substream(12, gauss, drift, per_row, jumps))
+    assert got.tobytes() == want.tobytes()
+    if gauss == "degenerate" and not drift:
+        assert not np.signbit(got[:, 2:4]).any()  # no jumps move c3, c4
+
+
 def test_increment_time_validation():
     triplet = brownian_triplet(make_space(4))
     with pytest.raises(ValueError):

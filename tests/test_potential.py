@@ -412,6 +412,10 @@ def test_e_ball_complement_membership():
     far = np.zeros(4)
     far[0] = 10.0
     assert bool(shell(far))
+    # a centre off the origin is subtracted; one at the origin is skipped
+    moved = e_ball_complement(model, far, 1.0, closed=True)
+    assert not bool(moved(far)) and bool(moved(np.zeros(4)))
+    assert bool(e_ball(model, far, 1.0)(far)) and not bool(e_ball(model, far, 1.0)(np.zeros(4)))
 
 
 def test_wald_identity_unstepped_coordinate(setup):
@@ -697,3 +701,63 @@ def test_restricted_exit_memory_stays_flat(law):
             tracemalloc.stop()
 
     assert peak(slab) <= peak(replace(slab, coords=None))
+
+
+def test_rows_started_inside_draw_nothing(setup):
+    """A row that starts inside its target hits at time 0 (D-convention) and
+    is never live, so it draws nothing: adding such rows to a batch of
+    per-path starts leaves every other row's times and locations
+    bit-identical.  Covers an E-ball exit cut at the boundary, a bridged
+    slab and two targets on shared paths."""
+    model, triplet = setup
+    rng = substream(41)
+    n = 300
+    base = 0.1 * rng.standard_normal((n, 8))
+    base[:, 0] = 0.3
+    ball = e_ball_domain(model, np.zeros(8), 1.0)
+    slab = slab_complement(model, 1, -1.0, 1.5)
+    near, far = coord_halfspace(model, 1, 0.8, +1), coord_halfspace(model, 2, -0.5, -1)
+    outside = np.zeros(8)
+    outside[:2] = (3.0, -1.0)  # beyond the ball, the slab and both halfspaces
+    cases = {
+        "e_ball": (ball.exit_target, lambda z, m, r: sample_exits(
+            triplet, ball, z, m, PathConfig(dt=0.01, horizon=3.0), r)[1:]),
+        "slab": (slab, lambda z, m, r: simulate_hit_batch(
+            triplet, z, slab, PathConfig(dt=0.01, horizon=2.0), m, r)[1:]),
+        "two_targets": (None, lambda z, m, r: multi_target_hit(
+            triplet, z, [near, far], PathConfig(dt=0.02, horizon=4.0), m, r)),
+    }
+    inserted = np.array([0, 0, 150, n])  # np.insert positions: front, middle, end
+    for name, (target, run) in cases.items():
+        starts = np.insert(base, inserted, outside, axis=0)
+        assert target is None or target(outside)
+        others = np.ones(starts.shape[0], dtype=bool)
+        others[inserted + np.arange(inserted.size)] = False
+        t0, loc0 = run(base, n, substream(42, name))
+        t1, loc1 = run(starts, starts.shape[0], substream(42, name))
+        assert np.all(t1[..., ~others] == 0.0), name
+        assert t1[..., others].tobytes() == t0.tobytes(), name
+        assert loc1[..., others, :].tobytes() == loc0.tobytes(), name
+        assert np.isfinite(t0).any() and not np.isfinite(t0).all(), name  # hits and misses
+
+
+def test_full_width_exit_memory():
+    """A full-width E-ball exit (1000 paths x 32 coordinates, cut at the
+    boundary) peaks under tracemalloc at 5.16 blocks of 1000 x 32 floats:
+    the starts, the entry points, the live positions, the drawn block and
+    the membership's squares (a centred ball subtracts nothing).  Before
+    the live set was compacted it peaked at 6.16.  Holding one more copy of
+    the positions or of a block through the membership call adds a whole
+    block."""
+    model = make_space(32)
+    ball = e_ball_domain(model, np.zeros(32), 1.0)
+    cfg = PathConfig(dt=0.01, horizon=4.0)
+    tracemalloc.start()
+    try:
+        hit, _, _ = sample_exits(brownian_triplet(model), ball, np.zeros(32), 1000, cfg, substream(43))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.5 < hit.mean() < 1.0  # exits inside blocks and paths live at the horizon
+    assert peak <= 5.25 * 1000 * 32 * 8
+
