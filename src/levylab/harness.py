@@ -2,9 +2,10 @@
 
 Determinism contract: a fixed (config, seed) pair produces byte-identical
 CSV output across runs and across worker counts.  Every experiment draws
-from its own counter-based substream, keyed by the seed and the experiment's
-name (unique within a config, defaulting to its operation), and rows are
-written in config order, so parallel scheduling never reaches the output.
+from its own SFC64 stream, seeded through `SeedSequence` from the SHA-256 of
+the seed and the experiment's name (unique within a config, defaulting to
+its operation), and rows are written in config order, so parallel
+scheduling never reaches the output.
 Wall-clock times are reported only in the JSON detail, never in the CSV.
 """
 

@@ -214,15 +214,19 @@ class LevyTriplet:
         return bool(np.all(self.gaussian_diag == 1.0))
 
     @cached_property
+    def gaussian_coords(self) -> np.ndarray:
+        """0-based coordinates with a positive variance rate, the only ones
+        that draw normals."""
+        return np.flatnonzero(self.gaussian_diag > 0)
+
+    @cached_property
     def drift_is_noop(self) -> bool:
-        """Adding t*b changes no bit of the Gaussian part: the drift is zero
-        and every variance positive (a zero variance gives -0.0 for a
-        negative normal, and -0.0 + 0.0 is +0.0)."""
-        return not self.drift.any() and bool(self.gaussian_diag.all())
+        """The drift is zero, so the t*b term is skipped."""
+        return not self.drift.any()
 
     @property
     def is_pure_unit_gaussian(self) -> bool:
-        return self.jumps is None and not self.drift.any() and self.unit_gaussian
+        return self.jumps is None and self.drift_is_noop and self.unit_gaussian
 
 
 def brownian_triplet(model: SpaceModel) -> LevyTriplet:
@@ -257,14 +261,18 @@ def sample_increments(
     dim = triplet.model.dim
     # a scalar time broadcasts without building per-row copies of it
     tc = t if t.ndim == 0 else np.broadcast_to(t, (n,))[:, None]
-    # in place, so a batch holds one (n, dim) array; the sums are unchanged.
-    # The product with sqrt(g) = 1 and a no-op drift are skipped, which
-    # leaves the bits of the full formula G*(sqrt(t)*sqrt(g)) + t*b
-    out = rng.standard_normal((n, dim))
-    if triplet.unit_gaussian:
-        out *= np.sqrt(tc)
+    # normals only where the variance is positive; the other columns start
+    # at +0.0.  The scaling is in place and builds no (n, dim) temporary
+    pos = triplet.gaussian_coords
+    if pos.size == dim:
+        out = gauss = rng.standard_normal((n, dim))
     else:
-        out *= np.sqrt(tc) * np.sqrt(triplet.gaussian_diag)
+        out, gauss = np.zeros((n, dim)), rng.standard_normal((n, pos.size))
+    gauss *= np.sqrt(tc)
+    if not triplet.unit_gaussian:
+        gauss *= np.sqrt(triplet.gaussian_diag[pos])
+    if gauss is not out:
+        out[:, pos] = gauss
     if not triplet.drift_is_noop:
         out += tc * triplet.drift
     if triplet.jumps is not None:

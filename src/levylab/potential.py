@@ -250,7 +250,8 @@ def _step_paths(
     until it has entered every target, or to the horizon with
     to_horizon.  With one target, `refine(z_in, z_out)` moves an entering
     grid step's end point and `faces` (j, v, side) get the bridge crossing
-    draw, which snaps c_j of a crossing step's end point onto v;
+    draw wherever its probability is at least 2^-53, which snaps c_j of a
+    crossing step's end point onto v;
     `observe(t, idx, z, times)` sees the block grid times t (B,) and points
     z (B, len(idx), N') of the stepped paths idx.  Returns entry times (inf
     when missed), entry points (the start when missed; none without
@@ -345,10 +346,12 @@ def _step_paths(
             prev = np.concatenate([y[None], path[:-1]])
             d0 = fside * (fv - prev[..., fj])
             d1 = fside * (fv - path[..., fj])
+            a = d0 * d1 * fk  # the crossing probability is exp(-a)
             before = np.arange(nb)[:, None] < np.where(entered[0], first[0], nb)
             cand = (before & pending[0])[..., None] & (d0 > 0) & (d1 > 0) & (fg > 0)
+            cand &= a < 53 * np.log(2.0)  # a 53-bit uniform cannot resolve exp(-a) < 2^-53
             crossed = np.zeros_like(cand)
-            crossed[cand] = rng.random(np.count_nonzero(cand)) < np.exp(-(d0 * d1 * fk)[cand])
+            crossed[cand] = rng.random(np.count_nonzero(cand)) < np.exp(-a[cand])
             s, rows, fi = np.nonzero(crossed)
             if s.size:
                 # nonzero lists (step, row, face) in order: keep each row's first

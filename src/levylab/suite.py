@@ -1,8 +1,8 @@
 """Registry of named experiments for the CLI harness.
 
 Each experiment maps (parameters, samples, seed, confidence, name) to a list
-of result rows.  Randomness is drawn only from the counter-based substream
-keyed by the seed and the experiment's config name (which defaults to its
+of result rows.  Randomness is drawn only from the SFC64 substream keyed by
+the seed and the experiment's config name (which defaults to its
 operation), so results are independent of worker scheduling, and two
 experiments running one operation under different names draw independently.
 

@@ -113,7 +113,7 @@ def test_json_detail_records_metadata(tmp_path):
     p = _write(tmp_path, SMALL_CONFIG)
     res = run(p, out_dir=tmp_path / "out")
     detail = json.loads((tmp_path / "out" / "detail.json").read_text())
-    assert detail["rng_algorithm"] == "philox4x64"
+    assert detail["rng_algorithm"] == "sfc64"
     assert detail["seed"] == 3
     for exp in detail["experiments"]:
         assert exp["seconds"] >= 0.0

@@ -122,6 +122,16 @@ def test_substream_reproducible_and_label_keyed(seed, labels, other):
         assert not np.array_equal(draws, substream(seed, *other).standard_normal(8))
 
 
+def test_substream_streams_reproduce_and_are_uncorrelated():
+    """The same key repeats its draws; two labels, or two seeds, give
+    normals whose correlation over 10^5 pairs is within 5/sqrt(n) of 0."""
+    n = 100_000
+    a = substream(2024, "c1").standard_normal(n)
+    np.testing.assert_array_equal(a, substream(2024, "c1").standard_normal(n))
+    for other in (substream(2024, "c2"), substream(2025, "c1")):
+        assert abs(np.corrcoef(a, other.standard_normal(n))[0, 1]) < 5 / np.sqrt(n)
+
+
 def test_merge_confidence_mismatch():
     with pytest.raises(ValueError):
         McEstimate(0, 1, 10, 0.9).merge(McEstimate(0, 1, 10, 0.99))
@@ -138,11 +148,14 @@ def test_brownian_increments_deterministic():
 
 
 def _general_increments(triplet, t, n, rng):
-    """G * (sqrt(t) * sqrt(g)) + t * b plus the jumps, with no term skipped."""
+    """(G * sqrt(t)) * sqrt(g) + t * b plus the jumps, with no term skipped;
+    G holds normals in the positive-variance columns and zeros elsewhere."""
     t = np.asarray(t, dtype=float)
     tc = t if t.ndim == 0 else t[:, None]
-    out = rng.standard_normal((n, triplet.model.dim))
-    out = out * (np.sqrt(tc) * np.sqrt(triplet.gaussian_diag)) + tc * triplet.drift
+    pos = np.flatnonzero(triplet.gaussian_diag > 0)
+    out = np.zeros((n, triplet.model.dim))
+    out[:, pos] = rng.standard_normal((n, pos.size))
+    out = out * np.sqrt(tc) * np.sqrt(triplet.gaussian_diag) + tc * triplet.drift
     if triplet.jumps is not None:
         counts = rng.poisson(np.broadcast_to(t, (n,)) * triplet.jumps.intensity)
         if counts.sum():
@@ -156,9 +169,9 @@ def _general_increments(triplet, t, n, rng):
 @pytest.mark.parametrize("drift", [False, True])
 @pytest.mark.parametrize("gauss", ["unit", "scaled", "degenerate"])
 def test_sample_increments_skips_change_no_bits(gauss, drift, per_row, jumps):
-    """Scaling a unit Gaussian part by sqrt(t) alone and leaving out a zero
-    drift give the bits of the general formula, also where a zero variance
-    meets a zero drift (the add turns -0.0 into +0.0 there, so it stays)."""
+    """Scaling a unit Gaussian part by sqrt(t) alone, leaving out a zero
+    drift and drawing no normals for zero variances give the bits of the
+    general formula; a zero-variance column without drift or jumps is +0.0."""
     model = make_space(6)
     g = {
         "unit": np.ones(6),
@@ -176,7 +189,27 @@ def test_sample_increments_skips_change_no_bits(gauss, drift, per_row, jumps):
     want = _general_increments(triplet, t, n, substream(12, gauss, drift, per_row, jumps))
     assert got.tobytes() == want.tobytes()
     if gauss == "degenerate" and not drift:
-        assert not np.signbit(got[:, 2:4]).any()  # no jumps move c3, c4
+        assert got[:, 2:4].tobytes() == np.zeros((n, 2)).tobytes()  # no jumps move c3, c4
+
+
+@pytest.mark.parametrize("per_row", [False, True])
+def test_sample_increments_gaussian_variances(per_row):
+    """Each column's Gaussian part has variance t*g: for g in (0.25, 1, 4)
+    the sum of squares over n rows, scaled by t*g, sits inside the 0.999
+    chi-square band with n degrees of freedom; a g = 0 column without
+    drift or jumps is exactly +0.0."""
+    from scipy.stats import chi2
+
+    g = np.array([0.0, 0.25, 1.0, 4.0])
+    triplet = LevyTriplet(make_space(4), np.zeros(4), g)
+    n = 20_000
+    t = np.linspace(0.05, 3.0, n) if per_row else 0.7
+    z = sample_increments(triplet, t, n, substream(13, per_row))
+    assert z[:, 0].tobytes() == np.zeros(n).tobytes()
+    tc = np.asarray(t).reshape(-1, 1) if per_row else t
+    stat = ((z[:, 1:] ** 2) / (tc * g[1:])).sum(axis=0)
+    lo, hi = chi2.ppf([0.0005, 0.9995], n)
+    assert np.all((lo < stat) & (stat < hi)), stat
 
 
 def test_increment_time_validation():

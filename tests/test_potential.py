@@ -575,6 +575,37 @@ def test_bridge_hit_probability_exact_within_blocks(setup, monkeypatch, block):
     assert McEstimate.from_samples(hit.astype(float)).verdict(exact) == "pass"
 
 
+class _CountingRng:
+    """A generator that counts the uniforms drawn through `random`."""
+
+    def __init__(self, rng):
+        self._rng, self.uniforms = rng, 0
+
+    def random(self, size=None):
+        self.uniforms += 1 if size is None else int(np.prod(size))
+        return self._rng.random(size)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def test_bridge_draws_no_uniform_it_cannot_resolve(setup):
+    """A step whose crossing probability is below 2^-53 draws no uniform:
+    paths started at the middle of the slab -5 < c1 < 5 stay more than
+    0.43 from both faces over the horizon, where exp(-2 d0 d1 / dt) < 2^-53.
+    Started 0.05 from a face, the same slab draws uniforms."""
+    model, triplet = setup
+    cfg = PathConfig(dt=0.01, horizon=0.5)
+    slab = slab_complement(model, 1, -5.0, 5.0)
+    for c1, drawn in ((0.0, False), (4.95, True)):
+        start = np.zeros(8)
+        start[0] = c1
+        rng = _CountingRng(substream(33, c1))
+        hit, _, _ = simulate_hit_batch(triplet, start, slab, cfg, 500, rng)
+        assert (rng.uniforms > 0) == drawn, (c1, rng.uniforms)
+        assert hit.any() == drawn
+
+
 def test_refine_sees_the_entering_step(setup, monkeypatch):
     """refine(z_in, z_out) gets the two grid points around the entry, also
     deep inside a block: c8 barely moves the E-norm, so its change between
