@@ -164,11 +164,15 @@ def sample_exits(
     cfg: PathConfig,
     rng: np.random.Generator,
 ):
-    """Exit simulation; returns (exited mask, times, locations).
+    """Exit simulation; returns (exited mask, times, locations), with the
+    start as the location of a path that has not exited by the horizon.
 
-    Continuous paths report the point where the crossing step's segment
-    meets the boundary; jump paths report the landing point, which may lie
-    outside the closure.
+    Continuous paths exit on the boundary.  A slab exit, when the law moves
+    the slab's coordinate without drift, is sampled exactly with no time
+    grid (`potential._face_passage`), and lands on the face value; E-balls,
+    boxes and drifted slabs report the point where the crossing step's
+    segment meets the boundary.  Jump paths report the landing point, which
+    may lie outside the closure.
     """
     refine = _exact_exit(domain) if triplet.is_continuous else None
     return simulate_hit_batch(

@@ -4,21 +4,30 @@ Every path estimator runs on one stepping engine.  Paths are stepped on a
 fixed time grid; each increment is drawn exactly from the increment law at
 the step size, so there is no Euler error, only the discrete monitoring of
 the target.  For continuous triplets and coordinate-aligned target faces a
-Brownian-bridge crossing draw removes most of the monitoring bias; the
-residual is folded into test tolerances.  Every triplet steps only the
-coordinates its targets read (`TargetSet.coords`) and the support of its
-jump measure; the others carry no jumps, so they are a diagonal Brownian
-motion with drift, independent of every stopping time, and are drawn
-exactly at each stopping time.  Each engine iteration advances the live
-paths by a block of grid steps, sized so that steps x paths x stepped
+Brownian-bridge crossing draw catches the face crossings between grid
+points; such a hit counts at the end of its step.  Every triplet steps only
+the coordinates its targets read (`TargetSet.coords`) and the support of
+its jump measure; the others carry no jumps, so they are a diagonal
+Brownian motion with drift, independent of every stopping time, and are
+drawn exactly at each stopping time.  Each engine iteration advances the
+live paths by a block of grid steps, sized so that steps x paths x stepped
 coordinates stay near `_BLOCK` elements; a path stops inside its block at
 its entry step, which is exact because the draws after that step are
 independent of everything kept.
+
+A single-target hit whose faces all lie on the one coordinate the target
+reads, for a continuous triplet that moves that coordinate as a drift-free
+Brownian motion, skips the grid altogether: its first passage is sampled
+exactly (`_face_passage`), so it carries no monitoring error and its hit
+times are off the grid.  Boxes keep the engine, since their other box
+coordinates would have to be drawn conditioned on staying inside, and so
+do drifted coordinates.
 
 Hitting uses the D-convention: membership is checked at time 0, so a start
 inside an open target hits immediately.
 """
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -33,7 +42,10 @@ from .space import SpaceModel
 class PathConfig:
     dt: float = 0.01
     horizon: float = 50.0
-    bridge: bool = True  # bridge-crossing draw on coordinate faces
+    # exact monitoring of coordinate faces: the bridge crossing draw in the
+    # engine, or exact first passage (see the module docstring); False
+    # monitors on the grid only
+    bridge: bool = True
 
     def __post_init__(self):
         if self.dt <= 0 or self.horizon <= 0 or self.dt > self.horizon:
@@ -46,11 +58,14 @@ class TargetSet:
 
     A face (j, v, side) certifies that the target contains the halfspace
     side*(c_j - v) >= 0 locally, enabling the bridge crossing draw on
-    coordinate j.  `coords` lists the 0-based coordinates the membership
-    reads; None means all of them.  The engine steps these, and for a jump
-    triplet the jump support too; a membership with declared coords may be
-    handed only the columns up to the largest stepped coordinate, with
-    zeros in the unstepped ones.
+    coordinate j.  When every face lies on one coordinate j and the target
+    reads c_j alone (coords == (j,)), the faces describe the whole target:
+    it is the union of their halfspaces, and its first passage is sampled
+    exactly (`_face_passage`).  `coords` lists the 0-based coordinates the
+    membership reads; None means all of them.  The engine steps these, and
+    for a jump triplet the jump support too; a membership with declared
+    coords may be handed only the columns up to the largest stepped
+    coordinate, with zeros in the unstepped ones.
     """
 
     name: str
@@ -254,8 +269,8 @@ def _step_paths(
     crossing step's end point onto v;
     `observe(t, idx, z, times)` sees the block grid times t (B,) and points
     z (B, len(idx), N') of the stepped paths idx.  Returns entry times (inf
-    when missed), entry points (the start when missed; none without
-    locate) and each path's last position.
+    when missed) and entry points (the start when missed; none without
+    locate).
 
     Each iteration advances the live paths by a block of B grid steps, the
     largest B (at least 1) with B * paths * stepped coordinates <= _BLOCK, so
@@ -278,18 +293,10 @@ def _step_paths(
     The stepped coordinates are `coords` plus the jump measure's support
     (`JumpMeasure.support`); membership sees zeros in the other columns up
     to the largest stepped one.  The rest carry no jumps and a diagonal
-    Gaussian part, so they are independent of every stopping time: each
-    path draws them at its entry times and last step time, in time order,
-    into the entry points and its own copy of the start, in chunks of
-    consecutive paths of about _BLOCK elements.
+    Gaussian part, so they are independent of every stopping time and are
+    drawn at the entry times (`_draw_rest`).
     """
-    start = np.asarray(start, dtype=float)
-    if start.ndim == 2:
-        if start.shape[0] != n_paths:
-            raise ValueError("per-path starts must supply one row per path")
-        z0 = start.copy()
-    else:
-        z0 = np.tile(start, (n_paths, 1))
+    z0 = _starts(start, n_paths)
     dim = z0.shape[1]
     if coords is None:
         coords = range(dim)
@@ -384,29 +391,45 @@ def _step_paths(
             observe(t, ids, z, times)
         if not entering or going.all():
             y[...] = path[nb - 1]
-        else:  # a stopped path keeps its last entry point; the rest move on
-            stop = np.flatnonzero(~going)
-            z0[ids[stop, None], cols] = path[first[:, stop].max(axis=0), stop]
+        else:  # the stopped paths leave the live set; the rest move on
             ids, pending = ids[going], pending[:, going]
             y = np.compress(going, path[nb - 1], axis=0, out=y[: ids.size])
         done += nb
         del path, z  # free this block before the next one is drawn
-    z0[ids[:, None], cols] = y  # the paths still live at the horizon
-    if full:
-        return times, locs, z0
-    # z0 becomes the last positions: its stepped columns are final, and the
-    # rest advance in place from the starts, one stopping time after the
-    # other, drawn in chunks of consecutive rows (the same draws as one call)
-    rest = np.delete(np.arange(dim), cols)  # setdiff1d would import numpy.ma, about 1 MB
+    if locate and not full:
+        _draw_rest(triplet, cols, z0, times, locs, rng)
+    return times, locs
+
+
+def _starts(start, n_paths: int) -> np.ndarray:
+    """A private (n_paths, N) copy of a shared start or of per-path starts."""
+    start = np.asarray(start, dtype=float)
+    if start.ndim == 2:
+        if start.shape[0] != n_paths:
+            raise ValueError("per-path starts must supply one row per path")
+        return start.copy()
+    return np.tile(start, (n_paths, 1))
+
+
+def _draw_rest(triplet, cols, z0, times, locs, rng):
+    """Draw the coordinates outside `cols` into the entry points `locs`
+    (targets, paths, N) at the finite entry `times` (targets, paths).
+
+    Those coordinates carry no jumps and a diagonal Gaussian part, so they
+    are independent of every stopping time.  Each path advances them in
+    place in its start row of `z0`, one entry time after the other in time
+    order, drawn in chunks of consecutive paths of about _BLOCK elements
+    (the same draws as one call); a path that entered at time 0 draws
+    no increment for it, and a missed target keeps the start."""
+    rest = np.delete(np.arange(z0.shape[1]), cols)  # setdiff1d would import numpy.ma, about 1 MB
+    if not rest.size:
+        return
     rest_law = _restrict(triplet, rest)
-    n_loc = locs.shape[0]
-    stopped = np.isfinite(times).all(axis=0) & (not to_horizon)
-    stops = np.vstack([times[:n_loc], np.where(stopped, times.max(axis=0), n_steps * cfg.dt)])
     chunk = max(1, _BLOCK // rest.size)
-    paths = np.arange(n_paths)
-    t_prev = np.zeros(n_paths)
-    for kth in np.argsort(stops, axis=0, kind="stable"):
-        tk = stops[kth, paths]
+    paths = np.arange(z0.shape[0])
+    t_prev = np.zeros(paths.size)
+    for kth in np.argsort(times, axis=0, kind="stable"):
+        tk = times[kth, paths]
         seen = np.flatnonzero(np.isfinite(tk))
         moving = seen[tk[seen] > t_prev[seen]]
         for lo in range(0, moving.size, chunk):
@@ -414,11 +437,127 @@ def _step_paths(
             dt = tk[rows] - t_prev[rows]
             z0[np.ix_(rows, rest)] += sample_increments(rest_law, dt, rows.size, rng)
         t_prev[moving] = tk[moving]
-        entries = seen[kth[seen] < n_loc]  # the last row of stops is z0 itself
-        for lo in range(0, entries.size, chunk):
-            rows = entries[lo : lo + chunk]
+        for lo in range(0, seen.size, chunk):
+            rows = seen[lo : lo + chunk]
             locs[kth[rows, None], rows[:, None], rest] = z0[np.ix_(rows, rest)]
-    return times, locs, z0
+
+
+def _unit_exit_times(n: int, rng: np.random.Generator) -> np.ndarray:
+    """n draws of J*, the exit time of a standard Brownian motion from
+    (-1, 1) started at 0, whose Laplace transform is 1/cosh(sqrt(2s)).
+
+    Devroye's (2009) series-rejection sampler with split point t = 0.64.
+    The density of J* is the alternating series sum_n (-1)^n a_n(x), where
+    with c = pi (n + 1/2)
+
+        a_n(x) = c exp(-c^2 x / 2)                        for x > t,
+        a_n(x) = c (2 / (pi x))^(3/2) exp(-2 (n + 1/2)^2 / x)  for x <= t,
+
+    and the a_n(x) decrease in n.  A proposal is drawn from the density
+    proportional to a_0: an exponential right of t, and left of t a Levy
+    law 1/Z^2 cut to [0, t] (Marsaglia's tail method for |Z| >= 1/sqrt(t)).
+    It is accepted when a uniform under a_0(x) falls below the series,
+    which the partial sums settle after a few terms."""
+    t, k = 0.64, np.pi**2 / 8
+
+    def term(i, x):  # a_i(x)
+        c = np.pi * (i + 0.5)
+        right = c * np.exp(-c * c * x / 2)
+        left = c * (2 / (np.pi * x)) ** 1.5 * np.exp(-2 * (i + 0.5) ** 2 / x)
+        return np.where(x > t, right, left)
+
+    right_mass = 4 / np.pi * np.exp(-k * t)  # the integrals of a_0 over (t, inf)
+    left_mass = 2 * math.erfc(1 / math.sqrt(2 * t))  # and over (0, t]
+    out = np.empty(n)
+    todo = np.arange(n)
+    while todo.size:
+        m = todo.size
+        right = rng.random(m) < right_mass / (right_mass + left_mass)
+        x = np.empty(m)
+        x[right] = t + rng.standard_exponential(np.count_nonzero(right)) / k
+        left = np.flatnonzero(~right)
+        while left.size:
+            e = rng.standard_exponential((2, left.size))
+            ok = e[0] * e[0] * t <= 2 * e[1]
+            x[left[ok]] = t / (1 + e[0, ok] * t) ** 2
+            left = left[~ok]
+        s = term(0, x)
+        y = rng.random(m) * s
+        accept = np.zeros(m, dtype=bool)
+        open_ = np.arange(m)  # proposals the partial sums have not settled
+        i = 0
+        while open_.size:
+            i += 1
+            if i % 2:  # an odd partial sum bounds the density below: y under it accepts
+                s[open_] -= term(i, x[open_])
+                below = y[open_] <= s[open_]
+                accept[open_[below]] = True
+                open_ = open_[~below]
+            else:  # an even one bounds it above: y over it rejects
+                s[open_] += term(i, x[open_])
+                open_ = open_[y[open_] <= s[open_]]
+        out[todo[accept]] = x[accept]
+        todo = todo[~accept]
+    return out
+
+
+def _face_passage(
+    triplet: LevyTriplet,
+    start: np.ndarray,
+    target: TargetSet,
+    cfg: PathConfig,
+    n_paths: int,
+    rng: np.random.Generator,
+):
+    """Exact first passage into a target that is the union of the face
+    halfspaces on one coordinate j, moved by a drift-free Brownian motion of
+    variance rate g = gaussian_diag[j] > 0.  Returns (times, locations) like
+    a one-target engine run: time inf and the start for a miss.
+
+    A start inside the target hits at time 0 and draws nothing.  From a
+    start at distance d of a lone face, T = d^2 / (g Z^2), the Levy law.
+    Between two faces a < c_j < b, the walk on intervals (Muller's walk on
+    spheres in 1-d): from x, with r the distance to the nearer face, the
+    path leaves (x - r, x + r) after r^2 / g * J* (`_unit_exit_times`), at
+    x - r or x + r with probability 1/2 each, independently of that time;
+    a move onto the nearer face lands exactly on it and stops the path,
+    which also stops once its time passes the horizon.  A path hits when
+    T <= cfg.horizon; its c_j is then the face value and the other
+    coordinates are drawn at T (`_draw_rest`).  The live paths draw in
+    path order, so the rows that start inside change no other row's draws.
+    """
+    z0 = _starts(start, n_paths)
+    j = target.faces[0][0]
+    g = triplet.gaussian_diag[j]
+    lo = max((v for _, v, side in target.faces if side < 0), default=-np.inf)
+    hi = min((v for _, v, side in target.faces if side > 0), default=np.inf)
+    times = np.where(target(z0), 0.0, np.inf)
+    live = np.flatnonzero(np.isinf(times))
+    x = z0[live, j]
+    if np.isinf(lo) or np.isinf(hi):  # one face: the Levy law
+        face = np.full(live.size, lo if np.isfinite(lo) else hi)
+        with np.errstate(divide="ignore"):  # Z = 0 never hits
+            t = (x - face) ** 2 / (g * rng.standard_normal(live.size) ** 2)
+    else:  # two faces: the walk on intervals, until every path stops
+        t = np.zeros(live.size)
+        walking = np.arange(live.size)
+        while walking.size:
+            xw = x[walking]
+            near = np.where(xw - lo <= hi - xw, lo, hi)
+            t[walking] += (xw - near) ** 2 / g * _unit_exit_times(walking.size, rng)
+            keep = t[walking] <= cfg.horizon
+            walking, xw, near = walking[keep], xw[keep], near[keep]
+            onto = rng.random(walking.size) < 0.5
+            x[walking] = np.where(onto, near, 2 * xw - near)  # or r beyond x, away from it
+            # a move away from the nearer face can round onto the other one
+            walking = walking[~onto & (lo < x[walking]) & (x[walking] < hi)]
+        face = np.clip(x, lo, hi)
+    hit = t <= cfg.horizon
+    times[live[hit]] = t[hit]
+    locs = z0[None].copy()
+    locs[0, live[hit], j] = face[hit]
+    _draw_rest(triplet, [j], z0, times[None], locs, rng)
+    return times, locs[0]
 
 
 def simulate_hit_batch(
@@ -432,19 +571,34 @@ def simulate_hit_batch(
 ):
     """Step n_paths trajectories from `start` until they enter the target or
     the horizon runs out.  Returns (hit mask, times, locations); non-hit
-    rows carry time=inf and the final position.  A 2-d start gives each
-    path its own origin (one row per path).  `refine(z_in, z_out)` moves
-    the entering step's end point; like the membership, it may read only
-    the target's coords."""
-    use_bridge = cfg.bridge and triplet.is_continuous and bool(target.faces)
-    times, locs, last = _step_paths(
-        triplet, start, lambda z: target(z)[None], target.coords, cfg, n_paths, rng,
-        refine=refine, faces=target.faces if use_bridge else (),
-    )
-    hit = np.isfinite(times[0])
-    loc = locs[0]
-    loc[~hit] = last[~hit]
-    return hit, times[0], loc
+    rows carry time=inf and the start as their location.  A 2-d start gives
+    each path its own origin (one row per path).  `refine(z_in, z_out)`
+    moves the entering step's end point; like the membership, it may read
+    only the target's coords.
+
+    With cfg.bridge, a continuous triplet and a target whose faces all lie
+    on the one coordinate j it reads, moved without drift (b_j = 0, g_j >
+    0), the first passage is sampled exactly (`_face_passage`) and no grid
+    is stepped; c_j of a hit is then the face value, the point any exact
+    `refine` would cut to, so `refine` is not called."""
+    j = target.faces[0][0] if target.faces else None
+    if (
+        cfg.bridge
+        and triplet.is_continuous
+        and target.coords == (j,)
+        and all(f[0] == j for f in target.faces)
+        and triplet.drift[j] == 0
+        and triplet.gaussian_diag[j] > 0
+    ):
+        times, loc = _face_passage(triplet, start, target, cfg, n_paths, rng)
+    else:
+        use_bridge = cfg.bridge and triplet.is_continuous and bool(target.faces)
+        times, locs = _step_paths(
+            triplet, start, lambda z: target(z)[None], target.coords, cfg, n_paths, rng,
+            refine=refine, faces=target.faces if use_bridge else (),
+        )
+        times, loc = times[0], locs[0]
+    return np.isfinite(times), times, loc
 
 
 def simulate_to_hit(
@@ -474,7 +628,7 @@ def multi_target_hit(
     orderings: if one target contains another, it is hit no later, path by
     path.  No bridge correction (membership on the grid only), so all
     targets are monitored identically."""
-    times, locs, _ = _step_paths(
+    times, locs = _step_paths(
         triplet, start, lambda z: np.array([t(z) for t in targets]), _support(targets),
         cfg, n_paths, rng,
     )
@@ -527,7 +681,7 @@ def level_crossing_times(
     from .lyapunov import q_x_eval
 
     levels = np.asarray(levels, dtype=float)
-    times, _, _ = _step_paths(
+    times, _ = _step_paths(
         triplet, start, lambda z: q_x_eval(norm, z) > levels[:, None], None, cfg,
         n_paths, rng, locate=False,
     )
@@ -563,7 +717,7 @@ def discounted_occupancy(
             A[fi, idx] += (w * inF).sum(axis=0)
             B[fi, idx] += (w * (inF & after)).sum(axis=0)
 
-    times, locs, _ = _step_paths(
+    times, locs = _step_paths(
         triplet, start, lambda z: M(z)[None], _support([M, *F_targets]), cfg, n_paths, rng,
         observe=observe, to_horizon=True,
     )

@@ -1,5 +1,6 @@
 """Hitting simulation, reduced functions, capacity, balayage, domination."""
 
+import math
 import tracemalloc
 from dataclasses import replace
 from statistics import NormalDist
@@ -493,6 +494,16 @@ def test_occupancy_counts_every_grid_time_once(setup):
         assert np.all(B[0] <= A[0] + 1e-12)
 
 
+def _engine_hits(triplet, start, target, cfg, n, rng):
+    """simulate_hit_batch on the stepping engine, with the bridge crossing
+    draw on the target's faces: the grid path that a halfspace or slab
+    target would skip through exact face passage."""
+    times, locs = potential._step_paths(
+        triplet, start, lambda z: target(z)[None], target.coords, cfg, n, rng, faces=target.faces
+    )
+    return np.isfinite(times[0]), times[0], locs[0]
+
+
 def test_hit_times_on_the_grid_within_horizon(setup, monkeypatch):
     model, triplet = setup
     cfg = PathConfig(dt=0.03, horizon=2.0)  # 67 steps, the last past the horizon
@@ -506,7 +517,7 @@ def test_hit_times_on_the_grid_within_horizon(setup, monkeypatch):
         return draw(law, dt, n, rng)
 
     monkeypatch.setattr(potential, "sample_increments", counted)
-    hit, T, _ = simulate_hit_batch(
+    hit, T, _ = _engine_hits(
         triplet, np.zeros(8), coord_halfspace(model, 1, 0.8, +1), cfg, 300, substream(26)
     )
     assert 0.2 < hit.mean() < 1.0
@@ -515,7 +526,7 @@ def test_hit_times_on_the_grid_within_horizon(setup, monkeypatch):
     # a target no path reaches: every path draws exactly n_steps increments
     rows.clear()
     far = coord_halfspace(model, 1, 100.0, +1)
-    simulate_hit_batch(triplet, np.zeros(8), far, cfg, 20, substream(27))
+    _engine_hits(triplet, np.zeros(8), far, cfg, 20, substream(27))
     assert sum(rows) == 20 * n_steps
 
 
@@ -530,7 +541,7 @@ def test_block_steps_agree_with_single_steps(setup, monkeypatch):
     far = coord_halfspace(model, 2, -1.0, -1)
 
     def slab_case(rng):
-        hit, T, loc = simulate_hit_batch(
+        hit, T, loc = _engine_hits(
             triplet, np.zeros(8), slab, PathConfig(dt=0.01, horizon=40.0), 1500, rng
         )
         return [loc[:, 0], np.exp(-T)]
@@ -568,7 +579,7 @@ def test_bridge_hit_probability_exact_within_blocks(setup, monkeypatch, block):
     if block is not None:
         monkeypatch.setattr(potential, "_BLOCK", block)
     level, cfg = 1.0, PathConfig(dt=0.125, horizon=2.0)
-    hit, _, _ = simulate_hit_batch(
+    hit, _, _ = _engine_hits(
         triplet, np.zeros(8), coord_halfspace(model, 1, level, +1), cfg, 4000, substream(31)
     )
     exact = 2.0 * (1.0 - NormalDist().cdf(level / np.sqrt(cfg.horizon)))
@@ -601,7 +612,7 @@ def test_bridge_draws_no_uniform_it_cannot_resolve(setup):
         start = np.zeros(8)
         start[0] = c1
         rng = _CountingRng(substream(33, c1))
-        hit, _, _ = simulate_hit_batch(triplet, start, slab, cfg, 500, rng)
+        hit, _, _ = _engine_hits(triplet, start, slab, cfg, 500, rng)
         assert (rng.uniforms > 0) == drawn, (c1, rng.uniforms)
         assert hit.any() == drawn
 
@@ -753,7 +764,7 @@ def test_rows_started_inside_draw_nothing(setup):
     cases = {
         "e_ball": (ball.exit_target, lambda z, m, r: sample_exits(
             triplet, ball, z, m, PathConfig(dt=0.01, horizon=3.0), r)[1:]),
-        "slab": (slab, lambda z, m, r: simulate_hit_batch(
+        "slab": (slab, lambda z, m, r: _engine_hits(
             triplet, z, slab, PathConfig(dt=0.01, horizon=2.0), m, r)[1:]),
         "two_targets": (None, lambda z, m, r: multi_target_hit(
             triplet, z, [near, far], PathConfig(dt=0.02, horizon=4.0), m, r)),
@@ -792,3 +803,181 @@ def test_full_width_exit_memory():
     assert 0.5 < hit.mean() < 1.0  # exits inside blocks and paths live at the horizon
     assert peak <= 5.25 * 1000 * 32 * 8
 
+
+
+# -- exact first passage through coordinate faces ------------------------------
+
+
+def _scaled_law(model, g, drift=None):
+    """Brownian law with variance rate g[k] in coordinate k (g may be a
+    scalar) and the given drift (zero by default)."""
+    g = np.broadcast_to(np.asarray(g, dtype=float), (model.dim,)).copy()
+    return LevyTriplet(model, np.zeros(model.dim) if drift is None else drift, g)
+
+
+def test_unit_exit_time_law():
+    """J*: mean 1, variance 2/3 and E exp(-sJ) = 1/cosh(sqrt(2s))."""
+    J = potential._unit_exit_times(100_000, substream(50))
+    assert McEstimate.from_samples(J).verdict(1.0) == "pass"
+    assert McEstimate.from_samples((J - 1.0) ** 2).verdict(2.0 / 3.0) == "pass"
+    for s in (1.0, 3.0):
+        exact = 1.0 / np.cosh(np.sqrt(2.0 * s))
+        assert McEstimate.from_samples(np.exp(-s * J)).verdict(exact) == "pass", s
+
+
+def test_unit_exit_time_series_rejects_at_its_rate():
+    """The proposal has density a_0 / Z, with Z the integral of a_0, and
+    the series check accepts it with probability 1/Z.  So a draw rejects a
+    geometric number of proposals, of mean Z - 1 (about 7e-4) and variance
+    Z (Z - 1); each proposal takes two uniforms.  Accepting every proposal
+    passes the law checks above, which cannot see a 7e-4 share of the mass
+    moved, but it fails here."""
+    n, t = 400_000, 0.64
+    rng = _CountingRng(substream(59))
+    potential._unit_exit_times(n, rng)
+    Z = 4.0 / np.pi * np.exp(-np.pi**2 * t / 8.0) + 2.0 * math.erfc(1.0 / math.sqrt(2.0 * t))
+    rejected = McEstimate((rng.uniforms / 2 - n) / n, float(np.sqrt(Z * (Z - 1.0) / n)), n)
+    assert rejected.verdict(Z - 1.0) == "pass"
+
+
+@pytest.mark.parametrize("g", [0.25, 1.0, 4.0])
+def test_halfspace_passage_reflection_law(g):
+    """P(T <= t) = 2(1 - Phi(d / sqrt(g t))) for a face at distance d = 1,
+    above and below the start, with no grid at all."""
+    model = make_space(4)
+    law = _scaled_law(model, g)
+    cfg = PathConfig(dt=0.5, horizon=100.0)  # dt is never used
+    for side in (+1, -1):
+        target = coord_halfspace(model, 1, side * 1.0, side)
+        hit, T, loc = simulate_hit_batch(law, np.zeros(4), target, cfg, 20_000, substream(51, g, side))
+        assert np.all(loc[hit, 0] == side * 1.0)
+        for t in (0.5, 2.0, 8.0):
+            exact = 2.0 * (1.0 - NormalDist().cdf(1.0 / np.sqrt(g * t)))
+            est = McEstimate.from_samples((T <= t).astype(float))
+            assert est.verdict(exact) == "pass", (side, t)
+
+
+def test_halfspace_non_exit_mass_short_horizon():
+    """Over a short horizon H, the missed share is P(T > H) = 2 Phi(d /
+    sqrt(g H)) - 1; a miss carries time inf and the start as its location."""
+    model = make_space(4)
+    g, H = 2.0, 0.3
+    start = np.array([0.0, 0.7, -0.2, 0.1])
+    hit, T, loc = simulate_hit_batch(
+        _scaled_law(model, g), start, coord_halfspace(model, 1, 0.5, +1),
+        PathConfig(dt=0.01, horizon=H), 20_000, substream(52),
+    )
+    exact = 2.0 * NormalDist().cdf(0.5 / np.sqrt(g * H)) - 1.0
+    assert McEstimate.from_samples((~hit).astype(float)).verdict(exact) == "pass"
+    assert np.all(T[hit] <= H) and np.all(T[~hit] == np.inf)
+    assert np.all(loc[~hit] == start)
+
+
+def test_slab_passage_exit_side_time_and_laplace():
+    """The slab (-1, 2) from c1 = 0 at variance rate 1/2: exit right with
+    probability (x - a)/(b - a) (gambler's ruin), E T = (x - a)(b - x)/g,
+    and E exp(-sT) = cosh((x - m) k) / cosh(h k) with k = sqrt(2s/g), m the
+    midpoint and h the half-width.  Every path exits exactly on a face."""
+    model = make_space(4)
+    a, b, x, g = -1.0, 2.0, 0.0, 0.5
+    start = np.zeros(4)
+    start[0] = x
+    hit, T, loc = simulate_hit_batch(
+        _scaled_law(model, g), start, slab_complement(model, 1, a, b),
+        PathConfig(dt=0.01, horizon=1e6), 20_000, substream(53),
+    )
+    assert hit.all() and np.all((loc[:, 0] == a) | (loc[:, 0] == b))
+    right = McEstimate.from_samples((loc[:, 0] == b).astype(float))
+    assert right.verdict((x - a) / (b - a)) == "pass"
+    assert McEstimate.from_samples(T).verdict((x - a) * (b - x) / g) == "pass"
+    m, h = (a + b) / 2, (b - a) / 2
+    for s in (0.5, 2.0):
+        k = np.sqrt(2.0 * s / g)
+        exact = np.cosh((x - m) * k) / np.cosh(h * k)
+        assert McEstimate.from_samples(np.exp(-s * T)).verdict(exact) == "pass", s
+
+
+def test_face_passage_rest_coordinates_wald():
+    """The coordinates off the face are drawn at the exit time: with
+    variance rates g_k, E[c_k^2] = g_k E[T] (Wald), here for a slab exit
+    with E T = (x - a)(b - x)/g_1."""
+    model = make_space(4)
+    g = np.array([1.5, 0.25, 2.0, 0.0])
+    a, b, x = -1.0, 1.0, 0.25
+    start = np.zeros(4)
+    start[0] = x
+    hit, T, loc = simulate_hit_batch(
+        _scaled_law(model, g), start, slab_complement(model, 1, a, b),
+        PathConfig(dt=0.01, horizon=1e6), 20_000, substream(54),
+    )
+    assert hit.all()
+    mean_T = (x - a) * (b - x) / g[0]
+    for k in (1, 2):
+        assert McEstimate.from_samples(loc[:, k] ** 2).verdict(g[k] * mean_T) == "pass", k
+        assert McEstimate.from_samples(loc[:, k] ** 2 - g[k] * T).verdict(0.0) == "pass", k
+    assert np.all(loc[:, 3] == 0.0)  # no variance, no drift: it never moves
+
+
+@pytest.mark.parametrize("kind", ["halfspace", "slab"])
+def test_face_passage_starts_inside_draw_nothing(setup, kind):
+    """A start on or beyond a face hits at time 0 where it is and draws
+    nothing: a batch of such starts leaves the generator untouched, and
+    inserting them among per-path starts leaves every other row's time and
+    location bit-identical."""
+    model, triplet = setup
+    if kind == "halfspace":
+        target, on_or_beyond = coord_halfspace(model, 1, 1.0, +1), (1.0, 3.0, 1.2)
+    else:
+        target, on_or_beyond = slab_complement(model, 1, -1.0, 1.0), (-1.0, 1.0, -2.5, 4.0)
+    cfg = PathConfig(dt=0.01, horizon=0.5)
+    inside = np.zeros((len(on_or_beyond), 8))
+    inside[:, 0] = on_or_beyond
+    inside[:, 1] = 0.3
+    rng = substream(55, kind)
+    hit, T, loc = simulate_hit_batch(triplet, inside, target, cfg, inside.shape[0], rng)
+    assert hit.all() and np.all(T == 0.0) and np.array_equal(loc, inside)
+    assert rng.random() == substream(55, kind).random()  # the stream is where it started
+    base = 0.1 * substream(56).standard_normal((300, 8))
+    starts = np.insert(base, [0, 100, 300], inside[:3], axis=0)
+    others = np.ones(starts.shape[0], dtype=bool)
+    others[[0, 101, 302]] = False
+    _, t0, loc0 = simulate_hit_batch(triplet, base, target, cfg, 300, substream(57, kind))
+    _, t1, loc1 = simulate_hit_batch(triplet, starts, target, cfg, starts.shape[0], substream(57, kind))
+    assert np.isfinite(t0).any() and not np.isfinite(t0).all()  # hits and misses
+    assert np.all(t1[~others] == 0.0)
+    assert t1[others].tobytes() == t0.tobytes()
+    assert loc1[others].tobytes() == loc0.tobytes()
+
+
+def test_face_passage_takes_only_its_targets(setup, monkeypatch):
+    """Exact passage needs the bridge setting, a continuous law, faces on
+    the one coordinate the target reads, and no drift but a positive
+    variance rate there; every other case steps the engine."""
+    model, triplet = setup
+    calls = []
+    exact = potential._face_passage
+
+    def recorded(*args):
+        calls.append(True)
+        return exact(*args)
+
+    monkeypatch.setattr(potential, "_face_passage", recorded)
+    half = coord_halfspace(model, 1, 1.0, +1)
+    drift1, drift2, flat1 = np.zeros(8), np.zeros(8), np.ones(8)
+    drift1[0], drift2[1], flat1[0] = 0.5, 0.5, 0.0
+    cfg = PathConfig(dt=0.05, horizon=1.0)
+    cases = [
+        (triplet, half, cfg, True),
+        (triplet, slab_complement(model, 2, -1.0, 1.0), cfg, True),
+        (_scaled_law(model, 1.0, drift2), half, cfg, True),
+        (triplet, half, replace(cfg, bridge=False), False),
+        (triplet, replace(half, coords=None), cfg, False),
+        (triplet, potential.box_complement(model, [-1.0, -1.0], [1.0, 1.0]), cfg, False),
+        (_scaled_law(model, 1.0, drift1), half, cfg, False),
+        (_scaled_law(model, flat1), half, cfg, False),
+        (_jump_law(model), half, cfg, False),
+    ]
+    for i, (law, target, c, takes) in enumerate(cases):
+        calls.clear()
+        simulate_hit_batch(law, np.zeros(8), target, c, 20, substream(58, i))
+        assert bool(calls) == takes, i
