@@ -11,9 +11,16 @@ its jump measure; the others carry no jumps, so they are a diagonal
 Brownian motion with drift, independent of every stopping time, and are
 drawn exactly at each stopping time.  Each engine iteration advances the
 live paths by a block of grid steps, sized so that steps x paths x stepped
-coordinates stay near `_BLOCK` elements; a path stops inside its block at
-its entry step, which is exact because the draws after that step are
-independent of everything kept.
+coordinates stay within `_BLOCK` = 32768 elements (or one step, when that
+is larger); a path stops inside its block at its entry step, which is
+exact because the draws after that step are independent of everything
+kept.  A block is summed along its step axis by contiguous adds of each
+step onto the next when one step holds at least 64 times as many elements
+as the block has steps, else by `np.cumsum`; both give the same bytes
+(`_prefix_sum`).  The budget is capped by the peak memory of a full-width
+exit: with 1000 paths x 32 coordinates, a block larger than one step
+(32000 elements) raises the peak that `test_full_width_exit_memory`
+bounds at 5.25 steps (40960 measured 5.72).
 
 A single-target hit whose faces all lie on the one coordinate the target
 reads, for a continuous triplet that moves that coordinate as a drift-free
@@ -48,6 +55,9 @@ class PathConfig:
     bridge: bool = True
 
     def __post_init__(self):
+        # NaN fails every comparison, so finiteness is checked first
+        if not (math.isfinite(self.dt) and math.isfinite(self.horizon)):
+            raise ValueError("dt and horizon must be finite")
         if self.dt <= 0 or self.horizon <= 0 or self.dt > self.horizon:
             raise ValueError("need 0 < dt <= horizon")
 
@@ -239,8 +249,22 @@ def _restrict(triplet: LevyTriplet, cols: np.ndarray) -> LevyTriplet:
 
 
 # Elements (grid steps x live paths x stepped coordinates) one engine
-# iteration draws at most, unless a single step is already larger.
-_BLOCK = 4096
+# iteration draws at most, unless a single step is already larger.  Chosen
+# by a sweep of the path benchmark (BENCH_engine_blocks.json); larger
+# budgets raise a full-width exit's peak memory (see the module docstring).
+_BLOCK = 32768
+
+
+def _prefix_sum(path: np.ndarray):
+    """Sum a block of increments (steps, paths, coords) along the step axis,
+    in place.  Both branches add step s - 1 to step s in step order, so they
+    give the same bytes."""
+    nb = path.shape[0]
+    if nb * 64 <= path[0].size:  # wide steps: contiguous adds beat cumsum's strided walk
+        for s in range(1, nb):
+            np.add(path[s], path[s - 1], out=path[s])
+    elif nb > 1:
+        np.cumsum(path, axis=0, out=path)
 
 
 def _step_paths(
@@ -275,11 +299,14 @@ def _step_paths(
     Each iteration advances the live paths by a block of B grid steps, the
     largest B (at least 1) with B * paths * stepped coordinates <= _BLOCK, so
     blocks grow as the live set shrinks.  One draw of B * paths increments,
-    summed along the step axis, gives the block's grid points; a path stops
-    at the step where it entered its last target.  Stopping inside a block
-    is exact: that step's decision reads only the increments up to it, the
-    discarded draws after it are independent of everything kept, and the
-    bridge events of the steps are independent given the grid points.
+    summed along the step axis (`_prefix_sum`) and added to the positions,
+    gives the block's grid points; a path stops at the step where it
+    entered its last target.  Stopping inside a block is exact: that step's
+    decision reads only the increments up to it, the discarded draws after
+    it are independent of everything kept, and the bridge events of the
+    steps are independent given the grid points.  The bridge pass gathers
+    only the (step, row) pairs before each row's first grid entry, in
+    step-major order, so the steps a row discards cost it nothing there.
 
     The live paths are held compacted, in their original order: their ids,
     stepped positions and still-awaited targets are dense arrays, shrunk
@@ -339,8 +366,7 @@ def _step_paths(
             path = np.empty((nb, r, 0))
         else:
             path = sample_increments(law, cfg.dt, nb * r, rng).reshape(nb, r, k)
-            if nb > 1:
-                np.cumsum(path, axis=0, out=path)
+            _prefix_sum(path)
         path += y
         z = widen(path)
         inside = member(z.reshape(nb * r, width)).reshape(n_t, nb, r) & pending[:, None]
@@ -349,21 +375,22 @@ def _step_paths(
         else:
             entered, first = inside.any(axis=1), inside.argmax(axis=1)
         if faces:
-            # crossings inside the steps before a row's first grid entry
-            prev = np.concatenate([y[None], path[:-1]])
-            d0 = fside * (fv - prev[..., fj])
-            d1 = fside * (fv - path[..., fj])
+            # crossings inside the steps before a row's first grid entry: only
+            # those (step, row) pairs are gathered, in step-major order, so
+            # the pairs of step 0, which start at y, come first
+            before = (np.arange(nb)[:, None] < np.where(entered[0], first[0], nb)) & pending[0]
+            d0 = fside * (fv - np.concatenate([y[before[0]], path[:-1][before[1:]]])[:, fj])
+            d1 = fside * (fv - path[before][:, fj])
             a = d0 * d1 * fk  # the crossing probability is exp(-a)
-            before = np.arange(nb)[:, None] < np.where(entered[0], first[0], nb)
-            cand = (before & pending[0])[..., None] & (d0 > 0) & (d1 > 0) & (fg > 0)
-            cand &= a < 53 * np.log(2.0)  # a 53-bit uniform cannot resolve exp(-a) < 2^-53
-            crossed = np.zeros_like(cand)
-            crossed[cand] = rng.random(np.count_nonzero(cand)) < np.exp(-a[cand])
-            s, rows, fi = np.nonzero(crossed)
-            if s.size:
-                # nonzero lists (step, row, face) in order: keep each row's first
-                keep = np.unique(rows, return_index=True)[1]
-                s, rows, fi = s[keep], rows[keep], fi[keep]
+            # a 53-bit uniform cannot resolve exp(-a) < 2^-53
+            cand = np.flatnonzero((d0 > 0) & (d1 > 0) & (fg > 0) & (a < 53 * np.log(2.0)))
+            crossed = cand[rng.random(cand.size) < np.exp(-a.ravel()[cand])]
+            if crossed.size:
+                # crossed lists (step, row, face) in order: keep each row's first
+                s, rows = np.nonzero(before)
+                pair, fi = np.divmod(crossed, fj.size)
+                keep = np.unique(rows[pair], return_index=True)[1]
+                s, rows, fi = s[pair[keep]], rows[pair[keep]], fi[keep]
                 path[s, rows, fj[fi]] = fv[fi]
                 entered[0, rows] = True
                 first[0, rows] = s

@@ -66,6 +66,17 @@ def test_path_config_validation():
         PathConfig(dt=2.0, horizon=1.0)
 
 
+@pytest.mark.parametrize(
+    "dt, horizon",
+    [(math.nan, 1.0), (0.01, math.nan), (0.01, math.inf), (math.inf, math.inf), (-math.inf, 1.0)],
+)
+def test_path_config_rejects_non_finite(dt, horizon):
+    """NaN passes every `<=` check silently (a NaN horizon would report
+    every path as missed), and an infinite horizon has no step count."""
+    with pytest.raises(ValueError, match="finite"):
+        PathConfig(dt=dt, horizon=horizon)
+
+
 def test_point_cloud_validation():
     with pytest.raises(ValueError):
         PointCloud(np.zeros((2, 4)), np.array([1.0]))
@@ -568,6 +579,82 @@ def test_block_steps_agree_with_single_steps(setup, monkeypatch):
             ea, eb = McEstimate.from_samples(a), McEstimate.from_samples(b)
             diff = McEstimate(ea.mean - eb.mean, float(np.hypot(ea.stderr, eb.stderr)), a.size)
             assert diff.verdict(0.0) == "pass", case.__name__
+
+
+def _sum_by_adds(path):
+    for s in range(1, path.shape[0]):
+        np.add(path[s], path[s - 1], out=path[s])
+
+
+@pytest.mark.parametrize("wide", [True, False])
+def test_prefix_sum_branches_give_identical_bytes(monkeypatch, wide):
+    """Contiguous adds and np.cumsum sum a block to the same bytes: for one
+    substream, the hit times and locations are bit-identical whichever of
+    them sums every block.  At a budget of 32768 elements, a full-width
+    E-ball over 400 paths starts with a wide block of 2 steps, which the
+    engine sums by adds, and a one-coordinate halfspace over 50 paths
+    starts with a deep block of 655 steps, which it sums by cumsum."""
+    model = make_space(32)
+    triplet = brownian_triplet(model)
+    if wide:
+        target, n, first = e_ball_complement(model, np.zeros(32), 1.0), 400, (2, 400, 32)
+    else:
+        target, n, first = coord_halfspace(model, 1, 1.0, +1), 50, (655, 50, 1)
+    monkeypatch.setattr(potential, "_BLOCK", 32768)
+    shapes = []
+    engine_sum = potential._prefix_sum
+
+    def recorded(path):
+        shapes.append(path.shape)
+        engine_sum(path)
+
+    def run(prefix_sum):
+        monkeypatch.setattr(potential, "_prefix_sum", prefix_sum)
+        times, locs = potential._step_paths(
+            triplet, np.zeros(32), lambda z: target(z)[None], target.coords,
+            PathConfig(dt=0.01, horizon=10.0), n, substream(44, wide),
+        )
+        assert np.isfinite(times).any()
+        return times.tobytes(), locs.tobytes()
+
+    by_engine = run(recorded)
+    assert shapes[0] == first
+    assert run(_sum_by_adds) == by_engine
+    assert run(lambda path: np.cumsum(path, axis=0, out=path)) == by_engine
+
+
+@pytest.mark.parametrize("full_width", [False, True])
+def test_blocks_stay_within_the_budget(monkeypatch, full_width):
+    """Every grid-step draw holds B steps x live paths x stepped coordinates
+    and stays within max(_BLOCK, live paths x stepped coordinates), and
+    blocks of several steps fill more than half the budget: for a
+    one-coordinate halfspace, and for a full-width E-ball whose 1200 paths
+    step one at a time at first, each step over the budget."""
+    model = make_space(32)
+    triplet = brownian_triplet(model)
+    if full_width:
+        target, k = e_ball_complement(model, np.zeros(32), 1.0), 32
+    else:
+        target, k = coord_halfspace(model, 1, 1.0, +1), 1
+    sizes, blocks = [], []
+    draw = potential.sample_increments
+
+    def counted(law, dt, n, rng):
+        if np.ndim(dt) == 0:  # grid steps, not the terminal draw of unstepped coords
+            sizes.append(n * law.model.dim)
+        return draw(law, dt, n, rng)
+
+    monkeypatch.setattr(potential, "sample_increments", counted)
+    potential._step_paths(
+        triplet, np.zeros(32), lambda z: target(z)[None], target.coords,
+        PathConfig(dt=0.01, horizon=4.0), 1200, substream(45, full_width),
+        observe=lambda t, idx, z, times: blocks.append((t.size, idx.size)),
+    )
+    assert len(sizes) == len(blocks)
+    for size, (nb, live) in zip(sizes, blocks):
+        assert size == nb * live * k
+        assert size <= max(potential._BLOCK, live * k)
+    assert any(nb > 1 and size > potential._BLOCK // 2 for size, (nb, _) in zip(sizes, blocks))
 
 
 @pytest.mark.parametrize("block", [None, 2**20])
