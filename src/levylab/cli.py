@@ -25,13 +25,21 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _env_seed():
+    raw = os.environ["LEVYLAB_SEED"]
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"LEVYLAB_SEED must be an integer, got {raw!r}") from None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     seed = args.seed
-    if seed is None and "LEVYLAB_SEED" in os.environ:
-        seed = int(os.environ["LEVYLAB_SEED"])
     out = args.out or os.environ.get("LEVYLAB_OUT")
     try:
+        if seed is None and "LEVYLAB_SEED" in os.environ:
+            seed = _env_seed()
         result = run(
             args.config,
             seed=seed,

@@ -171,8 +171,11 @@ def sample_exits(
     the slab's coordinate without drift, is sampled exactly with no time
     grid (`potential._face_passage`), and lands on the face value; E-balls,
     boxes and drifted slabs report the point where the crossing step's
-    segment meets the boundary.  Jump paths report the landing point, which
-    may lie outside the closure.
+    segment meets the boundary.  An E-ball exit of a Brownian law whose
+    far coordinates start at the centre's steps those coordinates as one
+    squared radius and draws them only at the exit step
+    (`potential._radial_passage`), with the same law.  Jump paths report
+    the landing point, which may lie outside the closure.
     """
     refine = _exact_exit(domain) if triplet.is_continuous else None
     return simulate_hit_batch(

@@ -14,6 +14,7 @@ import ctypes
 import fnmatch
 import hashlib
 import json
+import numbers
 import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
@@ -80,6 +81,19 @@ _TOP_KEYS = {"seed", "out_dir", "workers", "experiments"}
 _EXP_KEYS = {"name", "operation", "parameters", "samples", "confidence"}
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)  # JSON true is a bool
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _check_workers(workers):
+    if not (_is_int(workers) and workers >= 1):
+        raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
+
+
 def load_config(path) -> dict:
     try:
         raw = json.loads(Path(path).read_text())
@@ -90,13 +104,25 @@ def load_config(path) -> dict:
     unknown = set(raw) - _TOP_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    if "seed" in raw and not _is_int(raw["seed"]):
+        raise ConfigError("seed must be an integer")
+    if "workers" in raw:
+        _check_workers(raw["workers"])
+    experiments = raw.get("experiments", [])
+    if not (isinstance(experiments, list) and all(isinstance(e, dict) for e in experiments)):
+        raise ConfigError("experiments must be a list of objects")
     names = set()
-    for i, exp in enumerate(raw.get("experiments", [])):
+    for i, exp in enumerate(experiments):
         bad = set(exp) - _EXP_KEYS
         if bad:
             raise ConfigError(f"experiment #{i}: unknown keys {sorted(bad)}")
         if "operation" not in exp:
             raise ConfigError(f"experiment #{i}: missing 'operation'")
+        if not isinstance(exp.get("parameters", {}), dict):
+            raise ConfigError(f"experiment #{i}: parameters must be an object")
+        for key in ("samples", "confidence"):
+            if key in exp and not _is_number(exp[key]):
+                raise ConfigError(f"experiment #{i}: {key} must be a number")
         name = exp.get("name", exp["operation"])
         if name in names:
             # the name keys the experiment's random stream
@@ -187,7 +213,8 @@ def run(
     raw = load_config(config_path)
     base_seed = int(seed if seed is not None else raw.get("seed", 0))
     out = Path(out_dir if out_dir is not None else raw.get("out_dir", "."))
-    workers = int(workers if workers is not None else raw.get("workers", 1))
+    workers = workers if workers is not None else raw.get("workers", 1)
+    _check_workers(workers)
     specs = []
     for exp in raw.get("experiments", []):
         op = exp["operation"]

@@ -15,12 +15,12 @@ coordinates stay within `_BLOCK` = 32768 elements (or one step, when that
 is larger); a path stops inside its block at its entry step, which is
 exact because the draws after that step are independent of everything
 kept.  A block is summed along its step axis by contiguous adds of each
-step onto the next when one step holds at least 64 times as many elements
-as the block has steps, else by `np.cumsum`; both give the same bytes
-(`_prefix_sum`).  The budget is capped by the peak memory of a full-width
-exit: with 1000 paths x 32 coordinates, a block larger than one step
-(32000 elements) raises the peak that `test_full_width_exit_memory`
-bounds at 5.25 steps (40960 measured 5.72).
+step onto the next when one step holds at least 512 elements, else by
+`np.cumsum`; both give the same bytes (`_prefix_sum`).  The budget is
+capped by the peak memory of a full-width exit: with 1000 paths x 32
+coordinates, a block larger than one step (32000 elements) raises the peak
+that `test_full_width_exit_memory` bounds at 5.25 steps (40960 measured
+5.72).
 
 A single-target hit whose faces all lie on the one coordinate the target
 reads, for a continuous triplet that moves that coordinate as a drift-free
@@ -29,6 +29,16 @@ exactly (`_face_passage`), so it carries no monitoring error and its hit
 times are off the grid.  Boxes keep the engine, since their other box
 coordinates would have to be drawn conditioned on staying inside, and so
 do drifted coordinates.
+
+A single-target hit of an E-ball or its complement (a target with a
+declared `EForm`) steps only the head of the E-norm on the grid, the
+coordinates whose weight is at least _HEAD_FRACTION of the first, when the
+law is continuous, the tail has at least two coordinates moved without
+drift at one variance rate, and every start's tail is the centre's.  The
+tail then enters the E-norm only through its squared radius, a squared
+Bessel process stepped exactly; the tail vector is drawn only at the step
+where the weight bounds on it cannot rule out entry (`_radial_passage`).
+Its hits stay on the grid and have the engine's law.
 
 Hitting uses the D-convention: membership is checked at time 0, so a start
 inside an open target hits immediately.
@@ -63,6 +73,25 @@ class PathConfig:
 
 
 @dataclass(frozen=True)
+class EForm:
+    """An E-norm target: the ball ||z - center||_E^2 <= r2 (inside) or its
+    complement ||z - center||_E^2 > r2, with the sphere ||z - center||_E^2 =
+    r2 on the target's side when closed."""
+
+    weights: np.ndarray
+    center: np.ndarray
+    r2: float
+    inside: bool
+    closed: bool
+
+    def holds(self, q):
+        """Membership of points at squared E-distance q from the centre."""
+        if self.inside:
+            return q <= self.r2 if self.closed else q < self.r2
+        return q >= self.r2 if self.closed else q > self.r2
+
+
+@dataclass(frozen=True)
 class TargetSet:
     """Membership predicate plus optional coordinate-aligned faces.
 
@@ -75,13 +104,16 @@ class TargetSet:
     membership reads; None means all of them.  The engine steps these, and
     for a jump triplet the jump support too; a membership with declared
     coords may be handed only the columns up to the largest stepped
-    coordinate, with zeros in the unstepped ones.
+    coordinate, with zeros in the unstepped ones.  `e_form` declares a
+    membership that is an E-ball or its complement, which lets a hit step
+    the E-norm's tail as one radius (`_radial_passage`).
     """
 
     name: str
     membership: Callable[[np.ndarray], np.ndarray]
     faces: tuple = ()
     coords: tuple | None = None
+    e_form: EForm | None = None
 
     def __post_init__(self):
         if self.coords is not None and any(j not in self.coords for j, _, _ in self.faces):
@@ -136,12 +168,14 @@ def _from_center(center):
     return (lambda z: z - c) if c.any() else (lambda z: z)
 
 
-def e_ball(model: SpaceModel, center: np.ndarray, radius: float) -> TargetSet:
+def _e_target(name, model: SpaceModel, center, radius, inside, closed) -> TargetSet:
     offset = _from_center(center)
-    return TargetSet(
-        f"e_ball(r={radius})",
-        lambda z: model.e_norm2(offset(z)) <= radius * radius,
-    )
+    form = EForm(model.weights, np.asarray(center, dtype=float), radius * radius, inside, closed)
+    return TargetSet(name, lambda z: form.holds(model.e_norm2(offset(z))), e_form=form)
+
+
+def e_ball(model: SpaceModel, center: np.ndarray, radius: float) -> TargetSet:
+    return _e_target(f"e_ball(r={radius})", model, center, radius, True, True)
 
 
 def e_ball_complement(
@@ -149,12 +183,8 @@ def e_ball_complement(
 ) -> TargetSet:
     """||z - center||_E > radius, or >= radius when closed (the exit set of
     the open ball)."""
-    offset = _from_center(center)
-    beyond = np.greater_equal if closed else np.greater
-    return TargetSet(
-        f"e_ball_complement(r={radius}{', closed' if closed else ''})",
-        lambda z: beyond(model.e_norm2(offset(z)), radius * radius),
-    )
+    name = f"e_ball_complement(r={radius}{', closed' if closed else ''})"
+    return _e_target(name, model, center, radius, False, closed)
 
 
 def coord_halfspace(model: SpaceModel, coord: int, level: float, side: int) -> TargetSet:
@@ -260,7 +290,9 @@ def _prefix_sum(path: np.ndarray):
     in place.  Both branches add step s - 1 to step s in step order, so they
     give the same bytes."""
     nb = path.shape[0]
-    if nb * 64 <= path[0].size:  # wide steps: contiguous adds beat cumsum's strided walk
+    # an add costs about 2 us a step, cumsum about 4.5 ns an element: they
+    # break even near 500 elements a step (BENCH_radial_tail.json)
+    if path[0].size >= 512:
         for s in range(1, nb):
             np.add(path[s], path[s - 1], out=path[s])
     elif nb > 1:
@@ -280,6 +312,7 @@ def _step_paths(
     observe=None,
     to_horizon: bool = False,
     locate: bool = True,
+    n_steps: int | None = None,
 ):
     """The stepping engine behind every path estimator.
 
@@ -292,7 +325,8 @@ def _step_paths(
     draw wherever its probability is at least 2^-53, which snaps c_j of a
     crossing step's end point onto v;
     `observe(t, idx, z, times)` sees the block grid times t (B,) and points
-    z (B, len(idx), N') of the stepped paths idx.  Returns entry times (inf
+    z (B, len(idx), N') of the stepped paths idx.  Paths take `n_steps`
+    grid steps, by default ceil(horizon / dt).  Returns entry times (inf
     when missed) and entry points (the start when missed; none without
     locate).
 
@@ -357,7 +391,8 @@ def _step_paths(
     ids = np.arange(n_paths) if to_horizon else np.flatnonzero(np.isinf(times).any(axis=0))
     pending = np.isinf(times[:, ids])
     y = z0[np.ix_(ids, cols)]
-    n_steps = int(np.ceil(cfg.horizon / cfg.dt))
+    if n_steps is None:
+        n_steps = int(np.ceil(cfg.horizon / cfg.dt))
     done = 0
     while done < n_steps and ids.size:
         r = ids.size
@@ -587,6 +622,192 @@ def _face_passage(
     return times, locs[0]
 
 
+# Coordinates whose E-weight is at least this fraction of the first are the
+# radial mode's head: with weights 4^-n, 7 of them.  Smaller heads ran faster
+# in the head sweep (BENCH_radial_tail.json); 7 is the least that leaves an
+# 8-coordinate model one tail coordinate, too few, so its E-balls keep the engine.
+_HEAD_FRACTION = 4.0**-6
+
+# Below this many live paths the radius chain's Python loop over the steps
+# costs more than the tail's normals (BENCH_radial_tail.json).
+_RADIAL_MIN_PATHS = 4
+
+
+def _radial_head(triplet: LevyTriplet, target: TargetSet, start) -> int:
+    """The head size m of the radial mode (`_radial_passage`) for a hit of
+    `target` from `start`, or 0 when it does not apply.  It needs a
+    continuous law, a declared E-form, at least two tail coordinates (those
+    whose weight is below _HEAD_FRACTION of the first), moved without drift
+    at one variance rate g > 0, and every start's tail at the centre's."""
+    form = target.e_form
+    if form is None or not triplet.is_continuous:
+        return 0
+    w = form.weights
+    m = int(np.count_nonzero(w >= _HEAD_FRACTION * w[0]))
+    g = triplet.gaussian_diag[m:]
+    if w.size - m < 2 or g[0] <= 0 or (g != g[0]).any() or triplet.drift[m:].any():
+        return 0
+    if (np.asarray(start, dtype=float)[..., m:] != form.center[m:]).any():
+        return 0
+    return m
+
+
+def _uniform_directions(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    u = rng.standard_normal((n, d))
+    return u / np.linalg.norm(u, axis=1, keepdims=True)
+
+
+def _von_mises_fisher(mu: np.ndarray, kappa: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One unit vector around each unit row of mu (n, d), d >= 2, with
+    density proportional to exp(kappa <mu, x>) on the sphere.
+
+    Wood's (1994) sampler: the cosine w = <mu, x> by rejection from
+    proposals w = 1 - 2bZ/t, t = 1 - (1 - b) Z, Z ~ Beta((d-1)/2, (d-1)/2),
+    b = (d - 1) / (2 kappa + sqrt(4 kappa^2 + (d - 1)^2)), then a uniform
+    direction orthogonal to mu.  The acceptance ratio and sqrt(1 - w^2) are
+    written in b, Z and t, which do not cancel when kappa is large; kappa =
+    0 accepts every proposal, the uniform law."""
+    n, d = mu.shape
+    b = (d - 1) / (2 * kappa + np.sqrt(4 * kappa * kappa + (d - 1) ** 2))
+    w, sin = np.empty(n), np.empty(n)
+    todo = np.arange(n)
+    while todo.size:
+        bt, z = b[todo], rng.beta((d - 1) / 2, (d - 1) / 2, todo.size)
+        t = 1 - (1 - bt) * z
+        # log of exp(kappa w) (1 - x0 w)^(d-1) over its value at w = x0 = (1 - b) / (1 + b)
+        log_ratio = kappa[todo] * (2 * bt / (1 + bt) - 2 * bt * z / t) + (d - 1) * np.log(
+            (1 + bt) / (2 * t)
+        )
+        ok = np.log1p(-rng.random(todo.size)) <= log_ratio
+        w[todo[ok]] = 1 - 2 * bt[ok] * z[ok] / t[ok]
+        sin[todo[ok]] = 2 * np.sqrt(bt[ok] * z[ok] * (1 - z[ok])) / t[ok]
+        todo = todo[~ok]
+    v = rng.standard_normal((n, d))
+    v -= (v * mu).sum(axis=1, keepdims=True) * mu
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return w[:, None] * mu + sin[:, None] * v
+
+
+def _tail_radii(radius: np.ndarray, nb: int, var: float, d: int, rng: np.random.Generator):
+    """Radii sqrt(rho) (nb + 1, r) of r Brownian motions in R^d of variance
+    `var` a step, from `radius` (r,) over nb steps: the step's component
+    along the current point is a normal, its squared rest chi^2_{d-1}, so
+    rho_s = (sqrt(rho_{s-1}) + sqrt(var) N)^2 + var chi^2_{d-1}.  The
+    draws of all nb steps come from one call each; the steps chain in a
+    Python loop of one add and one hypot."""
+    rad = np.empty((nb + 1, radius.size))
+    rad[0] = radius
+    along = np.sqrt(var) * rng.standard_normal((nb, radius.size))
+    across = np.sqrt(var * rng.chisquare(d - 1, (nb, radius.size)))
+    for s in range(nb):
+        np.hypot(rad[s] + along[s], across[s], out=rad[s + 1])
+    return rad
+
+
+def _radial_passage(
+    triplet: LevyTriplet,
+    start: np.ndarray,
+    target: TargetSet,
+    cfg: PathConfig,
+    n_paths: int,
+    rng: np.random.Generator,
+    refine,
+    m: int,
+):
+    """A hit of an E-form target that steps the head coordinates c_1..c_m
+    on the grid and the tail c_{m+1}..c_N as one squared radius.  Returns
+    (times, locations) like a one-target engine run.
+
+    The tail minus the centre's is sqrt(g) times a d-dimensional Brownian
+    motion from 0 (d = N - m), so its squared norm rho is a squared Bessel
+    process, stepped exactly (`_tail_radii`).  The weights do not
+    increase, so the tail's share of the E-norm^2 lies between lambda_N rho
+    and lambda_{m+1} rho, and a step whose bound keeps it out of the target
+    is decided without the tail.  At a path's first step s that the bound
+    cannot rule out, the tail is drawn: given the radii its direction is
+    uniform (rotation invariance), so at s - 1 it is sqrt(rho_{s-1}) U, and
+    at s it is sqrt(rho_s) times a von Mises-Fisher draw around U with
+    kappa = sqrt(rho_{s-1} rho_s) / (g dt) (`_von_mises_fisher`), the law
+    of a Gaussian step given its end radius.  The real membership then
+    decides.  A path that entered stops at s, with `refine` applied to its
+    points at s - 1 and s; one that did not leaves the radial mode at s
+    with its realized point.  So do all live paths, their tails drawn
+    uniform, once fewer than _RADIAL_MIN_PATHS remain.  The paths that left
+    finish on the engine (`_step_paths`) in one call from their points,
+    for as many steps as the longest of their remaining counts; an entry
+    past a path's own count is a miss.  The head's increments come from
+    `sample_increments`.
+    """
+    form = target.e_form
+    z0 = _starts(start, n_paths)
+    d = z0.shape[1] - m
+    w_head, c_tail = form.weights[:m], form.center[m:]
+    offset = _from_center(form.center[:m])
+    # the bound on the tail's E-norm^2 nearest to entering: the largest for
+    # a complement, the least for a ball
+    w_near = form.weights[-1] if form.inside else form.weights[m]
+    var = triplet.gaussian_diag[m] * cfg.dt
+    head = _restrict(triplet, np.arange(m))
+    times = np.where(target(z0), 0.0, np.inf)
+    locs = z0  # a private copy: the entry points overwrite it, a miss keeps its start
+    ids = np.flatnonzero(np.isinf(times))
+    y, radius = z0[ids, :m], np.zeros(ids.size)
+    n_steps = int(np.ceil(cfg.horizon / cfg.dt))
+    undecided = []  # per block: path ids, steps, head points at s - 1 and s, radii there
+    done = 0
+    while done < n_steps and ids.size >= _RADIAL_MIN_PATHS:
+        r = ids.size
+        nb = min(n_steps - done, max(1, _BLOCK // (r * (m + 2))))
+        path = sample_increments(head, cfg.dt, nb * r, rng).reshape(nb, r, m)
+        _prefix_sum(path)
+        path += y
+        rad = _tail_radii(radius, nb, var, d, rng)
+        p = offset(path)
+        maybe = form.holds((p * p) @ w_head + w_near * rad[1:] ** 2)
+        stop = maybe.any(axis=0)
+        if stop.any():
+            rows = np.flatnonzero(stop)
+            s = maybe[:, rows].argmax(axis=0)
+            head_in = np.where((s > 0)[:, None], path[s - 1, rows], y[rows])
+            undecided.append(
+                (ids[rows], done + 1 + s, head_in, path[s, rows], rad[s, rows], rad[s + 1, rows])
+            )
+        ids, y, radius = ids[~stop], path[-1, ~stop], rad[nb, ~stop]
+        done += nb
+        del path, p  # free this block before the next one is drawn
+    # the paths that finish on the engine: ids, points, steps done
+    left = [(np.empty(0, dtype=int), np.empty((0, m + d)), np.empty(0, dtype=int))]
+    if done < n_steps and ids.size:  # too few live paths for the radius chain
+        tail = c_tail + radius[:, None] * _uniform_directions(ids.size, d, rng)
+        left.append((ids, np.hstack([y, tail]), np.full(ids.size, done)))
+    undecided = [np.concatenate(x) for x in zip(*undecided)] or [np.empty(0)]
+    # chunks of rows whose eight or so temporaries of N floats stay within a block
+    chunk = max(1, _BLOCK // (8 * z0.shape[1]))
+    for lo in range(0, undecided[0].size, chunk):
+        ids, steps, head_in, head_out, r_in, r_out = (x[lo : lo + chunk] for x in undecided)
+        u = _uniform_directions(ids.size, d, rng)
+        v = _von_mises_fisher(u, r_in * r_out / var, rng)
+        z_in = np.hstack([head_in, c_tail + r_in[:, None] * u])
+        z_out = np.hstack([head_out, c_tail + r_out[:, None] * v])
+        entered = target(z_out)
+        times[ids[entered]] = steps[entered] * cfg.dt
+        left.append((ids[~entered], z_out[~entered], steps[~entered]))
+        z_in, z_out = z_in[entered], z_out[entered]
+        locs[ids[entered]] = z_out if refine is None else refine(z_in, z_out)
+        del u, v, z_in, z_out  # free this chunk before the next one is drawn
+    ids, z, steps = (np.concatenate(x) for x in zip(*left))
+    if ids.size:
+        t, loc = _step_paths(
+            triplet, z, lambda z: target(z)[None], None, cfg, ids.size, rng,
+            refine=refine, n_steps=n_steps - int(steps.min()),
+        )
+        j = np.rint(t[0] / cfg.dt)  # the grid steps each path took on the engine
+        hit = steps + j <= n_steps
+        times[ids[hit]] = (steps[hit] + j[hit]) * cfg.dt
+        locs[ids[hit]] = loc[0, hit]
+    return times, locs
+
+
 def simulate_hit_batch(
     triplet: LevyTriplet,
     start: np.ndarray,
@@ -607,7 +828,11 @@ def simulate_hit_batch(
     on the one coordinate j it reads, moved without drift (b_j = 0, g_j >
     0), the first passage is sampled exactly (`_face_passage`) and no grid
     is stepped; c_j of a hit is then the face value, the point any exact
-    `refine` would cut to, so `refine` is not called."""
+    `refine` would cut to, so `refine` is not called.  A target with a
+    declared E-form whose tail can be stepped as one radius (`_radial_head`)
+    takes the radial mode (`_radial_passage`): the same law on the same
+    grid, and `refine` still gets full points.  Everything else steps the
+    engine."""
     j = target.faces[0][0] if target.faces else None
     if (
         cfg.bridge
@@ -618,6 +843,8 @@ def simulate_hit_batch(
         and triplet.gaussian_diag[j] > 0
     ):
         times, loc = _face_passage(triplet, start, target, cfg, n_paths, rng)
+    elif m := _radial_head(triplet, target, start):
+        times, loc = _radial_passage(triplet, start, target, cfg, n_paths, rng, refine, m)
     else:
         use_bridge = cfg.bridge and triplet.is_continuous and bool(target.faces)
         times, locs = _step_paths(

@@ -174,6 +174,48 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
 
 
+_TAIL = {"operation": "tail_projection", "samples": 500}
+
+
+@pytest.mark.parametrize(
+    "cfg, args, key",
+    [
+        ({"experiments": [{**_TAIL, "samples": "many"}]}, [], "samples"),
+        ({"experiments": [{**_TAIL, "confidence": "high"}]}, [], "confidence"),
+        ({"experiments": [{**_TAIL, "parameters": [1, 2]}]}, [], "parameters"),
+        ({"experiments": {"a": 1, "e": 2, "i": 3}}, [], "experiments"),
+        ({"experiments": [1, 2]}, [], "experiments"),
+        ({"seed": "3", "experiments": [_TAIL]}, [], "seed"),
+        ({"seed": 2.5, "experiments": [_TAIL]}, [], "seed"),
+        ({"workers": "two", "experiments": [_TAIL]}, [], "workers"),
+        ({"workers": 0, "experiments": [_TAIL]}, [], "workers"),
+        ({"workers": True, "experiments": [_TAIL]}, [], "workers"),
+        ({"experiments": [_TAIL]}, ["--workers", "0"], "workers"),
+    ],
+    ids=[
+        "samples_str", "confidence_str", "parameters_list", "experiments_object",
+        "experiments_not_objects", "seed_str", "seed_float", "workers_str", "workers_zero",
+        "workers_bool", "cli_workers_zero",
+    ],
+)
+def test_cli_malformed_config_values_exit_2(tmp_path, capsys, cfg, args, key):
+    """A config value of the wrong type, or fewer than one worker, is a
+    config error (exit 2) that names the key, not a traceback or an error
+    row."""
+    p = _write(tmp_path, cfg)
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "o"), *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and key in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_malformed_env_seed_exit_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("LEVYLAB_SEED", "abc")
+    p = _write(tmp_path, {"experiments": [_TAIL]})
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert "LEVYLAB_SEED" in capsys.readouterr().err
+
+
 def test_cli_clean_run(tmp_path, capsys):
     p = _write(tmp_path, {"experiments": [{"operation": "tail_projection", "samples": 500}]})
     code = main(["run", "--config", str(p), "--out", str(tmp_path / "o")])

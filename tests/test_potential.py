@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from levylab import potential
-from levylab.dirichlet import e_ball_domain, sample_exits
+from levylab.dirichlet import _exact_exit, e_ball_domain, sample_exits
 from levylab.lyapunov import gaussian_norm
 from levylab.measures import (
     JumpMeasure,
@@ -586,18 +586,24 @@ def _sum_by_adds(path):
         np.add(path[s], path[s - 1], out=path[s])
 
 
-@pytest.mark.parametrize("wide", [True, False])
-def test_prefix_sum_branches_give_identical_bytes(monkeypatch, wide):
+@pytest.mark.parametrize("shape", ["wide", "mid", "narrow"])
+def test_prefix_sum_branches_give_identical_bytes(monkeypatch, shape):
     """Contiguous adds and np.cumsum sum a block to the same bytes: for one
     substream, the hit times and locations are bit-identical whichever of
     them sums every block.  At a budget of 32768 elements, a full-width
-    E-ball over 400 paths starts with a wide block of 2 steps, which the
+    E-ball over 400 paths starts with a wide block of 2 steps and a 2-d box
+    over 300 paths with a block of 54 steps x 600 elements, which the
     engine sums by adds, and a one-coordinate halfspace over 50 paths
     starts with a deep block of 655 steps, which it sums by cumsum."""
     model = make_space(32)
     triplet = brownian_triplet(model)
-    if wide:
+    start = np.zeros(32)
+    if shape == "wide":
         target, n, first = e_ball_complement(model, np.zeros(32), 1.0), 400, (2, 400, 32)
+    elif shape == "mid":
+        box = potential.box_complement(model, [-1.0, -1.0], [1.0, 1.0])
+        target, n, first = box, 300, (54, 300, 2)
+        start[:2] = (0.3, -0.2)
     else:
         target, n, first = coord_halfspace(model, 1, 1.0, +1), 50, (655, 50, 1)
     monkeypatch.setattr(potential, "_BLOCK", 32768)
@@ -611,8 +617,8 @@ def test_prefix_sum_branches_give_identical_bytes(monkeypatch, wide):
     def run(prefix_sum):
         monkeypatch.setattr(potential, "_prefix_sum", prefix_sum)
         times, locs = potential._step_paths(
-            triplet, np.zeros(32), lambda z: target(z)[None], target.coords,
-            PathConfig(dt=0.01, horizon=10.0), n, substream(44, wide),
+            triplet, start, lambda z: target(z)[None], target.coords,
+            PathConfig(dt=0.01, horizon=10.0), n, substream(44, shape != "narrow"),
         )
         assert np.isfinite(times).any()
         return times.tobytes(), locs.tobytes()
@@ -870,23 +876,35 @@ def test_rows_started_inside_draw_nothing(setup):
         assert np.isfinite(t0).any() and not np.isfinite(t0).all(), name  # hits and misses
 
 
-def test_full_width_exit_memory():
+@pytest.mark.parametrize("radial", [True, False])
+def test_full_width_exit_memory(monkeypatch, radial):
     """A full-width E-ball exit (1000 paths x 32 coordinates, cut at the
-    boundary) peaks under tracemalloc at 5.16 blocks of 1000 x 32 floats:
-    the starts, the entry points, the live positions, the drawn block and
-    the membership's squares (a centred ball subtracts nothing).  Before
-    the live set was compacted it peaked at 6.16.  Holding one more copy of
-    the positions or of a block through the membership call adds a whole
-    block."""
+    boundary) peaks under tracemalloc within 5.25 blocks of 1000 x 32
+    floats.  From the centre it takes the radial mode (3.87 measured).  A
+    start with a nonzero tail coordinate refuses that mode, and the engine
+    peaks at 5.18: the starts, the entry points, the live positions, the
+    drawn block and the membership's squares (a centred ball subtracts
+    nothing).  Before the live set was compacted it peaked at 6.16.
+    Holding one more copy of the positions or of a block through the
+    membership call adds a whole block."""
     model = make_space(32)
     ball = e_ball_domain(model, np.zeros(32), 1.0)
+    start = np.zeros(32)
+    if not radial:
+        start[31] = 0.5  # moves the E-norm by 4^-32 / 4
+    taken = []
+    radial_passage = potential._radial_passage
+    monkeypatch.setattr(
+        potential, "_radial_passage", lambda *a: taken.append(1) or radial_passage(*a)
+    )
     cfg = PathConfig(dt=0.01, horizon=4.0)
     tracemalloc.start()
     try:
-        hit, _, _ = sample_exits(brownian_triplet(model), ball, np.zeros(32), 1000, cfg, substream(43))
+        hit, _, _ = sample_exits(brownian_triplet(model), ball, start, 1000, cfg, substream(43))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert bool(taken) == radial
     assert 0.5 < hit.mean() < 1.0  # exits inside blocks and paths live at the horizon
     assert peak <= 5.25 * 1000 * 32 * 8
 
@@ -1068,3 +1086,176 @@ def test_face_passage_takes_only_its_targets(setup, monkeypatch):
         calls.clear()
         simulate_hit_batch(law, np.zeros(8), target, c, 20, substream(58, i))
         assert bool(calls) == takes, i
+
+
+# -- the E-norm tail as one squared-Bessel radius -------------------------------
+
+
+@pytest.mark.parametrize("kappa", [0.5, 5.0, 500.0])
+@pytest.mark.parametrize("d", [2, 3, 24])
+def test_von_mises_fisher_cosine_mean(kappa, d):
+    """The sampler's cosine <mu, x> has the von Mises-Fisher mean, the
+    ratio of int cos(t) e^{kappa cos t} sin^{d-2} t dt to the same integral
+    without cos(t) over (0, pi), and every draw is a unit vector (to the
+    rounding of projecting a normal draw nearly parallel to mu off mu)."""
+    integrate = pytest.importorskip("scipy.integrate")
+    rng = substream(60, kappa, d)
+    n = 20000
+    mu = rng.standard_normal((n, d))
+    mu /= np.linalg.norm(mu, axis=1, keepdims=True)
+    x = potential._von_mises_fisher(mu, np.full(n, kappa), rng)
+    np.testing.assert_allclose(np.linalg.norm(x, axis=1), 1.0, rtol=1e-9)
+
+    def moment(p):
+        f = lambda t: np.cos(t) ** p * np.exp(kappa * (np.cos(t) - 1)) * np.sin(t) ** (d - 2)
+        return integrate.quad(f, 0, np.pi, points=[min(np.pi / 2, 10 / np.sqrt(kappa))])[0]
+
+    cosine = McEstimate.from_samples((x * mu).sum(axis=1))
+    assert cosine.verdict(moment(1) / moment(0)) == "pass"
+
+
+def _radial_cases():
+    """A 32-d model, its Brownian law and a centred closed exit target."""
+    model = make_space(32)
+    return model, brownian_triplet(model), e_ball_complement(model, np.zeros(32), 1.0, closed=True)
+
+
+def test_radial_mode_takes_only_eligible_inputs():
+    """Every ineligible input runs the engine unchanged: its hit times and
+    locations are byte-identical to a direct `_step_paths` run on the same
+    substream.  Refused are a drifted tail, unequal tail variance rates, a
+    jump law, a start whose tail is off the centre's and an 8-d model,
+    whose head is all of it; the centred 32-d Brownian exit takes the mode
+    with a head of 7."""
+    model, triplet, shell = _radial_cases()
+    assert potential._radial_head(triplet, shell, np.zeros(32)) == 7
+    drifted, unequal, off_centre = np.zeros(32), np.ones(32), np.zeros(32)
+    drifted[20], unequal[31], off_centre[20] = 0.1, 2.0, 0.1
+    small = make_space(8)
+    cases = {
+        "drifted": (LevyTriplet(model, drifted, np.ones(32)), shell, np.zeros(32)),
+        "unequal": (LevyTriplet(model, np.zeros(32), unequal), shell, np.zeros(32)),
+        "jump": (_jump_law(model), shell, np.zeros(32)),
+        "off_centre": (triplet, shell, off_centre),
+        "8-d": (brownian_triplet(small), e_ball_complement(small, np.zeros(8), 1.0), np.zeros(8)),
+    }
+    cfg = PathConfig(dt=0.02, horizon=3.0)
+    for name, (law, target, start) in cases.items():
+        assert potential._radial_head(law, target, start) == 0, name
+        _, t0, loc0 = simulate_hit_batch(law, start, target, cfg, 200, substream(61, name))
+        times, locs = potential._step_paths(
+            law, start, lambda z: target(z)[None], target.coords, cfg, 200, substream(61, name)
+        )
+        assert np.isfinite(t0).any(), name
+        assert t0.tobytes() == times[0].tobytes(), name
+        assert loc0.tobytes() == locs[0].tobytes(), name
+
+
+@pytest.fixture(scope="module")
+def engine_ball_exits():
+    """Exits of the unit E-ball in 32-d from c2 = 0.3 on the full engine,
+    cut at the boundary: the reference law of the radial mode."""
+    model, triplet, _ = _radial_cases()
+    ball = e_ball_domain(model, np.zeros(32), 1.0)
+    start = np.zeros(32)
+    start[1] = 0.3
+    cfg = PathConfig(dt=0.01, horizon=20.0)
+    times, locs = potential._step_paths(
+        triplet, start, lambda z: ball.exit_target(z)[None], None, cfg, 3000, substream(62),
+        refine=_exact_exit(ball),
+    )
+    return model, triplet, ball, start, cfg, times[0], locs[0]
+
+
+@pytest.mark.parametrize("head_fraction", [0.25, None], ids=["head2", "default"])
+def test_radial_exit_law_matches_the_engine(monkeypatch, engine_ball_exits, head_fraction):
+    """`sample_exits` from a 32-d E-ball, stepping the tail as one radius,
+    gives the engine's exit law: P(T <= t) at t = 1, 3 and 6, E[c1] and
+    E[c1^2] at the exit, and the E-norm^2 of the tail c9..c32 there.  A head
+    of 2 coordinates leaves most stops undecided, so many paths realize
+    their tail, fail to enter and finish on the engine; the default head of
+    7 hands off few.  Every exit lies on the sphere, cut by `refine`."""
+    model, triplet, ball, start, cfg, t_ref, loc_ref = engine_ball_exits
+    if head_fraction is not None:
+        monkeypatch.setattr(potential, "_HEAD_FRACTION", head_fraction)
+    handed = []
+    engine = potential._step_paths
+    monkeypatch.setattr(
+        potential, "_step_paths", lambda *a, **k: handed.append(a[5]) or engine(*a, **k)
+    )
+    hit, T, loc = sample_exits(triplet, ball, start, 3000, cfg, substream(63, head_fraction))
+    assert hit.all() and np.isfinite(t_ref).all()
+    np.testing.assert_allclose(model.e_norm2(loc), 1.0, rtol=1e-9)
+    assert sum(handed) > (600 if head_fraction else 0)
+
+    def stats(T, loc):
+        tail = (loc[:, 8:] ** 2) @ model.weights[8:]
+        return [T <= 1.0, T <= 3.0, T <= 6.0, loc[:, 0], loc[:, 0] ** 2, tail]
+
+    for i, (a, b) in enumerate(zip(stats(T, loc), stats(t_ref, loc_ref))):
+        ea, eb = McEstimate.from_samples(a), McEstimate.from_samples(b)
+        diff = McEstimate(ea.mean - eb.mean, float(np.hypot(ea.stderr, eb.stderr)), a.size)
+        assert diff.verdict(0.0) == "pass", i
+
+
+def test_radial_ball_hits_match_the_engine():
+    """A hit of the closed ball around (1.5, 0, ...) of E-radius 0.5 from
+    the origin, which has the centre's tail, takes the radial mode and
+    gives the engine's P(T <= t) at t = 1 and 4 and mean hit point c1."""
+    model, triplet, _ = _radial_cases()
+    centre = np.zeros(32)
+    centre[0] = 1.5
+    ball = e_ball(model, centre, 0.5)
+    assert potential._radial_head(triplet, ball, np.zeros(32)) == 7
+    cfg = PathConfig(dt=0.02, horizon=4.0)
+    hit, T, loc = simulate_hit_batch(triplet, np.zeros(32), ball, cfg, 3000, substream(64))
+    times, locs = potential._step_paths(
+        triplet, np.zeros(32), lambda z: ball(z)[None], None, cfg, 3000, substream(65)
+    )
+    assert np.all(ball(loc[hit]))
+    pairs = ((T <= 1.0, times[0] <= 1.0), (T <= 4.0, times[0] <= 4.0), (loc[:, 0], locs[0, :, 0]))
+    for a, b in pairs:
+        ea, eb = McEstimate.from_samples(a), McEstimate.from_samples(b)
+        diff = McEstimate(ea.mean - eb.mean, float(np.hypot(ea.stderr, eb.stderr)), a.size)
+        assert diff.verdict(0.0) == "pass"
+
+
+@pytest.mark.parametrize("r0", [0.0, 2.0])
+def test_tail_radii_step_a_squared_bessel_process(r0):
+    """After n steps of variance v, the squared radius of a d-dimensional
+    Brownian motion from radius r0 has mean r0^2 + n d v and variance
+    2 n^2 d v^2 + 4 r0^2 n v; at every step the radii stay nonnegative."""
+    d, n, v = 24, 50, 0.01
+    rad = potential._tail_radii(np.full(20000, r0), n, v, d, substream(66, r0))
+    assert rad.shape == (n + 1, 20000) and np.all(rad >= 0)
+    rho = rad[-1] ** 2
+    mean = r0 * r0 + n * d * v
+    assert McEstimate.from_samples(rho).verdict(mean) == "pass"
+    var = 2 * n * n * d * v * v + 4 * r0 * r0 * n * v
+    assert McEstimate.from_samples((rho - mean) ** 2).verdict(var) == "pass"
+
+
+def test_radial_refine_sees_a_gaussian_tail_step():
+    """In the radial mode, `refine(z_in, z_out)` gets the realized points
+    around the entry: the tail's step between them is the N(0, dt) step of
+    each tail coordinate, |dz_tail|^2 / dt averaging 24 over c9..c32, and
+    c8's step is N(0, dt) too.  (The few paths that finish on the engine add
+    engine steps, which have the same law.)"""
+    model, triplet, _ = _radial_cases()
+    ball = e_ball_domain(model, np.zeros(32), 1.0)
+    cfg = PathConfig(dt=0.01, horizon=20.0)
+    seen = []
+    exact = _exact_exit(ball)
+
+    def refine(z_in, z_out):
+        seen.append(z_out - z_in)
+        return exact(z_in, z_out)
+
+    hit, _, _ = simulate_hit_batch(
+        triplet, np.zeros(32), ball.exit_target, cfg, 2000, substream(67), refine
+    )
+    step = np.concatenate(seen)
+    assert hit.all() and step.shape == (2000, 32)
+    tail = McEstimate.from_samples((step[:, 8:] ** 2).sum(axis=1) / cfg.dt)
+    assert tail.verdict(24.0) == "pass"
+    assert McEstimate.from_samples(step[:, 7] ** 2 / cfg.dt).verdict(1.0) == "pass"
