@@ -40,6 +40,11 @@ Bessel process stepped exactly; the tail vector is drawn only at the step
 where the weight bounds on it cannot rule out entry (`_radial_passage`).
 Its hits stay on the grid and have the engine's law.
 
+One planner (`_hit`) picks the mode of a one-target hit: face passage,
+else the radial mode, else the engine.  `simulate_hit_batch` calls it, and
+so does `multi_target_hit` when, past the targets every start lies in and
+the repeats of one target object, a single target is left.
+
 Hitting uses the D-convention: membership is checked at time 0, so a start
 inside an open target hits immediately.
 """
@@ -124,13 +129,6 @@ class TargetSet:
 
 
 @dataclass(frozen=True)
-class HitRecord:
-    hit: bool
-    time: float  # inf when the horizon was reached without a hit
-    location: np.ndarray
-
-
-@dataclass(frozen=True)
 class PointCloud:
     """Finite weighted point measure."""
 
@@ -161,17 +159,21 @@ def whole_space(model: SpaceModel) -> TargetSet:
     return TargetSet("whole", lambda z: np.ones(z.shape[:-1], dtype=bool), coords=())
 
 
-def _from_center(center):
-    """z - center, as a function of z; z itself for a center at the origin,
-    which saves a pass over every stepped point (z - 0.0 is z, bit for bit)."""
-    c = np.asarray(center, dtype=float)
-    return (lambda z: z - c) if c.any() else (lambda z: z)
-
-
 def _e_target(name, model: SpaceModel, center, radius, inside, closed) -> TargetSet:
-    offset = _from_center(center)
-    form = EForm(model.weights, np.asarray(center, dtype=float), radius * radius, inside, closed)
-    return TargetSet(name, lambda z: form.holds(model.e_norm2(offset(z))), e_form=form)
+    c = np.asarray(center, dtype=float)
+    form = EForm(model.weights, c, radius * radius, inside, closed)
+    moved = [(j, c[j]) for j in np.flatnonzero(c)]
+
+    def off_center_norm2(z):
+        # e_norm2(z - c) bit for bit (z_j - 0.0 is z_j) in one temporary: a
+        # broadcast z - c would also allocate numpy's iteration buffer
+        d = z.copy()
+        for j, cj in moved:
+            d[..., j] -= cj
+        return np.multiply(d, d, out=d) @ model.weights
+
+    norm2 = off_center_norm2 if moved else model.e_norm2
+    return TargetSet(name, lambda z: form.holds(norm2(z)), e_form=form)
 
 
 def e_ball(model: SpaceModel, center: np.ndarray, radius: float) -> TargetSet:
@@ -742,7 +744,7 @@ def _radial_passage(
     z0 = _starts(start, n_paths)
     d = z0.shape[1] - m
     w_head, c_tail = form.weights[:m], form.center[m:]
-    offset = _from_center(form.center[:m])
+    c_head = form.center[:m] if form.center[:m].any() else None
     # the bound on the tail's E-norm^2 nearest to entering: the largest for
     # a complement, the least for a ball
     w_near = form.weights[-1] if form.inside else form.weights[m]
@@ -762,7 +764,7 @@ def _radial_passage(
         _prefix_sum(path)
         path += y
         rad = _tail_radii(radius, nb, var, d, rng)
-        p = offset(path)
+        p = path if c_head is None else path - c_head  # z - 0.0 is z, bit for bit
         maybe = form.holds((p * p) @ w_head + w_near * rad[1:] ** 2)
         stop = maybe.any(axis=0)
         if stop.any():
@@ -808,6 +810,48 @@ def _radial_passage(
     return times, locs
 
 
+def _hit(
+    triplet: LevyTriplet,
+    start: np.ndarray,
+    target: TargetSet,
+    cfg: PathConfig,
+    n_paths: int,
+    rng: np.random.Generator,
+    refine=None,
+):
+    """The hit planner: entry times of n_paths paths from `start` into one
+    target (inf for a miss) and entry points (the start for a miss), by the
+    first of these modes that applies:
+    1. exact face passage (`_face_passage`), with cfg.bridge, a continuous
+       triplet and a target whose faces all lie on the one coordinate j it
+       reads, moved without drift (b_j = 0, g_j > 0); c_j of a hit is the
+       face value, the point any exact `refine` would cut to, so `refine`
+       is not called;
+    2. the radial mode (`_radial_passage`), for a declared E-form whose
+       tail can be stepped as one radius (`_radial_head`): the engine's law
+       on its grid, and `refine` gets full points;
+    3. the engine, with the bridge crossing draw on the target's faces when
+       cfg.bridge and the triplet is continuous."""
+    j = target.faces[0][0] if target.faces else None
+    if (
+        cfg.bridge
+        and triplet.is_continuous
+        and target.coords == (j,)
+        and all(f[0] == j for f in target.faces)
+        and triplet.drift[j] == 0
+        and triplet.gaussian_diag[j] > 0
+    ):
+        return _face_passage(triplet, start, target, cfg, n_paths, rng)
+    if m := _radial_head(triplet, target, start):
+        return _radial_passage(triplet, start, target, cfg, n_paths, rng, refine, m)
+    use_bridge = cfg.bridge and triplet.is_continuous and bool(target.faces)
+    times, locs = _step_paths(
+        triplet, start, lambda z: target(z)[None], target.coords, cfg, n_paths, rng,
+        refine=refine, faces=target.faces if use_bridge else (),
+    )
+    return times[0], locs[0]
+
+
 def simulate_hit_batch(
     triplet: LevyTriplet,
     start: np.ndarray,
@@ -822,48 +866,10 @@ def simulate_hit_batch(
     rows carry time=inf and the start as their location.  A 2-d start gives
     each path its own origin (one row per path).  `refine(z_in, z_out)`
     moves the entering step's end point; like the membership, it may read
-    only the target's coords.
-
-    With cfg.bridge, a continuous triplet and a target whose faces all lie
-    on the one coordinate j it reads, moved without drift (b_j = 0, g_j >
-    0), the first passage is sampled exactly (`_face_passage`) and no grid
-    is stepped; c_j of a hit is then the face value, the point any exact
-    `refine` would cut to, so `refine` is not called.  A target with a
-    declared E-form whose tail can be stepped as one radius (`_radial_head`)
-    takes the radial mode (`_radial_passage`): the same law on the same
-    grid, and `refine` still gets full points.  Everything else steps the
-    engine."""
-    j = target.faces[0][0] if target.faces else None
-    if (
-        cfg.bridge
-        and triplet.is_continuous
-        and target.coords == (j,)
-        and all(f[0] == j for f in target.faces)
-        and triplet.drift[j] == 0
-        and triplet.gaussian_diag[j] > 0
-    ):
-        times, loc = _face_passage(triplet, start, target, cfg, n_paths, rng)
-    elif m := _radial_head(triplet, target, start):
-        times, loc = _radial_passage(triplet, start, target, cfg, n_paths, rng, refine, m)
-    else:
-        use_bridge = cfg.bridge and triplet.is_continuous and bool(target.faces)
-        times, locs = _step_paths(
-            triplet, start, lambda z: target(z)[None], target.coords, cfg, n_paths, rng,
-            refine=refine, faces=target.faces if use_bridge else (),
-        )
-        times, loc = times[0], locs[0]
+    only the target's coords.  The planner (`_hit`) picks exact face
+    passage, the radial mode or the engine."""
+    times, loc = _hit(triplet, start, target, cfg, n_paths, rng, refine)
     return np.isfinite(times), times, loc
-
-
-def simulate_to_hit(
-    triplet: LevyTriplet,
-    start: np.ndarray,
-    target: TargetSet,
-    cfg: PathConfig,
-    rng: np.random.Generator,
-) -> HitRecord:
-    hit, time, loc = simulate_hit_batch(triplet, start, target, cfg, 1, rng)
-    return HitRecord(bool(hit[0]), float(time[0]), loc[0])
 
 
 def multi_target_hit(
@@ -880,13 +886,24 @@ def multi_target_hit(
 
     Sharing the trajectory turns set inclusions into per-sample time
     orderings: if one target contains another, it is hit no later, path by
-    path.  No bridge correction (membership on the grid only), so all
-    targets are monitored identically."""
-    times, locs = _step_paths(
-        triplet, start, lambda z: np.array([t(z) for t in targets]), _support(targets),
-        cfg, n_paths, rng,
-    )
-    return times, locs
+    path.  A target that every start lies in is hit at time 0 at the start,
+    and one that is the same object as an earlier one (identity, not
+    equality) copies its hits.  A single other target goes through the
+    planner (`_hit`); with two or more, every target is monitored on the
+    engine's grid alone, with no bridge correction, so all identically."""
+    z0 = _starts(start, n_paths)
+    first = [next(i for i, u in enumerate(targets) if u is t) for t in targets]
+    pending = [i for i, t in enumerate(targets) if first[i] == i and not t(z0).all()]
+    if len(pending) > 1:
+        return _step_paths(
+            triplet, start, lambda z: np.array([t(z) for t in targets]), _support(targets),
+            cfg, n_paths, rng,
+        )
+    times, loc = np.zeros(n_paths), z0
+    if pending:
+        times, loc = _hit(triplet, start, targets[pending[0]], cfg, n_paths, rng)
+    copies = np.isin(first, pending)
+    return np.where(copies[:, None], times, 0.0), np.where(copies[:, None, None], loc, z0)
 
 
 def reduced_function_family(

@@ -43,7 +43,6 @@ from levylab.potential import (
     reduced_function,
     reduced_function_family,
     simulate_hit_batch,
-    simulate_to_hit,
     slab_complement,
     whole_space,
 )
@@ -87,25 +86,25 @@ def test_point_cloud_validation():
 def test_start_inside_target_hits_at_zero(setup):
     model, triplet = setup
     cfg = PathConfig(dt=0.1, horizon=1.0)
-    rec = simulate_to_hit(
-        triplet, np.zeros(8), e_ball(model, np.zeros(8), 1.0), cfg, substream(0)
+    hit, time, _ = simulate_hit_batch(
+        triplet, np.zeros(8), e_ball(model, np.zeros(8), 1.0), cfg, 1, substream(0)
     )
-    assert rec.hit and rec.time == 0.0
+    assert hit[0] and time[0] == 0.0
 
 
 def test_whole_space_immediate(setup):
     model, triplet = setup
     cfg = PathConfig(dt=0.1, horizon=1.0)
-    rec = simulate_to_hit(triplet, np.ones(8), whole_space(model), cfg, substream(1))
-    assert rec.hit and rec.time == 0.0
+    hit, time, _ = simulate_hit_batch(triplet, np.ones(8), whole_space(model), cfg, 1, substream(1))
+    assert hit[0] and time[0] == 0.0
 
 
 def test_no_hit_reports_inf(setup):
     model, triplet = setup
     cfg = PathConfig(dt=0.1, horizon=0.5)
     far = coord_halfspace(model, 1, 100.0, +1)
-    rec = simulate_to_hit(triplet, np.zeros(8), far, cfg, substream(2))
-    assert not rec.hit and rec.time == np.inf
+    hit, time, _ = simulate_hit_batch(triplet, np.zeros(8), far, cfg, 1, substream(2))
+    assert not hit[0] and time[0] == np.inf
 
 
 def test_gamblers_ruin_exit_split(setup):
@@ -463,6 +462,97 @@ def test_multi_target_joint_law(setup):
     # independent draws from the start would give variance T1 + T2 instead
     total = times[0, both] + times[1, both]
     assert McEstimate.from_samples(step2 - total).verdict(0.0) == "fail"
+
+
+# -- the hit planner ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("label", ["half_twice", "shell_whole"])
+def test_multi_target_one_pending_takes_the_single_target_law(label):
+    """On the 32-d model of the reduced-projection experiment, a halfspace
+    passed twice as one object, and the E-shell with a target that every
+    start lies in, leave one target M pending.  multi_target_hit then gives
+    the law of simulate_hit_batch on M (a z-test on independent streams of
+    the hit probability, E[exp(-T)] and E[c1] at the hit), its very bytes
+    on one stream, and the shared-trajectory orderings: the repeat shares
+    its time, and the whole-space target is entered at time 0 at the start."""
+    model = make_space(32)
+    triplet = brownian_triplet(model)
+    half = coord_halfspace(model, 1, 1.0, +1)
+    shell = e_ball_complement(model, np.zeros(32), 1.5)
+    whole = TargetSet("whole_proj", lambda z: np.ones(z.shape[:-1], dtype=bool), coords=())
+    targets = {"half_twice": [half, half], "shell_whole": [shell, whole]}[label]
+    M = targets[0]
+    cfg = PathConfig(dt=0.02, horizon=8.0)
+    start = np.zeros(32)
+    times, locs = multi_target_hit(triplet, start, targets, cfg, 2000, substream(60, label))
+    hit, T, loc = simulate_hit_batch(triplet, start, M, cfg, 2000, substream(61, label))
+    for a, b in (
+        (np.isfinite(times[0]), hit),
+        (np.exp(-times[0]), np.exp(-T)),
+        (np.where(np.isfinite(times[0]), locs[0, :, 0], 0.0), np.where(hit, loc[:, 0], 0.0)),
+    ):
+        ea, eb = McEstimate.from_samples(a.astype(float)), McEstimate.from_samples(b.astype(float))
+        diff = McEstimate(ea.mean - eb.mean, float(np.hypot(ea.stderr, eb.stderr)), a.size)
+        assert diff.verdict(0.0) == "pass", label
+    _, T1, loc1 = simulate_hit_batch(triplet, start, M, cfg, 2000, substream(60, label))
+    assert times[0].tobytes() == T1.tobytes() and locs[0].tobytes() == loc1.tobytes()
+    if targets[1] is M:
+        assert times[1].tobytes() == times[0].tobytes() and np.array_equal(locs[1], locs[0])
+    else:
+        assert np.all(times[1] == 0.0) and np.all(locs[1] == start)
+
+
+def test_equal_but_not_identical_targets_stay_on_the_engine(setup, monkeypatch):
+    """Two halfspaces built alike are equal in every field but are not one
+    object, so neither is resolved as a repeat: the call steps the engine
+    once, for both, and takes no exact passage."""
+    model, triplet = setup
+    a, b = coord_halfspace(model, 1, 1.0, +1), coord_halfspace(model, 1, 1.0, +1)
+    calls = []
+    for name in ("_step_paths", "_face_passage"):
+        fn = getattr(potential, name)
+        monkeypatch.setattr(
+            potential, name, lambda *x, fn=fn, name=name, **k: calls.append(name) or fn(*x, **k)
+        )
+    times, _ = multi_target_hit(
+        triplet, np.zeros(8), [a, b], PathConfig(dt=0.02, horizon=4.0), 300, substream(62)
+    )
+    assert calls == ["_step_paths"]
+    assert np.array_equal(times[0], times[1])  # one grid, one membership law
+
+
+def test_two_pending_targets_keep_the_engine_bytes():
+    """The box of the reduced-projection experiment and its c1 projection
+    are two distinct pending targets: multi_target_hit is the engine run on
+    both, byte for byte."""
+    from levylab.suite import reduced_projection_cases
+
+    model = make_space(32)
+    triplet = brownian_triplet(model)
+    (label, box, box1), = [c for c in reduced_projection_cases(model) if c[0] == "box2d|k=1"]
+    cfg = PathConfig(dt=0.02, horizon=8.0)
+    start = np.zeros(32)
+    times, locs = multi_target_hit(triplet, start, [box, box1], cfg, 400, substream(63))
+    t_ref, l_ref = potential._step_paths(
+        triplet, start, lambda z: np.array([box(z), box1(z)]), (0, 1), cfg, 400, substream(63)
+    )
+    assert times.tobytes() == t_ref.tobytes() and locs.tobytes() == l_ref.tobytes()
+    assert np.isfinite(times).any() and not np.isfinite(times).all()
+
+
+def test_multi_target_all_at_time_zero_draws_nothing(setup):
+    """Targets that every start lies in, one of them repeated, hit at time
+    0 at the start, and the stream is left untouched."""
+    model, triplet = setup
+    whole, wide = whole_space(model), e_ball(model, np.zeros(8), 10.0)
+    starts = 0.1 * substream(64).standard_normal((50, 8))
+    rng = substream(65)
+    times, locs = multi_target_hit(
+        triplet, starts, [whole, wide, whole], PathConfig(dt=0.02, horizon=4.0), 50, rng
+    )
+    assert rng.random(4).tobytes() == substream(65).random(4).tobytes()
+    assert np.all(times == 0.0) and np.array_equal(locs, np.broadcast_to(starts, (3, 50, 8)))
 
 
 def test_fallback_agreement_undeclared_coords(setup):
@@ -876,22 +966,29 @@ def test_rows_started_inside_draw_nothing(setup):
         assert np.isfinite(t0).any() and not np.isfinite(t0).all(), name  # hits and misses
 
 
-@pytest.mark.parametrize("radial", [True, False])
-def test_full_width_exit_memory(monkeypatch, radial):
+@pytest.mark.parametrize(
+    "radial, center_c32", [(True, 0.0), (False, 0.0), (False, 0.5)], ids=["True", "False", "off_centre"]
+)
+def test_full_width_exit_memory(monkeypatch, radial, center_c32):
     """A full-width E-ball exit (1000 paths x 32 coordinates, cut at the
     boundary) peaks under tracemalloc within 5.25 blocks of 1000 x 32
     floats.  From the centre it takes the radial mode (3.87 measured).  A
-    start with a nonzero tail coordinate refuses that mode, and the engine
-    peaks at 5.18: the starts, the entry points, the live positions, the
-    drawn block and the membership's squares (a centred ball subtracts
-    nothing).  Before the live set was compacted it peaked at 6.16.
-    Holding one more copy of the positions or of a block through the
-    membership call adds a whole block."""
+    start whose tail coordinate c32 differs from the centre's by 0.5
+    refuses that mode, and the engine peaks at 5.20: the starts, the entry
+    points, the live positions, the drawn block and the membership's
+    squares.  A centred ball subtracts nothing; an off-centre one squares
+    its difference from the centre in place, so it peaks at 5.19 (6.22
+    when it squared into a second temporary, 5.43 with a broadcast
+    subtraction's iteration buffer).  Before the live set was compacted
+    the engine peaked at 6.16.  Holding one more copy of the positions or
+    of a block through the membership call adds a whole block."""
     model = make_space(32)
-    ball = e_ball_domain(model, np.zeros(32), 1.0)
+    center = np.zeros(32)
+    center[31] = center_c32
+    ball = e_ball_domain(model, center, 1.0)
     start = np.zeros(32)
     if not radial:
-        start[31] = 0.5  # moves the E-norm by 4^-32 / 4
+        start[31] = 0.5 - center_c32  # moves the E-norm by 4^-32 / 4
     taken = []
     radial_passage = potential._radial_passage
     monkeypatch.setattr(
