@@ -19,7 +19,6 @@ from .measures import (
     brownian_triplet,
     poisson_example_space,
     poisson_example_triplet,
-    sample_increment,
     sample_increments,
 )
 from .rng import substream
@@ -52,7 +51,6 @@ __all__ = [
     "poisson_example_space",
     "poisson_example_triplet",
     "project",
-    "sample_increment",
     "sample_increments",
     "substream",
     "__version__",

@@ -167,15 +167,18 @@ def sample_exits(
     """Exit simulation; returns (exited mask, times, locations), with the
     start as the location of a path that has not exited by the horizon.
 
-    Continuous paths exit on the boundary.  A slab exit, when the law moves
-    the slab's coordinate without drift, is sampled exactly with no time
-    grid (`potential._face_passage`), and lands on the face value; E-balls,
-    boxes and drifted slabs report the point where the crossing step's
-    segment meets the boundary.  An E-ball exit of a Brownian law whose
-    far coordinates start at the centre's steps those coordinates as one
+    Continuous paths exit on the boundary.  A slab or box exit, when the
+    law moves each of its coordinates without drift, is sampled exactly with
+    no time grid (`potential._face_passage`): the coordinate that leaves
+    first lands on its face value, and the other box coordinates are drawn
+    at the exit time conditioned on having stayed inside.  E-balls and
+    drifted slabs and boxes report the point where the crossing step's
+    segment meets the boundary.  An E-ball exit of a Brownian law whose far
+    coordinates start at the centre's steps those coordinates as one
     squared radius and draws them only at the exit step
-    (`potential._radial_passage`), with the same law.  Jump paths report
-    the landing point, which may lie outside the closure.
+    (`potential._radial_passage`), with the same law.  Jump paths exit
+    exactly too, between jumps on a face and at a jump on the landing
+    point, which may lie outside the closure; drifted ones are stepped.
     """
     refine = _exact_exit(domain) if triplet.is_continuous else None
     return simulate_hit_batch(

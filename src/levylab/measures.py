@@ -285,13 +285,6 @@ def sample_increments(
     return out
 
 
-def sample_increment(
-    triplet: LevyTriplet, t: float, rng: np.random.Generator
-) -> np.ndarray:
-    """One draw of Z_t; deterministic given the generator state."""
-    return sample_increments(triplet, t, 1, rng)[0]
-
-
 def pairing_second_moment(
     triplet: LevyTriplet,
     xi: np.ndarray,

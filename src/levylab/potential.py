@@ -3,13 +3,11 @@
 Every path estimator runs on one stepping engine.  Paths are stepped on a
 fixed time grid; each increment is drawn exactly from the increment law at
 the step size, so there is no Euler error, only the discrete monitoring of
-the target.  For continuous triplets and coordinate-aligned target faces a
-Brownian-bridge crossing draw catches the face crossings between grid
-points; such a hit counts at the end of its step.  Every triplet steps only
-the coordinates its targets read (`TargetSet.coords`) and the support of
-its jump measure; the others carry no jumps, so they are a diagonal
-Brownian motion with drift, independent of every stopping time, and are
-drawn exactly at each stopping time.  Each engine iteration advances the
+the target at the grid points.  Every triplet steps only the coordinates
+its targets read (`TargetSet.coords`) and the support of its jump
+measure; the others carry no jumps, so they are a diagonal Brownian
+motion with drift, independent of every stopping time, and are drawn
+exactly at each stopping time.  Each engine iteration advances the
 live paths by a block of grid steps, sized so that steps x paths x stepped
 coordinates stay within `_BLOCK` = 32768 elements (or one step, when that
 is larger); a path stops inside its block at its entry step, which is
@@ -22,13 +20,16 @@ coordinates, a block larger than one step (32000 elements) raises the peak
 that `test_full_width_exit_memory` bounds at 5.25 steps (40960 measured
 5.72).
 
-A single-target hit whose faces all lie on the one coordinate the target
-reads, for a continuous triplet that moves that coordinate as a drift-free
-Brownian motion, skips the grid altogether: its first passage is sampled
-exactly (`_face_passage`), so it carries no monitoring error and its hit
-times are off the grid.  Boxes keep the engine, since their other box
-coordinates would have to be drawn conditioned on staying inside, and so
-do drifted coordinates.
+A single-target hit of a target that reads only its face coordinates
+(a halfspace, a slab, a box), when the law moves each of them as a
+drift-free Brownian motion, skips the grid altogether: its first passage
+is sampled exactly (`_face_passage`), so it carries no monitoring error
+and its hit times are off the grid.  Each face coordinate's exit time
+comes from the Levy law or the walk on intervals, the earliest lands on
+its face, and the others are drawn at that time from the killed
+transition (`_killed_positions`).  A finite-activity jump law runs the
+same passage from one jump epoch to the next.  Drifted face coordinates
+keep the engine.
 
 A single-target hit of an E-ball or its complement (a target with a
 declared `EForm`) steps only the head of the E-norm on the grid, the
@@ -40,8 +41,9 @@ Bessel process stepped exactly; the tail vector is drawn only at the step
 where the weight bounds on it cannot rule out entry (`_radial_passage`).
 Its hits stay on the grid and have the engine's law.
 
-One planner (`_hit`) picks the mode of a one-target hit: face passage,
-else the radial mode, else the engine.  `simulate_hit_batch` calls it, and
+One planner (`_hit`) picks the mode of a one-target hit: a target that
+reads no coordinate is decided at time 0, else face passage, else the
+radial mode, else the engine.  `simulate_hit_batch` calls it, and
 so does `multi_target_hit` when, past the targets every start lies in and
 the repeats of one target object, a single target is left.
 
@@ -64,9 +66,9 @@ from .space import SpaceModel
 class PathConfig:
     dt: float = 0.01
     horizon: float = 50.0
-    # exact monitoring of coordinate faces: the bridge crossing draw in the
-    # engine, or exact first passage (see the module docstring); False
-    # monitors on the grid only
+    # exact first passage for targets made of coordinate faces (see the
+    # module docstring); False keeps them on the engine, monitored at the
+    # grid points only
     bridge: bool = True
 
     def __post_init__(self):
@@ -100,18 +102,18 @@ class EForm:
 class TargetSet:
     """Membership predicate plus optional coordinate-aligned faces.
 
-    A face (j, v, side) certifies that the target contains the halfspace
-    side*(c_j - v) >= 0 locally, enabling the bridge crossing draw on
-    coordinate j.  When every face lies on one coordinate j and the target
-    reads c_j alone (coords == (j,)), the faces describe the whole target:
-    it is the union of their halfspaces, and its first passage is sampled
-    exactly (`_face_passage`).  `coords` lists the 0-based coordinates the
-    membership reads; None means all of them.  The engine steps these, and
-    for a jump triplet the jump support too; a membership with declared
-    coords may be handed only the columns up to the largest stepped
-    coordinate, with zeros in the unstepped ones.  `e_form` declares a
-    membership that is an E-ball or its complement, which lets a hit step
-    the E-norm's tail as one radius (`_radial_passage`).
+    A face (j, v, side) declares the halfspace side*(c_j - v) >= 0 as part
+    of the target.  A target that reads only face coordinates (coords is
+    the set of its faces' coordinates) is the union of its face halfspaces,
+    the complement of a box of intervals, and its first passage is sampled
+    exactly (`_face_passage`); the engine reads no faces.  `coords` lists
+    the 0-based coordinates the membership reads; None means all of them.
+    The engine steps these, and for a jump triplet the jump support too; a
+    membership with declared coords may be handed only the columns up to
+    the largest stepped coordinate, with zeros in the unstepped ones.
+    `e_form` declares a membership that is an E-ball or its complement,
+    which lets a hit step the E-norm's tail as one radius
+    (`_radial_passage`).
     """
 
     name: str
@@ -310,7 +312,6 @@ def _step_paths(
     n_paths: int,
     rng: np.random.Generator,
     refine=None,
-    faces=(),
     observe=None,
     to_horizon: bool = False,
     locate: bool = True,
@@ -323,9 +324,7 @@ def _step_paths(
     largest stepped coordinate + 1 when some are not stepped.  A path steps
     until it has entered every target, or to the horizon with
     to_horizon.  With one target, `refine(z_in, z_out)` moves an entering
-    grid step's end point and `faces` (j, v, side) get the bridge crossing
-    draw wherever its probability is at least 2^-53, which snaps c_j of a
-    crossing step's end point onto v;
+    grid step's end point.  Targets are monitored at the grid points only;
     `observe(t, idx, z, times)` sees the block grid times t (B,) and points
     z (B, len(idx), N') of the stepped paths idx.  Paths take `n_steps`
     grid steps, by default ceil(horizon / dt).  Returns entry times (inf
@@ -338,11 +337,8 @@ def _step_paths(
     summed along the step axis (`_prefix_sum`) and added to the positions,
     gives the block's grid points; a path stops at the step where it
     entered its last target.  Stopping inside a block is exact: that step's
-    decision reads only the increments up to it, the discarded draws after
-    it are independent of everything kept, and the bridge events of the
-    steps are independent given the grid points.  The bridge pass gathers
-    only the (step, row) pairs before each row's first grid entry, in
-    step-major order, so the steps a row discards cost it nothing there.
+    decision reads only the increments up to it, and the discarded draws
+    after it are independent of everything kept.
 
     The live paths are held compacted, in their original order: their ids,
     stepped positions and still-awaited targets are dense arrays, shrunk
@@ -379,11 +375,6 @@ def _step_paths(
         z[..., cols] = y
         return z
 
-    if faces:
-        fj, fv, fside = (np.array(x) for x in zip(*faces))
-        fj = np.searchsorted(cols, fj)
-        fg = law.gaussian_diag[fj]
-        fk = np.divide(2.0, fg * cfg.dt, out=np.zeros_like(fg), where=fg > 0)
     times = np.where(member(z0), 0.0, np.inf)
     n_t = times.shape[0]
     locs = np.repeat(z0[None], n_t if locate else 0, axis=0)
@@ -408,41 +399,17 @@ def _step_paths(
         z = widen(path)
         inside = member(z.reshape(nb * r, width)).reshape(n_t, nb, r) & pending[:, None]
         if nb == 1:  # many live paths: no block axis to search
-            entered, first = inside[:, 0].copy(), np.zeros((n_t, r), dtype=int)
+            entered, first = inside[:, 0], np.zeros((n_t, r), dtype=int)
         else:
             entered, first = inside.any(axis=1), inside.argmax(axis=1)
-        if faces:
-            # crossings inside the steps before a row's first grid entry: only
-            # those (step, row) pairs are gathered, in step-major order, so
-            # the pairs of step 0, which start at y, come first
-            before = (np.arange(nb)[:, None] < np.where(entered[0], first[0], nb)) & pending[0]
-            d0 = fside * (fv - np.concatenate([y[before[0]], path[:-1][before[1:]]])[:, fj])
-            d1 = fside * (fv - path[before][:, fj])
-            a = d0 * d1 * fk  # the crossing probability is exp(-a)
-            # a 53-bit uniform cannot resolve exp(-a) < 2^-53
-            cand = np.flatnonzero((d0 > 0) & (d1 > 0) & (fg > 0) & (a < 53 * np.log(2.0)))
-            crossed = cand[rng.random(cand.size) < np.exp(-a.ravel()[cand])]
-            if crossed.size:
-                # crossed lists (step, row, face) in order: keep each row's first
-                s, rows = np.nonzero(before)
-                pair, fi = np.divmod(crossed, fj.size)
-                keep = np.unique(rows[pair], return_index=True)[1]
-                s, rows, fi = s[pair[keep]], rows[pair[keep]], fi[keep]
-                path[s, rows, fj[fi]] = fv[fi]
-                entered[0, rows] = True
-                first[0, rows] = s
         t = (done + 1 + np.arange(nb)) * cfg.dt
         entering = entered.any()
         if entering:
             if refine is not None:
-                # rows that entered at a grid point, not by a bridge crossing
                 rows = np.flatnonzero(entered[0])
                 s = first[0, rows]
-                grid = inside[0, s, rows]
-                rows, s = rows[grid], s[grid]
-                if rows.size:
-                    z_in = np.where((s > 0)[:, None], path[s - 1, rows], y[rows])
-                    path[s, rows] = refine(widen(z_in), widen(path[s, rows]))[:, cols]
+                z_in = np.where((s > 0)[:, None], path[s - 1, rows], y[rows])
+                path[s, rows] = refine(widen(z_in), widen(path[s, rows]))[:, cols]
             for ti in np.flatnonzero(entered.any(axis=1)):
                 rows = np.flatnonzero(entered[ti])
                 s = first[ti, rows]
@@ -489,6 +456,9 @@ def _draw_rest(triplet, cols, z0, times, locs, rng):
     if not rest.size:
         return
     rest_law = _restrict(triplet, rest)
+    # a run of consecutive columns indexes as a slice, far cheaper than a
+    # fancy index on both axes
+    span = slice(rest[0], rest[-1] + 1) if rest[-1] - rest[0] + 1 == rest.size else None
     chunk = max(1, _BLOCK // rest.size)
     paths = np.arange(z0.shape[0])
     t_prev = np.zeros(paths.size)
@@ -498,12 +468,15 @@ def _draw_rest(triplet, cols, z0, times, locs, rng):
         moving = seen[tk[seen] > t_prev[seen]]
         for lo in range(0, moving.size, chunk):
             rows = moving[lo : lo + chunk]
-            dt = tk[rows] - t_prev[rows]
-            z0[np.ix_(rows, rest)] += sample_increments(rest_law, dt, rows.size, rng)
+            at = (rows, span) if span is not None else np.ix_(rows, rest)
+            z0[at] += sample_increments(rest_law, tk[rows] - t_prev[rows], rows.size, rng)
         t_prev[moving] = tk[moving]
         for lo in range(0, seen.size, chunk):
             rows = seen[lo : lo + chunk]
-            locs[kth[rows, None], rows[:, None], rest] = z0[np.ix_(rows, rest)]
+            if span is not None:
+                locs[kth[rows], rows, span] = z0[rows, span]
+            else:
+                locs[kth[rows, None], rows[:, None], rest] = z0[np.ix_(rows, rest)]
 
 
 def _unit_exit_times(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -565,6 +538,192 @@ def _unit_exit_times(n: int, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
+class _ExitTimePool:
+    """J* draws (`_unit_exit_times`) for the walk on intervals.  The first
+    request, which every walking path takes, is drawn as it is; later ones
+    come from batches of at least `size`, so one series-rejection call feeds
+    many rounds of the walk (a call took about 110 us plus 0.3 us a draw on
+    one x86-64 core)."""
+
+    def __init__(self, size: int, rng: np.random.Generator):
+        self.size, self.rng, self.draws = size, rng, None
+
+    def take(self, m: int) -> np.ndarray:
+        if self.draws is None:
+            self.draws = np.empty(0)
+            return _unit_exit_times(m, self.rng)
+        if m > self.draws.size:
+            more = _unit_exit_times(max(m, self.size), self.rng)
+            self.draws = np.concatenate([self.draws, more])
+        out, self.draws = self.draws[:m], self.draws[m:]
+        return out
+
+
+def _coordinate_exit(x, lo, hi, g, cap, pool, rng):
+    """Exit times of Brownian motions of variance rate g from x (r,) in
+    (lo, hi), one end possibly infinite, and the faces they leave by.  A
+    time is exact when at most `cap` (r,); a larger one only says so.
+
+    With one face at distance d, T = d^2 / (g Z^2), the Levy law.  Between
+    two faces, the walk on intervals (Muller's walk on spheres in 1-d): from
+    x, with r the distance to the nearer face, the path leaves (x - r, x + r)
+    after r^2 / g * J*, at x - r or x + r with probability 1/2 each,
+    independently of that time; a move onto the nearer face lands exactly
+    on it and ends the walk, as does a time past the cap."""
+    if np.isinf(lo) or np.isinf(hi):
+        face = lo if np.isfinite(lo) else hi
+        with np.errstate(divide="ignore"):  # Z = 0 never exits
+            t = (x - face) ** 2 / (g * rng.standard_normal(x.size) ** 2)
+        return t, np.full(x.size, face)
+    x, t = x.copy(), np.zeros(x.size)
+    walking = np.arange(x.size)
+    while walking.size:
+        xw = x[walking]
+        near = np.where(xw - lo <= hi - xw, lo, hi)
+        t[walking] += (xw - near) ** 2 / g * pool.take(walking.size)
+        keep = t[walking] <= cap[walking]
+        walking, xw, near = walking[keep], xw[keep], near[keep]
+        onto = rng.random(walking.size) < 0.5
+        x[walking] = np.where(onto, near, 2 * xw - near)  # or r beyond x, away from it
+        # a move away from the nearer face can round onto the other one
+        walking = walking[~onto & (lo < x[walking]) & (x[walking] < hi)]
+    return t, np.clip(x, lo, hi)
+
+
+# Proposals the killed-transition sampler makes per round at least, spread
+# over the rows still undecided, so that a few rows with a low survival
+# probability do not take one round each per proposal.
+_PROPOSALS = 1024
+
+
+def _killed_positions(x, lo, hi, s, rng):
+    """Positions at time t of Brownian motions from x (n,) inside the
+    intervals (lo, hi) (n,), either end possibly infinite, with variance
+    s = g t at t (n,), given that each stays inside up to t: the killed
+    transition (Borodin and Salminen 2002, Handbook of Brownian Motion,
+    1.15.8).
+
+    A proposal y ~ N(x, s) inside its interval is accepted with the
+    probability that the Brownian bridge from x to y stays inside, the image
+    series 1 - sum_{j >= 1} (sigma_j - tau_j) with L = hi - lo, u, v the
+    distances of x, y from lo and u', v' from hi:
+
+        sigma_j = exp(-2 ((j-1)L + u)((j-1)L + v) / s)
+                  + exp(-2 ((j-1)L + u')((j-1)L + v') / s),
+        tau_j = exp(-2 jL (jL + v - u) / s) + exp(-2 jL (jL + u - v) / s).
+
+    Each exponent of tau_j exceeds both of sigma_j and each of sigma_{j+1}
+    exceeds both of tau_j, so sigma_1 >= tau_1 >= sigma_2 >= ... and the
+    partial sums bound the probability alternately from below and above: a
+    uniform is compared with them until one decides (the series method,
+    Devroye 1986, Non-Uniform Random Variate Generation, IV.5).  On a
+    half-line only sigma_1 is left, 1 - exp(-2 u v / s), which decides at
+    once.  A row proposes again until it accepts; each round makes at least
+    _PROPOSALS proposals over the undecided rows, and a row keeps its first
+    accepted one, which leaves the law unchanged."""
+    out, taken = np.empty(x.size), np.zeros(x.size, dtype=bool)
+    todo = np.arange(x.size)
+    while todo.size:
+        idx = np.repeat(todo, max(1, _PROPOSALS // todo.size))
+        xi, si, lo_i, hi_i = x[idx], s[idx], lo[idx], hi[idx]
+        y = xi + np.sqrt(si) * rng.standard_normal(idx.size)
+        inside = np.flatnonzero((lo_i < y) & (y < hi_i))
+        idx, xi, y, si, lo_i, hi_i = (a[inside] for a in (idx, xi, y, si, lo_i, hi_i))
+        u, v, u2, v2, L = xi - lo_i, y - lo_i, hi_i - xi, hi_i - y, hi_i - lo_i
+        w = rng.random(inside.size)
+        bound = 1 - np.exp(-2 * u * v / si) - np.exp(-2 * u2 * v2 / si)
+        accept = w <= bound
+        open_ = np.flatnonzero(~accept & np.isfinite(L))
+        j = 1
+        while open_.size:  # terms pair by pair: an upper bound, then a lower one
+            jl, uo, vo, so = j * L[open_], u[open_], v[open_], si[open_]
+            bound[open_] += np.exp(-2 * jl * (jl + vo - uo) / so) + np.exp(
+                -2 * jl * (jl + uo - vo) / so
+            )
+            keep = w[open_] <= bound[open_]  # a uniform above an upper bound rejects
+            open_, jl, uo, vo, so = open_[keep], jl[keep], uo[keep], vo[keep], so[keep]
+            bound[open_] -= np.exp(-2 * (jl + uo) * (jl + vo) / so) + np.exp(
+                -2 * (jl + u2[open_]) * (jl + v2[open_]) / so
+            )
+            below = w[open_] <= bound[open_]  # and one under a lower bound accepts
+            accept[open_[below]] = True
+            open_ = open_[~below]
+            j += 1
+        ok = np.flatnonzero(accept)  # in row order, each row's proposals in draw order
+        rows = idx[ok]
+        first = np.ones(ok.size, dtype=bool)
+        first[1:] = rows[1:] != rows[:-1]
+        out[rows[first]] = y[ok[first]]
+        taken[rows[first]] = True
+        todo = todo[~taken[todo]]
+    return out
+
+
+def _box_exit(x, lo, hi, g, cap, pool, rng):
+    """First exit of paths at x (r, k) from the box of the intervals
+    (lo_i, hi_i), its coordinates independent Brownian motions of variance
+    rates g (k,), within the time `cap` (r,).  Returns the exit times (inf
+    past the cap) and points (r, k), valid where a path exits.
+
+    Each coordinate's exit time comes from `_coordinate_exit`, walked only as
+    far as the earliest one so far; the earliest lands on its face.  Given
+    that time T and which coordinate attains it, every other coordinate is a
+    Brownian motion conditioned to stay inside its interval up to T, so it
+    is drawn from the killed transition (`_killed_positions`) and its own
+    exit time is discarded."""
+    r, k = x.shape
+    bound, arg, face = cap.copy(), np.full(r, -1), np.empty(r)
+    for i in range(k):
+        t, f = _coordinate_exit(x[:, i], lo[i], hi[i], g[i], bound, pool, rng)
+        won = t <= bound
+        bound[won], arg[won], face[won] = t[won], i, f[won]
+    rows = np.flatnonzero(arg >= 0)
+    point = x.copy()
+    point[rows, arg[rows]] = face[rows]
+    if k > 1:
+        ri, ci = np.nonzero(np.arange(k) != arg[rows, None])  # the other coordinates
+        ri = rows[ri]
+        point[ri, ci] = _killed_positions(x[ri, ci], lo[ci], hi[ci], g[ci] * bound[ri], rng)
+    return np.where(arg >= 0, bound, np.inf), point
+
+
+def _jump_exit(jumps, dim, x, lo, hi, g, cols, moved, horizon, pool, rng):
+    """First exit of the face coordinates `cols` at x (r, k) from the box
+    of the intervals (lo_i, hi_i), under Brownian motion of rates g (k,)
+    plus the compound Poisson jumps of `jumps`, by time `horizon`.  Returns
+    the exit times (inf for a miss), the exit points (r, k) and each path's
+    sum of the jumps' coordinates `moved` (r, len(moved)) up to its exit.
+
+    Epoch by epoch: the next jump comes after tau ~ Exp(intensity); the
+    continuous box exit is sampled exactly within tau (`_box_exit`); a path
+    that has not left by then is drawn at tau from the killed transition
+    (`_killed_positions`), takes the jump, and exits at tau at the
+    post-jump point when that lies on or beyond a face."""
+    r, k = x.shape
+    times, elapsed, acc = np.full(r, np.inf), np.zeros(r), np.zeros((r, moved.size))
+    rows = np.arange(r)
+    while rows.size:
+        tau = rng.standard_exponential(rows.size) / jumps.intensity
+        left = horizon - elapsed[rows]
+        t, point = _box_exit(x[rows], lo, hi, g, np.minimum(tau, left), pool, rng)
+        out = np.isfinite(t)
+        times[rows[out]] = elapsed[rows[out]] + t[out]
+        x[rows[out]] = point[out]
+        go = ~out & (tau < left)  # the jump comes before the horizon
+        rows, tau = rows[go], tau[go]
+        s = (tau[:, None] * g).ravel()
+        y = _killed_positions(x[rows].ravel(), np.tile(lo, rows.size), np.tile(hi, rows.size), s, rng)
+        x[rows] = y.reshape(rows.size, k)
+        elapsed[rows] += tau
+        jump = jumps.sample(rows.size, dim, rng)
+        x[rows] += jump[:, cols]
+        acc[rows] += jump[:, moved]
+        out = ((x[rows] <= lo) | (x[rows] >= hi)).any(axis=1)
+        times[rows[out]] = elapsed[rows[out]]
+        rows = rows[~out]
+    return times, x, acc
+
+
 def _face_passage(
     triplet: LevyTriplet,
     start: np.ndarray,
@@ -573,54 +732,50 @@ def _face_passage(
     n_paths: int,
     rng: np.random.Generator,
 ):
-    """Exact first passage into a target that is the union of the face
-    halfspaces on one coordinate j, moved by a drift-free Brownian motion of
-    variance rate g = gaussian_diag[j] > 0.  Returns (times, locations) like
-    a one-target engine run: time inf and the start for a miss.
+    """Exact first passage into a target that is the union of its face
+    halfspaces, each face coordinate moved by a drift-free Brownian motion
+    of variance rate g > 0, under a continuous or finite-activity jump law.
+    Returns (times, locations) like a one-target engine run: time inf and
+    the start for a miss.
 
-    A start inside the target hits at time 0 and draws nothing.  From a
-    start at distance d of a lone face, T = d^2 / (g Z^2), the Levy law.
-    Between two faces a < c_j < b, the walk on intervals (Muller's walk on
-    spheres in 1-d): from x, with r the distance to the nearer face, the
-    path leaves (x - r, x + r) after r^2 / g * J* (`_unit_exit_times`), at
-    x - r or x + r with probability 1/2 each, independently of that time;
-    a move onto the nearer face lands exactly on it and stops the path,
-    which also stops once its time passes the horizon.  A path hits when
-    T <= cfg.horizon; its c_j is then the face value and the other
-    coordinates are drawn at T (`_draw_rest`).  The live paths draw in
-    path order, so the rows that start inside change no other row's draws.
+    The target's complement is the box of the intervals (lo_j, hi_j) that
+    the faces leave on each face coordinate j.  A start inside the target
+    hits at time 0 and draws nothing.  Under a continuous law, or jumps that
+    move no face coordinate, the exit is `_box_exit`; under jumps that move
+    one, `_jump_exit`.  A path hits when T <= cfg.horizon; the coordinates
+    off the faces are then drawn at T (`_draw_rest`) from their Brownian
+    part, plus the sum of the jumps there for `_jump_exit`.  The live paths
+    draw in path order, so the rows that start inside change no other row's
+    draws.  The walk on intervals takes its J* values from one pool
+    (`_ExitTimePool`) for the whole call.
     """
     z0 = _starts(start, n_paths)
-    j = target.faces[0][0]
-    g = triplet.gaussian_diag[j]
-    lo = max((v for _, v, side in target.faces if side < 0), default=-np.inf)
-    hi = min((v for _, v, side in target.faces if side > 0), default=np.inf)
+    dim = z0.shape[1]
+    cols = np.array(sorted(set(target.coords)))
+    lo, hi = np.full(cols.size, -np.inf), np.full(cols.size, np.inf)
+    for j, v, side in target.faces:  # the nearest face on each side bounds the box
+        i = np.searchsorted(cols, j)
+        lo[i], hi[i] = (max(lo[i], v), hi[i]) if side < 0 else (lo[i], min(hi[i], v))
+    g = triplet.gaussian_diag[cols]
     times = np.where(target(z0), 0.0, np.inf)
     live = np.flatnonzero(np.isinf(times))
-    x = z0[live, j]
-    if np.isinf(lo) or np.isinf(hi):  # one face: the Levy law
-        face = np.full(live.size, lo if np.isfinite(lo) else hi)
-        with np.errstate(divide="ignore"):  # Z = 0 never hits
-            t = (x - face) ** 2 / (g * rng.standard_normal(live.size) ** 2)
-    else:  # two faces: the walk on intervals, until every path stops
-        t = np.zeros(live.size)
-        walking = np.arange(live.size)
-        while walking.size:
-            xw = x[walking]
-            near = np.where(xw - lo <= hi - xw, lo, hi)
-            t[walking] += (xw - near) ** 2 / g * _unit_exit_times(walking.size, rng)
-            keep = t[walking] <= cfg.horizon
-            walking, xw, near = walking[keep], xw[keep], near[keep]
-            onto = rng.random(walking.size) < 0.5
-            x[walking] = np.where(onto, near, 2 * xw - near)  # or r beyond x, away from it
-            # a move away from the nearer face can round onto the other one
-            walking = walking[~onto & (lo < x[walking]) & (x[walking] < hi)]
-        face = np.clip(x, lo, hi)
+    x = z0[live[:, None], cols]
+    pool = _ExitTimePool(2 * live.size, rng)
+    jumps, law, acc = triplet.jumps, triplet, None
+    if jumps is None or not np.isin(jumps.support(dim), cols).any():
+        t, x = _box_exit(x, lo, hi, g, np.full(live.size, cfg.horizon), pool, rng)
+    else:
+        support = jumps.support(dim)
+        moved = support[~np.isin(support, cols)]
+        t, x, acc = _jump_exit(jumps, dim, x, lo, hi, g, cols, moved, cfg.horizon, pool, rng)
+        law = replace(triplet, jumps=None)  # the jumps off the faces are in acc
     hit = t <= cfg.horizon
     times[live[hit]] = t[hit]
     locs = z0[None].copy()
-    locs[0, live[hit], j] = face[hit]
-    _draw_rest(triplet, [j], z0, times[None], locs, rng)
+    locs[0, live[hit, None], cols] = x[hit]
+    _draw_rest(law, cols, z0, times[None], locs, rng)
+    if acc is not None:
+        locs[0, live[hit, None], moved] += acc[hit]
     return times, locs[0]
 
 
@@ -822,32 +977,33 @@ def _hit(
     """The hit planner: entry times of n_paths paths from `start` into one
     target (inf for a miss) and entry points (the start for a miss), by the
     first of these modes that applies:
-    1. exact face passage (`_face_passage`), with cfg.bridge, a continuous
-       triplet and a target whose faces all lie on the one coordinate j it
-       reads, moved without drift (b_j = 0, g_j > 0); c_j of a hit is the
-       face value, the point any exact `refine` would cut to, so `refine`
-       is not called;
+    0. a target that reads no coordinate (coords == ()) is decided by one
+       membership call at time 0, for good, and draws nothing;
+    1. exact passage (`_face_passage`), with cfg.bridge, a target that
+       reads only its face coordinates, and a continuous or finite-activity
+       jump law that moves each of them without drift (b_j = 0, g_j > 0);
+       the coordinate a continuous exit leaves by is its face value, the
+       point any exact `refine` would cut to, so `refine` is not called;
     2. the radial mode (`_radial_passage`), for a declared E-form whose
        tail can be stepped as one radius (`_radial_head`): the engine's law
        on its grid, and `refine` gets full points;
-    3. the engine, with the bridge crossing draw on the target's faces when
-       cfg.bridge and the triplet is continuous."""
-    j = target.faces[0][0] if target.faces else None
+    3. the engine, which monitors the target at its grid points only."""
+    if target.coords == ():
+        z0 = _starts(start, n_paths)
+        return np.where(target(z0), 0.0, np.inf), z0
+    cols = sorted({j for j, _, _ in target.faces})
     if (
         cfg.bridge
-        and triplet.is_continuous
-        and target.coords == (j,)
-        and all(f[0] == j for f in target.faces)
-        and triplet.drift[j] == 0
-        and triplet.gaussian_diag[j] > 0
+        and target.coords is not None
+        and sorted(set(target.coords)) == cols
+        and not triplet.drift[cols].any()
+        and (triplet.gaussian_diag[cols] > 0).all()
     ):
         return _face_passage(triplet, start, target, cfg, n_paths, rng)
     if m := _radial_head(triplet, target, start):
         return _radial_passage(triplet, start, target, cfg, n_paths, rng, refine, m)
-    use_bridge = cfg.bridge and triplet.is_continuous and bool(target.faces)
     times, locs = _step_paths(
-        triplet, start, lambda z: target(z)[None], target.coords, cfg, n_paths, rng,
-        refine=refine, faces=target.faces if use_bridge else (),
+        triplet, start, lambda z: target(z)[None], target.coords, cfg, n_paths, rng, refine=refine
     )
     return times[0], locs[0]
 
@@ -1043,8 +1199,6 @@ def capacity(
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
-    if M.name == "empty":
-        return McEstimate(0.0, 0.0, n, confidence)
     mean = 0.0
     var = 0.0
     total = 0

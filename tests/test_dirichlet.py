@@ -136,21 +136,24 @@ def test_exit_locations_on_boundary(setup):
 
 
 def test_exit_locations_exactly_on_boundary(setup):
-    """The crossing step's segment is cut at the boundary in closed form."""
+    """The crossing step's segment is cut at the boundary in closed form;
+    slab and box exits land on a face by exact passage too, and on the
+    grid engine (bridge=False) by the cut."""
     model, triplet = setup
-    cfg = PathConfig(dt=0.01, horizon=20.0)
     start = np.zeros(DIM)
     start[:2] = (0.3, -0.2)
-    for i, dom in enumerate(
-        (
-            slab_domain(model, 1, -1.0, 1.0),
-            box_domain(model, [-1.0, -1.0], [1.0, 1.0]),
-            e_ball_domain(model, np.zeros(DIM), 1.0),
-        )
-    ):
-        hit, _, loc = sample_exits(triplet, dom, start, 400, cfg, substream(30 + i))
-        assert hit.all()
-        assert np.all(np.abs(dom.boundary_distance(loc)) < 1e-9), dom.kind
+    for bridge in (True, False):
+        cfg = PathConfig(dt=0.01, horizon=20.0, bridge=bridge)
+        for i, dom in enumerate(
+            (
+                slab_domain(model, 1, -1.0, 1.0),
+                box_domain(model, [-1.0, -1.0], [1.0, 1.0]),
+                e_ball_domain(model, np.zeros(DIM), 1.0),
+            )
+        ):
+            hit, _, loc = sample_exits(triplet, dom, start, 400, cfg, substream(30 + i))
+            assert hit.all()
+            assert np.all(np.abs(dom.boundary_distance(loc)) < 1e-9), (dom.kind, bridge)
 
 
 @pytest.mark.parametrize("shape", [(7,), (3, 5), (2, 3, 4)])

@@ -22,7 +22,6 @@ from levylab.measures import (
     pairing_second_moment_target,
     poisson_example_space,
     poisson_example_triplet,
-    sample_increment,
     sample_increments,
     z_value,
 )
@@ -327,5 +326,5 @@ def test_weak_moment_bound_empty_inputs():
 
 def test_single_increment_shape():
     triplet = brownian_triplet(make_space(6))
-    z = sample_increment(triplet, 0.5, substream(1))
+    z = sample_increments(triplet, 0.5, 1, substream(1))[0]
     assert z.shape == (6,)

@@ -196,6 +196,21 @@ def test_capacity_trivial_sets(setup):
     assert whole.stderr < 1e-12  # constant samples up to float roundoff
 
 
+def test_targets_reading_no_coordinate_are_decided_at_time_zero(setup):
+    """A target that reads no coordinate is decided by its membership at
+    time 0 and draws nothing, whatever its name: one named "empty" that
+    holds everywhere has the whole space's capacity, mass / beta."""
+    model, triplet = setup
+    cloud = PointCloud(np.zeros((2, 8)), np.array([1.0, 0.5]))
+    named_empty = TargetSet("empty", lambda z: np.ones(z.shape[:-1], dtype=bool), coords=())
+    rng = substream(97)
+    est = capacity(triplet, cloud, named_empty, 2.0, 50, PathConfig(dt=0.1, horizon=1.0), rng)
+    assert est.mean == 0.75 and est.stderr == 0.0
+    est = capacity(triplet, cloud, empty_set(model), 2.0, 50, PathConfig(dt=0.1, horizon=1.0), rng)
+    assert est.mean == 0.0 and est.stderr == 0.0
+    assert rng.random() == substream(97).random()
+
+
 def test_capacity_beta_validation(setup):
     model, triplet = setup
     cloud = PointCloud(np.zeros((1, 8)), np.array([1.0]))
@@ -557,9 +572,11 @@ def test_multi_target_all_at_time_zero_draws_nothing(setup):
 
 def test_fallback_agreement_undeclared_coords(setup):
     """The same halfspace with coords=None steps every coordinate; both
-    engines agree on the discounted hit value and on c2 at the hit."""
+    engine runs agree on the discounted hit value and on c2 at the hit.
+    bridge=False keeps the declared halfspace off exact passage, so both
+    are monitored on the same grid."""
     model, triplet = setup
-    cfg = PathConfig(dt=0.02, horizon=10.0)
+    cfg = PathConfig(dt=0.02, horizon=10.0, bridge=False)
     declared = coord_halfspace(model, 1, 1.0, +1)
     undeclared = replace(declared, coords=None)
 
@@ -596,11 +613,10 @@ def test_occupancy_counts_every_grid_time_once(setup):
 
 
 def _engine_hits(triplet, start, target, cfg, n, rng):
-    """simulate_hit_batch on the stepping engine, with the bridge crossing
-    draw on the target's faces: the grid path that a halfspace or slab
-    target would skip through exact face passage."""
+    """simulate_hit_batch on the stepping engine: the grid path that a
+    halfspace or slab target would skip through exact face passage."""
     times, locs = potential._step_paths(
-        triplet, start, lambda z: target(z)[None], target.coords, cfg, n, rng, faces=target.faces
+        triplet, start, lambda z: target(z)[None], target.coords, cfg, n, rng
     )
     return np.isfinite(times[0]), times[0], locs[0]
 
@@ -633,7 +649,7 @@ def test_hit_times_on_the_grid_within_horizon(setup, monkeypatch):
 
 def test_block_steps_agree_with_single_steps(setup, monkeypatch):
     """Blocks of grid steps give the same law as one step per iteration:
-    a slab exit with the bridge draw, an E-ball exit cut at the boundary,
+    a slab exit monitored on the grid, an E-ball exit cut at the boundary,
     and two targets on shared paths."""
     model, triplet = setup
     slab = slab_complement(model, 1, -1.0, 2.0)
@@ -753,22 +769,6 @@ def test_blocks_stay_within_the_budget(monkeypatch, full_width):
     assert any(nb > 1 and size > potential._BLOCK // 2 for size, (nb, _) in zip(sizes, blocks))
 
 
-@pytest.mark.parametrize("block", [None, 2**20])
-def test_bridge_hit_probability_exact_within_blocks(setup, monkeypatch, block):
-    """With the bridge draw in every step, P(hit c1 >= L by H) is exactly
-    the reflection-principle value 2(1 - Phi(L / sqrt(H))), also when the
-    whole horizon is one block."""
-    model, triplet = setup
-    if block is not None:
-        monkeypatch.setattr(potential, "_BLOCK", block)
-    level, cfg = 1.0, PathConfig(dt=0.125, horizon=2.0)
-    hit, _, _ = _engine_hits(
-        triplet, np.zeros(8), coord_halfspace(model, 1, level, +1), cfg, 4000, substream(31)
-    )
-    exact = 2.0 * (1.0 - NormalDist().cdf(level / np.sqrt(cfg.horizon)))
-    assert McEstimate.from_samples(hit.astype(float)).verdict(exact) == "pass"
-
-
 class _CountingRng:
     """A generator that counts the uniforms drawn through `random`."""
 
@@ -781,23 +781,6 @@ class _CountingRng:
 
     def __getattr__(self, name):
         return getattr(self._rng, name)
-
-
-def test_bridge_draws_no_uniform_it_cannot_resolve(setup):
-    """A step whose crossing probability is below 2^-53 draws no uniform:
-    paths started at the middle of the slab -5 < c1 < 5 stay more than
-    0.43 from both faces over the horizon, where exp(-2 d0 d1 / dt) < 2^-53.
-    Started 0.05 from a face, the same slab draws uniforms."""
-    model, triplet = setup
-    cfg = PathConfig(dt=0.01, horizon=0.5)
-    slab = slab_complement(model, 1, -5.0, 5.0)
-    for c1, drawn in ((0.0, False), (4.95, True)):
-        start = np.zeros(8)
-        start[0] = c1
-        rng = _CountingRng(substream(33, c1))
-        hit, _, _ = _engine_hits(triplet, start, slab, cfg, 500, rng)
-        assert (rng.uniforms > 0) == drawn, (c1, rng.uniforms)
-        assert hit.any() == drawn
 
 
 def test_refine_sees_the_entering_step(setup, monkeypatch):
@@ -834,12 +817,13 @@ def _jump_law(model, cols=(0, 1)):
     )
 
 
-def _jump_slab_exits(model, target, n, rng):
-    """Exits of the jump law from the slab -1 < c1 < 1.5, started at c1 = 0.25."""
+def _jump_slab_exits(model, target, n, rng, bridge=False):
+    """Exits of the jump law from the slab -1 < c1 < 1.5, started at c1 =
+    0.25: on the grid engine, or by exact passage with bridge."""
     start = np.zeros(model.dim)
     start[0] = 0.25
     hit, T, loc = simulate_hit_batch(
-        _jump_law(model), start, target, PathConfig(dt=0.01, horizon=40.0), n, rng
+        _jump_law(model), start, target, PathConfig(dt=0.01, horizon=40.0, bridge=bridge), n, rng
     )
     assert hit.all()
     return T, loc
@@ -893,7 +877,7 @@ def test_jump_support_sets_the_stepped_coordinates(setup, monkeypatch):
         return draw(law, dt, n, rng)
 
     monkeypatch.setattr(potential, "sample_increments", recorded)
-    cfg = PathConfig(dt=0.05, horizon=1.0)
+    cfg = PathConfig(dt=0.05, horizon=1.0, bridge=False)  # the engine, not exact passage
     simulate_hit_batch(jump13, np.zeros(8), coord_halfspace(model, 1, 1.0, +1), cfg, 50, substream(37))
     assert steps and all(law.model.dim == 2 for law in steps)
     np.testing.assert_array_equal(steps[0].jumps.atoms, jump13.jumps.atoms[:, [0, 2]])
@@ -932,8 +916,8 @@ def test_rows_started_inside_draw_nothing(setup):
     """A row that starts inside its target hits at time 0 (D-convention) and
     is never live, so it draws nothing: adding such rows to a batch of
     per-path starts leaves every other row's times and locations
-    bit-identical.  Covers an E-ball exit cut at the boundary, a bridged
-    slab and two targets on shared paths."""
+    bit-identical.  Covers an E-ball exit cut at the boundary, a slab on
+    the grid engine and two targets on shared paths."""
     model, triplet = setup
     rng = substream(41)
     n = 300
@@ -1152,9 +1136,10 @@ def test_face_passage_starts_inside_draw_nothing(setup, kind):
 
 
 def test_face_passage_takes_only_its_targets(setup, monkeypatch):
-    """Exact passage needs the bridge setting, a continuous law, faces on
-    the one coordinate the target reads, and no drift but a positive
-    variance rate there; every other case steps the engine."""
+    """Exact passage needs the bridge setting, a target that reads only its
+    face coordinates (a halfspace, a slab, a box), and no drift but a
+    positive variance rate on each of them, under a continuous or jump law;
+    every other case steps the engine."""
     model, triplet = setup
     calls = []
     exact = potential._face_passage
@@ -1174,10 +1159,12 @@ def test_face_passage_takes_only_its_targets(setup, monkeypatch):
         (_scaled_law(model, 1.0, drift2), half, cfg, True),
         (triplet, half, replace(cfg, bridge=False), False),
         (triplet, replace(half, coords=None), cfg, False),
-        (triplet, potential.box_complement(model, [-1.0, -1.0], [1.0, 1.0]), cfg, False),
+        (triplet, potential.box_complement(model, [-1.0, -1.0], [1.0, 1.0]), cfg, True),
         (_scaled_law(model, 1.0, drift1), half, cfg, False),
         (_scaled_law(model, flat1), half, cfg, False),
-        (_jump_law(model), half, cfg, False),
+        (_jump_law(model), half, cfg, True),
+        (_jump_law(model), replace(half, coords=(0, 1)), cfg, False),
+        (_scaled_law(model, 1.0, drift2), potential.box_complement(model, [-1.0, -1.0], [1.0, 1.0]), cfg, False),
     ]
     for i, (law, target, c, takes) in enumerate(cases):
         calls.clear()
@@ -1356,3 +1343,164 @@ def test_radial_refine_sees_a_gaussian_tail_step():
     tail = McEstimate.from_samples((step[:, 8:] ** 2).sum(axis=1) / cfg.dt)
     assert tail.verdict(24.0) == "pass"
     assert McEstimate.from_samples(step[:, 7] ** 2 / cfg.dt).verdict(1.0) == "pass"
+
+
+# -- exact passage through several face coordinates and under jumps ------------
+
+
+def _killed_mass(a, b, x, lo, hi, s):
+    """P(a < X_t <= b and no exit by t) for a Brownian motion from x in (lo,
+    hi) with variance s at t: the image sum over reflections in both ends
+    (Borodin and Salminen 1.15.8), or the single image of a half-line."""
+    sd, phi = math.sqrt(s), NormalDist().cdf
+    if math.isinf(lo):  # mirror (-inf, hi) onto (-hi, inf)
+        a, b, x, lo, hi = -b, -a, -x, -hi, math.inf
+    u, va, vb = x - lo, max(a, lo) - lo, min(b, hi) - lo
+    L = hi - lo
+    ks = range(-6, 7) if math.isfinite(L) else [0]
+    total = 0.0
+    for k in ks:
+        shift = 2 * k * L if math.isfinite(L) else 0.0
+        total += phi((vb - u + shift) / sd) - phi((va - u + shift) / sd)
+        total -= phi((vb + u + shift) / sd) - phi((va + u + shift) / sd)
+    return total
+
+
+@pytest.mark.parametrize(
+    "lo, hi, x, s",
+    [(0.0, math.inf, 0.3, 1.0), (-math.inf, 1.0, 0.6, 0.5), (0.0, 1.0, 0.3, 0.3), (-1.0, 1.5, 1.2, 2.0)],
+    ids=["half_line_right", "half_line_left", "interval", "interval_wide"],
+)
+def test_killed_transition_density(lo, hi, x, s):
+    """The killed-transition sampler's positions fall in each of 12 bins
+    with the probability of the closed-form killed density, conditioned on
+    survival: each bin's frequency within 4.5 standard errors of it (a
+    false alarm under 1e-4 over the bins).  On the intervals the bridge
+    survival series needs terms past its first: a sampler that keeps only
+    the first (the two half-line factors) fails there, and one that accepts
+    every proposal inside fails all four."""
+    n = 100_000
+    y = potential._killed_positions(
+        np.full(n, x), np.full(n, lo), np.full(n, hi), np.full(n, s), substream(90, lo, hi)
+    )
+    assert np.all((lo < y) & (y < hi))
+    a = lo if math.isfinite(lo) else x - 6 * math.sqrt(s)
+    b = hi if math.isfinite(hi) else x + 6 * math.sqrt(s)
+    edges = np.linspace(a, b, 13)
+    edges[0], edges[-1] = lo, hi
+    survive = _killed_mass(lo, hi, x, lo, hi, s)
+    for e0, e1 in zip(edges[:-1], edges[1:]):
+        p = _killed_mass(e0, e1, x, lo, hi, s) / survive
+        freq = np.count_nonzero((e0 < y) & (y <= e1)) / n
+        assert abs(freq - p) <= 4.5 * math.sqrt(p * (1 - p) / n) + 1e-12, (e0, e1, freq, p)
+
+
+def test_box_exit_optional_stopping():
+    """A 2-d box exit at unit rate, sampled exactly: the martingales c1,
+    c1^2 - c2^2 and |X - z|^2 - 2t over the two box coordinates give E[c1] =
+    z1, E[c1^2 - c2^2] = z1^2 - z2^2 and E[T] = E|X_T - z|^2 / 2; c3, off
+    the box, is drawn at T, so E[c3^2] = E[T] (Wald).  Every exit has one
+    box coordinate exactly on its face and the other strictly inside."""
+    model = make_space(8)
+    lows, highs = np.array([-1.0, -0.5]), np.array([2.0, 1.0])
+    box = potential.box_complement(model, lows, highs)
+    z = np.zeros(8)
+    z[:2] = (0.3, -0.2)
+    hit, T, loc = simulate_hit_batch(
+        brownian_triplet(model), z, box, PathConfig(dt=0.01, horizon=1e6), 20_000, substream(91)
+    )
+    assert hit.all()
+    on_face = (loc[:, :2] == lows) | (loc[:, :2] == highs)
+    inside = (lows < loc[:, :2]) & (loc[:, :2] < highs)
+    assert np.all(on_face.sum(axis=1) == 1) and np.all(inside.sum(axis=1) == 1)
+    c1, c2 = loc[:, 0], loc[:, 1]
+    assert McEstimate.from_samples(c1).verdict(z[0]) == "pass"
+    assert McEstimate.from_samples(c1**2 - c2**2).verdict(z[0] ** 2 - z[1] ** 2) == "pass"
+    d2 = ((loc[:, :2] - z[:2]) ** 2).sum(axis=1)
+    assert McEstimate.from_samples(T - d2 / 2).verdict(0.0) == "pass"
+    assert McEstimate.from_samples(loc[:, 2] ** 2 - T).verdict(0.0) == "pass"
+
+
+def test_two_lone_faces_exit_law():
+    """The target {c1 >= 1} u {c2 <= -1} from the origin at variance rates
+    1 and 2 (faces on two coordinates, one each): T = min(T1, T2) of two
+    Levy laws, so P(T <= t) = 1 - (1 - F1(t))(1 - F2(t)) with F_i(t) =
+    2(1 - Phi(1 / sqrt(g_i t))); the coordinate not exiting stays on its
+    side of its face."""
+    model = make_space(4)
+    target = TargetSet(
+        "two_faces", lambda z: (z[..., 0] >= 1.0) | (z[..., 1] <= -1.0),
+        faces=((0, 1.0, +1), (1, -1.0, -1)), coords=(0, 1),
+    )
+    g = np.array([1.0, 2.0, 1.0, 1.0])
+    hit, T, loc = simulate_hit_batch(
+        _scaled_law(model, g), np.zeros(4), target, PathConfig(dt=0.01, horizon=50.0), 20_000,
+        substream(92),
+    )
+    first = loc[hit, 0] == 1.0
+    assert np.all(first != (loc[hit, 1] == -1.0))
+    assert np.all(loc[hit][first, 1] > -1.0) and np.all(loc[hit][~first, 0] < 1.0)
+    F = lambda gi, t: 2.0 * (1.0 - NormalDist().cdf(1.0 / math.sqrt(gi * t)))
+    for t in (0.3, 1.0, 5.0):
+        exact = 1.0 - (1.0 - F(1.0, t)) * (1.0 - F(2.0, t))
+        assert McEstimate.from_samples((T <= t).astype(float)).verdict(exact) == "pass", t
+
+
+def test_jump_passage_optional_stopping(setup):
+    """Exact passage of the jump law out of the slab -1 < c1 < 1.5 from c1
+    = 0.25, epoch by epoch: c1, c1^2 - 1.72 t (unit Brownian rate plus 2 x
+    0.6^2 from the jumps), c1 c2 - 0.6 t and, off the slab, c2 moved by the
+    jumps and c3 by its Brownian part alone, c3^2 - t, are martingales, so
+    their means at the exit are their starting values.  A continuous exit
+    lands on a face; a jump exit lands past it."""
+    model, _ = setup
+    T, loc = _jump_slab_exits(model, slab_complement(model, 1, -1.0, 1.5), 20_000, substream(93), True)
+    c1, c2, c3 = loc[:, 0], loc[:, 1], loc[:, 2]
+    assert np.all((c1 <= -1.0) | (c1 >= 1.5))
+    assert 0.2 < np.mean((c1 == -1.0) | (c1 == 1.5)) < 0.9
+    for stat, target in ((c1, 0.25), (c1**2 - 1.72 * T, 0.0625), (c1 * c2 - 0.6 * T, 0.0), (c3**2 - T, 0.0)):
+        assert McEstimate.from_samples(stat).verdict(target) == "pass", target
+
+
+def test_jump_slab_exit_side_matches_the_engine_extrapolated(setup):
+    """The exact exit-side probability P(c1 >= 1.5 at exit) of the jump
+    slab agrees with the grid engine's at dt = 0.04 and 0.01, extrapolated
+    linearly in sqrt(dt) to 0 (the order of its monitoring bias), within
+    the combined band of the three estimates."""
+    model, _ = setup
+    slab = slab_complement(model, 1, -1.0, 1.5)
+    _, loc = _jump_slab_exits(model, slab, 20_000, substream(94), True)
+    exact = McEstimate.from_samples((loc[:, 0] >= 1.5).astype(float))
+    grid = []
+    for dt in (0.04, 0.01):
+        start = np.zeros(8)
+        start[0] = 0.25
+        hit, _, loc = simulate_hit_batch(
+            _jump_law(model), start, slab, PathConfig(dt=dt, horizon=40.0, bridge=False), 20_000,
+            substream(95, dt),
+        )
+        assert hit.all()
+        grid.append(McEstimate.from_samples((loc[:, 0] >= 1.5).astype(float)))
+    coarse, fine = grid
+    limit = 2 * fine.mean - coarse.mean
+    se = math.sqrt(4 * fine.stderr**2 + coarse.stderr**2 + exact.stderr**2)
+    assert McEstimate(exact.mean - limit, se, exact.n_samples).verdict(0.0) == "pass"
+
+
+def test_engine_monitors_faces_on_the_grid_only(setup):
+    """With the bridge pass gone, the engine reads a target's faces
+    nowhere: a face target that stays on the engine (a box under a drift in
+    c1, a halfspace with bridge=False) gives the bytes of the same target
+    declared without faces."""
+    model, triplet = setup
+    drift = np.zeros(8)
+    drift[0] = 0.3
+    box = potential.box_complement(model, [-1.0, -1.0], [1.0, 1.0])
+    half = coord_halfspace(model, 1, 0.8, +1)
+    cfg = PathConfig(dt=0.02, horizon=4.0)
+    cases = ((_scaled_law(model, 1.0, drift), box, cfg), (triplet, half, replace(cfg, bridge=False)))
+    for i, (law, target, c) in enumerate(cases):
+        _, t0, loc0 = simulate_hit_batch(law, np.zeros(8), target, c, 300, substream(96, i))
+        _, t1, loc1 = simulate_hit_batch(law, np.zeros(8), replace(target, faces=()), c, 300, substream(96, i))
+        assert np.isfinite(t0).any()
+        assert t0.tobytes() == t1.tobytes() and loc0.tobytes() == loc1.tobytes()
