@@ -19,7 +19,7 @@ import numpy as np
 
 from .measures import DEFAULT_CONFIDENCE, LevyTriplet, McEstimate, z_value
 from .potential import PathConfig, PointCloud, TargetSet, simulate_hit_batch
-from .potential import box_complement, e_ball_complement, slab_complement
+from .potential import box_complement, e_ball_complement, in_box, slab_complement
 from .space import SpaceModel
 
 
@@ -96,16 +96,21 @@ def slab_domain(model: SpaceModel, coord: int, a: float, b: float) -> Domain:
 def box_domain(model: SpaceModel, lows, highs) -> Domain:
     lo = np.asarray(lows, dtype=float)
     hi = np.asarray(highs, dtype=float)
-    if lo.shape != hi.shape or np.any(lo >= hi):
-        raise ValueError("need elementwise lows < highs")
-    k = lo.size
+    if lo.ndim != 1 or lo.shape != hi.shape or not lo.size or np.any(lo >= hi):
+        raise ValueError("need nonempty 1-d lows < highs, elementwise")
+
+    def boundary_distance(z):  # one column at a time, like `in_box`
+        d = np.full(z.shape[:-1], np.inf)
+        for j, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
+            np.minimum(d, z[..., j] - a, out=d)
+            np.minimum(d, b - z[..., j], out=d)
+        return d
+
     return Domain(
         kind="box",
         model=model,
-        membership=lambda z: np.all((z[..., :k] > lo) & (z[..., :k] < hi), axis=-1),
-        boundary_distance=lambda z: np.min(
-            np.minimum(z[..., :k] - lo, hi - z[..., :k]), axis=-1
-        ),
+        membership=lambda z: in_box(z, lo, hi, closed=False),
+        boundary_distance=boundary_distance,
         exit_target=box_complement(model, lo, hi),
         params={"lows": lo, "highs": hi},
     )

@@ -114,6 +114,10 @@ class TargetSet:
     `e_form` declares a membership that is an E-ball or its complement,
     which lets a hit step the E-norm's tail as one radius
     (`_radial_passage`).
+
+    The membership of an axis-aligned target combines one column at a
+    time (`in_box`, `off_open_box`): a reduction over a short last axis,
+    such as np.all(..., axis=-1), costs tens of ns a row.
     """
 
     name: str
@@ -192,11 +196,17 @@ def e_ball_complement(
 
 
 def coord_halfspace(model: SpaceModel, coord: int, level: float, side: int) -> TargetSet:
-    """{z : side*(c_coord - level) >= 0}; coord is 1-based."""
+    """{z : side*(c_coord - level) >= 0} for side +1 or -1 and a finite
+    level; coord is 1-based."""
+    if side not in (1, -1) or not math.isfinite(level):
+        raise ValueError("need side +1 or -1 and a finite level")
     j = coord - 1
+    # c_j >= level gives the booleans of side*(c_j - level) >= 0 for side
+    # +1: a difference of unequal floats never rounds to zero
+    above = side > 0
     return TargetSet(
-        f"halfspace(c{coord}{'>=' if side > 0 else '<='}{level})",
-        lambda z: side * (z[..., j] - level) >= 0,
+        f"halfspace(c{coord}{'>=' if above else '<='}{level})",
+        lambda z: z[..., j] >= level if above else z[..., j] <= level,
         faces=((j, level, side),),
         coords=(j,),
     )
@@ -213,25 +223,55 @@ def slab_complement(model: SpaceModel, coord: int, a: float, b: float) -> Target
     )
 
 
+# Axis-aligned membership, one column at a time (see `TargetSet`).
+
+
+def _box_bounds(lows, highs):
+    lo = np.atleast_1d(np.asarray(lows, dtype=float))
+    hi = np.atleast_1d(np.asarray(highs, dtype=float))
+    if lo.ndim != 1 or lo.shape != hi.shape:
+        raise ValueError("lows and highs must be 1-d and of one length")
+    return lo, hi
+
+
+def in_box(z, lo, hi, closed):
+    """Whether lo_j <= z_j <= hi_j (closed) or lo_j < z_j < hi_j (open) in
+    every column j < lo.size of z (..., N); True everywhere for an empty box."""
+    above, below = (np.greater_equal, np.less_equal) if closed else (np.greater, np.less)
+    m = np.ones(z.shape[:-1], dtype=bool)
+    for j, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
+        m &= above(z[..., j], a)
+        m &= below(z[..., j], b)
+    return m
+
+
+def off_open_box(z, lo, hi):
+    """Whether z_j <= lo_j or z_j >= hi_j in some column j < lo.size of z
+    (..., N): the complement of the open box, which a NaN column does not
+    reach; False everywhere for an empty box."""
+    m = np.zeros(z.shape[:-1], dtype=bool)
+    for j, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
+        m |= z[..., j] <= a
+        m |= z[..., j] >= b
+    return m
+
+
 def coordinate_box(model: SpaceModel, lows: np.ndarray, highs: np.ndarray) -> TargetSet:
-    lo = np.asarray(lows, dtype=float)
-    hi = np.asarray(highs, dtype=float)
-    k = lo.size
+    lo, hi = _box_bounds(lows, highs)
     return TargetSet(
         "coordinate_box",
-        lambda z: np.all((z[..., :k] >= lo) & (z[..., :k] <= hi), axis=-1),
-        coords=tuple(range(k)),
+        lambda z: in_box(z, lo, hi, closed=True),
+        coords=tuple(range(lo.size)),
     )
 
 
 def box_complement(model: SpaceModel, lows: np.ndarray, highs: np.ndarray) -> TargetSet:
     """Complement of the open box lows < c < highs in the first k coordinates."""
-    lo = np.asarray(lows, dtype=float)
-    hi = np.asarray(highs, dtype=float)
+    lo, hi = _box_bounds(lows, highs)
     k = lo.size
     return TargetSet(
         "box_complement",
-        lambda z: np.any((z[..., :k] <= lo) | (z[..., :k] >= hi), axis=-1),
+        lambda z: off_open_box(z, lo, hi),
         faces=tuple((j, lo[j], -1) for j in range(k))
         + tuple((j, hi[j], +1) for j in range(k)),
         coords=tuple(range(k)),
@@ -456,9 +496,13 @@ def _draw_rest(triplet, cols, z0, times, locs, rng):
     if not rest.size:
         return
     rest_law = _restrict(triplet, rest)
-    # a run of consecutive columns indexes as a slice, far cheaper than a
-    # fancy index on both axes
-    span = slice(rest[0], rest[-1] + 1) if rest[-1] - rest[0] + 1 == rest.size else None
+    # each run of consecutive columns indexes as a slice, far cheaper than a
+    # fancy index on both axes: (its columns in z0, its columns in a draw)
+    cuts = np.flatnonzero(np.diff(rest) != 1) + 1
+    runs = [
+        (slice(r[0], r[-1] + 1), slice(i, i + r.size))
+        for i, r in zip([0, *cuts.tolist()], np.split(rest, cuts))
+    ]
     chunk = max(1, _BLOCK // rest.size)
     paths = np.arange(z0.shape[0])
     t_prev = np.zeros(paths.size)
@@ -468,15 +512,14 @@ def _draw_rest(triplet, cols, z0, times, locs, rng):
         moving = seen[tk[seen] > t_prev[seen]]
         for lo in range(0, moving.size, chunk):
             rows = moving[lo : lo + chunk]
-            at = (rows, span) if span is not None else np.ix_(rows, rest)
-            z0[at] += sample_increments(rest_law, tk[rows] - t_prev[rows], rows.size, rng)
+            step = sample_increments(rest_law, tk[rows] - t_prev[rows], rows.size, rng)
+            for span, part in runs:
+                z0[rows, span] += step[:, part]
         t_prev[moving] = tk[moving]
         for lo in range(0, seen.size, chunk):
             rows = seen[lo : lo + chunk]
-            if span is not None:
+            for span, _ in runs:
                 locs[kth[rows], rows, span] = z0[rows, span]
-            else:
-                locs[kth[rows, None], rows[:, None], rest] = z0[np.ix_(rows, rest)]
 
 
 def _unit_exit_times(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -718,7 +761,7 @@ def _jump_exit(jumps, dim, x, lo, hi, g, cols, moved, horizon, pool, rng):
         jump = jumps.sample(rows.size, dim, rng)
         x[rows] += jump[:, cols]
         acc[rows] += jump[:, moved]
-        out = ((x[rows] <= lo) | (x[rows] >= hi)).any(axis=1)
+        out = off_open_box(x[rows], lo, hi)
         times[rows[out]] = elapsed[rows[out]]
         rows = rows[~out]
     return times, x, acc

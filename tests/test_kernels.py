@@ -1,0 +1,155 @@
+"""Axis-aligned membership kernels, the rank-wise jump sums and the
+run-sliced rest draw, each against the expression it replaces: the same
+booleans, and for floats the same bytes, signed zeros included."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from levylab import dirichlet, potential
+from levylab.measures import JumpMeasure, LevyTriplet, sample_increments
+from levylab.potential import box_complement, coord_halfspace, coordinate_box
+from levylab.rng import substream
+from levylab.space import make_space
+
+MODEL = make_space(6)
+SPECIAL = [np.nan, np.inf, -np.inf, 0.0, -0.0]
+# boxes of 1 to 4 columns; bounds at -0.0, 0.0 and infinity included
+BOXES = [
+    ([0.0], [1.0]),
+    ([-1.0, -0.0], [1.0, 2.5]),
+    ([-np.inf, 0.25, -3.0], [0.0, np.inf, 3.0]),
+    ([-1.0, -1.0, -1.0, 0.5], [1.0, 1.0, 1.0, 0.75]),
+]
+SHAPES = [(6,), (200, 6), (4, 9, 6), (0, 6)]
+
+
+def _batch(shape, marks, seed):
+    """Points drawn from normals, NaN, +-inf, +-0.0, each of `marks` exactly
+    and the floats next to them."""
+    marks = np.asarray(marks, dtype=float)
+    near = np.concatenate([np.nextafter(marks, -np.inf), np.nextafter(marks, np.inf)])
+    rng = substream(seed, "kernels")
+    values = np.concatenate([SPECIAL, marks, near, 2 * rng.standard_normal(8)])
+    return rng.choice(values, size=shape)
+
+
+def _same(out, ref):
+    """Same shape, dtype and bytes, except that any NaN matches any NaN (the
+    sign of the NaN of inf - inf depends on which operand a minimum keeps)."""
+    out, ref = np.asarray(out), np.asarray(ref)
+    assert out.shape == ref.shape and out.dtype == ref.dtype
+    if out.dtype.kind == "f":
+        nan = np.isnan(ref)
+        assert np.array_equal(np.isnan(out), nan)
+        out, ref = out[~nan], ref[~nan]
+    assert out.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("lows, highs", BOXES)
+def test_box_kernels_match_their_reductions(lows, highs, shape):
+    lo, hi = np.array(lows), np.array(highs)
+    k = lo.size
+    z = _batch(shape, lows + highs, seed=k)
+    col = z[..., :k]
+    _same(coordinate_box(MODEL, lo, hi)(z), np.all((col >= lo) & (col <= hi), axis=-1))
+    off = np.any((col <= lo) | (col >= hi), axis=-1)
+    _same(box_complement(MODEL, lo, hi)(z), off)
+    _same(potential.off_open_box(z, lo, hi), off)  # `_jump_exit`'s exit test
+    dom = dirichlet.box_domain(MODEL, lo, hi)
+    _same(dom.membership(z), np.all((col > lo) & (col < hi), axis=-1))
+    with np.errstate(invalid="ignore"):  # inf - inf
+        _same(dom.boundary_distance(z), np.min(np.minimum(col - lo, hi - col), axis=-1))
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_empty_box_keeps_its_answer_or_is_rejected(shape):
+    z = _batch(shape, [0.0], seed=0)
+    empty = np.array([])
+    _same(coordinate_box(MODEL, empty, empty)(z), np.ones(shape[:-1], dtype=bool))
+    _same(box_complement(MODEL, empty, empty)(z), np.zeros(shape[:-1], dtype=bool))
+    with pytest.raises(ValueError):
+        dirichlet.box_domain(MODEL, empty, empty)
+
+
+def test_box_bounds_of_two_shapes_are_rejected():
+    with pytest.raises(ValueError):
+        coordinate_box(MODEL, [0.0, 0.0], [1.0])
+    with pytest.raises(ValueError):
+        box_complement(MODEL, [[0.0]], [[1.0]])
+    # a scalar pair is a one-column box, as before
+    _same(coordinate_box(MODEL, 0.0, 1.0)(np.array([[0.5, 9.0], [1.5, 0.0]])), [True, False])
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("level", [0.0, -0.0, 1.0, -1.5, 5e-324])
+@pytest.mark.parametrize("side", [1, -1])
+def test_halfspace_compare_matches_signed_difference(side, level, shape):
+    z = _batch(shape, [level], seed=3)
+    for coord in (1, 3):
+        _same(coord_halfspace(MODEL, coord, level, side)(z), side * (z[..., coord - 1] - level) >= 0)
+
+
+@pytest.mark.parametrize("side, level", [(0, 1.0), (2, 1.0), (1, np.inf), (-1, np.nan)])
+def test_halfspace_needs_a_unit_side_and_a_finite_level(side, level):
+    with pytest.raises(ValueError):
+        coord_halfspace(MODEL, 1, level, side)
+
+
+@pytest.mark.parametrize("kind", ["pointmass", "poisson01"])
+def test_rank_wise_jump_sums_match_add_at(kind):
+    rng = substream(5, kind)
+    atoms = rng.standard_normal((3, MODEL.dim)) if kind == "pointmass" else None
+    jumps = JumpMeasure(intensity=2.5, kind=kind, atoms=atoms)
+    law = LevyTriplet(MODEL, 0.1 * rng.standard_normal(MODEL.dim), np.full(MODEL.dim, 0.7), jumps)
+    n = 300
+    t = np.where(np.arange(n) % 3 == 0, 0.01, 3.0)
+    out = sample_increments(law, t, n, substream(6, kind))
+    ref_rng = substream(6, kind)  # the same draws, summed by np.add.at
+    ref = sample_increments(replace(law, jumps=None), t, n, ref_rng)
+    counts = ref_rng.poisson(t * jumps.intensity)
+    np.add.at(ref, np.repeat(np.arange(n), counts), jumps.sample(int(counts.sum()), MODEL.dim, ref_rng))
+    assert counts.min() == 0 and counts.max() >= 6
+    _same(out, ref)
+
+
+def _draw_rest_fancy(triplet, cols, z0, times, locs, rng):
+    """`_draw_rest` with the rest columns as one fancy index on both axes."""
+    rest = np.delete(np.arange(z0.shape[1]), cols)
+    rest_law = potential._restrict(triplet, rest)
+    chunk = max(1, potential._BLOCK // rest.size)
+    paths = np.arange(z0.shape[0])
+    t_prev = np.zeros(paths.size)
+    for kth in np.argsort(times, axis=0, kind="stable"):
+        tk = times[kth, paths]
+        seen = np.flatnonzero(np.isfinite(tk))
+        moving = seen[tk[seen] > t_prev[seen]]
+        for lo in range(0, moving.size, chunk):
+            rows = moving[lo : lo + chunk]
+            z0[np.ix_(rows, rest)] += sample_increments(rest_law, tk[rows] - t_prev[rows], rows.size, rng)
+        t_prev[moving] = tk[moving]
+        for lo in range(0, seen.size, chunk):
+            rows = seen[lo : lo + chunk]
+            locs[kth[rows, None], rows[:, None], rest] = z0[np.ix_(rows, rest)]
+
+
+@pytest.mark.parametrize("cols", [(0,), (1,), (1, 3)], ids=["1run", "2runs", "3runs"])
+def test_draw_rest_runs_match_the_fancy_index(cols, monkeypatch):
+    monkeypatch.setattr(potential, "_BLOCK", 64)  # several chunks of rows
+    law = LevyTriplet(MODEL, np.zeros(MODEL.dim), np.linspace(0.5, 2.0, MODEL.dim))
+    rng = substream(7, "rest")
+    n = 60
+    times = rng.exponential(size=(2, n))
+    times[0, ::7] = np.inf  # missed targets
+    times[1, ::5] = 0.0  # entered at the start
+    times[1, 3] = times[0, 3]  # two entries at one time
+    z0 = rng.standard_normal((n, MODEL.dim))
+    locs = np.broadcast_to(z0, (2, n, MODEL.dim)).copy()
+    got_z, got_locs = z0.copy(), locs.copy()
+    potential._draw_rest(law, np.array(cols), got_z, times, got_locs, substream(8, "rest"))
+    _draw_rest_fancy(law, np.array(cols), z0, times, locs, substream(8, "rest"))
+    _same(got_z, z0)
+    _same(got_locs, locs)
+
