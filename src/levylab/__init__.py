@@ -29,8 +29,6 @@ from .space import (
     build_growth_basis,
     canonical_x,
     make_space,
-    norms,
-    project,
 )
 
 __all__ = [
@@ -47,10 +45,8 @@ __all__ = [
     "build_growth_basis",
     "canonical_x",
     "make_space",
-    "norms",
     "poisson_example_space",
     "poisson_example_triplet",
-    "project",
     "sample_increments",
     "substream",
     "__version__",

@@ -29,7 +29,7 @@ class IntegrabilityError(RuntimeError):
 
 @dataclass(frozen=True)
 class Domain:
-    """Open set with a signed distance proxy and an exit TargetSet.
+    """Open set with an exit TargetSet.
 
     kinds: "e_ball", "slab", "box".  All three satisfy an exterior cone
     condition at every boundary point, the regularity needed for boundary
@@ -39,7 +39,6 @@ class Domain:
     kind: str
     model: SpaceModel
     membership: Callable[[np.ndarray], np.ndarray]
-    boundary_distance: Callable[[np.ndarray], np.ndarray]
     exit_target: TargetSet
     params: dict = field(default_factory=dict)
 
@@ -73,7 +72,6 @@ def e_ball_domain(model: SpaceModel, center: np.ndarray, radius: float) -> Domai
         kind="e_ball",
         model=model,
         membership=lambda z: model.e_norm(z - c) < radius,
-        boundary_distance=lambda z: radius - model.e_norm(z - c),
         exit_target=e_ball_complement(model, c, radius, closed=True),
         params={"center": c, "radius": float(radius)},
     )
@@ -82,13 +80,13 @@ def e_ball_domain(model: SpaceModel, center: np.ndarray, radius: float) -> Domai
 def slab_domain(model: SpaceModel, coord: int, a: float, b: float) -> Domain:
     if not a < b:
         raise ValueError("need a < b")
+    exit_target = slab_complement(model, coord, a, b)  # checks the coordinate
     j = coord - 1
     return Domain(
         kind="slab",
         model=model,
         membership=lambda z: (z[..., j] > a) & (z[..., j] < b),
-        boundary_distance=lambda z: np.minimum(z[..., j] - a, b - z[..., j]),
-        exit_target=slab_complement(model, coord, a, b),
+        exit_target=exit_target,
         params={"coord": coord, "a": float(a), "b": float(b)},
     )
 
@@ -98,19 +96,10 @@ def box_domain(model: SpaceModel, lows, highs) -> Domain:
     hi = np.asarray(highs, dtype=float)
     if lo.ndim != 1 or lo.shape != hi.shape or not lo.size or np.any(lo >= hi):
         raise ValueError("need nonempty 1-d lows < highs, elementwise")
-
-    def boundary_distance(z):  # one column at a time, like `in_box`
-        d = np.full(z.shape[:-1], np.inf)
-        for j, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
-            np.minimum(d, z[..., j] - a, out=d)
-            np.minimum(d, b - z[..., j], out=d)
-        return d
-
     return Domain(
         kind="box",
         model=model,
         membership=lambda z: in_box(z, lo, hi, closed=False),
-        boundary_distance=boundary_distance,
         exit_target=box_complement(model, lo, hi),
         params={"lows": lo, "highs": hi},
     )

@@ -215,6 +215,8 @@ def run(
     out = Path(out_dir if out_dir is not None else raw.get("out_dir", "."))
     workers = workers if workers is not None else raw.get("workers", 1)
     _check_workers(workers)
+    if not (_is_number(samples_scale) and 0 < samples_scale < float("inf")):
+        raise ConfigError(f"samples_scale must be a finite number > 0, got {samples_scale!r}")
     specs = []
     for exp in raw.get("experiments", []):
         op = exp["operation"]

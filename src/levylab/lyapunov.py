@@ -23,7 +23,6 @@ from .measures import (
     InstabilityError,
     LevyTriplet,
     McEstimate,
-    PreconditionError,
     sample_increments,
 )
 from .space import GrowthBasis, SpaceModel
@@ -176,75 +175,3 @@ def moment_constant_estimate(
         best = max(best, est.mean / (1.0 + t**2))
     return best
 
-
-def supermedian_check(
-    norm: LyapunovNorm,
-    triplet: LevyTriplet,
-    t: float,
-    z_set,
-    n: int,
-    rng: np.random.Generator,
-    confidence: float = DEFAULT_CONFIDENCE,
-) -> list[str]:
-    """Per-z verdicts on E[q_x^2(z + Z_t)] >= q_x^2(z).
-
-    Proved only for the pure unit-H Gaussian semigroup; anything else is a
-    precondition error (the jump case has two-sided bounds instead).
-    """
-    if not triplet.is_pure_unit_gaussian:
-        raise PreconditionError(
-            "supermedian inequality is proved only for the drift-free "
-            "unit-H Gaussian semigroup"
-        )
-    verdicts = []
-    for z in z_set:
-        incr = sample_increments(triplet, t, n, rng)
-        est = McEstimate.from_samples(
-            q_x_eval(norm, np.asarray(z) + incr) ** 2, confidence
-        )
-        verdicts.append(est.verdict_at_least(float(q_x_eval(norm, z)) ** 2))
-    return verdicts
-
-
-def membership_Ex(
-    kind: str,
-    z_formula,
-    n_grid,
-    weights: str = "4^-n",
-    alphas="2^n",
-    divergence_slope: float = 1.5,
-    bounded_slope: float = 1.1,
-) -> dict:
-    """Track q_x(z) across truncations for a coordinate-formula point.
-
-    z_formula maps a SpaceModel to the coordinate vector of z at that
-    truncation.  Verdict: "not in E_x" when q_x grows by at least
-    divergence_slope per doubling of N, "in E_x" when the growth settles
-    below bounded_slope, otherwise "inconclusive".
-    """
-    from .space import build_growth_basis, canonical_x, make_space
-
-    n_grid = sorted(n_grid)
-    values = []
-    for dim in n_grid:
-        model = make_space(dim, weights)
-        growth_basis = build_growth_basis(model, canonical_x(model))
-        norm = (
-            gaussian_norm(model, growth_basis)
-            if kind == "gaussian"
-            else levy_norm(model, growth_basis, alphas)
-        )
-        values.append(float(q_x_eval(norm, z_formula(model))))
-    values = np.array(values)
-    if np.all(values < 1e-12):
-        verdict = "in E_x"
-    else:
-        ratios = values[1:] / np.maximum(values[:-1], 1e-300)
-        last = ratios[-1] if ratios.size else 1.0
-        if last >= divergence_slope:
-            verdict = "not in E_x"
-        elif last <= bounded_slope:
-            verdict = "in E_x"
-        else:
-            verdict = "inconclusive"
-    return {"n_grid": list(n_grid), "q_values": values.tolist(), "verdict": verdict}

@@ -67,20 +67,6 @@ class McEstimate:
         stderr = float(samples.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
         return cls(mean=mean, stderr=stderr, n_samples=n, confidence=confidence)
 
-    def merge(self, other: "McEstimate") -> "McEstimate":
-        """Pool two shard estimates; associative and order-independent."""
-        if other.confidence != self.confidence:
-            raise ValueError("cannot merge estimates at different confidence")
-        na, nb = self.n_samples, other.n_samples
-        n = na + nb
-        delta = other.mean - self.mean
-        mean = self.mean + delta * nb / n
-        m2a = self.stderr**2 * na * max(na - 1, 0)
-        m2b = other.stderr**2 * nb * max(nb - 1, 0)
-        m2 = m2a + m2b + delta**2 * na * nb / n
-        stderr = np.sqrt(m2 / (n - 1) / n) if n > 1 else 0.0
-        return McEstimate(mean, float(stderr), n, self.confidence)
-
     # -- three-valued assertions ------------------------------------------
 
     def _classify(self, gap: float, atol: float) -> str:
@@ -318,50 +304,3 @@ def pairing_second_moment_target(triplet: LevyTriplet, xi: np.ndarray, t: float)
         var_rate += triplet.jumps.intensity * triplet.jumps.pairing_second_moment(xi)
     return t**2 * mean_rate**2 + t * var_rate
 
-
-def check_weak_moment_bound(
-    triplet: LevyTriplet,
-    t_grid,
-    xi_set,
-    n: int,
-    rng: np.random.Generator,
-    confidence: float = DEFAULT_CONFIDENCE,
-    stability_tol: float = 0.2,
-):
-    """Empirical weak-second-moment bound: C_hat such that
-
-        E<xi, Z_t>^2 <= C_hat (1 + t^2) |xi|^2   over the grid.
-
-    C_hat must stay stable (within stability_tol) when the sample count
-    doubles; a stderr that fails to shrink raises InstabilityError.
-    """
-    t_grid = list(t_grid)
-    xi_set = [np.asarray(x, dtype=float) for x in xi_set]
-    if not t_grid or not xi_set:
-        raise ValueError("t_grid and xi_set must be nonempty")
-
-    def _pass(m):
-        report = []
-        c_hat = 0.0
-        for t in t_grid:
-            for i, xi in enumerate(xi_set):
-                est = pairing_second_moment(triplet, xi, t, m, rng, confidence)
-                h2 = float(xi @ xi)
-                ratio = est.mean / ((1.0 + t**2) * h2)
-                c_hat = max(c_hat, ratio)
-                report.append(
-                    {"t": t, "xi_index": i, "estimate": est, "ratio": ratio}
-                )
-        return c_hat, report
-
-    c1, report1 = _pass(n)
-    c2, report2 = _pass(2 * n)
-    for r1, r2 in zip(report1, report2):
-        if r2["estimate"].stderr > 0.95 * r1["estimate"].stderr + DEFAULT_ATOL:
-            raise InstabilityError(
-                f"stderr not shrinking as 1/sqrt(n) at cell t={r1['t']}, "
-                f"xi_index={r1['xi_index']}"
-            )
-    if abs(c2 - c1) > stability_tol * max(c1, c2):
-        raise InstabilityError("C_hat unstable under doubling of sample count")
-    return c2, {"cells": report2, "C_first_pass": c1, "stable": True}

@@ -1,10 +1,7 @@
-"""Monte Carlo action of the semigroup P_t and the resolvent U_alpha.
+"""Monte Carlo action of the resolvent U_alpha.
 
-P_t f(z) is the mean of f(z + Z_t); U_alpha f(z) is represented exactly by
-an exponential random time: (1/alpha) E[f(z + Z_T)], T ~ Exp(alpha).
-
-Comparative checks share increments between both sides (common random
-numbers), turning pointwise integral inequalities into per-sample ones.
+U_alpha f(z) is represented exactly by an exponential random time:
+(1/alpha) E[f(z + Z_T)], T ~ Exp(alpha).
 """
 
 from dataclasses import dataclass
@@ -13,7 +10,6 @@ from typing import Callable
 import numpy as np
 
 from .measures import DEFAULT_CONFIDENCE, LevyTriplet, McEstimate, sample_increments
-from .space import SpaceModel
 
 
 class BoundViolation(RuntimeError):
@@ -46,26 +42,6 @@ class TestFunction:
         return vals
 
 
-def constant_function(c: float = 1.0) -> TestFunction:
-    return TestFunction(lambda z: np.full(z.shape[:-1], c), bound=abs(c), name=f"const({c})")
-
-
-def apply_Pt(
-    triplet: LevyTriplet,
-    f: TestFunction,
-    t: float,
-    z: np.ndarray,
-    n: int,
-    rng: np.random.Generator,
-    confidence: float = DEFAULT_CONFIDENCE,
-) -> McEstimate:
-    """Estimate P_t f(z) = E f(z + Z_t)."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    incr = sample_increments(triplet, t, n, rng)
-    return McEstimate.from_samples(f(np.asarray(z) + incr), confidence)
-
-
 def apply_Ualpha(
     triplet: LevyTriplet,
     f: TestFunction,
@@ -81,21 +57,6 @@ def apply_Ualpha(
     t = rng.exponential(1.0 / alpha, size=n)
     incr = sample_increments(triplet, t, n, rng)
     return McEstimate.from_samples(f(np.asarray(z) + incr) / alpha, confidence)
-
-
-def apply_Pt_projected(
-    triplet: LevyTriplet,
-    phi: Callable[[np.ndarray], np.ndarray],
-    k: int,
-    t: float,
-    x: np.ndarray,
-    n: int,
-    rng: np.random.Generator,
-    confidence: float = DEFAULT_CONFIDENCE,
-) -> McEstimate:
-    """k-dimensional kernel: E phi(x + first k coordinates of Z_t)."""
-    incr = sample_increments(triplet, t, n, rng)[:, :k]
-    return McEstimate.from_samples(phi(np.asarray(x)[..., :k] + incr), confidence)
 
 
 def apply_Ualpha_projected(
@@ -114,89 +75,3 @@ def apply_Ualpha_projected(
     vals = phi(np.asarray(x)[..., :k] + incr) / alpha
     return McEstimate.from_samples(vals, confidence)
 
-
-def supermedian_transfer_check(
-    triplet: LevyTriplet,
-    v: Callable[[np.ndarray], np.ndarray],
-    k: int,
-    beta: float,
-    alpha_grid,
-    z_set,
-    n: int,
-    rng: np.random.Generator,
-    cap: float | None = None,
-    bounded: bool = False,
-    confidence: float = DEFAULT_CONFIDENCE,
-) -> list[dict]:
-    """Per-(alpha, z) verdicts on alpha U_{beta+alpha}(v o P_k)(z) <= v(P_k z).
-
-    v is a k-dimensional supermedian candidate for the projected process.
-    Unbounded candidates must declare a truncation cap; values are clipped
-    at the cap and the clipping is noted in the result rows.
-    """
-    if cap is None and not bounded:
-        raise ValueError("unbounded v requires a truncation cap")
-
-    def v_capped(y):
-        vals = np.asarray(v(y), dtype=float)
-        return np.minimum(vals, cap) if cap is not None else vals
-
-    rows = []
-    for z in z_set:
-        z = np.asarray(z, dtype=float)
-        for alpha in alpha_grid:
-            t = rng.exponential(1.0 / (beta + alpha), size=n)
-            incr = sample_increments(triplet, t, n, rng)[:, :k]
-            vals = alpha / (beta + alpha) * v_capped(z[:k] + incr)
-            est = McEstimate.from_samples(vals, confidence)
-            target = float(v_capped(z[:k][None, :])[0])
-            rows.append(
-                {
-                    "alpha": alpha,
-                    "z": z,
-                    "estimate": est,
-                    "target": target,
-                    "capped": cap is not None,
-                    "verdict": est.verdict_at_most(target),
-                }
-            )
-    return rows
-
-
-# -- named function registry (config-facing) --------------------------------
-
-
-def make_function(name: str, model: SpaceModel, **params) -> TestFunction:
-    if name == "one":
-        return constant_function(1.0)
-    if name == "indicator_ball":
-        center = np.asarray(params.get("center", np.zeros(model.dim)), dtype=float)
-        r = float(params["radius"])
-        return TestFunction(
-            lambda z: (model.e_norm2(z - center) <= r * r).astype(float),
-            bound=1.0,
-            name=f"indicator_ball(r={r})",
-        )
-    if name == "coordinate_square":
-        i = int(params.get("index", 1)) - 1
-        return TestFunction(
-            lambda z: z[..., i] ** 2, bound=None, name=f"coordinate_square({i + 1})"
-        )
-    if name == "newton_truncated":
-        k = int(params.get("k", 3))
-        return TestFunction(
-            lambda z: np.minimum(
-                1.0, 1.0 / np.maximum(np.sqrt(np.sum(z[..., :k] ** 2, axis=-1)), 1e-300)
-            ),
-            bound=1.0,
-            cylinder=k,
-            name=f"newton_truncated(k={k})",
-        )
-    if name == "qx_squared":
-        from .lyapunov import q_x_eval
-
-        norm = params["norm"]
-        return TestFunction(
-            lambda z: q_x_eval(norm, z) ** 2, bound=None, name="qx_squared"
-        )
-    raise KeyError(f"unknown function name {name!r}")

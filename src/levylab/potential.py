@@ -195,12 +195,19 @@ def e_ball_complement(
     return _e_target(name, model, center, radius, False, closed)
 
 
+def _column(model: SpaceModel, coord: int) -> int:
+    """The 0-based column of the 1-based coordinate `coord`."""
+    if not 1 <= coord <= model.dim:
+        raise ValueError(f"coordinate {coord} outside 1..{model.dim}")
+    return coord - 1
+
+
 def coord_halfspace(model: SpaceModel, coord: int, level: float, side: int) -> TargetSet:
     """{z : side*(c_coord - level) >= 0} for side +1 or -1 and a finite
     level; coord is 1-based."""
     if side not in (1, -1) or not math.isfinite(level):
         raise ValueError("need side +1 or -1 and a finite level")
-    j = coord - 1
+    j = _column(model, coord)
     # c_j >= level gives the booleans of side*(c_j - level) >= 0 for side
     # +1: a difference of unequal floats never rounds to zero
     above = side > 0
@@ -214,7 +221,7 @@ def coord_halfspace(model: SpaceModel, coord: int, level: float, side: int) -> T
 
 def slab_complement(model: SpaceModel, coord: int, a: float, b: float) -> TargetSet:
     """Complement of the open slab a < c_coord < b."""
-    j = coord - 1
+    j = _column(model, coord)
     return TargetSet(
         f"slab_complement(c{coord} outside ({a},{b}))",
         lambda z: (z[..., j] <= a) | (z[..., j] >= b),
@@ -226,11 +233,13 @@ def slab_complement(model: SpaceModel, coord: int, a: float, b: float) -> Target
 # Axis-aligned membership, one column at a time (see `TargetSet`).
 
 
-def _box_bounds(lows, highs):
+def _box_bounds(model: SpaceModel, lows, highs):
     lo = np.atleast_1d(np.asarray(lows, dtype=float))
     hi = np.atleast_1d(np.asarray(highs, dtype=float))
     if lo.ndim != 1 or lo.shape != hi.shape:
         raise ValueError("lows and highs must be 1-d and of one length")
+    if lo.size > model.dim:
+        raise ValueError(f"{lo.size} box bounds for {model.dim} coordinates")
     return lo, hi
 
 
@@ -257,7 +266,7 @@ def off_open_box(z, lo, hi):
 
 
 def coordinate_box(model: SpaceModel, lows: np.ndarray, highs: np.ndarray) -> TargetSet:
-    lo, hi = _box_bounds(lows, highs)
+    lo, hi = _box_bounds(model, lows, highs)
     return TargetSet(
         "coordinate_box",
         lambda z: in_box(z, lo, hi, closed=True),
@@ -267,7 +276,7 @@ def coordinate_box(model: SpaceModel, lows: np.ndarray, highs: np.ndarray) -> Ta
 
 def box_complement(model: SpaceModel, lows: np.ndarray, highs: np.ndarray) -> TargetSet:
     """Complement of the open box lows < c < highs in the first k coordinates."""
-    lo, hi = _box_bounds(lows, highs)
+    lo, hi = _box_bounds(model, lows, highs)
     k = lo.size
     return TargetSet(
         "box_complement",
@@ -1089,7 +1098,7 @@ def multi_target_hit(
     and one that is the same object as an earlier one (identity, not
     equality) copies its hits.  A single other target goes through the
     planner (`_hit`); with two or more, every target is monitored on the
-    engine's grid alone, with no bridge correction, so all identically."""
+    engine's grid alone, so all identically."""
     z0 = _starts(start, n_paths)
     first = [next(i for i, u in enumerate(targets) if u is t) for t in targets]
     pending = [i for i, t in enumerate(targets) if first[i] == i and not t(z0).all()]
@@ -1121,6 +1130,8 @@ def reduced_function_family(
     Returns (list of McEstimate, per-path sample matrix (nT, n)); the
     sample matrix lets callers assert per-sample orderings for nested
     targets."""
+    if beta <= 0:
+        raise PreconditionError("beta must be positive: a path that never hits has no discount")
     times, locs = multi_target_hit(triplet, z, targets, cfg, n, rng)
     nT = len(targets)
     samples = np.zeros((nT, n))
@@ -1202,30 +1213,6 @@ def horizon_bias_bound(sup_v: float, beta: float, cfg: PathConfig) -> float:
     return sup_v * float(np.exp(-beta * cfg.horizon))
 
 
-def reduced_function(
-    triplet: LevyTriplet,
-    v,
-    M: TargetSet,
-    beta: float,
-    z: np.ndarray,
-    n: int,
-    cfg: PathConfig,
-    rng: np.random.Generator,
-    transient: bool = False,
-    confidence: float = DEFAULT_CONFIDENCE,
-) -> McEstimate:
-    """Hitting-kernel estimate E[e^{-beta T} v(X_T); T < horizon]."""
-    if beta <= 0 and not transient:
-        raise PreconditionError(
-            "beta = 0 requires a transience certificate (transient=True)"
-        )
-    hit, time, loc = simulate_hit_batch(triplet, z, M, cfg, n, rng)
-    vals = np.zeros(n)
-    if hit.any():
-        vals[hit] = np.exp(-beta * time[hit]) * np.asarray(v(loc[hit]), dtype=float)
-    return McEstimate.from_samples(vals, confidence)
-
-
 def capacity(
     triplet: LevyTriplet,
     lam: PointCloud,
@@ -1244,15 +1231,13 @@ def capacity(
         raise ValueError("beta must be positive")
     mean = 0.0
     var = 0.0
-    total = 0
     for zi, mi in zip(lam.points, lam.masses):
         hit, time, _ = simulate_hit_batch(triplet, zi, M, cfg, n, rng)
         vals = np.where(hit, np.exp(-beta * np.where(hit, time, 0.0)), 0.0) / beta
         est = McEstimate.from_samples(vals, confidence)
         mean += mi * est.mean
         var += (mi * est.stderr) ** 2
-        total += n
-    return McEstimate(mean, float(np.sqrt(var)), total, confidence)
+    return McEstimate(mean, float(np.sqrt(var)), n * len(lam.points), confidence)
 
 
 def capacity_tightness_profile(
@@ -1286,7 +1271,7 @@ def capacity_tightness_profile(
             {
                 "level": lv,
                 "estimate": McEstimate(
-                    float(means[li]), float(np.sqrt(var[li])), n, confidence
+                    float(means[li]), float(np.sqrt(var[li])), n * len(lam.points), confidence
                 ),
             }
         )
@@ -1345,7 +1330,7 @@ def balayage_check(
         diff_est = McEstimate(
             row["nu_side"] - row["swept_side"],
             float(np.sqrt(row.pop("var_diff"))),
-            n,
+            n * len(nu.points),
             confidence,
         )
         if row["inside"]:

@@ -57,13 +57,6 @@ class SpaceModel:
     def e_norm(self, z: np.ndarray) -> np.ndarray:
         return np.sqrt(self.e_norm2(z))
 
-    def h_norm(self, z: np.ndarray) -> np.ndarray:
-        return np.sqrt(self.h_norm2(z))
-
-    def pairing(self, xi: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """E'-E pairing <xi, z> for xi given in H coordinates."""
-        return np.sum(np.asarray(xi) * np.asarray(z), axis=-1)
-
     def weight_tail(self, m: int) -> float:
         """sum_{k > m} lambda_k against the generator formula when known.
 
@@ -98,21 +91,6 @@ def canonical_x(model: SpaceModel) -> np.ndarray:
     and the identity basis realizes the growth bound with equality.
     """
     return np.sqrt(2.0) ** np.arange(1, model.dim + 1)
-
-
-def project(model: SpaceModel, n: int, z: np.ndarray) -> np.ndarray:
-    """Coordinate projection: zero out pairing coordinates beyond n."""
-    if not 1 <= n <= model.dim:
-        raise ValueError(f"projection index {n} outside 1..{model.dim}")
-    out = np.array(z, dtype=float, copy=True)
-    out[..., n:] = 0.0
-    return out
-
-
-def norms(model: SpaceModel, z: np.ndarray) -> tuple[float, float]:
-    """(E-norm, truncated H-norm).  H-norm growth across truncations is the
-    caller's 'z not in H' diagnostic; at fixed N both values are finite."""
-    return float(model.e_norm(z)), float(model.h_norm(z))
 
 
 @dataclass(frozen=True)

@@ -49,15 +49,6 @@ def test_domain_validation():
         box_domain(model, [0.0], [0.0])
 
 
-def test_boundary_distance_signs():
-    model = make_space(DIM)
-    dom = _slab(model)
-    z = np.zeros((1, DIM))
-    assert float(dom.boundary_distance(z)[0]) == pytest.approx(1.0)
-    z[0, 0] = 1.0
-    assert float(dom.boundary_distance(z)[0]) == pytest.approx(0.0)
-
-
 def test_solve_requires_interior_start(setup):
     model, triplet = setup
     dom = _slab(model)
@@ -142,18 +133,20 @@ def test_exit_locations_exactly_on_boundary(setup):
     model, triplet = setup
     start = np.zeros(DIM)
     start[:2] = (0.3, -0.2)
+    # distance to the boundary of the slab |c1| < 1, the box |c1|, |c2| < 1
+    # and the unit E-ball
+    faces = lambda z, k: np.min(1.0 - np.abs(z[:, :k]), axis=1)
+    domains = (
+        (slab_domain(model, 1, -1.0, 1.0), lambda z: faces(z, 1)),
+        (box_domain(model, [-1.0, -1.0], [1.0, 1.0]), lambda z: faces(z, 2)),
+        (e_ball_domain(model, np.zeros(DIM), 1.0), lambda z: 1.0 - model.e_norm(z)),
+    )
     for bridge in (True, False):
         cfg = PathConfig(dt=0.01, horizon=20.0, bridge=bridge)
-        for i, dom in enumerate(
-            (
-                slab_domain(model, 1, -1.0, 1.0),
-                box_domain(model, [-1.0, -1.0], [1.0, 1.0]),
-                e_ball_domain(model, np.zeros(DIM), 1.0),
-            )
-        ):
+        for i, (dom, distance) in enumerate(domains):
             hit, _, loc = sample_exits(triplet, dom, start, 400, cfg, substream(30 + i))
             assert hit.all()
-            assert np.all(np.abs(dom.boundary_distance(loc)) < 1e-9), (dom.kind, bridge)
+            assert np.all(np.abs(distance(loc)) < 1e-9), (dom.kind, bridge)
 
 
 @pytest.mark.parametrize("shape", [(7,), (3, 5), (2, 3, 4)])

@@ -230,6 +230,20 @@ def test_samples_scale_floor(tmp_path):
     assert res["records"][0].spec.samples == 100  # floored at the minimum
 
 
+@pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+def test_bad_samples_scale_is_a_config_error(tmp_path, capsys, scale):
+    """A non-finite or non-positive scale exits 2 from the CLI and raises
+    from `run`, rather than overflowing in the sample count or running
+    every experiment at the 100-sample floor."""
+    p = _write(tmp_path, {"experiments": [_TAIL]})
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(p), "--out", str(out), "--samples-scale", scale]) == 2
+    assert "samples_scale" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="samples_scale"):
+        run(p, out_dir=out, samples_scale=float(scale))
+    assert not out.exists()
+
+
 def test_csv_rows_parse_to_fixed_columns(tmp_path):
     """Op labels carry commas; every row of a small paper_suite run must
     still parse to the fixed columns."""

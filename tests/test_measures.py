@@ -12,12 +12,10 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from levylab.measures import (
-    InstabilityError,
     JumpMeasure,
     LevyTriplet,
     McEstimate,
     brownian_triplet,
-    check_weak_moment_bound,
     pairing_second_moment,
     pairing_second_moment_target,
     poisson_example_space,
@@ -75,40 +73,6 @@ def test_estimate_validation():
         McEstimate(0.0, 1.0, 10, confidence=1.5)
 
 
-@given(
-    a=st.lists(st.floats(-100, 100), min_size=1, max_size=40),
-    b=st.lists(st.floats(-100, 100), min_size=1, max_size=40),
-)
-@settings(max_examples=60, deadline=None)
-def test_merge_matches_pooled_samples(a, b):
-    """Sharded equals pooled at any split point, one-sample shards included."""
-    a, b = np.array(a), np.array(b)
-    ea = McEstimate.from_samples(a)
-    eb = McEstimate.from_samples(b)
-    merged = ea.merge(eb)
-    pooled = McEstimate.from_samples(np.concatenate([a, b]))
-    assert merged.mean == pytest.approx(pooled.mean, abs=1e-9)
-    assert merged.stderr == pytest.approx(pooled.stderr, rel=1e-6, abs=1e-9)
-    assert merged.n_samples == pooled.n_samples
-    # order independence
-    swapped = eb.merge(ea)
-    assert swapped.mean == pytest.approx(merged.mean, abs=1e-9)
-
-
-@given(
-    a=st.lists(st.floats(-100, 100), min_size=1, max_size=30),
-    b=st.lists(st.floats(-100, 100), min_size=1, max_size=30),
-    c=st.lists(st.floats(-100, 100), min_size=1, max_size=30),
-)
-@settings(max_examples=60, deadline=None)
-def test_merge_is_associative(a, b, c):
-    ea, eb, ec = (McEstimate.from_samples(np.array(x)) for x in (a, b, c))
-    left, right = ea.merge(eb).merge(ec), ea.merge(eb.merge(ec))
-    assert left.n_samples == right.n_samples
-    assert left.mean == pytest.approx(right.mean, abs=1e-9)
-    assert left.stderr == pytest.approx(right.stderr, rel=1e-6, abs=1e-9)
-
-
 LABELS = st.lists(st.one_of(st.text(max_size=6), st.integers(-5, 5)), max_size=3)
 
 
@@ -129,11 +93,6 @@ def test_substream_streams_reproduce_and_are_uncorrelated():
     np.testing.assert_array_equal(a, substream(2024, "c1").standard_normal(n))
     for other in (substream(2024, "c2"), substream(2025, "c1")):
         assert abs(np.corrcoef(a, other.standard_normal(n))[0, 1]) < 5 / np.sqrt(n)
-
-
-def test_merge_confidence_mismatch():
-    with pytest.raises(ValueError):
-        McEstimate(0, 1, 10, 0.9).merge(McEstimate(0, 1, 10, 0.99))
 
 
 def test_brownian_increments_deterministic():
@@ -304,24 +263,6 @@ def test_pure_unit_gaussian_flag():
     drifted = LevyTriplet(model, np.ones(4), np.ones(4))
     assert not drifted.is_pure_unit_gaussian
     assert drifted.is_continuous
-
-
-def test_weak_moment_bound_brownian():
-    """Weak second-moment ratio t/(1+t^2) stays below 1/2 + noise."""
-    model = make_space(16)
-    triplet = brownian_triplet(model)
-    rng = substream(5, "wmb")
-    c_hat, report = check_weak_moment_bound(
-        triplet, (0.5, 1.0, 2.0), [model.basis_vector(1)], 20_000, rng
-    )
-    assert report["stable"]
-    assert 0.3 < c_hat < 0.6
-
-
-def test_weak_moment_bound_empty_inputs():
-    triplet = brownian_triplet(make_space(4))
-    with pytest.raises(ValueError):
-        check_weak_moment_bound(triplet, (), [np.ones(4)], 200, substream(0))
 
 
 def test_single_increment_shape():

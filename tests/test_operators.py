@@ -1,4 +1,4 @@
-"""Semigroup and resolvent estimators, projection consistency."""
+"""Resolvent estimators and projection consistency."""
 
 import numpy as np
 import pytest
@@ -7,13 +7,8 @@ from levylab.measures import McEstimate, brownian_triplet
 from levylab.operators import (
     BoundViolation,
     TestFunction,
-    apply_Pt,
-    apply_Pt_projected,
     apply_Ualpha,
     apply_Ualpha_projected,
-    constant_function,
-    make_function,
-    supermedian_transfer_check,
 )
 from levylab.rng import substream
 from levylab.space import make_space
@@ -25,19 +20,13 @@ def setup():
     return model, brownian_triplet(model)
 
 
-def test_constant_semigroup_exact(setup):
-    model, triplet = setup
-    est = apply_Pt(triplet, constant_function(1.0), 1.0, np.zeros(32), 500, substream(0))
-    assert est.mean == 1.0
-    assert est.stderr == 0.0
+ONE = TestFunction(lambda z: np.ones(z.shape[:-1]), bound=1.0, name="one")
 
 
 def test_constant_resolvent_exact(setup):
     model, triplet = setup
     for alpha in (0.5, 2.0):
-        est = apply_Ualpha(
-            triplet, constant_function(1.0), alpha, np.zeros(32), 500, substream(1)
-        )
+        est = apply_Ualpha(triplet, ONE, alpha, np.zeros(32), 500, substream(1))
         assert est.mean == pytest.approx(1.0 / alpha)
         assert est.stderr == 0.0
 
@@ -45,16 +34,14 @@ def test_constant_resolvent_exact(setup):
 def test_time_validation(setup):
     model, triplet = setup
     with pytest.raises(ValueError):
-        apply_Pt(triplet, constant_function(), 0.0, np.zeros(32), 100, substream(0))
-    with pytest.raises(ValueError):
-        apply_Ualpha(triplet, constant_function(), -1.0, np.zeros(32), 100, substream(0))
+        apply_Ualpha(triplet, ONE, -1.0, np.zeros(32), 100, substream(0))
 
 
 def test_bound_violation_detected(setup):
     model, triplet = setup
     liar = TestFunction(lambda z: z[..., 0], bound=1e-6, name="liar")
     with pytest.raises(BoundViolation):
-        apply_Pt(triplet, liar, 5.0, np.zeros(32), 2000, substream(2))
+        apply_Ualpha(triplet, liar, 0.2, np.zeros(32), 2000, substream(2))
 
 
 def test_projection_identity_resolvent(setup):
@@ -80,58 +67,13 @@ def test_projection_identity_resolvent(setup):
             assert diff.verdict(0.0) == "pass"
 
 
-def test_projected_semigroup_gaussian_moment(setup):
-    """k-dim second moment through the projected kernel matches t."""
+def test_projected_resolvent_gaussian_moment(setup):
+    """k-dim second moment through the projected resolvent: for Brownian
+    motion U_alpha of c1^2 at 0 is E[T]/alpha = 1/alpha^2."""
     model, triplet = setup
-    rng = substream(4, "projP")
-    est = apply_Pt_projected(
-        triplet, lambda y: y[..., 0] ** 2, 1, 1.5, np.zeros(32), 40_000, rng
+    rng = substream(4, "projU")
+    alpha = 1.0 / 1.5
+    est = apply_Ualpha_projected(
+        triplet, lambda y: y[..., 0] ** 2, 1, alpha, np.zeros(32), 40_000, rng
     )
-    assert est.verdict(1.5) == "pass"
-
-
-def test_supermedian_transfer_bounded(setup):
-    model, triplet = setup
-    rows = supermedian_transfer_check(
-        triplet,
-        v=lambda y: np.ones(y.shape[:-1]),
-        k=1,
-        beta=1.0,
-        alpha_grid=(0.5, 1.0, 4.0),
-        z_set=[np.zeros(32)],
-        n=5_000,
-        rng=substream(5),
-        bounded=True,
-    )
-    assert all(r["verdict"] == "pass" for r in rows)
-
-
-def test_supermedian_transfer_requires_cap(setup):
-    model, triplet = setup
-    with pytest.raises(ValueError):
-        supermedian_transfer_check(
-            triplet,
-            v=lambda y: y[..., 0] ** 2,
-            k=1,
-            beta=1.0,
-            alpha_grid=(1.0,),
-            z_set=[np.zeros(32)],
-            n=100,
-            rng=substream(6),
-        )
-
-
-def test_make_function_registry(setup):
-    model, triplet = setup
-    one = make_function("one", model)
-    assert float(one(np.zeros((3, 32)))[0]) == 1.0
-    ball = make_function("indicator_ball", model, radius=1.0)
-    assert float(ball(np.zeros((1, 32)))[0]) == 1.0
-    sq = make_function("coordinate_square", model, index=2)
-    z = np.zeros((1, 32))
-    z[0, 1] = 3.0
-    assert float(sq(z)[0]) == 9.0
-    newton = make_function("newton_truncated", model, k=2)
-    assert float(newton(np.zeros((1, 32)))[0]) == 1.0  # clipped at 1
-    with pytest.raises(KeyError):
-        make_function("mystery", model)
+    assert est.verdict(1.0 / alpha**2) == "pass"

@@ -40,7 +40,6 @@ from levylab.potential import (
     polarity_diagnostic_H,
     polarity_diagnostic_point,
     projection_convergence,
-    reduced_function,
     reduced_function_family,
     simulate_hit_batch,
     slab_complement,
@@ -126,8 +125,8 @@ def test_gamblers_ruin_exit_split(setup):
 def test_reduced_function_whole_space(setup):
     model, triplet = setup
     cfg = PathConfig(dt=0.1, horizon=1.0)
-    est = reduced_function(
-        triplet, ONE, whole_space(model), 1.0, np.zeros(8), 200, cfg, substream(4)
+    (est,), _ = reduced_function_family(
+        triplet, ONE, [whole_space(model)], 1.0, np.zeros(8), 200, cfg, substream(4)
     )
     assert est.mean == 1.0  # T = 0 under the D-convention
 
@@ -136,21 +135,9 @@ def test_reduced_function_beta_zero_guard(setup):
     model, triplet = setup
     cfg = PathConfig(dt=0.1, horizon=1.0)
     with pytest.raises(PreconditionError):
-        reduced_function(
-            triplet, ONE, whole_space(model), 0.0, np.zeros(8), 100, cfg, substream(5)
+        reduced_function_family(
+            triplet, ONE, [whole_space(model)], 0.0, np.zeros(8), 100, cfg, substream(5)
         )
-    est = reduced_function(
-        triplet,
-        ONE,
-        whole_space(model),
-        0.0,
-        np.zeros(8),
-        100,
-        cfg,
-        substream(5),
-        transient=True,
-    )
-    assert est.mean == 1.0
 
 
 def test_reduced_function_bounds_and_monotone(setup):
@@ -315,6 +302,24 @@ def test_balayage_degenerate_warning(setup):
         [{"target": M, "inside": True}], 100, cfg, substream(13),
     )
     assert rep["degenerate"]
+
+
+def test_cloud_sums_report_the_draws_they_used(setup):
+    """capacity, capacity_tightness_profile and balayage_check sum n paths
+    from each point of the cloud, so each reports n x points samples."""
+    model, triplet = setup
+    cloud = PointCloud(np.array([np.zeros(8), np.full(8, 0.25)]), np.array([0.5, 0.5]))
+    M = coord_halfspace(model, 1, 1.0, +1)
+    cfg = PathConfig(dt=0.1, horizon=1.0)
+    norm = gaussian_norm(model, build_growth_basis(model, canonical_x(model)))
+    est = capacity(triplet, cloud, M, 1.0, 30, cfg, substream(14))
+    prof = capacity_tightness_profile(norm, triplet, cloud, [1.0, 2.0], 1.0, 30, cfg, substream(14))
+    rep = balayage_check(
+        triplet, cloud, M, 1.0, [{"target": M, "inside": True}], 30, cfg, substream(14)
+    )
+    assert est.n_samples == 60
+    assert [p["estimate"].n_samples for p in prof] == [60, 60]
+    assert rep["rows"][0]["difference"].n_samples == 60
 
 
 def test_domination_equal_measures_pass(setup):

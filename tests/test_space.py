@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from levylab.space import (
     GrowthBasis,
@@ -12,8 +10,6 @@ from levylab.space import (
     build_growth_basis,
     canonical_x,
     make_space,
-    norms,
-    project,
 )
 
 
@@ -35,9 +31,8 @@ def test_weight_validation():
 def test_norms_basis_vector():
     model = make_space(32)
     e1 = model.basis_vector(1)
-    e_norm, h_norm = norms(model, e1)
-    assert h_norm == 1.0
-    assert e_norm == pytest.approx(0.5)  # sqrt(lambda_1) = sqrt(1/4)
+    assert model.h_norm2(e1) == 1.0
+    assert model.e_norm(e1) == pytest.approx(0.5)  # sqrt(lambda_1) = sqrt(1/4)
 
 
 def test_canonical_x_norms():
@@ -57,37 +52,13 @@ def test_weight_tail_generator():
     assert explicit.weight_tail(32) == 0.0
 
 
-def test_project_range_error():
-    model = make_space(4)
-    with pytest.raises(ValueError):
-        project(model, 0, np.ones(4))
-    with pytest.raises(ValueError):
-        project(model, 5, np.ones(4))
-
-
-@given(
-    n1=st.integers(1, 16),
-    n2=st.integers(1, 16),
-    data=st.lists(st.floats(-10, 10), min_size=16, max_size=16),
-)
-@settings(max_examples=50, deadline=None)
-def test_projection_idempotent_and_commuting(n1, n2, data):
-    model = make_space(16)
-    z = np.array(data)
-    p1 = project(model, n1, z)
-    np.testing.assert_array_equal(project(model, n1, p1), p1)
-    np.testing.assert_array_equal(
-        project(model, n1, project(model, n2, z)),
-        project(model, min(n1, n2), z),
-    )
-
-
 def test_projection_contracts_norms():
     model = make_space(16)
     rng = np.random.default_rng(0)
     z = rng.standard_normal((20, 16))
     for n in (1, 5, 16):
-        zp = project(model, n, z)
+        zp = z.copy()
+        zp[:, n:] = 0.0  # the coordinate projection P_n
         assert np.all(model.e_norm2(zp) <= model.e_norm2(z) + 1e-12)
         assert np.all(model.h_norm2(zp) <= model.h_norm2(z) + 1e-12)
 
