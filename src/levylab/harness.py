@@ -220,12 +220,19 @@ def run(
     specs = []
     for exp in raw.get("experiments", []):
         op = exp["operation"]
+        name = exp.get("name", op)
+        samples = exp.get("samples", 1000) * samples_scale
+        if not samples < 2.0**63:  # also false for inf and nan
+            raise ConfigError(
+                f"experiment {name!r}: samples times samples_scale is {samples!r}, "
+                "not a finite count below 2^63"
+            )
         specs.append(
             ExperimentSpec(
-                name=exp.get("name", op),
+                name=name,
                 operation=op,
                 parameters=exp.get("parameters", {}),
-                samples=max(100, int(exp.get("samples", 1000) * samples_scale)),
+                samples=max(100, int(samples)),
                 seed=base_seed,
                 confidence=float(exp.get("confidence", 0.999)),
             )

@@ -37,9 +37,11 @@ coordinates whose weight is at least _HEAD_FRACTION of the first, when the
 law is continuous, the tail has at least two coordinates moved without
 drift at one variance rate, and every start's tail is the centre's.  The
 tail then enters the E-norm only through its squared radius, a squared
-Bessel process stepped exactly; the tail vector is drawn only at the step
-where the weight bounds on it cannot rule out entry (`_radial_passage`).
-Its hits stay on the grid and have the engine's law.
+Bessel process stepped exactly, its root in units of sqrt(g dt) by an add,
+a square, an add and a square root a step (`_tail_radii`); the tail vector
+is drawn only at the step where the weight bounds on it cannot rule out
+entry (`_radial_passage`).  Its hits stay on the grid and have the
+engine's law.
 
 One planner (`_hit`) picks the mode of a one-target hit: a target that
 reads no coordinate is decided at time 0, else face passage, else the
@@ -832,14 +834,15 @@ def _face_passage(
 
 
 # Coordinates whose E-weight is at least this fraction of the first are the
-# radial mode's head: with weights 4^-n, 7 of them.  Smaller heads ran faster
-# in the head sweep (BENCH_radial_tail.json); 7 is the least that leaves an
-# 8-coordinate model one tail coordinate, too few, so its E-balls keep the engine.
-_HEAD_FRACTION = 4.0**-6
+# radial mode's head: with weights 4^-n, 5 of them.  Heads 4 and 5 tied and
+# 6 and 7 were slower in the head sweep (BENCH_radial_floor.json); 5 hands
+# off 28% of the benchmark's E-ball paths to the engine, 4 hands off 63%.
+_HEAD_FRACTION = 4.0**-4
 
 # Below this many live paths the radius chain's Python loop over the steps
-# costs more than the tail's normals (BENCH_radial_tail.json).
-_RADIAL_MIN_PATHS = 4
+# costs more than finishing them on the engine: 8 to 24 tied in the
+# hand-off sweep (BENCH_radial_floor.json).
+_RADIAL_MIN_PATHS = 12
 
 
 def _radial_head(triplet: LevyTriplet, target: TargetSet, start) -> int:
@@ -897,19 +900,23 @@ def _von_mises_fisher(mu: np.ndarray, kappa: np.ndarray, rng: np.random.Generato
     return w[:, None] * mu + sin[:, None] * v
 
 
-def _tail_radii(radius: np.ndarray, nb: int, var: float, d: int, rng: np.random.Generator):
-    """Radii sqrt(rho) (nb + 1, r) of r Brownian motions in R^d of variance
-    `var` a step, from `radius` (r,) over nb steps: the step's component
-    along the current point is a normal, its squared rest chi^2_{d-1}, so
-    rho_s = (sqrt(rho_{s-1}) + sqrt(var) N)^2 + var chi^2_{d-1}.  The
-    draws of all nb steps come from one call each; the steps chain in a
-    Python loop of one add and one hypot."""
+def _tail_radii(radius: np.ndarray, nb: int, d: int, rng: np.random.Generator):
+    """Radii (nb + 1, r) of r standard Brownian motions in R^d over nb unit
+    steps, from `radius` (r,): the step's component along the current point
+    is a normal N, its squared rest chi^2_{d-1}, so r_s = sqrt((r_{s-1} +
+    N)^2 + chi^2_{d-1}).  The draws of all nb steps come from one call
+    each; the steps chain in a Python loop of an add, a multiply, an add
+    and a sqrt in place on each row, with no hypot, which costs about six
+    times those three together an element (BENCH_radial_floor.json)."""
     rad = np.empty((nb + 1, radius.size))
     rad[0] = radius
-    along = np.sqrt(var) * rng.standard_normal((nb, radius.size))
-    across = np.sqrt(var * rng.chisquare(d - 1, (nb, radius.size)))
-    for s in range(nb):
-        np.hypot(rad[s] + along[s], across[s], out=rad[s + 1])
+    along = rng.standard_normal((nb, radius.size))
+    across = rng.chisquare(d - 1, (nb, radius.size))
+    for prev, r, a, c in zip(rad, rad[1:], along, across):
+        np.add(prev, a, r)  # positional outs: the loop runs once a grid step
+        np.multiply(r, r, r)
+        np.add(r, c, r)
+        np.sqrt(r, r)
     return rad
 
 
@@ -929,33 +936,35 @@ def _radial_passage(
 
     The tail minus the centre's is sqrt(g) times a d-dimensional Brownian
     motion from 0 (d = N - m), so its squared norm rho is a squared Bessel
-    process, stepped exactly (`_tail_radii`).  The weights do not
-    increase, so the tail's share of the E-norm^2 lies between lambda_N rho
-    and lambda_{m+1} rho, and a step whose bound keeps it out of the target
-    is decided without the tail.  At a path's first step s that the bound
+    process, whose root is stepped exactly in units of sqrt(g dt)
+    (`_tail_radii`): r = sqrt(rho / (g dt)).  The weights do not increase,
+    so the tail's share of the E-norm^2 lies between lambda_N rho and
+    lambda_{m+1} rho, and a step whose bound keeps it out of the target is
+    decided without the tail.  At a path's first step s that the bound
     cannot rule out, the tail is drawn: given the radii its direction is
     uniform (rotation invariance), so at s - 1 it is sqrt(rho_{s-1}) U, and
     at s it is sqrt(rho_s) times a von Mises-Fisher draw around U with
-    kappa = sqrt(rho_{s-1} rho_s) / (g dt) (`_von_mises_fisher`), the law
-    of a Gaussian step given its end radius.  The real membership then
-    decides.  A path that entered stops at s, with `refine` applied to its
-    points at s - 1 and s; one that did not leaves the radial mode at s
-    with its realized point.  So do all live paths, their tails drawn
-    uniform, once fewer than _RADIAL_MIN_PATHS remain.  The paths that left
-    finish on the engine (`_step_paths`) in one call from their points,
-    for as many steps as the longest of their remaining counts; an entry
-    past a path's own count is a miss.  The head's increments come from
-    `sample_increments`.
+    kappa = sqrt(rho_{s-1} rho_s) / (g dt) = r_{s-1} r_s
+    (`_von_mises_fisher`), the law of a Gaussian step given its end
+    radius.  The real membership then decides.  A path that entered stops
+    at s, with `refine` applied to its points at s - 1 and s; one that did
+    not leaves the radial mode at s with its realized point.  So do all
+    live paths, their tails drawn uniform, once fewer than
+    _RADIAL_MIN_PATHS remain.  The paths that left finish on the engine
+    (`_step_paths`) in one call from their points, for as many steps as
+    the longest of their remaining counts; an entry past a path's own count
+    is a miss.  The head's increments come from `sample_increments`.
     """
     form = target.e_form
     z0 = _starts(start, n_paths)
     d = z0.shape[1] - m
     w_head, c_tail = form.weights[:m], form.center[m:]
     c_head = form.center[:m] if form.center[:m].any() else None
-    # the bound on the tail's E-norm^2 nearest to entering: the largest for
-    # a complement, the least for a ball
-    w_near = form.weights[-1] if form.inside else form.weights[m]
+    # the bound on the tail's E-norm^2 nearest to entering, per r^2: the
+    # largest for a complement, the least for a ball
     var = triplet.gaussian_diag[m] * cfg.dt
+    w_near = (form.weights[-1] if form.inside else form.weights[m]) * var
+    sd = math.sqrt(var)  # the tail's radius per unit of r
     head = _restrict(triplet, np.arange(m))
     times = np.where(target(z0), 0.0, np.inf)
     locs = z0  # a private copy: the entry points overwrite it, a miss keeps its start
@@ -970,7 +979,7 @@ def _radial_passage(
         path = sample_increments(head, cfg.dt, nb * r, rng).reshape(nb, r, m)
         _prefix_sum(path)
         path += y
-        rad = _tail_radii(radius, nb, var, d, rng)
+        rad = _tail_radii(radius, nb, d, rng)
         p = path if c_head is None else path - c_head  # z - 0.0 is z, bit for bit
         maybe = form.holds((p * p) @ w_head + w_near * rad[1:] ** 2)
         stop = maybe.any(axis=0)
@@ -987,7 +996,7 @@ def _radial_passage(
     # the paths that finish on the engine: ids, points, steps done
     left = [(np.empty(0, dtype=int), np.empty((0, m + d)), np.empty(0, dtype=int))]
     if done < n_steps and ids.size:  # too few live paths for the radius chain
-        tail = c_tail + radius[:, None] * _uniform_directions(ids.size, d, rng)
+        tail = c_tail + (sd * radius)[:, None] * _uniform_directions(ids.size, d, rng)
         left.append((ids, np.hstack([y, tail]), np.full(ids.size, done)))
     undecided = [np.concatenate(x) for x in zip(*undecided)] or [np.empty(0)]
     # chunks of rows whose eight or so temporaries of N floats stay within a block
@@ -995,9 +1004,9 @@ def _radial_passage(
     for lo in range(0, undecided[0].size, chunk):
         ids, steps, head_in, head_out, r_in, r_out = (x[lo : lo + chunk] for x in undecided)
         u = _uniform_directions(ids.size, d, rng)
-        v = _von_mises_fisher(u, r_in * r_out / var, rng)
-        z_in = np.hstack([head_in, c_tail + r_in[:, None] * u])
-        z_out = np.hstack([head_out, c_tail + r_out[:, None] * v])
+        v = _von_mises_fisher(u, r_in * r_out, rng)
+        z_in = np.hstack([head_in, c_tail + (sd * r_in)[:, None] * u])
+        z_out = np.hstack([head_out, c_tail + (sd * r_out)[:, None] * v])
         entered = target(z_out)
         times[ids[entered]] = steps[entered] * cfg.dt
         left.append((ids[~entered], z_out[~entered], steps[~entered]))

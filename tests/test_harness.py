@@ -244,6 +244,20 @@ def test_bad_samples_scale_is_a_config_error(tmp_path, capsys, scale):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scale", ["1e308", "1e17"])
+def test_overflowing_sample_count_is_a_config_error(tmp_path, capsys, scale):
+    """A finite scale whose product with an experiment's samples is not a
+    finite count below 2^63 exits 2 from the CLI and raises from `run`,
+    rather than overflowing in int() or trying to allocate that many."""
+    p = _write(tmp_path, {"experiments": [_TAIL]})
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(p), "--out", str(out), "--samples-scale", scale]) == 2
+    assert "samples_scale" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="samples_scale"):
+        run(p, out_dir=out, samples_scale=float(scale))
+    assert not out.exists()
+
+
 def test_csv_rows_parse_to_fixed_columns(tmp_path):
     """Op labels carry commas; every row of a small paper_suite run must
     still parse to the fixed columns."""

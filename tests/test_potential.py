@@ -1213,20 +1213,24 @@ def test_radial_mode_takes_only_eligible_inputs():
     """Every ineligible input runs the engine unchanged: its hit times and
     locations are byte-identical to a direct `_step_paths` run on the same
     substream.  Refused are a drifted tail, unequal tail variance rates, a
-    jump law, a start whose tail is off the centre's and an 8-d model,
-    whose head is all of it; the centred 32-d Brownian exit takes the mode
-    with a head of 7."""
+    jump law, a start whose tail is off the centre's and a 6-d model, whose
+    tail is one coordinate; the centred 32-d and 8-d Brownian exits take
+    the mode with a head of 5."""
     model, triplet, shell = _radial_cases()
-    assert potential._radial_head(triplet, shell, np.zeros(32)) == 7
+    assert potential._radial_head(triplet, shell, np.zeros(32)) == 5
+    eight = make_space(8)
+    assert potential._radial_head(
+        brownian_triplet(eight), e_ball_complement(eight, np.zeros(8), 1.0), np.zeros(8)
+    ) == 5
     drifted, unequal, off_centre = np.zeros(32), np.ones(32), np.zeros(32)
     drifted[20], unequal[31], off_centre[20] = 0.1, 2.0, 0.1
-    small = make_space(8)
+    small = make_space(6)
     cases = {
         "drifted": (LevyTriplet(model, drifted, np.ones(32)), shell, np.zeros(32)),
         "unequal": (LevyTriplet(model, np.zeros(32), unequal), shell, np.zeros(32)),
         "jump": (_jump_law(model), shell, np.zeros(32)),
         "off_centre": (triplet, shell, off_centre),
-        "8-d": (brownian_triplet(small), e_ball_complement(small, np.zeros(8), 1.0), np.zeros(8)),
+        "6-d": (brownian_triplet(small), e_ball_complement(small, np.zeros(6), 1.0), np.zeros(6)),
     }
     cfg = PathConfig(dt=0.02, horizon=3.0)
     for name, (law, target, start) in cases.items():
@@ -1240,20 +1244,47 @@ def test_radial_mode_takes_only_eligible_inputs():
         assert loc0.tobytes() == locs[0].tobytes(), name
 
 
-@pytest.fixture(scope="module")
-def engine_ball_exits():
-    """Exits of the unit E-ball in 32-d from c2 = 0.3 on the full engine,
-    cut at the boundary: the reference law of the radial mode."""
-    model, triplet, _ = _radial_cases()
-    ball = e_ball_domain(model, np.zeros(32), 1.0)
-    start = np.zeros(32)
+def _engine_ball_exits(dim, rng):
+    """Exits of the unit E-ball in `dim` coordinates from c2 = 0.3 on the
+    full engine, cut at the boundary: the reference law of the radial mode."""
+    model = make_space(dim)
+    triplet = brownian_triplet(model)
+    ball = e_ball_domain(model, np.zeros(dim), 1.0)
+    start = np.zeros(dim)
     start[1] = 0.3
     cfg = PathConfig(dt=0.01, horizon=20.0)
     times, locs = potential._step_paths(
-        triplet, start, lambda z: ball.exit_target(z)[None], None, cfg, 3000, substream(62),
+        triplet, start, lambda z: ball.exit_target(z)[None], None, cfg, 3000, rng,
         refine=_exact_exit(ball),
     )
     return model, triplet, ball, start, cfg, times[0], locs[0]
+
+
+@pytest.fixture(scope="module")
+def engine_ball_exits():
+    return _engine_ball_exits(32, substream(62))
+
+
+def _same_exit_law(model, start, hit, T, loc, t_ref, loc_ref, tail_from):
+    """P(T <= t) at t = 1, 3 and 6, E[c1] and E[c1^2] at the exit, and the
+    E-norm^2 of the coordinates from `tail_from` on there agree.  Every
+    engine path exits by the horizon of 20, and every exit of the mode lies
+    on the sphere, cut by `refine`.  A path stays in the ball past t = 20
+    with probability about 1e-4 (P(T > 10) is about 0.013 on both sides,
+    and P(T > t) falls by about 0.28 every 2.5), 0.3 of 3000 paths on
+    average, so the mode may keep one path, which must stay at its start."""
+    assert np.isfinite(t_ref).all() and (hit == np.isfinite(T)).all() and (~hit).sum() <= 1
+    assert loc[~hit].tobytes() == np.tile(start, ((~hit).sum(), 1)).tobytes()
+    np.testing.assert_allclose(model.e_norm2(loc[hit]), 1.0, rtol=1e-9)
+
+    def stats(T, loc):
+        tail = (loc[:, tail_from:] ** 2) @ model.weights[tail_from:]
+        return [T <= 1.0, T <= 3.0, T <= 6.0, loc[:, 0], loc[:, 0] ** 2, tail]
+
+    for i, (a, b) in enumerate(zip(stats(T, loc), stats(t_ref, loc_ref))):
+        ea, eb = McEstimate.from_samples(a), McEstimate.from_samples(b)
+        diff = McEstimate(ea.mean - eb.mean, float(np.hypot(ea.stderr, eb.stderr)), a.size)
+        assert diff.verdict(0.0) == "pass", i
 
 
 @pytest.mark.parametrize("head_fraction", [0.25, None], ids=["head2", "default"])
@@ -1263,7 +1294,7 @@ def test_radial_exit_law_matches_the_engine(monkeypatch, engine_ball_exits, head
     E[c1^2] at the exit, and the E-norm^2 of the tail c9..c32 there.  A head
     of 2 coordinates leaves most stops undecided, so many paths realize
     their tail, fail to enter and finish on the engine; the default head of
-    7 hands off few.  Every exit lies on the sphere, cut by `refine`."""
+    5 hands off fewer."""
     model, triplet, ball, start, cfg, t_ref, loc_ref = engine_ball_exits
     if head_fraction is not None:
         monkeypatch.setattr(potential, "_HEAD_FRACTION", head_fraction)
@@ -1273,18 +1304,21 @@ def test_radial_exit_law_matches_the_engine(monkeypatch, engine_ball_exits, head
         potential, "_step_paths", lambda *a, **k: handed.append(a[5]) or engine(*a, **k)
     )
     hit, T, loc = sample_exits(triplet, ball, start, 3000, cfg, substream(63, head_fraction))
-    assert hit.all() and np.isfinite(t_ref).all()
-    np.testing.assert_allclose(model.e_norm2(loc), 1.0, rtol=1e-9)
     assert sum(handed) > (600 if head_fraction else 0)
+    _same_exit_law(model, start, hit, T, loc, t_ref, loc_ref, 8)
 
-    def stats(T, loc):
-        tail = (loc[:, 8:] ** 2) @ model.weights[8:]
-        return [T <= 1.0, T <= 3.0, T <= 6.0, loc[:, 0], loc[:, 0] ** 2, tail]
 
-    for i, (a, b) in enumerate(zip(stats(T, loc), stats(t_ref, loc_ref))):
-        ea, eb = McEstimate.from_samples(a), McEstimate.from_samples(b)
-        diff = McEstimate(ea.mean - eb.mean, float(np.hypot(ea.stderr, eb.stderr)), a.size)
-        assert diff.verdict(0.0) == "pass", i
+def test_radial_exit_law_matches_the_engine_in_8_d():
+    """An 8-d E-ball exit takes the radial mode with 5 head coordinates and
+    a tail of 3, and gives the engine's exit law, as the 32-d one does."""
+    model, triplet, ball, start, cfg, t_ref, loc_ref = _engine_ball_exits(8, substream(69))
+    taken = []
+    radial_passage = potential._radial_passage
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(potential, "_radial_passage", lambda *a: taken.append(a[-1]) or radial_passage(*a))
+        hit, T, loc = sample_exits(triplet, ball, start, 3000, cfg, substream(68))
+    assert taken == [5]
+    _same_exit_law(model, start, hit, T, loc, t_ref, loc_ref, 5)
 
 
 def test_radial_ball_hits_match_the_engine():
@@ -1295,7 +1329,7 @@ def test_radial_ball_hits_match_the_engine():
     centre = np.zeros(32)
     centre[0] = 1.5
     ball = e_ball(model, centre, 0.5)
-    assert potential._radial_head(triplet, ball, np.zeros(32)) == 7
+    assert potential._radial_head(triplet, ball, np.zeros(32)) == 5
     cfg = PathConfig(dt=0.02, horizon=4.0)
     hit, T, loc = simulate_hit_batch(triplet, np.zeros(32), ball, cfg, 3000, substream(64))
     times, locs = potential._step_paths(
@@ -1313,9 +1347,10 @@ def test_radial_ball_hits_match_the_engine():
 def test_tail_radii_step_a_squared_bessel_process(r0):
     """After n steps of variance v, the squared radius of a d-dimensional
     Brownian motion from radius r0 has mean r0^2 + n d v and variance
-    2 n^2 d v^2 + 4 r0^2 n v; at every step the radii stay nonnegative."""
+    2 n^2 d v^2 + 4 r0^2 n v; at every step the radii stay nonnegative.
+    The chain steps in units of sqrt(v), so its radii are scaled back."""
     d, n, v = 24, 50, 0.01
-    rad = potential._tail_radii(np.full(20000, r0), n, v, d, substream(66, r0))
+    rad = np.sqrt(v) * potential._tail_radii(np.full(20000, r0 / np.sqrt(v)), n, d, substream(66, r0))
     assert rad.shape == (n + 1, 20000) and np.all(rad >= 0)
     rho = rad[-1] ** 2
     mean = r0 * r0 + n * d * v
