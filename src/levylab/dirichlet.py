@@ -18,13 +18,9 @@ from typing import Callable
 import numpy as np
 
 from .measures import DEFAULT_CONFIDENCE, LevyTriplet, McEstimate, z_value
-from .potential import PathConfig, PointCloud, TargetSet, simulate_hit_batch
+from .potential import PathConfig, TargetSet, simulate_hit_batch
 from .potential import box_complement, e_ball_complement, in_box, slab_complement
 from .space import SpaceModel
-
-
-class IntegrabilityError(RuntimeError):
-    """A ladder of bounded approximations failed to converge in mean."""
 
 
 @dataclass(frozen=True)
@@ -300,81 +296,6 @@ def harmonicity_check(
             }
         )
     return rows
-
-
-def solve_l1(
-    triplet: LevyTriplet,
-    domain: Domain,
-    f: BoundaryData,
-    ladder: list[BoundaryData],
-    lam: PointCloud,
-    n: int,
-    cfg: PathConfig,
-    rng: np.random.Generator,
-    k_controls: list[Callable[[np.ndarray], np.ndarray]] | None = None,
-    confidence: float = DEFAULT_CONFIDENCE,
-) -> dict:
-    """Constructive control function for nonnegative L1 boundary data.
-
-    Shares one batch of exits per cloud point across the whole ladder, so
-    the per-level solution values h_m are monotone per sample along a
-    monotone ladder.  A subsequence m_j with cloud-mean deficit
-    lambda(h) - lambda(h_mj) <= 2^-j is extracted; failure to extract one
-    is an IntegrabilityError.  Returns the solution values h, the control
-    k = k0 + l on the cloud (k0 the weighted ladder controls, l the summed
-    deficits along the subsequence) and the bookkeeping report.
-    """
-    pts = lam.points
-    n_pts = pts.shape[0]
-    n_lad = len(ladder)
-    if n_lad == 0:
-        raise ValueError("ladder must be nonempty")
-    h_m = np.zeros((n_lad, n_pts))
-    h = np.zeros(n_pts)
-    exited = np.zeros(n_pts)
-    for i, zi in enumerate(pts):
-        hit, _, loc = sample_exits(triplet, domain, zi, n, cfg, rng)
-        exited[i] = hit.mean()
-        if hit.any():
-            locs = loc[hit]
-            h[i] = f(locs).sum() / n
-            for m, fm in enumerate(ladder):
-                h_m[m, i] = fm(locs).sum() / n
-    w = lam.masses / max(lam.total_mass, 1e-300)
-    lam_h = float(w @ h)
-    lam_hm = h_m @ w
-    deficits = lam_h - lam_hm
-    subseq = []
-    pos = 0
-    for j in range(1, n_lad + 1):
-        while pos < n_lad and deficits[pos] > 2.0**-j:
-            pos += 1
-        if pos >= n_lad:
-            break
-        subseq.append(pos)
-        pos += 1
-    if not subseq:
-        raise IntegrabilityError(
-            "ladder means do not approach the L1 mean of the data; "
-            "integrability of f against the exit law of the cloud is suspect"
-        )
-    k0 = np.zeros(n_pts)
-    if k_controls is not None:
-        for m, km in enumerate(k_controls):
-            if km is not None:
-                k0 += 2.0 ** -(m + 1) * np.asarray(km(pts), dtype=float)
-    l_vals = np.sum(h[None, :] - h_m[subseq], axis=0)
-    return {
-        "h_values": h,
-        "ladder_values": h_m,
-        "lambda_h": lam_h,
-        "lambda_ladder": lam_hm.tolist(),
-        "subsequence": subseq,
-        "k0_values": k0,
-        "l_values": l_vals,
-        "k_values": k0 + l_vals,
-        "exit_fractions": exited,
-    }
 
 
 @dataclass(frozen=True)

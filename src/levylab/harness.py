@@ -120,9 +120,11 @@ def load_config(path) -> dict:
             raise ConfigError(f"experiment #{i}: missing 'operation'")
         if not isinstance(exp.get("parameters", {}), dict):
             raise ConfigError(f"experiment #{i}: parameters must be an object")
-        for key in ("samples", "confidence"):
-            if key in exp and not _is_number(exp[key]):
-                raise ConfigError(f"experiment #{i}: {key} must be a number")
+        if "samples" in exp and not (_is_int(exp["samples"]) and exp["samples"] >= 100):
+            # only the scaled count is floored at 100
+            raise ConfigError(f"experiment #{i}: samples must be an integer >= 100")
+        if "confidence" in exp and not _is_number(exp["confidence"]):
+            raise ConfigError(f"experiment #{i}: confidence must be a number")
         name = exp.get("name", exp["operation"])
         if name in names:
             # the name keys the experiment's random stream
@@ -239,6 +241,8 @@ def run(
         )
     if name_filter:
         specs = [s for s in specs if fnmatch.fnmatch(s.name, name_filter)]
+        if not specs:
+            raise ConfigError(f"filter {name_filter!r} matches no experiment")
 
     with _one_blas_thread() as blas:
         if workers > 1:

@@ -57,11 +57,14 @@ from .potential import (
     balayage_check,
     capacity,
     capacity_tightness_profile,
+    coord_ball,
     coord_halfspace,
     domination_check,
     e_ball,
     empty_set,
+    h_ball,
     horizon_bias_bound,
+    polarity_diagnostic,
     projection_convergence,
     reduced_function_family,
     simulate_hit_batch,
@@ -525,6 +528,51 @@ def tail_projection(params, samples, seed, confidence, name):
     return rows + [_gate("tails", (_verdicts(rows), 0))]
 
 
+def polarity(params, samples, seed, confidence, name):
+    """Criterion 12, points and the Cameron-Martin space H are polar: the
+    shrinking-target diagnostic (`polarity_diagnostic`) from e1 must read
+    "consistent with polarity" for E-balls around the origin and for H-balls
+    under the Brownian and the jump triplet (`samples` paths a target), and
+    "not consistent" for two negative controls whose motion is recurrent:
+    the E-balls' radii seen through the first coordinate alone, and the
+    H-balls under a Brownian line through 0 (only c1 moves).  A control is
+    rejected only when its band, 3 z hypot(se), is below its gap of about
+    0.4, so it runs 4 * `samples` paths, 400 at the floor.  The last check
+    is E|e1 + Z_1|_H^2 = 1 + N.
+
+    Each family keeps its own grid and horizon, so `dt` and `horizon` are
+    not read.  A 32-d path that has entered no H-ball by t = 0.1 is out near
+    |z|_H = 2 and returns to the largest with probability about (0.98/2)^30
+    < 1e-9; a 1-d view enters the interval of radius r with probability
+    2 Phi(-(1 - r)/sqrt(40)), 0.88 or more, by t = 40."""
+    model, triplet, rng = _brownian(params, seed, name)
+    dim, e1 = model.dim, model.basis_vector(1)
+    origin = np.zeros(dim)
+    radii = (0.45, 0.15, 0.05)
+    e_balls = [e_ball(model, origin, r) for r in radii]
+    intervals = [coord_ball(model, origin, r, 1) for r in radii]
+    h_balls = [h_ball(model, r) for r in (0.98, 0.9, 0.1)]
+    short, long = PathConfig(dt=0.002, horizon=0.1), PathConfig(dt=0.05, horizon=40.0)
+    families = (  # label, law, targets, grid, polar
+        ("point|E-balls", triplet, e_balls, PathConfig(dt=0.01, horizon=2.0), True),
+        ("point|coordinate_1", triplet, intervals, PathConfig(dt=0.01, horizon=40.0), False),
+        ("H|brownian", triplet, h_balls, short, True),
+        ("H|jump", _jump_triplet(dim), h_balls, short, True),
+        ("H|line", LevyTriplet(model, origin, e1), h_balls, long, False),
+    )
+    rows = []
+    for label, law, targets, cfg, polar in families:
+        n = samples if polar else 4 * samples
+        rep = polarity_diagnostic(law, targets, [e1], n, cfg, rng, confidence)
+        rows += [_row(f"hit[{label},{r['target']}]", est=r["estimate"]) for r in rep["rows"]]
+        want = "consistent with polarity" if polar else "not consistent"
+        rows.append(_flag(f"verdict[{label}]={want.replace(' ', '_')}", rep["verdict"] == want, n))
+    incr = sample_increments(triplet, 1.0, samples, rng)
+    est = McEstimate.from_samples(model.h_norm2(e1 + incr), confidence)
+    rows.append(_check("h_norm2_mean[t=1]", est, 1.0 + dim))
+    return rows + [_gate("polarity", (_verdicts(rows), 0))]
+
+
 REGISTRY = {
     "variance_identity": variance_identity,
     "gaussian_lyapunov": gaussian_lyapunov,
@@ -540,4 +588,5 @@ REGISTRY = {
     "balayage": balayage,
     "domination": domination,
     "tail_projection": tail_projection,
+    "polarity": polarity,
 }

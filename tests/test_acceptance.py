@@ -1,10 +1,10 @@
 """Acceptance battery: one test per criterion, one printed verdict line each.
 
-Criteria 1-10 are defined once, as suite experiments whose last row is the
-criterion's gate (see `levylab.suite`).  The shipped acceptance config runs
-them all at full scale, once per module, through the harness; experiment
-`c<k>` and its `c<k>-...` siblings make up criterion k.  Criterion 11 checks
-byte-level determinism of the paper suite.
+Criteria 1-10 and 12 are defined once, as suite experiments whose last row
+is the criterion's gate (see `levylab.suite`).  The shipped acceptance
+config runs them all at full scale, once per module, through the harness;
+experiment `c<k>` and its `c<k>-...` siblings make up criterion k.
+Criterion 11 checks byte-level determinism of the paper suite.
 """
 
 import importlib.resources as res
@@ -44,7 +44,7 @@ def _criterion(battery, num: int, description: str) -> None:
 def test_every_experiment_is_gated(battery):
     """No experiment of the battery stands outside a criterion."""
     names = {rec.spec.name.split("-")[0] for rec in battery}
-    assert names == {f"c{k}" for k in range(1, 11)}
+    assert names == {f"c{k}" for k in (*range(1, 11), 12)}
 
 
 def test_criterion_01_variance_identity(battery):
@@ -97,3 +97,7 @@ def test_criterion_11_determinism(tmp_path):
     c = (tmp_path / "c" / "summary.csv").read_bytes()
     ok = (a == b == c) and r1["exit_code"] == 0
     _report(11, "suite CSV byte-identical across runs and worker counts", ok)
+
+
+def test_criterion_12_polarity(battery):
+    _criterion(battery, 12, "points and H polar: E-/H-ball families + recurrent controls")

@@ -6,14 +6,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "levylab"
 
-# Headline estimators of the abstract that still await their gated
-# experiments; ROADMAP item 5 runs each from `levylab run` or deletes it.
-PENDING = {
-    "polarity_diagnostic_point",  # ROADMAP item 5: points are polar
-    "polarity_diagnostic_H",  # ROADMAP item 5: the Cameron-Martin space is polar
-    "solve_l1",  # ROADMAP item 5: Dirichlet data solved by controlled convergence
-}
-
 
 def _used(node) -> set[str]:
     """Names, attributes and imported names referenced in code, not prose."""
@@ -32,7 +24,7 @@ def test_every_public_name_has_a_caller():
     for path, i in used:
         node = trees[path].body[i]
         public = isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_"
-        if path.parent != SRC or not public or node.name in PENDING:
+        if path.parent != SRC or not public:
             continue
         if not any(node.name in names for key, names in used.items() if key != (path, i)):
             orphans.append(f"{path.stem}.{node.name}")

@@ -7,7 +7,6 @@ from levylab.dirichlet import (
     BoundaryData,
     _exact_exit,
     ControlReport,
-    IntegrabilityError,
     approach_sequence,
     boundary_continuity_check,
     box_domain,
@@ -19,10 +18,9 @@ from levylab.dirichlet import (
     sample_exits,
     slab_domain,
     solve,
-    solve_l1,
 )
 from levylab.measures import brownian_triplet
-from levylab.potential import PathConfig, PointCloud
+from levylab.potential import PathConfig
 from levylab.rng import substream
 from levylab.space import make_space
 
@@ -289,46 +287,3 @@ def test_majorant_stability():
         h, f, k, V0, [seq], [y], majorant_factors=(2.0, 10.0), tol=0.05
     )
     assert rep["stable"]
-
-
-def test_solve_l1_bounded_ladder(setup):
-    """A ladder that already equals the data gives zero control."""
-    model, triplet = setup
-    dom = _slab(model)
-    f = BoundaryData(lambda y: np.abs(y[..., 0]), bound=1.0)
-    ladder = [f, f, f]
-    pts = np.zeros((2, DIM))
-    pts[1, 0] = 0.3
-    cloud = PointCloud(pts, np.ones(2))
-    cfg = PathConfig(dt=0.02, horizon=20.0)
-    rep = solve_l1(triplet, dom, f, ladder, cloud, 600, cfg, substream(11))
-    np.testing.assert_allclose(rep["l_values"], 0.0, atol=1e-12)
-    np.testing.assert_allclose(rep["k_values"], 0.0, atol=1e-12)
-    assert rep["subsequence"]
-
-
-def test_solve_l1_integrability_error(setup):
-    """A ladder stuck far below the data cannot certify integrability."""
-    model, triplet = setup
-    dom = _slab(model)
-    f = BoundaryData(lambda y: np.full(y.shape[:-1], 10.0), bound=10.0)
-    zero = BoundaryData(lambda y: np.zeros(y.shape[:-1]), bound=0.0)
-    pts = np.zeros((1, DIM))
-    cloud = PointCloud(pts, np.ones(1))
-    cfg = PathConfig(dt=0.05, horizon=20.0)
-    with pytest.raises(IntegrabilityError):
-        solve_l1(triplet, dom, f, [zero, zero], cloud, 300, cfg, substream(12))
-
-
-def test_solve_l1_series_control(setup):
-    """Deficit sums accumulate into the constructed control l."""
-    model, triplet = setup
-    dom = _slab(model)
-    f = BoundaryData(lambda y: np.abs(y[..., 0]), bound=1.0)
-    half = BoundaryData(lambda y: 0.5 * np.abs(y[..., 0]), bound=0.5)
-    pts = np.zeros((1, DIM))
-    cloud = PointCloud(pts, np.ones(1))
-    cfg = PathConfig(dt=0.02, horizon=20.0)
-    rep = solve_l1(triplet, dom, f, [half, f, f], cloud, 600, cfg, substream(13))
-    assert np.all(rep["l_values"] >= 0.0)
-    assert np.all(rep["k_values"] >= rep["l_values"] - 1e-12)

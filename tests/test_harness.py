@@ -181,6 +181,10 @@ _TAIL = {"operation": "tail_projection", "samples": 500}
     "cfg, args, key",
     [
         ({"experiments": [{**_TAIL, "samples": "many"}]}, [], "samples"),
+        ({"experiments": [{**_TAIL, "samples": -5000}]}, [], "samples"),
+        ({"experiments": [{**_TAIL, "samples": 50}]}, [], "samples"),
+        ({"experiments": [{**_TAIL, "samples": 500.5}]}, [], "samples"),
+        ({"experiments": [_TAIL]}, ["--filter", "c12*"], "filter"),
         ({"experiments": [{**_TAIL, "confidence": "high"}]}, [], "confidence"),
         ({"experiments": [{**_TAIL, "parameters": [1, 2]}]}, [], "parameters"),
         ({"experiments": {"a": 1, "e": 2, "i": 3}}, [], "experiments"),
@@ -193,15 +197,17 @@ _TAIL = {"operation": "tail_projection", "samples": 500}
         ({"experiments": [_TAIL]}, ["--workers", "0"], "workers"),
     ],
     ids=[
-        "samples_str", "confidence_str", "parameters_list", "experiments_object",
+        "samples_str", "samples_negative", "samples_below_100", "samples_float",
+        "filter_matches_nothing", "confidence_str", "parameters_list", "experiments_object",
         "experiments_not_objects", "seed_str", "seed_float", "workers_str", "workers_zero",
         "workers_bool", "cli_workers_zero",
     ],
 )
 def test_cli_malformed_config_values_exit_2(tmp_path, capsys, cfg, args, key):
-    """A config value of the wrong type, or fewer than one worker, is a
-    config error (exit 2) that names the key, not a traceback or an error
-    row."""
+    """A config value of the wrong type, fewer than one worker, a config
+    `samples` below 100 (only a scaled count is floored there) or a filter
+    that matches no experiment is a config error (exit 2) that names the
+    key, not a traceback, an error row or a header-only CSV."""
     p = _write(tmp_path, cfg)
     assert main(["run", "--config", str(p), "--out", str(tmp_path / "o"), *args]) == 2
     err = capsys.readouterr().err

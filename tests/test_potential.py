@@ -27,6 +27,7 @@ from levylab.potential import (
     balayage_check,
     capacity,
     capacity_tightness_profile,
+    coord_ball,
     coord_halfspace,
     coordinate_box,
     discounted_occupancy,
@@ -34,11 +35,11 @@ from levylab.potential import (
     e_ball,
     e_ball_complement,
     empty_set,
+    h_ball,
     horizon_bias_bound,
     level_crossing_times,
     multi_target_hit,
-    polarity_diagnostic_H,
-    polarity_diagnostic_point,
+    polarity_diagnostic,
     projection_convergence,
     reduced_function_family,
     simulate_hit_batch,
@@ -346,20 +347,6 @@ def test_domination_negative_control(setup):
     assert rep["conclusion_ok"] is None
 
 
-def test_polarity_point_requires_nondegenerate():
-    from levylab.measures import LevyTriplet
-
-    model = make_space(8)
-    diag = np.zeros(8)
-    diag[0] = 1.0
-    degenerate = LevyTriplet(model, np.zeros(8), diag)
-    with pytest.raises(PreconditionError):
-        polarity_diagnostic_point(
-            degenerate, np.zeros(8), [0.5, 0.25], [np.ones(8)],
-            100, PathConfig(dt=0.1, horizon=1.0), substream(16),
-        )
-
-
 def test_polarity_point_trend(setup):
     """2-d shrinking-ball hit probabilities decrease with the radius."""
     model, triplet = setup
@@ -367,9 +354,8 @@ def test_polarity_point_trend(setup):
     start = np.zeros(8)
     start[0] = 1.0
     cfg = PathConfig(dt=0.01, horizon=2.0)
-    rep = polarity_diagnostic_point(
-        triplet, y, [0.6, 0.3, 0.1], [start], 1500, cfg, substream(17), n_coords=2
-    )
+    balls = [coord_ball(model, y, r, 2) for r in (0.6, 0.3, 0.1)]
+    rep = polarity_diagnostic(triplet, balls, [start], 1500, cfg, substream(17))
     assert rep["verdict"] == "consistent with polarity"
 
 
@@ -380,43 +366,55 @@ def test_polarity_point_negative_control_1d(setup):
     start = np.zeros(8)
     start[0] = 0.5
     cfg = PathConfig(dt=0.01, horizon=4.0)
-    rep = polarity_diagnostic_point(
-        triplet, y, [0.4, 0.2, 0.1], [start], 1200, cfg, substream(18),
-        n_coords=1, allow_degenerate=True,
-    )
+    intervals = [coord_ball(model, y, r, 1) for r in (0.4, 0.2, 0.1)]
+    rep = polarity_diagnostic(triplet, intervals, [start], 1200, cfg, substream(18))
     assert rep["verdict"] == "not consistent"
 
 
 def test_polarity_H_structural(setup):
+    """H-ball hit probabilities of the 8-d Brownian motion fall by more
+    than half over the family; the moment identity behind them,
+    E|z + Z_t|_H^2 = |z|_H^2 + N t, is a row of criterion 12."""
     model, triplet = setup
     start = np.zeros(8)
-    start[0] = 3.0
-    cfg = PathConfig(dt=0.05, horizon=1.0)
-    rep = polarity_diagnostic_H(
-        triplet, [2.5, 1.5, 0.5], [start], 4000, cfg, substream(19)
-    )
-    assert rep["shrinking"]
-    assert rep["structural"]["verdict"] == "pass"
+    start[0] = 1.0
+    cfg = PathConfig(dt=0.002, horizon=0.1)
+    balls = [h_ball(model, r) for r in (0.98, 0.9, 0.5)]
+    rep = polarity_diagnostic(triplet, balls, [start], 2000, cfg, substream(19))
+    p = [row["estimate"].mean for row in rep["rows"]]
+    assert p[0] > 0.3 and p[2] < 0.5 * p[0]
+    assert rep["verdict"] == "consistent with polarity"
 
 
 def test_polarity_H_band_uses_confidence(setup, monkeypatch):
-    """A rise between radii inside 3·z·hypot(se), the band of
-    polarity_diagnostic_point, but beyond 3·hypot(se) still shrinks."""
+    """A rise between radii inside 3·z·hypot(se) but beyond 3·hypot(se)
+    still counts as shrinking."""
     model, triplet = setup
-    n, fractions = 400, iter((0.5, 0.7))  # hit fractions at rho = 2, then 1
+    n, fractions = 400, iter((0.5, 0.7, 0.1))  # hit fractions at rho = 2, 1, 0.5
 
     def fake_hits(triplet, z, target, cfg, n, rng, refine=None):
         hit = np.arange(n) < next(fractions) * n
         return hit, np.zeros(n), np.zeros((n, model.dim))
 
     monkeypatch.setattr(potential, "simulate_hit_batch", fake_hits)
-    rep = polarity_diagnostic_H(
-        triplet, [2.0, 1.0], [np.zeros(8)], n, PathConfig(dt=0.05, horizon=1.0), substream(21)
-    )
-    a, b = (row["estimate"] for row in rep["hit_rows"])
+    balls = [h_ball(model, r) for r in (2.0, 1.0, 0.5)]
+    start = 3.0 * model.basis_vector(1)
+    cfg = PathConfig(dt=0.05, horizon=1.0)
+    rep = polarity_diagnostic(triplet, balls, [start], n, cfg, substream(21))
+    a, b, _ = (row["estimate"] for row in rep["rows"])
     rise, se = b.mean - a.mean, np.hypot(a.stderr, b.stderr)
     assert 3 * se < rise <= 3 * NormalDist().inv_cdf(0.9995) * se
-    assert rep["shrinking"]
+    assert rep["verdict"] == "consistent with polarity"
+
+
+def test_polarity_start_inside_the_largest_target_is_refused(setup):
+    model, triplet = setup
+    balls = [h_ball(model, r) for r in (1.0, 0.5)]
+    with pytest.raises(ValueError, match="inside the largest target"):
+        polarity_diagnostic(
+            triplet, balls, [3.0 * model.basis_vector(1), np.zeros(8)], 100,
+            PathConfig(dt=0.05, horizon=1.0), substream(22),
+        )
 
 
 def test_projection_convergence_gaussian(setup):
@@ -993,6 +991,24 @@ def test_full_width_exit_memory(monkeypatch, radial, center_c32):
     assert bool(taken) == radial
     assert 0.5 < hit.mean() < 1.0  # exits inside blocks and paths live at the horizon
     assert peak <= 5.25 * 1000 * 32 * 8
+
+
+@pytest.mark.parametrize("nonzero", [1, 32])
+def test_off_centre_norm_is_the_difference_norm(monkeypatch, nonzero):
+    """An off-centre E-ball reads e_norm2(z - c) byte for byte, whether its
+    centre is subtracted column by column (one nonzero coordinate) or in
+    one pass (a dense centre, as `domination`'s probes have)."""
+    model = make_space(32)
+    rng = substream(44)
+    center = np.zeros(32)
+    center[:nonzero] = rng.standard_normal(nonzero)
+    z = rng.standard_normal((1000, 32))
+    seen = []
+    holds = potential.EForm.holds
+    monkeypatch.setattr(potential.EForm, "holds", lambda self, q: seen.append(q) or holds(self, q))
+    inside = e_ball(model, center, 1.0)(z)
+    assert seen[0].tobytes() == model.e_norm2(z - center).tobytes()
+    assert (inside == (model.e_norm2(z - center) <= 1.0)).all()
 
 
 
