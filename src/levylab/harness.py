@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import __version__
 from .rng import ALGORITHM
-from .suite import REGISTRY
+from .suite import PARAMETERS, REGISTRY
 
 CSV_COLUMNS = ("experiment", "op", "param_hash", "mean", "stderr", "n", "target", "verdict", "seconds")
 
@@ -94,11 +94,30 @@ def _check_workers(workers):
         raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
 
 
+def _check_parameters(i, operation, params):
+    """Every key is one the operation reads (see suite.PARAMETERS), with a
+    number for its value, an integer for the counts dim and points."""
+    reads = PARAMETERS[operation]
+    unread = set(params) - set(reads)
+    if unread:
+        raise ConfigError(
+            f"experiment #{i}: {operation} reads no parameters {sorted(unread)}, "
+            f"only {list(reads)}"
+        )
+    for key, value in params.items():
+        count = key in ("dim", "points")
+        if not (_is_int(value) if count else _is_number(value)):
+            kind = "an integer" if count else "a number"
+            raise ConfigError(f"experiment #{i}: parameter {key!r} must be {kind}, got {value!r}")
+
+
 def load_config(path) -> dict:
     try:
         raw = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config parse error at line {exc.lineno}: {exc.msg}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read the config: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
     unknown = set(raw) - _TOP_KEYS
@@ -118,8 +137,11 @@ def load_config(path) -> dict:
             raise ConfigError(f"experiment #{i}: unknown keys {sorted(bad)}")
         if "operation" not in exp:
             raise ConfigError(f"experiment #{i}: missing 'operation'")
+        if not (isinstance(exp["operation"], str) and exp["operation"] in REGISTRY):
+            raise ConfigError(f"experiment #{i}: unknown operation {exp['operation']!r}")
         if not isinstance(exp.get("parameters", {}), dict):
             raise ConfigError(f"experiment #{i}: parameters must be an object")
+        _check_parameters(i, exp["operation"], exp.get("parameters", {}))
         if "samples" in exp and not (_is_int(exp["samples"]) and exp["samples"] >= 100):
             # only the scaled count is floored at 100
             raise ConfigError(f"experiment #{i}: samples must be an integer >= 100")

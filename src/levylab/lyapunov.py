@@ -6,8 +6,8 @@ Two kinds of norm:
   levy       q_x(z)^2 = sum_n a_n lambda_n c_n^2            + g(z)^2
 
 with g(z) = sum_n 2^(-n/2) |<e_n^x, z>| over the fast-growth family, Q_n a
-projection subsequence certified deterministically, and a_n nondecreasing
-coefficients with sum a_n lambda_n < infinity.
+projection subsequence certified deterministically, and a_n = 2^n, so that
+sum a_n lambda_n < infinity for lambda_n = 4^-n.
 
 The resolvent value v_0(z) = U_1 q_x^2 (z) is sampled exactly by exponential
 time randomization: v_0(z) = E[q_x^2(z + Z_T)], T ~ Exp(1).  No quadrature,
@@ -73,38 +73,24 @@ class LyapunovNorm:
     Both kinds reduce the first sum to one diagonal form, sum_j coef_j c_j^2:
     coef_j = 2^n lambda_j on the certified block n (m_n < j <= m_{n+1},
     m_0 = 0; the remainder beyond the last m_n is block depth) for the
-    gaussian kind, and coef_j = a_j lambda_j for the levy kind.
+    gaussian kind, and coef_j = 2^j lambda_j for the levy kind.
     """
 
-    kind: str  # "gaussian" | "levy"
     model: SpaceModel
     growth_basis: GrowthBasis
     coef: np.ndarray
 
 
-def gaussian_norm(
-    model: SpaceModel, growth_basis: GrowthBasis, depth: int | None = None
-) -> LyapunovNorm:
-    depth = _max_depth(model) if depth is None else depth
-    bounds = (0, *select_subsequence(model, depth), model.dim)
+def gaussian_norm(model: SpaceModel, growth_basis: GrowthBasis) -> LyapunovNorm:
+    """The gaussian kind, to the deepest subsequence the truncation certifies."""
+    bounds = (0, *select_subsequence(model, _max_depth(model)), model.dim)
     dyadic = np.repeat(2.0 ** np.arange(len(bounds) - 1), np.diff(bounds))
-    return LyapunovNorm("gaussian", model, growth_basis, dyadic * model.weights)
+    return LyapunovNorm(model, growth_basis, dyadic * model.weights)
 
 
-def levy_norm(model: SpaceModel, growth_basis: GrowthBasis, alphas="2^n") -> LyapunovNorm:
-    if isinstance(alphas, str):
-        if alphas != "2^n":
-            raise ValueError(f"unknown alpha formula {alphas!r}")
-        a = 2.0 ** np.arange(1, model.dim + 1)
-    else:
-        a = np.asarray(alphas, dtype=float)
-        if a.shape != (model.dim,):
-            raise ValueError("alphas must match the model dimension")
-    if np.any(np.diff(a) < 0) or np.any(a <= 0):
-        raise ValueError("alphas must be positive and nondecreasing")
-    if not np.isfinite((a * model.weights).sum()):
-        raise ValueError("sum alpha_n lambda_n must be finite")
-    return LyapunovNorm("levy", model, growth_basis, a * model.weights)
+def levy_norm(model: SpaceModel, growth_basis: GrowthBasis) -> LyapunovNorm:
+    """The levy kind with a_n = 2^n."""
+    return LyapunovNorm(model, growth_basis, 2.0 ** np.arange(1, model.dim + 1) * model.weights)
 
 
 def _growth_sum(norm: LyapunovNorm, z: np.ndarray) -> np.ndarray:

@@ -80,11 +80,11 @@ class McEstimate:
     def verdict(self, target: float, atol: float = DEFAULT_ATOL) -> str:
         return self._classify(abs(self.mean - target), atol)
 
-    def verdict_at_least(self, bound: float, atol: float = DEFAULT_ATOL) -> str:
-        return self._classify(bound - self.mean, atol)
+    def verdict_at_least(self, bound: float) -> str:
+        return self._classify(bound - self.mean, DEFAULT_ATOL)
 
-    def verdict_at_most(self, bound: float, atol: float = DEFAULT_ATOL) -> str:
-        return self._classify(self.mean - bound, atol)
+    def verdict_at_most(self, bound: float) -> str:
+        return self._classify(self.mean - bound, DEFAULT_ATOL)
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ class JumpMeasure:
     """Finite-intensity jump law: intensity plus a named jump distribution.
 
     kinds:
-      "pointmass"  mixture of atoms (rows of `atoms` with weights `probs`)
+      "pointmass"  uniform mixture of atoms (the rows of `atoms`)
       "poisson01"  embedded Dirac mass at a uniform point of (0,1) in the
                    sine-basis realization of L^2(0,1) in H^-1; coordinate n
                    of delta_u is sqrt(2)*sin(n*pi*u)
@@ -101,7 +101,6 @@ class JumpMeasure:
     intensity: float
     kind: str
     atoms: np.ndarray | None = None
-    probs: np.ndarray | None = None
 
     def __post_init__(self):
         if self.intensity <= 0:
@@ -109,17 +108,17 @@ class JumpMeasure:
         if self.kind == "pointmass":
             atoms = np.atleast_2d(np.asarray(self.atoms, dtype=float))
             object.__setattr__(self, "atoms", atoms)
-            if self.probs is None:
-                probs = np.full(atoms.shape[0], 1.0 / atoms.shape[0])
-            else:
-                probs = np.asarray(self.probs, dtype=float)
-            if probs.shape != (atoms.shape[0],) or not np.isclose(probs.sum(), 1.0):
-                raise ValueError("atom probabilities must sum to 1")
             if np.any(np.all(atoms == 0.0, axis=1)):
                 raise ValueError("zero jumps are rejected: M({0}) = 0")
-            object.__setattr__(self, "probs", probs)
         elif self.kind != "poisson01":
             raise ValueError(f"unknown jump kind {self.kind!r}")
+
+    @cached_property
+    def probs(self) -> np.ndarray:
+        """The atoms' equal weights.  The draw passes them to `rng.choice`
+        as `p`, which consumes the stream differently from a draw without
+        `p`, so every jump keeps its value."""
+        return np.full(self.atoms.shape[0], 1.0 / self.atoms.shape[0])
 
     def support(self, dim: int) -> np.ndarray:
         """0-based coordinates a jump can move: the nonzero atom columns for

@@ -9,7 +9,13 @@ from typing import Callable
 
 import numpy as np
 
-from .measures import DEFAULT_CONFIDENCE, LevyTriplet, McEstimate, sample_increments
+from .measures import (
+    DEFAULT_CONFIDENCE,
+    LevyTriplet,
+    McEstimate,
+    PreconditionError,
+    sample_increments,
+)
 
 
 class BoundViolation(RuntimeError):
@@ -18,10 +24,12 @@ class BoundViolation(RuntimeError):
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Bounded measurable map on E, or a cylinder function based on the
-    first `cylinder` coordinates.  `bound` is a sup-norm certificate checked
-    opportunistically on every sampled batch; None admits an unbounded
-    function under a caller-declared moment envelope."""
+    """Bounded measurable map on E, or a cylinder function of the first
+    `cylinder` coordinates, whose evaluator reads only those and so also
+    takes points of those coordinates alone.  `bound` is a sup-norm
+    certificate checked on every batch the function is applied to; None
+    admits an unbounded function under a caller-declared moment envelope.
+    Dirichlet boundary data are test functions too (`dirichlet.BoundaryData`)."""
 
     __test__ = False  # keep pytest from collecting the class by name
 
@@ -61,17 +69,20 @@ def apply_Ualpha(
 
 def apply_Ualpha_projected(
     triplet: LevyTriplet,
-    phi: Callable[[np.ndarray], np.ndarray],
-    k: int,
+    f: TestFunction,
     alpha: float,
     x: np.ndarray,
     n: int,
     rng: np.random.Generator,
     confidence: float = DEFAULT_CONFIDENCE,
 ) -> McEstimate:
-    """k-dimensional resolvent via the same exponential randomization."""
+    """U_alpha f(x) for a cylinder function f on its k = f.cylinder
+    coordinates alone, by the same exponential randomization."""
+    k = f.cylinder
+    if k is None:
+        raise PreconditionError(f"{f.name or 'test function'} declares no cylinder")
     t = rng.exponential(1.0 / alpha, size=n)
     incr = sample_increments(triplet, t, n, rng)[:, :k]
-    vals = phi(np.asarray(x)[..., :k] + incr) / alpha
+    vals = f(np.asarray(x)[..., :k] + incr) / alpha
     return McEstimate.from_samples(vals, confidence)
 

@@ -20,12 +20,6 @@ class ConstructionError(ValueError):
     """A construction precondition failed (e.g. the point is too close to H)."""
 
 
-def _weights_from_formula(formula: str, dim: int) -> np.ndarray:
-    if formula == "4^-n":
-        return 4.0 ** -np.arange(1, dim + 1)
-    raise ValueError(f"unknown weight formula {formula!r}")
-
-
 @dataclass(frozen=True)
 class SpaceModel:
     """Truncation dimension plus the weight sequence defining the triple."""
@@ -78,10 +72,9 @@ class SpaceModel:
         return e
 
 
-def make_space(dim: int = 32, weights="4^-n") -> SpaceModel:
-    if isinstance(weights, str):
-        return SpaceModel(_weights_from_formula(weights, dim), generator=weights)
-    return SpaceModel(np.asarray(weights, dtype=float))
+def make_space(dim: int = 32) -> SpaceModel:
+    """The triple with weights lambda_n = 4^-n, truncated to `dim` coordinates."""
+    return SpaceModel(4.0 ** -np.arange(1, dim + 1), generator="4^-n")
 
 
 def canonical_x(model: SpaceModel) -> np.ndarray:
@@ -95,11 +88,10 @@ def canonical_x(model: SpaceModel) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GrowthBasis:
-    """Off-H point x with an H-orthonormal family of fast-growing pairings."""
+    """H-orthonormal family of pairings that grow fast on an off-H point x:
+    <e_n^x, x> >= 2^(n/2)."""
 
-    x: np.ndarray
     basis: np.ndarray  # (K, N), rows H-orthonormal, rows lie in E'
-    growth_certificate: np.ndarray  # (K,), <e_n^x, x> >= 2^(n/2)
 
     @property
     def depth(self) -> int:
@@ -110,9 +102,11 @@ class GrowthBasis:
         return np.asarray(z) @ self.basis.T
 
 
-def build_growth_basis(
-    model: SpaceModel, x: np.ndarray, h_norm2_threshold: float = 100.0
-) -> GrowthBasis:
+# |x|_H^2 at truncation below this is too close to H for a growth family
+_H_NORM2_THRESHOLD = 100.0
+
+
+def build_growth_basis(model: SpaceModel, x: np.ndarray) -> GrowthBasis:
     """Construct an H-orthonormal family with <e_n^x, x> >= 2^(n/2).
 
     Coordinates of x are consumed in consecutive blocks: block n is the
@@ -126,12 +120,12 @@ def build_growth_basis(
     x = np.asarray(x, dtype=float)
     if x.shape != (model.dim,):
         raise ValueError("x must be a coordinate vector of the model dimension")
-    if model.h_norm2(x) < h_norm2_threshold:
+    if model.h_norm2(x) < _H_NORM2_THRESHOLD:
         raise ConstructionError(
             f"truncated |x|_H^2 = {model.h_norm2(x):.3g} below the off-H "
-            f"certificate threshold {h_norm2_threshold:.3g}"
+            f"certificate threshold {_H_NORM2_THRESHOLD:.3g}"
         )
-    rows, growth = [], []
+    rows = []
     lo = 0
     n = 1
     while lo < model.dim:
@@ -146,7 +140,6 @@ def build_growth_basis(
         e = np.zeros(model.dim)
         e[lo:hi] = x[lo:hi] / np.sqrt(acc)
         rows.append(e)
-        growth.append(np.sqrt(acc))
         lo = hi
         n += 1
     if not rows:
@@ -154,4 +147,4 @@ def build_growth_basis(
             "growth deficit: no coordinate block of x reaches the required "
             "pairing 2^(1/2); x is too close to H at this truncation"
         )
-    return GrowthBasis(x=x, basis=np.array(rows), growth_certificate=np.array(growth))
+    return GrowthBasis(np.array(rows))

@@ -20,6 +20,7 @@ from levylab.dirichlet import (
     solve,
 )
 from levylab.measures import brownian_triplet
+from levylab.operators import BoundViolation
 from levylab.potential import PathConfig
 from levylab.rng import substream
 from levylab.space import make_space
@@ -65,6 +66,23 @@ def test_constant_data_solves_to_one(setup):
     est = solve(triplet, dom, f, np.zeros(DIM), 1000, cfg, substream(1))
     assert not est.flagged
     assert est.estimate.mean == pytest.approx(1.0, abs=est.non_exit_fraction + 1e-9)
+
+
+def test_boundary_data_beyond_its_bound_raise(setup):
+    """The declared bound of boundary data is checked on the exit values:
+    face values 3 and -1 break a declared bound of 2."""
+    model, triplet = setup
+    a, b = -1.0, 2.0
+    dom = slab_domain(model, 1, a, b)
+    f = BoundaryData(
+        lambda y: np.where(np.abs(y[..., 0] - a) < np.abs(y[..., 0] - b), 3.0, -1.0),
+        bound=2.0,
+        name="slab_faces",
+    )
+    start = np.zeros(DIM)
+    start[0] = 0.5
+    with pytest.raises(BoundViolation, match="slab_faces"):
+        solve(triplet, dom, f, start, 400, PathConfig(dt=0.01, horizon=40.0), substream(2))
 
 
 def test_gamblers_ruin_oracle(setup):
@@ -246,14 +264,15 @@ def test_controlled_convergence_classical():
 
 
 def test_controlled_convergence_exploding_control():
-    """k blows up faster than h: ratio branch must pass."""
+    """k blows up faster than h: ratio branch must pass.  k = 4^j at the
+    j-th point, past the exploding cap of 1e6 from j = 10 on."""
     V0 = lambda xs: np.ones(xs.shape[0], dtype=bool)
     h = lambda xs: 1.0 / np.maximum(np.abs(xs[:, 0] - 1.0), 1e-12)
     k = lambda xs: 1.0 / np.maximum(np.abs(xs[:, 0] - 1.0), 1e-12) ** 2
     f = lambda xs: np.zeros(xs.shape[0])
     y = np.array([1.0, 0.0])
-    seq = approach_sequence(y, np.zeros(2), 10)
-    rep = controlled_convergence_check(h, f, k, V0, [seq], [y], tol=0.05, k_cap=100.0)
+    seq = approach_sequence(y, np.zeros(2), 12)
+    rep = controlled_convergence_check(h, f, k, V0, [seq], [y], tol=0.05)
     assert rep.records[0].branch == "c2"
     assert rep.all_pass
 
@@ -283,7 +302,5 @@ def test_majorant_stability():
     k = lambda xs: np.abs(xs[:, 0])
     y = np.array([1.0, 0.0])
     seq = approach_sequence(y, np.zeros(2), 6)
-    rep = majorant_stability_check(
-        h, f, k, V0, [seq], [y], majorant_factors=(2.0, 10.0), tol=0.05
-    )
-    assert rep["stable"]
+    rep = majorant_stability_check(h, f, k, V0, [seq], [y], tol=0.05)
+    assert rep["stable"] and rep["base"].all_pass

@@ -1,10 +1,12 @@
 """Config validation, determinism, error records and gate rows."""
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
-from levylab import harness
+from levylab import harness, suite
 from levylab.harness import ConfigError, ExperimentSpec, load_config, run
 from levylab.cli import main
 
@@ -187,6 +189,7 @@ _TAIL = {"operation": "tail_projection", "samples": 500}
         ({"experiments": [_TAIL]}, ["--filter", "c12*"], "filter"),
         ({"experiments": [{**_TAIL, "confidence": "high"}]}, [], "confidence"),
         ({"experiments": [{**_TAIL, "parameters": [1, 2]}]}, [], "parameters"),
+        ({"experiments": [{**_TAIL, "operation": ["tail_projection"]}]}, [], "operation"),
         ({"experiments": {"a": 1, "e": 2, "i": 3}}, [], "experiments"),
         ({"experiments": [1, 2]}, [], "experiments"),
         ({"seed": "3", "experiments": [_TAIL]}, [], "seed"),
@@ -198,7 +201,8 @@ _TAIL = {"operation": "tail_projection", "samples": 500}
     ],
     ids=[
         "samples_str", "samples_negative", "samples_below_100", "samples_float",
-        "filter_matches_nothing", "confidence_str", "parameters_list", "experiments_object",
+        "filter_matches_nothing", "confidence_str", "parameters_list", "operation_list",
+        "experiments_object",
         "experiments_not_objects", "seed_str", "seed_float", "workers_str", "workers_zero",
         "workers_bool", "cli_workers_zero",
     ],
@@ -213,6 +217,63 @@ def test_cli_malformed_config_values_exit_2(tmp_path, capsys, cfg, args, key):
     err = capsys.readouterr().err
     assert err.startswith("config error") and key in err
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_missing_config_exit_2(tmp_path, capsys):
+    """A config file that cannot be read is a config error, not a traceback."""
+    missing = tmp_path / "nonexistent.json"
+    assert main(["run", "--config", str(missing), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "nonexistent.json" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "exp, key",
+    [
+        ({"operation": "polarity", "parameters": {"dt": 0.001}}, "dt"),
+        ({"operation": "reduced_projection", "parameters": {"horizn": 4.0}}, "horizn"),
+        ({"operation": "controlled_convergence", "parameters": {"dim": 8}}, "dim"),
+        ({"operation": "tail_projection", "parameters": {"dim": "32"}}, "dim"),
+        ({"operation": "gaussian_lyapunov", "parameters": {"points": 2.5}}, "points"),
+        ({"operation": "balayage", "parameters": {"dt": True}}, "dt"),
+    ],
+    ids=["unread_dt", "typo_horizon", "unread_dim", "dim_str", "points_float", "dt_bool"],
+)
+def test_cli_parameters_an_experiment_does_not_read_exit_2(tmp_path, capsys, exp, key):
+    """A `parameters` key the experiment does not read, or a value that is
+    not a number (an integer for dim and points), is a config error that
+    names the key, so a typo never runs silently at the default."""
+    p = _write(tmp_path, {"experiments": [{**exp, "samples": 100}]})
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and key in err
+    assert not (tmp_path / "o").exists()
+
+
+def _params_read(tree, name, seen=()):
+    """Keys the suite function `name` reads from `params`, itself or through
+    the suite functions it hands `params` to."""
+    keys = set()
+    for node in ast.walk(tree[name]):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Attribute) and f.attr == "get" and getattr(f.value, "id", "") == "params":
+            keys.add(node.args[0].value)
+        elif getattr(f, "id", None) in tree and f.id not in seen:
+            if any(getattr(a, "id", None) == "params" for a in node.args):
+                keys |= _params_read(tree, f.id, seen + (name,))
+    return keys
+
+
+def test_each_experiment_declares_the_parameters_it_reads():
+    """suite.PARAMETERS names exactly the keys each experiment reads."""
+    module = ast.parse(Path(suite.__file__).read_text())
+    tree = {n.name: n for n in module.body if isinstance(n, ast.FunctionDef)}
+    reads = {op: _params_read(tree, fn.__name__) for op, fn in suite.REGISTRY.items()}
+    assert reads == {op: set(keys) for op, keys in suite.PARAMETERS.items()}
+    assert all(reads.values())
 
 
 def test_cli_malformed_env_seed_exit_2(tmp_path, capsys, monkeypatch):

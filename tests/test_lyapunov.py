@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from levylab import lyapunov
 from levylab.lyapunov import (
     gaussian_norm,
     levy_norm,
@@ -114,18 +115,21 @@ def _q_x_elementwise(model, growth_basis, z, subseq=None, alphas=None):
 
 
 @pytest.mark.parametrize("shape", [(7,), (3, 5), (2, 3, 4)])
-def test_q_x_eval_one_pass_matches_block_sums(shape, gaussian_setup):
+def test_q_x_eval_one_pass_matches_block_sums(shape):
     """One coefficient vector gives the block sums of both kinds to 1e-12
-    relative, for 1, 2 and 3 batch axes."""
-    model, growth_basis, _ = gaussian_setup
-    z = np.random.default_rng(len(shape)).standard_normal(shape + (32,)) * 3.0
-    for depth in (1, 3, 5):
-        norm = gaussian_norm(model, growth_basis, depth)
-        ref = _q_x_elementwise(model, growth_basis, z, subseq=select_subsequence(model, depth))
-        np.testing.assert_allclose(q_x_eval(norm, z), ref, rtol=1e-12, atol=0)
-    alphas = np.linspace(1.0, 5.0, 32)
-    ref = _q_x_elementwise(model, growth_basis, z, alphas=alphas)
-    np.testing.assert_allclose(q_x_eval(levy_norm(model, growth_basis, alphas), z), ref, rtol=1e-12, atol=0)
+    relative, for 1, 2 and 3 batch axes, at truncations whose certified
+    subsequences have 5, 11 and 21 levels."""
+    for dim in (8, 16, 32):
+        model = make_space(dim)
+        growth_basis = build_growth_basis(model, canonical_x(model))
+        z = np.random.default_rng(len(shape)).standard_normal(shape + (dim,)) * 3.0
+        subseq = select_subsequence(model, lyapunov._max_depth(model))
+        ref = _q_x_elementwise(model, growth_basis, z, subseq=subseq)
+        got = q_x_eval(gaussian_norm(model, growth_basis), z)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+        ref = _q_x_elementwise(model, growth_basis, z, alphas=2.0 ** np.arange(1, dim + 1))
+        got = q_x_eval(levy_norm(model, growth_basis), z)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
 
 
 def test_levy_norm_unit_value(levy_setup):
@@ -151,17 +155,6 @@ def test_norm_axioms(levy_setup, gaussian_setup):
         assert float(q_x_eval(norm, np.zeros(32))) == 0.0
         assert float(q_x_eval(norm, 2.5 * z)) == pytest.approx(2.5 * qz)
         assert float(q_x_eval(norm, z + w)) <= qz + qw + 1e-12
-
-
-def test_levy_alpha_validation():
-    model = make_space(8)
-    growth_basis = build_growth_basis(model, canonical_x(model))
-    with pytest.raises(ValueError):
-        levy_norm(model, growth_basis, alphas=np.array([2.0, 1.0] + [4.0] * 6))
-    with pytest.raises(ValueError):
-        levy_norm(model, growth_basis, alphas=np.ones(3))
-    with pytest.raises(ValueError):
-        levy_norm(model, growth_basis, alphas="3^n")
 
 
 def test_v0_gaussian_lower_bound(gaussian_setup):

@@ -200,19 +200,12 @@ def test_jump_measure_validation():
     with pytest.raises(ValueError):
         # zero atom violates M({0}) = 0
         JumpMeasure(intensity=1.0, kind="pointmass", atoms=np.zeros((1, 4)))
-    with pytest.raises(ValueError):
-        JumpMeasure(
-            intensity=1.0,
-            kind="pointmass",
-            atoms=np.ones((2, 4)),
-            probs=np.array([0.9, 0.9]),
-        )
 
 
 def test_pointmass_jump_moments():
-    atoms = np.array([[1.0, 0.0, 0.0], [0.0, -2.0, 0.0]])
-    probs = np.array([0.25, 0.75])
-    jm = JumpMeasure(intensity=1.0, kind="pointmass", atoms=atoms, probs=probs)
+    """The atoms are equally likely: a quarter each of four."""
+    atoms = np.array([[1.0, 0.0, 0.0], [0.0, -2.0, 0.0], [0.0, -2.0, 0.0], [0.0, -2.0, 0.0]])
+    jm = JumpMeasure(intensity=1.0, kind="pointmass", atoms=atoms)
     xi = np.array([1.0, 1.0, 0.0])
     assert jm.pairing_mean(xi) == pytest.approx(0.25 * 1.0 + 0.75 * (-2.0))
     assert jm.pairing_second_moment(xi) == pytest.approx(0.25 * 1.0 + 0.75 * 4.0)

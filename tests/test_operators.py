@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from levylab.measures import McEstimate, brownian_triplet
+from levylab.measures import McEstimate, PreconditionError, brownian_triplet
 from levylab.operators import (
     BoundViolation,
     TestFunction,
@@ -55,10 +55,9 @@ def test_projection_identity_resolvent(setup):
             bound=1.0,
             cylinder=k,
         )
-        phi = lambda y, k=k: np.cos(np.sum(y[..., :k], axis=-1))
         for alpha in (0.5, 1.0, 2.0):
             full = apply_Ualpha(triplet, f, alpha, z, 40_000, rng)
-            proj = apply_Ualpha_projected(triplet, phi, k, alpha, z, 40_000, rng)
+            proj = apply_Ualpha_projected(triplet, f, alpha, z, 40_000, rng)
             diff = McEstimate(
                 full.mean - proj.mean,
                 float(np.hypot(full.stderr, proj.stderr)),
@@ -73,7 +72,14 @@ def test_projected_resolvent_gaussian_moment(setup):
     model, triplet = setup
     rng = substream(4, "projU")
     alpha = 1.0 / 1.5
-    est = apply_Ualpha_projected(
-        triplet, lambda y: y[..., 0] ** 2, 1, alpha, np.zeros(32), 40_000, rng
-    )
+    f = TestFunction(lambda y: y[..., 0] ** 2, cylinder=1)
+    est = apply_Ualpha_projected(triplet, f, alpha, np.zeros(32), 40_000, rng)
     assert est.verdict(1.0 / alpha**2) == "pass"
+
+
+def test_projected_resolvent_needs_a_cylinder(setup):
+    """The projected resolvent takes k from the function's cylinder, so a
+    function that declares none is refused before any draw."""
+    model, triplet = setup
+    with pytest.raises(PreconditionError, match="one"):
+        apply_Ualpha_projected(triplet, ONE, 1.0, np.zeros(32), 100, substream(5))

@@ -77,9 +77,7 @@ def test_growth_basis_canonical_identity_basis():
     datum = build_growth_basis(model, x)
     assert datum.depth == 32
     np.testing.assert_allclose(datum.basis, np.eye(32))
-    np.testing.assert_allclose(
-        datum.growth_certificate, np.sqrt(2.0) ** np.arange(1, 33)
-    )
+    np.testing.assert_allclose(datum.basis @ x, np.sqrt(2.0) ** np.arange(1, 33))
 
 
 def test_growth_basis_growth_and_orthonormality_generic():
@@ -92,7 +90,7 @@ def test_growth_basis_growth_and_orthonormality_generic():
     lower = np.sqrt(2.0) ** np.arange(1, datum.depth + 1)
     pair = datum.pairings(x)
     assert np.all(pair >= lower - 1e-9)
-    np.testing.assert_allclose(pair, datum.growth_certificate)
+    np.testing.assert_allclose(pair, datum.basis @ x)
 
 
 def test_growth_basis_rejects_near_H_point():
@@ -103,9 +101,11 @@ def test_growth_basis_rejects_near_H_point():
         build_growth_basis(model, x)
 
 
-def test_growth_basis_threshold_override():
+def test_growth_basis_threshold_is_100():
+    """The off-H certificate needs |x|_H^2 >= 100 at truncation."""
     model = make_space(8)
-    x = np.full(8, 2.0)  # |x|_H^2 = 32
-    datum = build_growth_basis(model, x, h_norm2_threshold=10.0)
+    with pytest.raises(ConstructionError):
+        build_growth_basis(model, np.full(8, 3.5))  # |x|_H^2 = 98
+    datum = build_growth_basis(model, np.full(8, 3.6))  # |x|_H^2 = 103.68
     assert isinstance(datum, GrowthBasis)
     assert datum.depth >= 1
