@@ -7,13 +7,15 @@ The sampled law at time t is
 with G a diagonal Gaussian in pairing coordinates and J the jump law of a
 finite-intensity compound Poisson part.  Small jumps are truncated away and
 their compensator is folded into the effective drift b, so only the law of
-Z_t is represented, which is all the downstream estimators consume.
+Z_t is represented, which is all the downstream estimators consume.  A
+reader of a few coordinates draws them from the triplet's marginal law on
+the read ones it moves plus the jump support (`sample_read`).
 
 Every stochastic operation returns an McEstimate; assertions on estimates
 yield three-valued verdicts (pass / fail / inconclusive).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from statistics import NormalDist
 
@@ -213,6 +215,33 @@ class LevyTriplet:
     def is_pure_unit_gaussian(self) -> bool:
         return self.jumps is None and self.drift_is_noop and self.unit_gaussian
 
+    def carried(self, read) -> np.ndarray:
+        """The columns (0-based, increasing) a reader of the coordinates `read`
+        needs drawn: the read ones the law moves (g > 0 or b != 0) and the
+        whole jump support.  Any other column keeps its start value."""
+        keep = np.zeros(self.model.dim, dtype=bool)
+        keep[np.asarray(read, dtype=int)] = True
+        keep &= (self.gaussian_diag > 0) | (self.drift != 0)
+        if self.jumps is not None:
+            keep[self.jumps.support(self.model.dim)] = True
+        return np.flatnonzero(keep)
+
+    def marginal(self, cols) -> "LevyTriplet":
+        """The law of the coordinates `cols` (0-based, increasing) alone, its
+        linear image (Sato 1999, section 11).  `cols` holds the whole jump
+        support, whose atoms come along restricted, or none of it."""
+        cols = np.asarray(cols, dtype=int)
+        if np.array_equal(cols, np.arange(self.model.dim)):
+            return self
+        jumps = self.jumps
+        if jumps is not None:
+            inside = np.isin(jumps.support(self.model.dim), cols)
+            if inside.any() and not inside.all():
+                raise PreconditionError("a marginal must hold all of the jump support or none")
+            jumps = replace(jumps, atoms=jumps.atoms[:, cols]) if inside.any() else None
+        model = SpaceModel(self.model.weights[cols])
+        return LevyTriplet(model, self.drift[cols], self.gaussian_diag[cols], jumps)
+
 
 def brownian_triplet(model: SpaceModel) -> LevyTriplet:
     """The unit-H cylinder Brownian case."""
@@ -276,6 +305,19 @@ def sample_increments(
     return out
 
 
+def sample_read(triplet: LevyTriplet, read, start, t, n: int, rng: np.random.Generator):
+    """n draws (n, len(read)) of start + Z_t on the coordinates `read`
+    (0-based, increasing) alone, from the marginal on the columns they need
+    (`LevyTriplet.carried`); a column the law does not move keeps its start."""
+    read = np.asarray(read, dtype=int)
+    pts = np.broadcast_to(np.asarray(start, dtype=float)[..., read], (n, read.size)).copy()
+    cols = triplet.carried(read)
+    if cols.size:
+        incr = sample_increments(triplet.marginal(cols), t, n, rng)
+        pts[:, np.isin(read, cols)] += incr[:, np.isin(cols, read)]
+    return pts
+
+
 def pairing_second_moment(
     triplet: LevyTriplet,
     xi: np.ndarray,
@@ -283,10 +325,14 @@ def pairing_second_moment(
     n: int,
     rng: np.random.Generator,
     confidence: float = DEFAULT_CONFIDENCE,
+    start: np.ndarray | None = None,
 ) -> McEstimate:
-    """Monte Carlo estimate of the second pairing moment E<xi, Z_t>^2."""
-    z = sample_increments(triplet, t, n, rng)
-    vals = (z @ np.asarray(xi, dtype=float)) ** 2
+    """Monte Carlo estimate of the second pairing moment E<xi, z + Z_t>^2
+    from the start z (0 by default), drawn on xi's support (`sample_read`)."""
+    xi = np.asarray(xi, dtype=float)
+    read = np.flatnonzero(xi)
+    z = np.zeros(xi.size) if start is None else start
+    vals = (sample_read(triplet, read, z, t, n, rng) @ xi[read]) ** 2
     return McEstimate.from_samples(vals, confidence)
 
 

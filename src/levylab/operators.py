@@ -15,6 +15,7 @@ from .measures import (
     McEstimate,
     PreconditionError,
     sample_increments,
+    sample_read,
 )
 
 
@@ -77,12 +78,12 @@ def apply_Ualpha_projected(
     confidence: float = DEFAULT_CONFIDENCE,
 ) -> McEstimate:
     """U_alpha f(x) for a cylinder function f on its k = f.cylinder
-    coordinates alone, by the same exponential randomization."""
+    coordinates alone, by the same exponential randomization, drawn from
+    the law's marginal on them (`sample_read`)."""
     k = f.cylinder
     if k is None:
         raise PreconditionError(f"{f.name or 'test function'} declares no cylinder")
     t = rng.exponential(1.0 / alpha, size=n)
-    incr = sample_increments(triplet, t, n, rng)[:, :k]
-    vals = f(np.asarray(x)[..., :k] + incr) / alpha
+    vals = f(sample_read(triplet, np.arange(k), x, t, n, rng)) / alpha
     return McEstimate.from_samples(vals, confidence)
 

@@ -4,21 +4,22 @@ Every path estimator runs on one stepping engine.  Paths are stepped on a
 fixed time grid; each increment is drawn exactly from the increment law at
 the step size, so there is no Euler error, only the discrete monitoring of
 the target at the grid points.  Every triplet steps only the coordinates
-its targets read (`TargetSet.coords`) and the support of its jump
-measure; the others carry no jumps, so they are a diagonal Brownian
-motion with drift, independent of every stopping time, and are drawn
-exactly at each stopping time.  Each engine iteration advances the
-live paths by a block of grid steps, sized so that steps x paths x stepped
-coordinates stay within `_BLOCK` = 32768 elements (or one step, when that
-is larger); a path stops inside its block at its entry step, which is
-exact because the draws after that step are independent of everything
-kept.  A block is summed along its step axis by contiguous adds of each
-step onto the next when one step holds at least 512 elements, else by
-`np.cumsum`; both give the same bytes (`_prefix_sum`).  The budget is
-capped by the peak memory of a full-width exit: with 1000 paths x 32
-coordinates, a block larger than one step (32000 elements) raises the peak
-that `test_full_width_exit_memory` bounds at 5.25 steps (40960 measured
-5.72).
+its targets read (`TargetSet.coords`) and it moves, and its jump support,
+from its marginal law on them (`LevyTriplet.carried`, `.marginal`).  A
+read coordinate it does not move stays at its start; the other moved ones
+carry no jumps, so they are a diagonal Brownian motion with drift,
+independent of every stopping time, drawn exactly at each stopping time.  Each engine iteration
+advances the live paths by a block of grid steps, sized so that steps x
+paths x read or stepped coordinates stay within `_BLOCK` = 32768
+elements (or one step, when that is larger); a path stops inside its
+block at its entry step, which is exact because the draws after that step
+are independent of everything kept.  A block is summed along its step
+axis by contiguous adds of each step onto the next when one step holds at
+least 512 elements, else by `np.cumsum`; both give the same bytes
+(`_prefix_sum`).  The budget is capped by the peak memory of a full-width
+exit: with 1000 paths x 32 coordinates, a block larger than one step
+(32000 elements) raises the peak that `test_full_width_exit_memory` bounds
+at 5.25 steps (40960 measured 5.72).
 
 A single-target hit of a target that reads only its face coordinates
 (a halfspace, a slab, a box), when the law moves each of them as a
@@ -110,9 +111,10 @@ class TargetSet:
     the complement of a box of intervals, and its first passage is sampled
     exactly (`_face_passage`); the engine reads no faces.  `coords` lists
     the 0-based coordinates the membership reads; None means all of them.
-    The engine steps these, and for a jump triplet the jump support too; a
-    membership with declared coords may be handed only the columns up to
-    the largest stepped coordinate, with zeros in the unstepped ones.
+    The engine steps those the law moves and the jump support
+    (`LevyTriplet.carried`); a membership may be handed only the columns up
+    to the largest read or stepped one, a read one it does not step at its
+    start and an unread one at 0.
     `e_form` declares a membership that is an E-ball or its complement,
     which lets a hit step the E-norm's tail as one radius
     (`_radial_passage`).
@@ -327,24 +329,7 @@ def _support(targets):
     return tuple(sorted(set().union(*(t.coords for t in targets))))
 
 
-def _restrict(triplet: LevyTriplet, cols: np.ndarray) -> LevyTriplet:
-    """The triplet's law on the coordinates `cols` alone.  `cols` holds
-    either the whole jump support, and the jumps come along restricted to
-    it, or none of it, and the law there is a diagonal Brownian motion with
-    drift."""
-    jumps = triplet.jumps
-    if jumps is not None:
-        moved = np.isin(jumps.support(triplet.model.dim), cols).any()
-        jumps = replace(jumps, atoms=jumps.atoms[:, cols]) if moved else None
-    return LevyTriplet(
-        SpaceModel(triplet.model.weights[cols]),
-        triplet.drift[cols],
-        triplet.gaussian_diag[cols],
-        jumps,
-    )
-
-
-# Elements (grid steps x live paths x stepped coordinates) one engine
+# Elements (grid steps x live paths x read or stepped coordinates) one engine
 # iteration draws at most, unless a single step is already larger.  Chosen
 # by a sweep of the path benchmark (BENCH_engine_blocks.json); larger
 # budgets raise a full-width exit's peak memory (see the module docstring).
@@ -382,25 +367,24 @@ def _step_paths(
     """The stepping engine behind every path estimator.
 
     `member(z)` maps points (rows, N') to a (targets, rows) membership matrix
-    that reads only the coordinates `coords` (None: all); N' is N, or the
-    largest stepped coordinate + 1 when some are not stepped.  A path steps
-    until it has entered every target, or to the horizon with
-    to_horizon.  With one target, `refine(z_in, z_out)` moves an entering
-    grid step's end point.  Targets are monitored at the grid points only;
-    `observe(t, idx, z, times)` sees the block grid times t (B,) and points
-    z (B, len(idx), N') of the stepped paths idx.  Paths take `n_steps`
-    grid steps, by default ceil(horizon / dt).  Returns entry times (inf
-    when missed) and entry points (the start when missed; none without
-    locate).
+    that reads only the coordinates `coords` (None: all); N' is the largest
+    read or stepped coordinate + 1.  A path steps until it has entered
+    every target, or to the horizon with to_horizon.  With one target,
+    `refine(z_in, z_out)` moves an entering grid step's end point.  Targets
+    are monitored at the grid points only; `observe(t, idx, z, times)`
+    sees the block grid times t (B,) and points z (B, len(idx), N') of the
+    stepped paths idx.  Paths take `n_steps` grid steps, by default
+    ceil(horizon / dt).  Returns entry times (inf when missed) and entry
+    points (the start when missed; none without locate).
 
     Each iteration advances the live paths by a block of B grid steps, the
-    largest B (at least 1) with B * paths * stepped coordinates <= _BLOCK, so
-    blocks grow as the live set shrinks.  One draw of B * paths increments,
-    summed along the step axis (`_prefix_sum`) and added to the positions,
-    gives the block's grid points; a path stops at the step where it
-    entered its last target.  Stopping inside a block is exact: that step's
-    decision reads only the increments up to it, and the discarded draws
-    after it are independent of everything kept.
+    largest B (at least 1) with B * paths * read or stepped coordinates <=
+    _BLOCK, so blocks grow as the live set shrinks.  One draw of B * paths
+    increments, summed along the step axis (`_prefix_sum`) and added to the
+    positions, gives the block's grid points; a path stops at the step
+    where it entered its last target.  Stopping inside a block is exact:
+    that step's decision reads only the increments up to it, and the
+    discarded draws after it are independent of everything kept.
 
     The live paths are held compacted, in their original order: their ids,
     stepped positions and still-awaited targets are dense arrays, shrunk
@@ -411,29 +395,29 @@ def _step_paths(
     buffer allocated before the loop and shrink within it, so an iteration
     allocates only its block and the membership's temporaries.
 
-    The stepped coordinates are `coords` plus the jump measure's support
-    (`JumpMeasure.support`); membership sees zeros in the other columns up
-    to the largest stepped one.  The rest carry no jumps and a diagonal
-    Gaussian part, so they are independent of every stopping time and are
-    drawn at the entry times (`_draw_rest`).
+    The stepped coordinates are the read ones the law moves plus the jump
+    support (`LevyTriplet.carried`), drawn from the law's marginal on them;
+    membership sees a read column the law does not move at its start, and
+    0 in the unread ones up to the largest handed.  The others it moves
+    carry no jumps and a diagonal Gaussian part, so they are independent of
+    every stopping time and are drawn at the entry times (`_draw_rest`).
     """
     z0 = _starts(start, n_paths)
-    dim = z0.shape[1]
-    if coords is None:
-        coords = range(dim)
-    elif triplet.jumps is not None:  # a jump moves its whole support at once
-        coords = {*coords, *triplet.jumps.support(dim).tolist()}
-    cols = np.array(sorted(set(coords)), dtype=int)
+    read = range(z0.shape[1]) if coords is None else coords
+    cols = triplet.carried(read)
     k = cols.size
-    full = k == dim
-    law = triplet if full else _restrict(triplet, cols) if k else None
-    width = cols[-1] + 1 if k else 0
-    dense = np.array_equal(cols, np.arange(width))
+    law = triplet.marginal(cols) if k else None
+    # the columns membership is handed: the read ones and the stepped ones
+    shown = {*read, *cols.tolist()}
+    width = max(shown) + 1 if shown else 0
+    held = sorted(shown.difference(cols.tolist()))  # read, but not moved by the law
 
-    def widen(y):
-        if dense:
+    def widen(y, rows=slice(None)):  # live rows y (..., rows, k) to (..., rows, width)
+        if k == width:  # every column up to the last handed one is stepped
             return y
         z = np.zeros(y.shape[:-1] + (width,))
+        if held:  # the starts, whose stepped columns are overwritten next
+            z[...] = z0[ids[rows], :width]
         z[..., cols] = y
         return z
 
@@ -451,7 +435,7 @@ def _step_paths(
     done = 0
     while done < n_steps and ids.size:
         r = ids.size
-        nb = min(n_steps - done, max(1, _BLOCK // (r * max(k, 1))))
+        nb = min(n_steps - done, max(1, _BLOCK // (r * max(len(shown), 1))))
         if law is None:
             path = np.empty((nb, r, 0))
         else:
@@ -471,7 +455,7 @@ def _step_paths(
                 rows = np.flatnonzero(entered[0])
                 s = first[0, rows]
                 z_in = np.where((s > 0)[:, None], path[s - 1, rows], y[rows])
-                path[s, rows] = refine(widen(z_in), widen(path[s, rows]))[:, cols]
+                path[s, rows] = refine(widen(z_in, rows), widen(path[s, rows], rows))[:, cols]
             for ti in np.flatnonzero(entered.any(axis=1)):
                 rows = np.flatnonzero(entered[ti])
                 s = first[ti, rows]
@@ -489,7 +473,7 @@ def _step_paths(
             y = np.compress(going, path[nb - 1], axis=0, out=y[: ids.size])
         done += nb
         del path, z  # free this block before the next one is drawn
-    if locate and not full:
+    if locate:
         _draw_rest(triplet, cols, z0, times, locs, rng)
     return times, locs
 
@@ -505,8 +489,9 @@ def _starts(start, n_paths: int) -> np.ndarray:
 
 
 def _draw_rest(triplet, cols, z0, times, locs, rng):
-    """Draw the coordinates outside `cols` into the entry points `locs`
-    (targets, paths, N) at the finite entry `times` (targets, paths).
+    """Draw the coordinates the law moves outside `cols` into the entry
+    points `locs` (targets, paths, N) at the finite entry `times` (targets,
+    paths); the columns it does not move keep their starts.
 
     Those coordinates carry no jumps and a diagonal Gaussian part, so they
     are independent of every stopping time.  Each path advances them in
@@ -514,10 +499,11 @@ def _draw_rest(triplet, cols, z0, times, locs, rng):
     order, drawn in chunks of consecutive paths of about _BLOCK elements
     (the same draws as one call); a path that entered at time 0 draws
     no increment for it, and a missed target keeps the start."""
-    rest = np.delete(np.arange(z0.shape[1]), cols)  # setdiff1d would import numpy.ma, about 1 MB
+    moved = triplet.carried(range(z0.shape[1]))  # it holds `cols`
+    rest = np.delete(moved, np.searchsorted(moved, cols))
     if not rest.size:
         return
-    rest_law = _restrict(triplet, rest)
+    rest_law = triplet.marginal(rest)
     # each run of consecutive columns indexes as a slice, far cheaper than a
     # fancy index on both axes: (its columns in z0, its columns in a draw)
     cuts = np.flatnonzero(np.diff(rest) != 1) + 1
@@ -976,7 +962,7 @@ def _radial_passage(
     var = triplet.gaussian_diag[m] * cfg.dt
     w_near = (form.weights[-1] if form.inside else form.weights[m]) * var
     sd = math.sqrt(var)  # the tail's radius per unit of r
-    head = _restrict(triplet, np.arange(m))
+    head = triplet.marginal(np.arange(m))
     times = np.where(target(z0), 0.0, np.inf)
     locs = z0  # a private copy: the entry points overwrite it, a miss keeps its start
     ids = np.flatnonzero(np.isinf(times))
@@ -1275,7 +1261,6 @@ def capacity_tightness_profile(
 
     Shared paths make the per-path discount factors nonincreasing across
     levels, so the strict-decrease trend is structural up to ties."""
-    results = []
     levels = list(levels)
     means = np.zeros(len(levels))
     var = np.zeros(len(levels))
@@ -1286,16 +1271,11 @@ def capacity_tightness_profile(
             est = McEstimate.from_samples(disc[li], confidence)
             means[li] += mi * est.mean
             var[li] += (mi * est.stderr) ** 2
-    for li, lv in enumerate(levels):
-        results.append(
-            {
-                "level": lv,
-                "estimate": McEstimate(
-                    float(means[li]), float(np.sqrt(var[li])), n * len(lam.points), confidence
-                ),
-            }
-        )
-    return results
+    n_all = n * len(lam.points)
+    return [
+        {"level": lv, "estimate": McEstimate(float(m), float(np.sqrt(v)), n_all, confidence)}
+        for lv, m, v in zip(levels, means, var)
+    ]
 
 
 def balayage_check(
@@ -1320,22 +1300,14 @@ def balayage_check(
     targets = [spec["target"] for spec in F_specs]
     nF = len(targets)
     rows = [
-        {
-            "F": spec["target"].name,
-            "inside": bool(spec["inside"]),
-            "nu_side": 0.0,
-            "swept_side": 0.0,
-            "var_diff": 0.0,
-        }
-        for spec in F_specs
+        dict(F=F.name, inside=bool(spec["inside"]), nu_side=0.0, swept_side=0.0, var_diff=0.0)
+        for F, spec in zip(targets, F_specs)
     ]
     per_sample_ineq = True
     any_hit = False
     carrier_ok = True
     for zi, mi in zip(nu.points, nu.masses):
-        T, A, B, loc = discounted_occupancy(
-            triplet, zi, M, targets, beta, cfg, n, rng
-        )
+        T, A, B, loc = discounted_occupancy(triplet, zi, M, targets, beta, cfg, n, rng)
         hits = np.isfinite(T)
         if hits.any():
             any_hit = True
@@ -1353,10 +1325,7 @@ def balayage_check(
             n * len(nu.points),
             confidence,
         )
-        if row["inside"]:
-            row["verdict"] = diff_est.verdict(0.0)
-        else:
-            row["verdict"] = diff_est.verdict_at_least(0.0)
+        row["verdict"] = diff_est.verdict(0.0) if row["inside"] else diff_est.verdict_at_least(0.0)
         row["difference"] = diff_est
     return {
         "rows": rows,
@@ -1386,12 +1355,10 @@ def domination_check(
     def probe_row(B: TargetSet):
         t = rng.exponential(1.0 / beta, size=n)
         incr = sample_increments(triplet, t, n, rng)
-        mu_samples = np.zeros(n)
-        for zi, mi in zip(mu.points, mu.masses):
-            mu_samples += mi * B(zi + incr) / beta
-        nu_samples = np.zeros(n)
-        for zi, mi in zip(nu.points, nu.masses):
-            nu_samples += mi * B(zi + incr) / beta
+        def side(c):  # each point's share added onto zeros in cloud order
+            return sum((m * B(p + incr) / beta for p, m in zip(c.points, c.masses)), np.zeros(n))
+
+        mu_samples, nu_samples = side(mu), side(nu)
         diff = McEstimate.from_samples(nu_samples - mu_samples, confidence)
         return {
             "probe": B.name,

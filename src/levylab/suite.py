@@ -77,14 +77,7 @@ from .space import build_growth_basis, canonical_x, make_space
 def _row(op, est=None, target=None, verdict=None, mean=None, stderr=None, n=None):
     if est is not None:
         mean, stderr, n = est.mean, est.stderr, est.n_samples
-    return {
-        "op": op,
-        "mean": mean,
-        "stderr": stderr,
-        "n": n,
-        "target": target,
-        "verdict": verdict,
-    }
+    return dict(op=op, mean=mean, stderr=stderr, n=n, target=target, verdict=verdict)
 
 
 def _check(op, est, target, atol=DEFAULT_ATOL):
@@ -147,9 +140,7 @@ def _brownian(params, seed, name, dim=32):
 
 
 def _cfg(params, dt, horizon):
-    return PathConfig(
-        dt=float(params.get("dt", dt)), horizon=float(params.get("horizon", horizon))
-    )
+    return PathConfig(float(params.get("dt", dt)), float(params.get("horizon", horizon)))
 
 
 def _norm(model, kind):
@@ -174,9 +165,7 @@ def variance_identity(params, samples, seed, confidence, name):
     for xi_name, xi in xis.items():
         for t in (0.1, 1.0, 5.0):
             for z_name, z in (("0", np.zeros(dim)), ("rand", z_rand)):
-                incr = sample_increments(triplet, t, samples, rng)
-                vals = ((z + incr) @ xi) ** 2
-                est = McEstimate.from_samples(vals, confidence)
+                est = pairing_second_moment(triplet, xi, t, samples, rng, confidence, start=z)
                 target = t * float(xi @ xi) + float(xi @ z) ** 2
                 rows.append(_check(f"second_moment[xi={xi_name},t={t},z={z_name}]", est, target))
     cells = [_cell(_verdicts(rows[i : i + 2])) for i in range(0, len(rows), 2)]
@@ -317,9 +306,7 @@ def reduced_projection_cases(model):
         M = coord_halfspace(model, coord, level, side)
         cases.append((f"{M.name}|k={coord}", M, M))
     box = coordinate_box(model, np.array([1.0, 1.0]), np.array([9.0, 9.0]))
-    box1 = TargetSet(
-        "box_proj_k1", lambda z: (z[..., 0] >= 1.0) & (z[..., 0] <= 9.0), coords=(0,)
-    )
+    box1 = TargetSet("box_proj_k1", lambda z: (z[..., 0] >= 1.0) & (z[..., 0] <= 9.0), coords=(0,))
     cases.append(("box2d|k=1", box, box1))
     shell = e_ball_complement(model, np.zeros(dim), 1.5)
     # every k-dim point extends into the shell, so the projection is total
@@ -443,8 +430,7 @@ def capacity_basics(params, samples, seed, confidence, name):
     )
     means = [p["estimate"].mean for p in prof]
     decreasing = all(b < a for a, b in zip(means, means[1:])) and means[-1] >= 0.0
-    for p in prof:
-        rows.append(_row(f"capacity_level[{p['level']}]", est=p["estimate"]))
+    rows += [_row(f"capacity_level[{p['level']}]", est=p["estimate"]) for p in prof]
     rows.append(_flag("capacity_tightness_trend", decreasing, samples))
     bias = horizon_bias_bound(cloud.total_mass / beta, beta, cfg)
     rows.append(_row("horizon_bias_bound", mean=bias))

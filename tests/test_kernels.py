@@ -130,7 +130,7 @@ def test_rank_wise_jump_sums_match_add_at(kind):
 def _draw_rest_fancy(triplet, cols, z0, times, locs, rng):
     """`_draw_rest` with the rest columns as one fancy index on both axes."""
     rest = np.delete(np.arange(z0.shape[1]), cols)
-    rest_law = potential._restrict(triplet, rest)
+    rest_law = triplet.marginal(rest)
     chunk = max(1, potential._BLOCK // rest.size)
     paths = np.arange(z0.shape[0])
     t_prev = np.zeros(paths.size)

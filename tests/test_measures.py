@@ -15,12 +15,14 @@ from levylab.measures import (
     JumpMeasure,
     LevyTriplet,
     McEstimate,
+    PreconditionError,
     brownian_triplet,
     pairing_second_moment,
     pairing_second_moment_target,
     poisson_example_space,
     poisson_example_triplet,
     sample_increments,
+    sample_read,
     z_value,
 )
 from levylab.rng import substream
@@ -262,3 +264,96 @@ def test_single_increment_shape():
     triplet = brownian_triplet(make_space(6))
     z = sample_increments(triplet, 0.5, 1, substream(1))[0]
     assert z.shape == (6,)
+
+
+def _marginal_case(case):
+    """(law on 8 coordinates, the columns of its marginal).  "drift" has
+    zero-variance columns, one of them drifted, and "pointmass" moves only
+    its jump support (1, 3) by normals, so those two draw the same normals
+    and jumps for their marginal as for the full law."""
+    model = make_space(8)
+    if case == "brownian":
+        return brownian_triplet(model), [0, 2, 5]
+    if case == "drift":
+        g = np.array([1.0, 0.0, 2.0, 0.0, 0.5, 0.0, 0.0, 0.0])
+        return LevyTriplet(model, np.linspace(-1.0, 1.0, 8), g), [0, 1, 2, 4]
+    atoms = np.zeros((2, 8))
+    atoms[:, [1, 3]] = [[0.6, 0.5], [-0.6, 1.0]]
+    drift, g = np.zeros(8), np.zeros(8)
+    drift[0], g[[1, 3]] = 0.3, [1.0, 0.7]
+    return LevyTriplet(model, drift, g, JumpMeasure(2.0, "pointmass", atoms)), [1, 3]
+
+
+@pytest.mark.parametrize("case", ["brownian", "drift", "pointmass"])
+def test_marginal_columns_match_the_full_draw(case):
+    """The marginal is the triplet's columns `cols`, and its draws match
+    the full draw's columns in law: moment by moment, and byte for byte
+    from one stream when the full law draws its normals only in `cols`."""
+    law, cols = _marginal_case(case)
+    marg = law.marginal(cols)
+    np.testing.assert_array_equal(marg.model.weights, law.model.weights[cols])
+    np.testing.assert_array_equal(marg.drift, law.drift[cols])
+    np.testing.assert_array_equal(marg.gaussian_diag, law.gaussian_diag[cols])
+    if law.jumps is not None:
+        np.testing.assert_array_equal(marg.jumps.atoms, law.jumps.atoms[:, cols])
+    t, n = 0.7, 20_000
+    full = sample_increments(law, t, n, substream(40, case))[:, cols]
+    if np.isin(law.gaussian_coords, cols).all():
+        np.testing.assert_array_equal(sample_increments(marg, t, n, substream(40, case)), full)
+    part = sample_increments(marg, t, n, substream(41, case))
+    for a, b in zip(full.T, part.T):
+        for fa, fb in ((a, b), (a * a, b * b)):  # first and second moments
+            ea, eb = McEstimate.from_samples(fa), McEstimate.from_samples(fb)
+            diff = McEstimate(ea.mean - eb.mean, float(np.hypot(ea.stderr, eb.stderr)), n)
+            assert diff.verdict(0.0) == "pass"
+
+
+def test_marginal_keeps_the_jump_support_whole():
+    """A marginal holds the whole jump support or none of it; every column
+    of poisson01 is in its support, so it has no proper marginal."""
+    law, _ = _marginal_case("pointmass")
+    assert law.marginal([0, 2]).jumps is None
+    assert law.marginal(np.arange(8)) is law
+    for bad_law, cols in ((law, [1, 2]), (poisson_example_triplet(8), [0, 1])):
+        with pytest.raises(PreconditionError):
+            bad_law.marginal(cols)
+
+
+def test_carried_columns_are_the_moved_reads_and_the_jump_support():
+    drift_law, _ = _marginal_case("drift")
+    jump_law, _ = _marginal_case("pointmass")
+    assert drift_law.carried([0, 1, 3, 5]).tolist() == [0, 1, 3, 5]  # c4 and c6 only drift
+    assert drift_law.carried(range(8)).tolist() == list(range(8))
+    assert jump_law.carried([0, 2]).tolist() == [0, 1, 3]  # c3 stays at its start
+    assert jump_law.carried([]).tolist() == [1, 3]
+    line = LevyTriplet(make_space(8), np.zeros(8), np.eye(8)[0])
+    assert line.carried(range(8)).tolist() == [0]
+
+
+def test_estimators_draw_only_the_columns_they_read(monkeypatch):
+    """Pairings and projected resolvents draw from the marginal on the
+    columns they read; poisson01's jumps move every column, so its pairing
+    draws all of them.  A read column the law does not move keeps its start."""
+    from levylab import measures, operators
+
+    widths = []
+    draw = measures.sample_increments
+
+    def recorded(law, t, n, rng):
+        widths.append(law.model.dim)
+        return draw(law, t, n, rng)
+
+    monkeypatch.setattr(measures, "sample_increments", recorded)
+    bm = brownian_triplet(make_space(8))
+    e = bm.model.basis_vector
+    pairing_second_moment(bm, e(1) + e(3), 1.0, 100, substream(42))
+    pairing_second_moment(poisson_example_triplet(8), e(2), 1.0, 100, substream(42))
+    f = operators.TestFunction(lambda y: np.cos(y.sum(axis=-1)), bound=1.0, cylinder=3)
+    operators.apply_Ualpha_projected(bm, f, 1.0, np.zeros(8), 100, substream(42))
+    assert widths == [2, 8, 3]
+    line = LevyTriplet(bm.model, np.zeros(8), np.eye(8)[0])
+    start = np.arange(8.0)
+    pts = sample_read(line, [0, 2, 5], start, 1.0, 50, substream(43))
+    assert widths[3:] == [1]
+    np.testing.assert_array_equal(pts[:, 1:], np.broadcast_to(start[[2, 5]], (50, 2)))
+    assert (pts[:, 0] != start[0]).all()

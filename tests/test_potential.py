@@ -850,10 +850,14 @@ def test_jump_stepped_coordinates_covary(setup):
 
 
 def test_jump_restriction_agrees_with_full_stepping(setup):
-    """Stepping c1 and c2 alone and stepping every coordinate (coords=None)
-    give the same law of exp(-T), of the overshoot c1 and of c2 at exit."""
+    """Stepping c1 and c2 alone, from the law's marginal on them, and
+    stepping every coordinate (coords=None) give the same law of exp(-T),
+    of the overshoot c1 and of c2 at exit."""
     model, _ = setup
     slab = slab_complement(model, 1, -1.0, 1.5)
+    law = _jump_law(model)
+    assert law.carried(slab.coords).tolist() == [0, 1]
+    np.testing.assert_array_equal(law.marginal([0, 1]).jumps.atoms, law.jumps.atoms[:, :2])
 
     def stats(target, seed):
         T, loc = _jump_slab_exits(model, target, 3000, substream(seed))
@@ -1561,3 +1565,34 @@ def test_engine_monitors_faces_on_the_grid_only(setup):
         _, t1, loc1 = simulate_hit_batch(law, np.zeros(8), replace(target, faces=()), c, 300, substream(96, i))
         assert np.isfinite(t0).any()
         assert t0.tobytes() == t1.tobytes() and loc0.tobytes() == loc1.tobytes()
+
+
+def test_constant_read_columns_reach_membership_at_their_starts(setup, monkeypatch):
+    """A law that moves c1 alone steps c1 alone, for a target that reads c1
+    and c3 and for H-balls that read every column (criterion 12's H|line
+    family); membership sees each path's own start in c3, and the entry
+    point keeps every column the law does not move at its start."""
+    model, _ = setup
+    line = LevyTriplet(model, np.zeros(model.dim), np.eye(model.dim)[0])
+    widths = []
+    draw = potential.sample_increments
+
+    def recorded(law, dt, n, rng):
+        widths.append(law.model.dim)
+        return draw(law, dt, n, rng)
+
+    monkeypatch.setattr(potential, "sample_increments", recorded)
+    # entered when c1 reaches the path's own level in c3, 0.5 to 2
+    above = TargetSet("c1>=c3", lambda z: z[..., 0] >= z[..., 2], coords=(0, 2))
+    starts = np.zeros((200, model.dim))
+    starts[:, 2] = np.linspace(0.5, 2.0, 200)
+    starts[:, 5] = 7.0
+    cfg = PathConfig(dt=0.01, horizon=20.0)
+    hit, _, loc = simulate_hit_batch(line, starts, above, cfg, 200, substream(60))
+    assert hit.mean() > 0.5 and set(widths) == {1}
+    np.testing.assert_array_equal(loc[:, 2:], starts[:, 2:])
+    assert (loc[hit, 0] >= starts[hit, 2]).all()
+    widths.clear()
+    e1 = np.eye(model.dim)[0]
+    simulate_hit_batch(line, e1, h_ball(model, 0.5), cfg, 50, substream(61))
+    assert set(widths) == {1}
