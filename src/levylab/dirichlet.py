@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .measures import DEFAULT_CONFIDENCE, LevyTriplet, McEstimate, z_value
+from .measures import BAND_Z, LevyTriplet, McEstimate
 from .operators import TestFunction
 from .potential import PathConfig, TargetSet, simulate_hit_batch
 from .potential import box_complement, e_ball_complement, in_box, slab_complement
@@ -182,7 +182,6 @@ def solve(
     n: int,
     cfg: PathConfig,
     rng: np.random.Generator,
-    confidence: float = DEFAULT_CONFIDENCE,
 ) -> DirichletEstimate:
     """Mean of f at the exit location from z; non-exit paths contribute 0
     and their mass is reported (and flagged above _MAX_NON_EXIT).  Data
@@ -196,7 +195,7 @@ def solve(
         vals[hit] = f(loc[hit])
     frac = float(1.0 - hit.mean())
     return DirichletEstimate(
-        estimate=McEstimate.from_samples(vals, confidence),
+        estimate=McEstimate.from_samples(vals),
         non_exit_fraction=frac,
         flagged=frac > _MAX_NON_EXIT,
     )
@@ -226,7 +225,6 @@ def boundary_continuity_check(
     n: int,
     cfg: PathConfig,
     rng: np.random.Generator,
-    confidence: float = DEFAULT_CONFIDENCE,
 ) -> dict:
     """Solve along an approach sequence to the boundary point y and test the
     trend toward f(y): gaps nonincreasing within noise, final gap inside
@@ -235,11 +233,10 @@ def boundary_continuity_check(
     fy = float(f(np.asarray(y, dtype=float)[None, :])[0])
     rows = []
     for xk in np.atleast_2d(sequence):
-        est = solve(triplet, domain, f, xk, n, cfg, rng, confidence=confidence)
+        est = solve(triplet, domain, f, xk, n, cfg, rng)
         gap = abs(est.estimate.mean - fy)
         rows.append({"x": xk, "estimate": est.estimate, "gap": gap, "solve": est})
-    zc = z_value(confidence)
-    noise = [3.0 * zc * r["estimate"].stderr for r in rows]
+    noise = [3.0 * BAND_Z * r["estimate"].stderr for r in rows]
     trend = all(
         rows[i + 1]["gap"] <= rows[i]["gap"] + noise[i] + noise[i + 1]
         for i in range(len(rows) - 1)
@@ -261,7 +258,6 @@ def harmonicity_check(
     n: int,
     cfg: PathConfig,
     rng: np.random.Generator,
-    confidence: float = DEFAULT_CONFIDENCE,
 ) -> list[dict]:
     """Strong-Markov consistency: exit a small inner neighborhood of x
     first, then solve from its exit points; the two-stage mean must agree
@@ -274,13 +270,12 @@ def harmonicity_check(
         hit, _, mid = sample_exits(triplet, inner, x, n, cfg, rng)
         if not hit.all():
             raise RuntimeError("inner exit did not complete before the horizon")
-        staged = solve(triplet, domain, f, mid, n, cfg, rng, confidence=confidence)
-        direct = solve(triplet, domain, f, x, n, cfg, rng, confidence=confidence)
+        staged = solve(triplet, domain, f, mid, n, cfg, rng)
+        direct = solve(triplet, domain, f, x, n, cfg, rng)
         diff = McEstimate(
             staged.estimate.mean - direct.estimate.mean,
             float(np.hypot(staged.estimate.stderr, direct.estimate.stderr)),
             n,
-            confidence,
         )
         rows.append(
             {

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
+from .measures import DEFAULT_CONFIDENCE
 from .rng import ALGORITHM
 from .suite import PARAMETERS, REGISTRY
 
@@ -40,7 +41,6 @@ class ExperimentSpec:
     parameters: dict = field(default_factory=dict)
     samples: int = 1000
     seed: int = 0
-    confidence: float = 0.999
 
     def __post_init__(self):
         if self.operation not in REGISTRY:
@@ -49,10 +49,6 @@ class ExperimentSpec:
             )
         if self.samples < 100:
             raise ConfigError(f"experiment {self.name!r}: samples must be >= 100")
-        if not 0.5 < self.confidence < 1.0:
-            raise ConfigError(
-                f"experiment {self.name!r}: confidence must lie in (0.5, 1)"
-            )
 
     @property
     def param_hash(self) -> str:
@@ -62,7 +58,8 @@ class ExperimentSpec:
                 "parameters": self.parameters,
                 "samples": self.samples,
                 "seed": self.seed,
-                "confidence": self.confidence,
+                # the band level stays in the payload: the hash keys every CSV row
+                "confidence": DEFAULT_CONFIDENCE,
             },
             sort_keys=True,
         )
@@ -78,7 +75,7 @@ class RunRecord:
 
 
 _TOP_KEYS = {"seed", "out_dir", "workers", "experiments"}
-_EXP_KEYS = {"name", "operation", "parameters", "samples", "confidence"}
+_EXP_KEYS = {"name", "operation", "parameters", "samples"}
 
 
 def _is_int(x) -> bool:
@@ -145,8 +142,6 @@ def load_config(path) -> dict:
         if "samples" in exp and not (_is_int(exp["samples"]) and exp["samples"] >= 100):
             # only the scaled count is floored at 100
             raise ConfigError(f"experiment #{i}: samples must be an integer >= 100")
-        if "confidence" in exp and not _is_number(exp["confidence"]):
-            raise ConfigError(f"experiment #{i}: confidence must be a number")
         name = exp.get("name", exp["operation"])
         if name in names:
             # the name keys the experiment's random stream
@@ -158,9 +153,7 @@ def load_config(path) -> dict:
 def _execute(spec: ExperimentSpec) -> RunRecord:
     t0 = time.perf_counter()
     try:
-        rows = REGISTRY[spec.operation](
-            spec.parameters, spec.samples, spec.seed, spec.confidence, spec.name
-        )
+        rows = REGISTRY[spec.operation](spec.parameters, spec.samples, spec.seed, spec.name)
         return RunRecord(spec, rows, time.perf_counter() - t0)
     except Exception:  # recorded with its traceback, run continues
         return RunRecord(spec, [], time.perf_counter() - t0, error=traceback.format_exc())
@@ -258,7 +251,6 @@ def run(
                 parameters=exp.get("parameters", {}),
                 samples=max(100, int(samples)),
                 seed=base_seed,
-                confidence=float(exp.get("confidence", 0.999)),
             )
         )
     if name_filter:
@@ -294,6 +286,7 @@ def run(
         "version": __version__,
         "rng_algorithm": ALGORITHM,
         "seed": base_seed,
+        "confidence": DEFAULT_CONFIDENCE,
         "workers": workers,
         "blas": blas,
         "counts": counts,
@@ -303,7 +296,6 @@ def run(
                 "operation": rec.spec.operation,
                 "param_hash": rec.spec.param_hash,
                 "samples": rec.spec.samples,
-                "confidence": rec.spec.confidence,
                 "seconds": rec.seconds,
                 "error": rec.error,
                 "rows": [

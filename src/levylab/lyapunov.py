@@ -18,13 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import (
-    DEFAULT_CONFIDENCE,
-    InstabilityError,
-    LevyTriplet,
-    McEstimate,
-    sample_increments,
-)
+from .measures import InstabilityError, LevyTriplet, McEstimate, sample_increments
 from .space import GrowthBasis, SpaceModel
 
 
@@ -124,14 +118,13 @@ def v0_estimate(
     z: np.ndarray,
     n: int,
     rng: np.random.Generator,
-    confidence: float = DEFAULT_CONFIDENCE,
 ) -> McEstimate:
     """v_0(z) = E[q_x^2(z + Z_T)], T ~ Exp(1): the exact U_1 q_x^2 sample."""
     t = rng.exponential(1.0, size=n)
     incr = sample_increments(triplet, t, n, rng)
     vals = q_x_eval(norm, np.asarray(z) + incr) ** 2
     _check_shrinking(vals, "v0_estimate")
-    return McEstimate.from_samples(vals, confidence)
+    return McEstimate.from_samples(vals)
 
 
 def qx_square_mean(
@@ -140,11 +133,10 @@ def qx_square_mean(
     t: float,
     n: int,
     rng: np.random.Generator,
-    confidence: float = DEFAULT_CONFIDENCE,
 ) -> McEstimate:
     """Estimate of the q_x^2 mass of the increment law at time t."""
     incr = sample_increments(triplet, t, n, rng)
-    return McEstimate.from_samples(q_x_eval(norm, incr) ** 2, confidence)
+    return McEstimate.from_samples(q_x_eval(norm, incr) ** 2)
 
 
 def moment_constant_estimate(

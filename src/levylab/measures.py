@@ -40,39 +40,40 @@ def z_value(confidence: float) -> float:
     return NormalDist().inv_cdf(0.5 * (1.0 + confidence))
 
 
+# half-width of every band, in standard errors: the one level all estimates,
+# verdicts and diagnostics use (z ~ 3.29)
+BAND_Z = z_value(DEFAULT_CONFIDENCE)
+
+
 @dataclass(frozen=True)
 class McEstimate:
     """Monte Carlo estimate with its standard error.
 
-    The verdict rule: pass when the target sits inside the confidence band,
-    fail when it is more than three bands away, inconclusive in between.
+    The verdict rule: pass when the target sits inside the band of
+    DEFAULT_CONFIDENCE (BAND_Z standard errors), fail when it is more than
+    three bands away, inconclusive in between.
     """
 
     mean: float
     stderr: float
     n_samples: int
-    confidence: float = DEFAULT_CONFIDENCE
 
     def __post_init__(self):
         if self.stderr < 0:
             raise ValueError("stderr must be nonnegative")
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError("confidence must lie in (0, 1)")
 
     @classmethod
-    def from_samples(
-        cls, samples: np.ndarray, confidence: float = DEFAULT_CONFIDENCE
-    ) -> "McEstimate":
+    def from_samples(cls, samples: np.ndarray) -> "McEstimate":
         samples = np.asarray(samples, dtype=float)
         n = samples.size
         mean = float(samples.mean())
         stderr = float(samples.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-        return cls(mean=mean, stderr=stderr, n_samples=n, confidence=confidence)
+        return cls(mean=mean, stderr=stderr, n_samples=n)
 
     # -- three-valued assertions ------------------------------------------
 
     def _classify(self, gap: float, atol: float) -> str:
-        band = z_value(self.confidence) * self.stderr
+        band = BAND_Z * self.stderr
         if gap <= band + atol:
             return "pass"
         if gap > 3.0 * band + atol:
@@ -324,7 +325,6 @@ def pairing_second_moment(
     t: float,
     n: int,
     rng: np.random.Generator,
-    confidence: float = DEFAULT_CONFIDENCE,
     start: np.ndarray | None = None,
 ) -> McEstimate:
     """Monte Carlo estimate of the second pairing moment E<xi, z + Z_t>^2
@@ -333,7 +333,7 @@ def pairing_second_moment(
     read = np.flatnonzero(xi)
     z = np.zeros(xi.size) if start is None else start
     vals = (sample_read(triplet, read, z, t, n, rng) @ xi[read]) ** 2
-    return McEstimate.from_samples(vals, confidence)
+    return McEstimate.from_samples(vals)
 
 
 def pairing_second_moment_target(triplet: LevyTriplet, xi: np.ndarray, t: float) -> float:

@@ -9,14 +9,7 @@ from typing import Callable
 
 import numpy as np
 
-from .measures import (
-    DEFAULT_CONFIDENCE,
-    LevyTriplet,
-    McEstimate,
-    PreconditionError,
-    sample_increments,
-    sample_read,
-)
+from .measures import LevyTriplet, McEstimate, PreconditionError, sample_increments, sample_read
 
 
 class BoundViolation(RuntimeError):
@@ -58,14 +51,13 @@ def apply_Ualpha(
     z: np.ndarray,
     n: int,
     rng: np.random.Generator,
-    confidence: float = DEFAULT_CONFIDENCE,
 ) -> McEstimate:
     """Estimate U_alpha f(z) via exponential time randomization."""
     if alpha <= 0:
-        raise ValueError("alpha must be positive")
+        raise PreconditionError("alpha must be positive")
     t = rng.exponential(1.0 / alpha, size=n)
     incr = sample_increments(triplet, t, n, rng)
-    return McEstimate.from_samples(f(np.asarray(z) + incr) / alpha, confidence)
+    return McEstimate.from_samples(f(np.asarray(z) + incr) / alpha)
 
 
 def apply_Ualpha_projected(
@@ -75,7 +67,6 @@ def apply_Ualpha_projected(
     x: np.ndarray,
     n: int,
     rng: np.random.Generator,
-    confidence: float = DEFAULT_CONFIDENCE,
 ) -> McEstimate:
     """U_alpha f(x) for a cylinder function f on its k = f.cylinder
     coordinates alone, by the same exponential randomization, drawn from
@@ -85,5 +76,5 @@ def apply_Ualpha_projected(
         raise PreconditionError(f"{f.name or 'test function'} declares no cylinder")
     t = rng.exponential(1.0 / alpha, size=n)
     vals = f(sample_read(triplet, np.arange(k), x, t, n, rng)) / alpha
-    return McEstimate.from_samples(vals, confidence)
+    return McEstimate.from_samples(vals)
 

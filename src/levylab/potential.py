@@ -60,8 +60,7 @@ from typing import Callable
 
 import numpy as np
 
-from .measures import DEFAULT_CONFIDENCE, LevyTriplet, McEstimate, sample_increments
-from .measures import PreconditionError, z_value
+from .measures import BAND_Z, LevyTriplet, McEstimate, PreconditionError, sample_increments
 from .space import SpaceModel
 
 
@@ -493,8 +492,11 @@ def _draw_rest(triplet, cols, z0, times, locs, rng):
     points `locs` (targets, paths, N) at the finite entry `times` (targets,
     paths); the columns it does not move keep their starts.
 
-    Those coordinates carry no jumps and a diagonal Gaussian part, so they
-    are independent of every stopping time.  Each path advances them in
+    Those coordinates have a diagonal Gaussian part, and any jumps the law
+    gives them move no column of `cols`: the engine steps the whole jump
+    support, and `_face_passage` passes jumps only when they move no face
+    coordinate.  So they are independent of the columns in `cols`, and so
+    of every stopping time read from those.  Each path advances them in
     place in its start row of `z0`, one entry time after the other in time
     order, drawn in chunks of consecutive paths of about _BLOCK elements
     (the same draws as one call); a path that entered at time 0 draws
@@ -795,7 +797,8 @@ def _face_passage(
     move no face coordinate, the exit is `_box_exit`; under jumps that move
     one, `_jump_exit`.  A path hits when T <= cfg.horizon; the coordinates
     off the faces are then drawn at T (`_draw_rest`) from their Brownian
-    part, plus the sum of the jumps there for `_jump_exit`.  The live paths
+    part and, when the jumps move no face coordinate, their jumps; for
+    `_jump_exit`, the sum of the jumps there is added instead.  The live paths
     draw in path order, so the rows that start inside change no other row's
     draws.  The walk on intervals takes its J* values from one pool
     (`_ExitTimePool`) for the whole call.
@@ -1129,7 +1132,6 @@ def reduced_function_family(
     n: int,
     cfg: PathConfig,
     rng: np.random.Generator,
-    confidence: float = DEFAULT_CONFIDENCE,
 ):
     """Reduced-function estimates for several targets on common paths.
 
@@ -1147,7 +1149,7 @@ def reduced_function_family(
             samples[ti, hit] = np.exp(-beta * times[ti, hit]) * np.asarray(
                 v(locs[ti, hit]), dtype=float
             )
-    ests = [McEstimate.from_samples(samples[ti], confidence) for ti in range(nT)]
+    ests = [McEstimate.from_samples(samples[ti]) for ti in range(nT)]
     return ests, samples
 
 
@@ -1227,23 +1229,22 @@ def capacity(
     n: int,
     cfg: PathConfig,
     rng: np.random.Generator,
-    confidence: float = DEFAULT_CONFIDENCE,
 ) -> McEstimate:
     """c_lambda(M) with the bounded potential p = U_beta 1 = 1/beta:
 
         c_lambda(M) = (1/beta) sum_i m_i E[e^{-beta T_M} ; hit from z_i].
     """
     if beta <= 0:
-        raise ValueError("beta must be positive")
+        raise PreconditionError("beta must be positive")
     mean = 0.0
     var = 0.0
     for zi, mi in zip(lam.points, lam.masses):
         hit, time, _ = simulate_hit_batch(triplet, zi, M, cfg, n, rng)
         vals = np.where(hit, np.exp(-beta * np.where(hit, time, 0.0)), 0.0) / beta
-        est = McEstimate.from_samples(vals, confidence)
+        est = McEstimate.from_samples(vals)
         mean += mi * est.mean
         var += (mi * est.stderr) ** 2
-    return McEstimate(mean, float(np.sqrt(var)), n * len(lam.points), confidence)
+    return McEstimate(mean, float(np.sqrt(var)), n * len(lam.points))
 
 
 def capacity_tightness_profile(
@@ -1255,7 +1256,6 @@ def capacity_tightness_profile(
     n: int,
     cfg: PathConfig,
     rng: np.random.Generator,
-    confidence: float = DEFAULT_CONFIDENCE,
 ):
     """c_lambda of the complements of nested q_x level sets, on common paths.
 
@@ -1268,12 +1268,12 @@ def capacity_tightness_profile(
         times = level_crossing_times(norm, triplet, zi, levels, cfg, n, rng)
         disc = np.where(np.isfinite(times), np.exp(-beta * times), 0.0) / beta
         for li in range(len(levels)):
-            est = McEstimate.from_samples(disc[li], confidence)
+            est = McEstimate.from_samples(disc[li])
             means[li] += mi * est.mean
             var[li] += (mi * est.stderr) ** 2
     n_all = n * len(lam.points)
     return [
-        {"level": lv, "estimate": McEstimate(float(m), float(np.sqrt(v)), n_all, confidence)}
+        {"level": lv, "estimate": McEstimate(float(m), float(np.sqrt(v)), n_all)}
         for lv, m, v in zip(levels, means, var)
     ]
 
@@ -1287,7 +1287,6 @@ def balayage_check(
     n: int,
     cfg: PathConfig,
     rng: np.random.Generator,
-    confidence: float = DEFAULT_CONFIDENCE,
 ) -> dict:
     """Compare nu_M o U_beta with nu o U_beta on probe sets F.
 
@@ -1323,7 +1322,6 @@ def balayage_check(
             row["nu_side"] - row["swept_side"],
             float(np.sqrt(row.pop("var_diff"))),
             n * len(nu.points),
-            confidence,
         )
         row["verdict"] = diff_est.verdict(0.0) if row["inside"] else diff_est.verdict_at_least(0.0)
         row["difference"] = diff_est
@@ -1344,7 +1342,6 @@ def domination_check(
     beta: float,
     n: int,
     rng: np.random.Generator,
-    confidence: float = DEFAULT_CONFIDENCE,
 ) -> dict:
     """Domination principle: verify mu o U_beta <= nu o U_beta on probes in
     the carrier G, then test the conclusion on probes outside G.
@@ -1359,7 +1356,7 @@ def domination_check(
             return sum((m * B(p + incr) / beta for p, m in zip(c.points, c.masses)), np.zeros(n))
 
         mu_samples, nu_samples = side(mu), side(nu)
-        diff = McEstimate.from_samples(nu_samples - mu_samples, confidence)
+        diff = McEstimate.from_samples(nu_samples - mu_samples)
         return {
             "probe": B.name,
             "mu_value": float(mu_samples.mean()),
@@ -1389,26 +1386,24 @@ def polarity_diagnostic(
     n: int,
     cfg: PathConfig,
     rng: np.random.Generator,
-    confidence: float = DEFAULT_CONFIDENCE,
 ) -> dict:
     """Hit probabilities of a nested family of targets, largest first, from
     each start (E-balls around a point, H-balls, ...).
 
     A diagnostic, not a proof: verdict "consistent with polarity" when, at
     every start, no probability rises above the one before it by more than
-    3 z hypot(se), and the last is at most half the first plus that band.
+    3 BAND_Z hypot(se), and the last is at most half the first plus that band.
     A start inside the largest target would hit them all at time 0."""
     if targets[0](np.asarray(starts, dtype=float)).any():
         raise ValueError("a start lies inside the largest target")
-    zc = z_value(confidence)
-    band = lambda a, b: 3 * zc * np.hypot(a.stderr, b.stderr)
+    band = lambda a, b: 3 * BAND_Z * np.hypot(a.stderr, b.stderr)
     rows = []
     consistent = True
     for start in starts:
         ests = []
         for target in targets:
             hit, _, _ = simulate_hit_batch(triplet, start, target, cfg, n, rng)
-            ests.append(McEstimate.from_samples(hit.astype(float), confidence))
+            ests.append(McEstimate.from_samples(hit.astype(float)))
             rows.append({"start": np.asarray(start), "target": target.name, "estimate": ests[-1]})
         monotone = all(b.mean <= a.mean + band(a, b) for a, b in zip(ests, ests[1:]))
         shrinking = ests[-1].mean <= 0.5 * ests[0].mean + band(ests[0], ests[-1])
@@ -1425,7 +1420,6 @@ def projection_convergence(
     n_grid,
     samples: int,
     rng: np.random.Generator,
-    confidence: float = DEFAULT_CONFIDENCE,
 ) -> dict:
     """Mean squared E-norm of the projection tail of the increment law.
 
@@ -1437,7 +1431,7 @@ def projection_convergence(
     rows = []
     for ngrid in sorted(n_grid):
         tail = model.weights[ngrid:] * z[:, ngrid:] ** 2
-        est = McEstimate.from_samples(tail.sum(axis=1), confidence)
+        est = McEstimate.from_samples(tail.sum(axis=1))
         row = {"n": ngrid, "estimate": est}
         if triplet.is_pure_unit_gaussian:
             target = t * float(model.weights[ngrid:].sum())

@@ -1,7 +1,7 @@
 """Registry of named experiments for the CLI harness.
 
-Each experiment maps (parameters, samples, seed, confidence, name) to a list
-of result rows.  Randomness is drawn only from the SFC64 substream keyed by
+Each experiment maps (parameters, samples, seed, name) to a list of result
+rows.  Randomness is drawn only from the SFC64 substream keyed by
 the seed and the experiment's config name (which defaults to its
 operation), so results are independent of worker scheduling, and two
 experiments running one operation under different names draw independently.
@@ -150,7 +150,7 @@ def _norm(model, kind):
     return levy_norm(model, growth_basis)
 
 
-def variance_identity(params, samples, seed, confidence, name):
+def variance_identity(params, samples, seed, name):
     """Criterion 1: E<xi, z + Z_t>^2 = t|xi|^2 + <xi, z>^2; a cell (xi, t)
     holds when both starts pass, and at least 8 of the 9 cells must."""
     model, triplet, rng = _brownian(params, seed, name)
@@ -165,35 +165,35 @@ def variance_identity(params, samples, seed, confidence, name):
     for xi_name, xi in xis.items():
         for t in (0.1, 1.0, 5.0):
             for z_name, z in (("0", np.zeros(dim)), ("rand", z_rand)):
-                est = pairing_second_moment(triplet, xi, t, samples, rng, confidence, start=z)
+                est = pairing_second_moment(triplet, xi, t, samples, rng, start=z)
                 target = t * float(xi @ xi) + float(xi @ z) ** 2
                 rows.append(_check(f"second_moment[xi={xi_name},t={t},z={z_name}]", est, target))
     cells = [_cell(_verdicts(rows[i : i + 2])) for i in range(0, len(rows), 2)]
     return rows + [_gate("cells", (cells, 1))]
 
 
-def _v0_rows(norm, triplet, bounds, params, samples, rng, confidence):
+def _v0_rows(norm, triplet, bounds, params, samples, rng):
     """v_0 = U_1 q_x^2 against (lower, upper) = bounds(q_x^2(z)) at `points`
     random starts z."""
     rows = []
     for i in range(int(params.get("points", 5))):
         z = rng.standard_normal(norm.model.dim)
         lo, hi = bounds(float(q_x_eval(norm, z)) ** 2)
-        v0 = v0_estimate(norm, triplet, z, samples, rng, confidence)
+        v0 = v0_estimate(norm, triplet, z, samples, rng)
         rows.append(_row(f"v0_lower[{i}]", est=v0, target=lo, verdict=v0.verdict_at_least(lo)))
         rows.append(_row(f"v0_upper[{i}]", est=v0, target=hi, verdict=v0.verdict_at_most(hi)))
     return rows
 
 
-def gaussian_lyapunov(params, samples, seed, confidence, name):
+def gaussian_lyapunov(params, samples, seed, name):
     """Criterion 2: q_x^2 <= v_0 <= 2 q_x^2 + 2 E q_x^2(Z_1) at `points`
     random starts; every lower bound holds and at most one upper misses."""
     model, triplet, rng = _brownian(params, seed, name)
     norm = _norm(model, "gaussian")
-    mass = qx_square_mean(norm, triplet, 1.0, samples, rng, confidence)
+    mass = qx_square_mean(norm, triplet, 1.0, samples, rng)
     rows = [_row("qx2_mass_at_1", est=mass)]
     bounds = lambda q2: (q2, 2.0 * q2 + 2.0 * mass.mean)
-    rows += _v0_rows(norm, triplet, bounds, params, samples, rng, confidence)
+    rows += _v0_rows(norm, triplet, bounds, params, samples, rng)
     return rows + [_gate("v0_bounds", (_verdicts(rows[1::2]), 0), (_verdicts(rows[2::2]), 1))]
 
 
@@ -210,7 +210,7 @@ def _jump_triplet(dim):
     )
 
 
-def levy_sandwich(params, samples, seed, confidence, name):
+def levy_sandwich(params, samples, seed, name):
     """Criterion 3: q_x^2/2 - 3C <= v_0 <= 2 q_x^2 + 6C for the jump triplet,
     at every one of `points` random starts."""
     dim = int(params.get("dim", 32))
@@ -220,39 +220,39 @@ def levy_sandwich(params, samples, seed, confidence, name):
     c_tilde = moment_constant_estimate(norm, triplet, (0.25, 0.5, 1.0, 2.0, 4.0), samples, rng)
     rows = [_row("moment_constant", mean=c_tilde, stderr=0.0, n=samples)]
     bounds = lambda q2: (0.5 * q2 - 3.0 * c_tilde, 2.0 * q2 + 6.0 * c_tilde)
-    rows += _v0_rows(norm, triplet, bounds, params, samples, rng, confidence)
+    rows += _v0_rows(norm, triplet, bounds, params, samples, rng)
     return rows + [_gate("sandwich", (_verdicts(rows), 0))]
 
 
-def _moment_rows(triplet, xis, times, samples, rng, confidence):
+def _moment_rows(triplet, xis, times, samples, rng):
     """Criterion 4: second pairing moments against their closed form on an
     (xi, t) grid, every cell passing."""
     rows = []
     for xi_name, xi in xis:
         for t in times:
-            est = pairing_second_moment(triplet, xi, t, samples, rng, confidence)
+            est = pairing_second_moment(triplet, xi, t, samples, rng)
             target = pairing_second_moment_target(triplet, xi, t)
             rows.append(_check(f"second_moment[xi={xi_name},t={t}]", est, target))
     return rows + [_gate("moments", (_verdicts(rows), 0))]
 
 
-def moment_pointmass(params, samples, seed, confidence, name):
+def moment_pointmass(params, samples, seed, name):
     triplet = _jump_triplet(int(params.get("dim", 32)))
     e = triplet.model.basis_vector
     xis = (("e1", e(1)), ("e2", e(2)), ("e1+e2", e(1) + e(2)))
     rng = substream(seed, name)
-    return _moment_rows(triplet, xis, (0.5, 1.0, 2.0), samples, rng, confidence)
+    return _moment_rows(triplet, xis, (0.5, 1.0, 2.0), samples, rng)
 
 
-def moment_poisson01(params, samples, seed, confidence, name):
+def moment_poisson01(params, samples, seed, name):
     triplet = poisson_example_triplet(int(params.get("dim", 32)))
     e = triplet.model.basis_vector
     xis = (("e1", e(1)), ("e2", e(2)), ("e1+2e3", e(1) + 2.0 * e(3)))
     rng = substream(seed, name)
-    return _moment_rows(triplet, xis, (0.5, 1.0), samples, rng, confidence)
+    return _moment_rows(triplet, xis, (0.5, 1.0), samples, rng)
 
 
-def projection_identity(params, samples, seed, confidence, name):
+def projection_identity(params, samples, seed, name):
     """Criterion 5: U_alpha of a k-cylinder function equals its projected
     estimate, for every k in 1..3 and alpha."""
     model, triplet, rng = _brownian(params, seed, name)
@@ -266,15 +266,15 @@ def projection_identity(params, samples, seed, confidence, name):
             name=f"cos_sum_{k}",
         )
         for alpha in (0.5, 1.0, 2.0):
-            full = apply_Ualpha(triplet, f, alpha, z, samples, rng, confidence)
-            proj = apply_Ualpha_projected(triplet, f, alpha, z, samples, rng, confidence)
+            full = apply_Ualpha(triplet, f, alpha, z, samples, rng)
+            proj = apply_Ualpha_projected(triplet, f, alpha, z, samples, rng)
             se = float(np.hypot(full.stderr, proj.stderr))
-            diff = McEstimate(full.mean - proj.mean, se, samples, confidence)
+            diff = McEstimate(full.mean - proj.mean, se, samples)
             rows.append(_check(f"resolvent_vs_projected[k={k},alpha={alpha}]", diff, 0.0))
     return rows + [_gate("projection", (_verdicts(rows), 0))]
 
 
-def reduced_projection(params, samples, seed, confidence, name):
+def reduced_projection(params, samples, seed, name):
     """Criterion 6: the projected reduced function dominates the full one
     per shared path (a violation fails its row), and no gap is refuted."""
     model, triplet, rng = _brownian(params, seed, name)
@@ -284,10 +284,8 @@ def reduced_projection(params, samples, seed, confidence, name):
     rows = []
     v = TestFunction(lambda y: np.ones(y.shape[:-1]), bound=1.0, name="one")
     for label, M, M_proj in reduced_projection_cases(model):
-        _, samp = reduced_function_family(
-            triplet, v, [M, M_proj], beta, start, samples, cfg, rng, confidence
-        )
-        diff = McEstimate.from_samples(samp[1] - samp[0], confidence)
+        _, samp = reduced_function_family(triplet, v, [M, M_proj], beta, start, samples, cfg, rng)
+        diff = McEstimate.from_samples(samp[1] - samp[0])
         per_sample = bool(np.all(samp[1] >= samp[0] - 1e-12))
         verdict = diff.verdict_at_least(0.0) if per_sample else "fail"
         rows.append(_row(f"projection_inequality[{label}]", est=diff, target=0.0, verdict=verdict))
@@ -315,7 +313,7 @@ def reduced_projection_cases(model):
     return cases
 
 
-def dirichlet_slab(params, samples, seed, confidence, name):
+def dirichlet_slab(params, samples, seed, name):
     """Criterion 7, gambler's ruin: the slab solution at five starts equals
     the linear interpolation of the face values, with every path exited."""
     model, triplet, rng = _brownian(params, seed, name)
@@ -331,13 +329,13 @@ def dirichlet_slab(params, samples, seed, confidence, name):
     for x in (-0.5, 0.0, 0.5, 1.0, 1.5):
         z = np.zeros(model.dim)
         z[0] = x
-        res = solve(triplet, dom, f, z, samples, rng=rng, cfg=cfg, confidence=confidence)
+        res = solve(triplet, dom, f, z, samples, rng=rng, cfg=cfg)
         target = gambler_ruin_value(dom, fa, fb, x)
         rows += [_check(f"gambler_ruin[x={x}]", res.estimate, target), _non_exit(f"x={x}", res)]
     return rows + [_gate("gambler_ruin", (_verdicts(rows), 0))]
 
 
-def dirichlet_oracles(params, samples, seed, confidence, name):
+def dirichlet_oracles(params, samples, seed, name):
     """Criterion 7 beyond the slab, on a unit E-ball and the slab |x1| < 1:
     the ball's center value for linear data is 0 by symmetry (`samples`
     paths, dt 0.005); the harmonicity tower at radii 0.2, 0.4, 0.6
@@ -353,12 +351,12 @@ def dirichlet_oracles(params, samples, seed, confidence, name):
     short = PathConfig(dt=0.01, horizon=20.0)
     ball = e_ball_domain(model, origin, 1.0)
     f_lin = BoundaryData(lambda y: y[..., 0], bound=2.0 / float(np.sqrt(model.weights[0])))
-    res = solve(triplet, ball, f_lin, origin, samples, fine, rng, confidence=confidence)
+    res = solve(triplet, ball, f_lin, origin, samples, fine, rng)
     rows = [_check("ball_center[linear]", res.estimate, 0.0), _non_exit("ball_center", res)]
     slab = slab_domain(model, 1, -1.0, 1.0)
     f_step = BoundaryData(lambda y: np.where(y[..., 0] > 0, 1.0, 0.0), bound=1.0)
     tower = harmonicity_check(
-        triplet, slab, f_step, origin, [0.2, 0.4, 0.6], samples // 2, coarse, rng, confidence
+        triplet, slab, f_step, origin, [0.2, 0.4, 0.6], samples // 2, coarse, rng
     )
     for r in tower:
         rows.append(_check(f"harmonicity[r={r['r']}]", r["difference"], 0.0))
@@ -375,13 +373,13 @@ def dirichlet_oracles(params, samples, seed, confidence, name):
         ("continuous", f_cont, seq, samples * 5 // 8, fine, "pass"),
         ("point_jump", f_jump, seq[:4], samples * 3 // 10, short, "fail"),
     ):
-        rep = boundary_continuity_check(triplet, slab, f, y, xs, n, cfg, rng, confidence=confidence)
+        rep = boundary_continuity_check(triplet, slab, f, y, xs, n, cfg, rng)
         rows.append(_flag(f"continuity[{label}]={want}", rep["verdict"] == want, n))
         rows += [_non_exit(f"{label},k={k}", r["solve"]) for k, r in enumerate(rep["rows"], 1)]
     return rows + [_gate("oracles", (_verdicts(rows), 0))]
 
 
-def controlled_convergence(params, samples, seed, confidence, name):
+def controlled_convergence(params, samples, seed, name):
     """Criterion 8 on the slab |x1| < 1 of the plane, where h = x1 is
     harmonic: the bounded-control branch c1 under a zero control, for
     linear data and for face data approached from both faces; and, on
@@ -412,7 +410,7 @@ def controlled_convergence(params, samples, seed, confidence, name):
     return rows + [_gate("controlled_convergence", (_verdicts(rows), 0))]
 
 
-def capacity_basics(params, samples, seed, confidence, name):
+def capacity_basics(params, samples, seed, name):
     """Criterion 9, capacity: exact on the empty set and the whole space,
     and strictly decreasing (and nonnegative) over the complements of the
     q_x level sets 1..5."""
@@ -421,12 +419,12 @@ def capacity_basics(params, samples, seed, confidence, name):
     beta = 1.0
     cloud = PointCloud(np.zeros((1, model.dim)), np.array([2.0]))
     cfg = _cfg(params, 0.05, 20.0)
-    c_empty = capacity(triplet, cloud, empty_set(model), beta, samples, cfg, rng, confidence)
+    c_empty = capacity(triplet, cloud, empty_set(model), beta, samples, cfg, rng)
     rows = [_check("capacity_empty", c_empty, 0.0, atol=0.0)]
-    c_whole = capacity(triplet, cloud, whole_space(model), beta, samples, cfg, rng, confidence)
+    c_whole = capacity(triplet, cloud, whole_space(model), beta, samples, cfg, rng)
     rows.append(_check("capacity_whole", c_whole, cloud.total_mass / beta, atol=0.0))
     prof = capacity_tightness_profile(
-        norm, triplet, cloud, [1.0, 2.0, 3.0, 4.0, 5.0], beta, samples, cfg, rng, confidence
+        norm, triplet, cloud, [1.0, 2.0, 3.0, 4.0, 5.0], beta, samples, cfg, rng
     )
     means = [p["estimate"].mean for p in prof]
     decreasing = all(b < a for a, b in zip(means, means[1:])) and means[-1] >= 0.0
@@ -437,7 +435,7 @@ def capacity_basics(params, samples, seed, confidence, name):
     return rows + [_gate("capacity", (_verdicts(rows), 0))]
 
 
-def balayage(params, samples, seed, confidence, name):
+def balayage(params, samples, seed, name):
     """Criterion 9, balayage onto M = {x1 >= 1}: equality on F inside M, no
     refuted inequality off M, per-sample inequality, hitting locations in M,
     and at least one hit."""
@@ -449,7 +447,7 @@ def balayage(params, samples, seed, confidence, name):
     F_out = coord_halfspace(model, 1, -0.5, -1)
     F_specs = [{"target": F_in, "inside": True}, {"target": F_out, "inside": False}]
     cfg = _cfg(params, 0.02, 12.0)
-    rep = balayage_check(triplet, nu, M, 1.0, F_specs, samples, cfg, rng, confidence)
+    rep = balayage_check(triplet, nu, M, 1.0, F_specs, samples, cfg, rng)
     rows, units = [], []
     for r in rep["rows"]:
         op = f"balayage[{r['F']},inside={r['inside']}]"
@@ -461,7 +459,7 @@ def balayage(params, samples, seed, confidence, name):
     return rows + [_gate("balayage", (units + _verdicts(rows[-3:]), 0))]
 
 
-def domination(params, samples, seed, confidence, name):
+def domination(params, samples, seed, name):
     """Criterion 9, domination: the measure swept onto {x1 >= 1} from the
     origin (its first 60 hits of samples/10 paths) is dominated by the unit
     mass at the origin on two balls at hit points, and then off the carrier;
@@ -478,7 +476,7 @@ def domination(params, samples, seed, confidence, name):
     far[0] = -2.0
     probes_in = [e_ball(model, loc[idx[0]], 0.5), e_ball(model, loc[idx[1]], 0.4)]
     dom = domination_check(
-        triplet, swept, nu, probes_in, [e_ball(model, far, 0.5)], beta, samples, rng, confidence
+        triplet, swept, nu, probes_in, [e_ball(model, far, 0.5)], beta, samples, rng
     )
     rows = [
         _row(f"{side}[{i}]", est=r["difference"], target=0.0, verdict=r["verdict"])
@@ -487,25 +485,25 @@ def domination(params, samples, seed, confidence, name):
     ]
     doubled = PointCloud(start[None, :], np.array([2.0]))
     control = domination_check(
-        triplet, doubled, nu, [e_ball(model, start, 1.0)], [], beta, samples, rng, confidence
+        triplet, doubled, nu, [e_ball(model, start, 1.0)], [], beta, samples, rng
     )
     rows.append(_flag("doubled_mass_rejected", not control["hypothesis_ok"], samples))
     return rows + [_gate("domination", (_verdicts(rows, not_fail=True), 0))]
 
 
-def tail_projection(params, samples, seed, confidence, name):
+def tail_projection(params, samples, seed, name):
     """Criterion 10: E||Z_1 - Q_n Z_1||_E^2 matches its closed form and does
     not increase in n for the Brownian triplet, and strictly decreases for
     the embedded Poisson triplet."""
     model, triplet, rng = _brownian(params, seed, name)
-    rep = projection_convergence(triplet, 1.0, (4, 8, 16), samples, rng, confidence)
+    rep = projection_convergence(triplet, 1.0, (4, 8, 16), samples, rng)
     rows = [
         _row(f"tail_norm[n={r['n']}]", est=r["estimate"], target=r["target"], verdict=r["verdict"])
         for r in rep["rows"]
     ]
     rows.append(_flag("tail_decreasing", rep["decreasing"], samples))
     poisson = poisson_example_triplet(model.dim)
-    rep = projection_convergence(poisson, 1.0, (4, 8, 16), samples, rng, confidence)
+    rep = projection_convergence(poisson, 1.0, (4, 8, 16), samples, rng)
     means = [r["estimate"].mean for r in rep["rows"]]
     rows += [_row(f"poisson_tail_norm[n={r['n']}]", est=r["estimate"]) for r in rep["rows"]]
     strict = all(b < a for a, b in zip(means, means[1:]))
@@ -513,7 +511,7 @@ def tail_projection(params, samples, seed, confidence, name):
     return rows + [_gate("tails", (_verdicts(rows), 0))]
 
 
-def polarity(params, samples, seed, confidence, name):
+def polarity(params, samples, seed, name):
     """Criterion 12, points and the Cameron-Martin space H are polar: the
     shrinking-target diagnostic (`polarity_diagnostic`) from e1 must read
     "consistent with polarity" for E-balls around the origin and for H-balls
@@ -548,12 +546,12 @@ def polarity(params, samples, seed, confidence, name):
     rows = []
     for label, law, targets, cfg, polar in families:
         n = samples if polar else 4 * samples
-        rep = polarity_diagnostic(law, targets, [e1], n, cfg, rng, confidence)
+        rep = polarity_diagnostic(law, targets, [e1], n, cfg, rng)
         rows += [_row(f"hit[{label},{r['target']}]", est=r["estimate"]) for r in rep["rows"]]
         want = "consistent with polarity" if polar else "not consistent"
         rows.append(_flag(f"verdict[{label}]={want.replace(' ', '_')}", rep["verdict"] == want, n))
     incr = sample_increments(triplet, 1.0, samples, rng)
-    est = McEstimate.from_samples(model.h_norm2(e1 + incr), confidence)
+    est = McEstimate.from_samples(model.h_norm2(e1 + incr))
     rows.append(_check("h_norm2_mean[t=1]", est, 1.0 + dim))
     return rows + [_gate("polarity", (_verdicts(rows), 0))]
 

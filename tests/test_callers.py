@@ -91,6 +91,15 @@ def _callables():
                     yield (f"{label}.{fn.name}", fn.name, *_signature(fn, 1))
 
 
+def counts() -> dict:
+    """The two sizes that the guards below check, for the CI job summary:
+    defaulted parameters of the public callables and dataclass fields."""
+    return {
+        "defaulted parameters": sum(len(defaulted) for *_, defaulted in _callables()),
+        "dataclass fields": sum(len(_fields(cls)) for _, cls in _dataclasses()),
+    }
+
+
 def _aliases() -> dict:
     """Other names a callable is called by: `import x as y`, `y = x`."""
     out = {}

@@ -52,8 +52,6 @@ def test_spec_validation():
         ExperimentSpec(name="x", operation="nonexistent_op")
     with pytest.raises(ConfigError):
         ExperimentSpec(name="x", operation="variance_identity", samples=10)
-    with pytest.raises(ConfigError):
-        ExperimentSpec(name="x", operation="variance_identity", confidence=0.4)
 
 
 def test_empty_experiment_list(tmp_path):
@@ -117,7 +115,9 @@ def test_json_detail_records_metadata(tmp_path):
     detail = json.loads((tmp_path / "out" / "detail.json").read_text())
     assert detail["rng_algorithm"] == "sfc64"
     assert detail["seed"] == 3
+    assert detail["confidence"] == 0.999  # the one band level, recorded once
     for exp in detail["experiments"]:
+        assert "confidence" not in exp
         assert exp["seconds"] >= 0.0
         assert len(exp["param_hash"]) == 12
 
@@ -127,7 +127,7 @@ def test_error_detail_carries_traceback(tmp_path, monkeypatch):
     detail.json entry holds the traceback down to the raising function."""
     from levylab import suite
 
-    def exploding_experiment(params, samples, seed, confidence, name):
+    def exploding_experiment(params, samples, seed, name):
         raise RuntimeError("boom")
 
     monkeypatch.setitem(suite.REGISTRY, "tail_projection", exploding_experiment)
@@ -187,7 +187,7 @@ _TAIL = {"operation": "tail_projection", "samples": 500}
         ({"experiments": [{**_TAIL, "samples": 50}]}, [], "samples"),
         ({"experiments": [{**_TAIL, "samples": 500.5}]}, [], "samples"),
         ({"experiments": [_TAIL]}, ["--filter", "c12*"], "filter"),
-        ({"experiments": [{**_TAIL, "confidence": "high"}]}, [], "confidence"),
+        ({"experiments": [{**_TAIL, "confidence": 0.999}]}, [], "confidence"),
         ({"experiments": [{**_TAIL, "parameters": [1, 2]}]}, [], "parameters"),
         ({"experiments": [{**_TAIL, "operation": ["tail_projection"]}]}, [], "operation"),
         ({"experiments": {"a": 1, "e": 2, "i": 3}}, [], "experiments"),
@@ -201,7 +201,7 @@ _TAIL = {"operation": "tail_projection", "samples": 500}
     ],
     ids=[
         "samples_str", "samples_negative", "samples_below_100", "samples_float",
-        "filter_matches_nothing", "confidence_str", "parameters_list", "operation_list",
+        "filter_matches_nothing", "confidence_unknown_key", "parameters_list", "operation_list",
         "experiments_object",
         "experiments_not_objects", "seed_str", "seed_float", "workers_str", "workers_zero",
         "workers_bool", "cli_workers_zero",
@@ -209,9 +209,10 @@ _TAIL = {"operation": "tail_projection", "samples": 500}
 )
 def test_cli_malformed_config_values_exit_2(tmp_path, capsys, cfg, args, key):
     """A config value of the wrong type, fewer than one worker, a config
-    `samples` below 100 (only a scaled count is floored there) or a filter
-    that matches no experiment is a config error (exit 2) that names the
-    key, not a traceback, an error row or a header-only CSV."""
+    `samples` below 100 (only a scaled count is floored there), a filter
+    that matches no experiment or a `confidence` key (every band uses the
+    library's one level) is a config error (exit 2) that names the key, not
+    a traceback, an error row or a header-only CSV."""
     p = _write(tmp_path, cfg)
     assert main(["run", "--config", str(p), "--out", str(tmp_path / "o"), *args]) == 2
     err = capsys.readouterr().err

@@ -71,8 +71,6 @@ def test_harness_import_leaves_scipy_out():
 def test_estimate_validation():
     with pytest.raises(ValueError):
         McEstimate(0.0, -1.0, 10)
-    with pytest.raises(ValueError):
-        McEstimate(0.0, 1.0, 10, confidence=1.5)
 
 
 LABELS = st.lists(st.one_of(st.text(max_size=6), st.integers(-5, 5)), max_size=3)

@@ -33,8 +33,9 @@ def test_constant_resolvent_exact(setup):
 
 def test_time_validation(setup):
     model, triplet = setup
-    with pytest.raises(ValueError):
-        apply_Ualpha(triplet, ONE, -1.0, np.zeros(32), 100, substream(0))
+    for alpha in (-1.0, 0.0):
+        with pytest.raises(PreconditionError, match="alpha must be positive"):
+            apply_Ualpha(triplet, ONE, alpha, np.zeros(32), 100, substream(0))
 
 
 def test_bound_violation_detected(setup):

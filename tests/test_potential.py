@@ -202,7 +202,7 @@ def test_targets_reading_no_coordinate_are_decided_at_time_zero(setup):
 def test_capacity_beta_validation(setup):
     model, triplet = setup
     cloud = PointCloud(np.zeros((1, 8)), np.array([1.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError, match="beta must be positive"):
         capacity(
             triplet, cloud, whole_space(model), 0.0, 200,
             PathConfig(dt=0.1, horizon=1.0), substream(0),
