@@ -24,7 +24,6 @@ from .measures import (
 from .rng import substream
 from .space import (
     GrowthBasis,
-    ConstructionError,
     SpaceModel,
     build_growth_basis,
     canonical_x,
@@ -33,7 +32,6 @@ from .space import (
 
 __all__ = [
     "GrowthBasis",
-    "ConstructionError",
     "DEFAULT_CONFIDENCE",
     "InstabilityError",
     "JumpMeasure",

@@ -4,7 +4,6 @@ Exit codes: 0 clean run, 1 at least one failed experiment, 2 config error.
 """
 
 import argparse
-import os
 import sys
 
 from .harness import ConfigError, run
@@ -17,7 +16,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--config", required=True)
     r.add_argument("--seed", type=int, default=None)
     r.add_argument("--samples-scale", type=float, default=1.0)
-    r.add_argument("--out", default=None)
+    r.add_argument("--out", default=".")
     r.add_argument("--filter", default=None, help="glob on experiment names")
     r.add_argument(
         "--workers", type=int, default=None, help="default: the config's workers, else 1"
@@ -25,26 +24,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _env_seed():
-    raw = os.environ["LEVYLAB_SEED"]
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"LEVYLAB_SEED must be an integer, got {raw!r}") from None
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    seed = args.seed
-    out = args.out or os.environ.get("LEVYLAB_OUT")
     try:
-        if seed is None and "LEVYLAB_SEED" in os.environ:
-            seed = _env_seed()
         result = run(
             args.config,
-            seed=seed,
+            seed=args.seed,
             samples_scale=args.samples_scale,
-            out_dir=out,
+            out_dir=args.out,
             name_filter=args.filter,
             workers=args.workers,
         )

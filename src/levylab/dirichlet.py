@@ -12,12 +12,13 @@ h against f at the limit point) or the exploding-control branch (h/(1+k)
 must vanish).
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .measures import BAND_Z, LevyTriplet, McEstimate
+from .measures import BAND_Z, LevyTriplet, McEstimate, PreconditionError
 from .operators import TestFunction
 from .potential import PathConfig, TargetSet, simulate_hit_batch
 from .potential import box_complement, e_ball_complement, in_box, slab_complement
@@ -26,51 +27,48 @@ from .space import SpaceModel
 
 @dataclass(frozen=True)
 class Domain:
-    """Open set with an exit TargetSet.
-
-    kinds: "e_ball", "slab", "box".  All three satisfy an exterior cone
-    condition at every boundary point, the regularity needed for boundary
-    exit of continuous paths.
+    """Open set with an exit TargetSet, which holds its geometry: the
+    `e_form` of an E-ball's complement, or the `faces` of a slab's or a
+    box's.  All three satisfy an exterior cone condition at every boundary
+    point, the regularity needed for boundary exit of continuous paths.
     """
 
-    kind: str
     model: SpaceModel
     membership: Callable[[np.ndarray], np.ndarray]
     exit_target: TargetSet
-    params: dict = field(default_factory=dict)
 
     def contains(self, z: np.ndarray) -> bool:
         return bool(np.all(self.membership(np.atleast_2d(np.asarray(z, float)))))
 
     def inner_domain(self, x: np.ndarray, r: float) -> "Domain":
-        """A shrunken same-kind neighborhood of x whose closure lies in the
-        domain; raises ValueError when it does not fit."""
+        """A shrunken neighborhood of x of the same geometry (an E-ball, or a
+        slab or box on the same coordinates; a one-coordinate box comes back
+        as a slab) whose closure lies in the domain; raises
+        PreconditionError when it does not fit."""
         x = np.asarray(x, dtype=float)
-        if self.kind == "e_ball":
-            c, R = self.params["center"], self.params["radius"]
-            if self.model.e_norm(x - c) + r >= R:
-                raise ValueError("inner ball does not fit inside the domain")
+        form = self.exit_target.e_form
+        if form is not None:
+            if self.model.e_norm(x - form.center) + r >= math.sqrt(form.r2):
+                raise PreconditionError("inner ball does not fit inside the domain")
             return e_ball_domain(self.model, x, r)
-        if self.kind == "slab":
-            j, a, b = self.params["coord"], self.params["a"], self.params["b"]
-            xj = x[j - 1]
-            if not (a < xj - r and xj + r < b):
-                raise ValueError("inner slab does not fit inside the domain")
-            return slab_domain(self.model, j, xj - r, xj + r)
-        lo, hi = self.params["lows"], self.params["highs"]
-        if not (np.all(lo < x[: lo.size] - r) and np.all(x[: lo.size] + r < hi)):
-            raise ValueError("inner box does not fit inside the domain")
-        return box_domain(self.model, x[: lo.size] - r, x[: lo.size] + r)
+        faces = self.exit_target.faces  # every low face, then every high one
+        cols = sorted({j for j, _, _ in faces})
+        lo = np.array([v for _, v, side in faces if side < 0])
+        hi = np.array([v for _, v, side in faces if side > 0])
+        xs = x[cols]
+        if not (np.all(lo < xs - r) and np.all(xs + r < hi)):
+            raise PreconditionError("inner neighborhood does not fit inside the domain")
+        if len(cols) == 1:
+            return slab_domain(self.model, cols[0] + 1, xs[0] - r, xs[0] + r)
+        return box_domain(self.model, xs - r, xs + r)  # a box reads columns 0..k-1
 
 
 def e_ball_domain(model: SpaceModel, center: np.ndarray, radius: float) -> Domain:
     c = np.asarray(center, dtype=float)
     return Domain(
-        kind="e_ball",
         model=model,
         membership=lambda z: model.e_norm(z - c) < radius,
         exit_target=e_ball_complement(model, c, radius, closed=True),
-        params={"center": c, "radius": float(radius)},
     )
 
 
@@ -80,11 +78,9 @@ def slab_domain(model: SpaceModel, coord: int, a: float, b: float) -> Domain:
     exit_target = slab_complement(model, coord, a, b)  # checks the coordinate
     j = coord - 1
     return Domain(
-        kind="slab",
         model=model,
         membership=lambda z: (z[..., j] > a) & (z[..., j] < b),
         exit_target=exit_target,
-        params={"coord": coord, "a": float(a), "b": float(b)},
     )
 
 
@@ -94,11 +90,9 @@ def box_domain(model: SpaceModel, lows, highs) -> Domain:
     if lo.ndim != 1 or lo.shape != hi.shape or not lo.size or np.any(lo >= hi):
         raise ValueError("need nonempty 1-d lows < highs, elementwise")
     return Domain(
-        kind="box",
         model=model,
         membership=lambda z: in_box(z, lo, hi, closed=False),
         exit_target=box_complement(model, lo, hi),
-        params={"lows": lo, "highs": hi},
     )
 
 
@@ -122,12 +116,13 @@ def _exact_exit(domain: Domain):
 
     def refine(z_in: np.ndarray, z_out: np.ndarray) -> np.ndarray:
         d = z_out - z_in
-        if domain.kind == "e_ball":
+        form = domain.exit_target.e_form
+        if form is not None:
             # a theta^2 + 2b theta + q = 0 with a > 0 > q: the positive root,
             # in a form that does not cancel
-            w, p = domain.model.weights, z_in - domain.params["center"]
+            w, p = form.weights, z_in - form.center
             a, b = (d * d) @ w, (p * d) @ w
-            q = (p * p) @ w - domain.params["radius"] ** 2
+            q = (p * p) @ w - form.r2
             theta = -q / (b + np.sqrt(b * b - a * q))
         else:  # the segment leaves through the first face it crosses
             theta = np.ones(len(z_in))
@@ -188,7 +183,7 @@ def solve(
     beyond their declared bound raise `operators.BoundViolation`."""
     z = np.asarray(z, dtype=float)
     if not domain.contains(z):
-        raise ValueError("start point must lie inside the domain")
+        raise PreconditionError("start point must lie inside the domain")
     hit, _, loc = sample_exits(triplet, domain, z, n, cfg, rng)
     vals = np.zeros(n)
     if hit.any():
@@ -204,7 +199,7 @@ def solve(
 def gambler_ruin_value(domain: Domain, fa: float, fb: float, x: float) -> float:
     """Closed form for 1-coordinate slab data: linear interpolation of the
     two face values at the start coordinate."""
-    a, b = domain.params["a"], domain.params["b"]
+    (_, a, _), (_, b, _) = domain.exit_target.faces
     return fa * (b - x) / (b - a) + fb * (x - a) / (b - a)
 
 

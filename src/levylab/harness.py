@@ -74,7 +74,7 @@ class RunRecord:
     error: str | None = None  # traceback of an experiment that raised
 
 
-_TOP_KEYS = {"seed", "out_dir", "workers", "experiments"}
+_TOP_KEYS = {"seed", "workers", "experiments"}
 _EXP_KEYS = {"name", "operation", "parameters", "samples"}
 
 
@@ -92,20 +92,20 @@ def _check_workers(workers):
 
 
 def _check_parameters(i, operation, params):
-    """Every key is one the operation reads (see suite.PARAMETERS), with a
-    number for its value, an integer for the counts dim and points."""
-    reads = PARAMETERS[operation]
+    """Every key is one the operation reads (see suite.PARAMETERS), with an
+    integer for its value: each is a count."""
+    reads = PARAMETERS.get(operation, ())
     unread = set(params) - set(reads)
     if unread:
         raise ConfigError(
-            f"experiment #{i}: {operation} reads no parameters {sorted(unread)}, "
-            f"only {list(reads)}"
+            f"experiment #{i}: {operation} reads no parameters {sorted(unread)}; "
+            f"it reads {list(reads) or 'none'}"
         )
     for key, value in params.items():
-        count = key in ("dim", "points")
-        if not (_is_int(value) if count else _is_number(value)):
-            kind = "an integer" if count else "a number"
-            raise ConfigError(f"experiment #{i}: parameter {key!r} must be {kind}, got {value!r}")
+        if not _is_int(value):
+            raise ConfigError(
+                f"experiment #{i}: parameter {key!r} must be an integer, got {value!r}"
+            )
 
 
 def load_config(path) -> dict:
@@ -220,7 +220,7 @@ def run(
     config_path,
     seed: int | None = None,
     samples_scale: float = 1.0,
-    out_dir=None,
+    out_dir=".",
     name_filter: str | None = None,
     workers: int | None = None,
 ) -> dict:
@@ -229,7 +229,7 @@ def run(
     `workers` overrides the config's "workers" (default 1)."""
     raw = load_config(config_path)
     base_seed = int(seed if seed is not None else raw.get("seed", 0))
-    out = Path(out_dir if out_dir is not None else raw.get("out_dir", "."))
+    out = Path(out_dir)
     workers = workers if workers is not None else raw.get("workers", 1)
     _check_workers(workers)
     if not (_is_number(samples_scale) and 0 < samples_scale < float("inf")):

@@ -21,7 +21,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .space import SpaceModel
+from .space import PreconditionError, SpaceModel
 
 DEFAULT_CONFIDENCE = 0.999
 DEFAULT_ATOL = 1e-9
@@ -29,10 +29,6 @@ DEFAULT_ATOL = 1e-9
 
 class InstabilityError(RuntimeError):
     """A Monte Carlo estimate failed its convergence self-check."""
-
-
-class PreconditionError(ValueError):
-    """The operation was called outside its stated hypotheses."""
 
 
 def z_value(confidence: float) -> float:

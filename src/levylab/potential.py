@@ -1395,7 +1395,7 @@ def polarity_diagnostic(
     3 BAND_Z hypot(se), and the last is at most half the first plus that band.
     A start inside the largest target would hit them all at time 0."""
     if targets[0](np.asarray(starts, dtype=float)).any():
-        raise ValueError("a start lies inside the largest target")
+        raise PreconditionError("a start lies inside the largest target")
     band = lambda a, b: 3 * BAND_Z * np.hypot(a.stderr, b.stderr)
     rows = []
     consistent = True

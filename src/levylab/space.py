@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class ConstructionError(ValueError):
-    """A construction precondition failed (e.g. the point is too close to H)."""
+class PreconditionError(ValueError):
+    """The operation was called outside its stated hypotheses (e.g. the point
+    of a growth basis is too close to H)."""
 
 
 @dataclass(frozen=True)
@@ -121,7 +122,7 @@ def build_growth_basis(model: SpaceModel, x: np.ndarray) -> GrowthBasis:
     if x.shape != (model.dim,):
         raise ValueError("x must be a coordinate vector of the model dimension")
     if model.h_norm2(x) < _H_NORM2_THRESHOLD:
-        raise ConstructionError(
+        raise PreconditionError(
             f"truncated |x|_H^2 = {model.h_norm2(x):.3g} below the off-H "
             f"certificate threshold {_H_NORM2_THRESHOLD:.3g}"
         )
@@ -143,7 +144,7 @@ def build_growth_basis(model: SpaceModel, x: np.ndarray) -> GrowthBasis:
         lo = hi
         n += 1
     if not rows:
-        raise ConstructionError(
+        raise PreconditionError(
             "growth deficit: no coordinate block of x reaches the required "
             "pairing 2^(1/2); x is too close to H at this truncation"
         )

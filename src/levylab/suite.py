@@ -6,6 +6,12 @@ the seed and the experiment's config name (which defaults to its
 operation), so results are independent of worker scheduling, and two
 experiments running one operation under different names draw independently.
 
+An experiment's time grid and dimension are fixed here: the path
+experiments each keep one `PathConfig`, and every experiment runs at N = 32
+but two.  `PARAMETERS` lists the four settable keys: `points` of
+gaussian_lyapunov and levy_sandwich (default 5), and `dim` of
+capacity_basics (default 16) and balayage (default 8).
+
 Each experiment is also an acceptance criterion, and its last row is the
 criterion's gate, `gate[...]`.  The gate counts units (a row, or a cell of
 rows that must all pass) against the criterion's threshold: at most so many
@@ -132,15 +138,23 @@ def _gate(name, *groups):
     )
 
 
-def _brownian(params, seed, name, dim=32):
-    """Model of the `dim` parameter, its unit Brownian triplet and the
+# the dimension of every experiment but capacity_basics and balayage, which
+# read theirs from `dim`
+_DIM = 32
+
+# the grid of each path experiment; a test swaps one to cut its horizon
+_REDUCED_GRID = PathConfig(dt=0.02, horizon=8.0)
+_SLAB_GRID = PathConfig(dt=0.01, horizon=40.0)
+_CAPACITY_GRID = PathConfig(dt=0.05, horizon=20.0)
+_BALAYAGE_GRID = PathConfig(dt=0.02, horizon=12.0)
+_DOMINATION_GRID = PathConfig(dt=0.02, horizon=12.0)
+
+
+def _brownian(dim, seed, name):
+    """Model of dimension `dim`, its unit Brownian triplet and the
     experiment's stream."""
-    model = make_space(int(params.get("dim", dim)))
+    model = make_space(dim)
     return model, brownian_triplet(model), substream(seed, name)
-
-
-def _cfg(params, dt, horizon):
-    return PathConfig(float(params.get("dt", dt)), float(params.get("horizon", horizon)))
 
 
 def _norm(model, kind):
@@ -153,7 +167,7 @@ def _norm(model, kind):
 def variance_identity(params, samples, seed, name):
     """Criterion 1: E<xi, z + Z_t>^2 = t|xi|^2 + <xi, z>^2; a cell (xi, t)
     holds when both starts pass, and at least 8 of the 9 cells must."""
-    model, triplet, rng = _brownian(params, seed, name)
+    model, triplet, rng = _brownian(_DIM, seed, name)
     dim = model.dim
     z_rand = rng.standard_normal(dim)
     xis = {
@@ -176,7 +190,7 @@ def _v0_rows(norm, triplet, bounds, params, samples, rng):
     """v_0 = U_1 q_x^2 against (lower, upper) = bounds(q_x^2(z)) at `points`
     random starts z."""
     rows = []
-    for i in range(int(params.get("points", 5))):
+    for i in range(params.get("points", 5)):
         z = rng.standard_normal(norm.model.dim)
         lo, hi = bounds(float(q_x_eval(norm, z)) ** 2)
         v0 = v0_estimate(norm, triplet, z, samples, rng)
@@ -188,7 +202,7 @@ def _v0_rows(norm, triplet, bounds, params, samples, rng):
 def gaussian_lyapunov(params, samples, seed, name):
     """Criterion 2: q_x^2 <= v_0 <= 2 q_x^2 + 2 E q_x^2(Z_1) at `points`
     random starts; every lower bound holds and at most one upper misses."""
-    model, triplet, rng = _brownian(params, seed, name)
+    model, triplet, rng = _brownian(_DIM, seed, name)
     norm = _norm(model, "gaussian")
     mass = qx_square_mean(norm, triplet, 1.0, samples, rng)
     rows = [_row("qx2_mass_at_1", est=mass)]
@@ -213,9 +227,8 @@ def _jump_triplet(dim):
 def levy_sandwich(params, samples, seed, name):
     """Criterion 3: q_x^2/2 - 3C <= v_0 <= 2 q_x^2 + 6C for the jump triplet,
     at every one of `points` random starts."""
-    dim = int(params.get("dim", 32))
-    norm = _norm(make_space(dim), "levy")
-    triplet = _jump_triplet(dim)
+    norm = _norm(make_space(_DIM), "levy")
+    triplet = _jump_triplet(_DIM)
     rng = substream(seed, name)
     c_tilde = moment_constant_estimate(norm, triplet, (0.25, 0.5, 1.0, 2.0, 4.0), samples, rng)
     rows = [_row("moment_constant", mean=c_tilde, stderr=0.0, n=samples)]
@@ -237,7 +250,7 @@ def _moment_rows(triplet, xis, times, samples, rng):
 
 
 def moment_pointmass(params, samples, seed, name):
-    triplet = _jump_triplet(int(params.get("dim", 32)))
+    triplet = _jump_triplet(_DIM)
     e = triplet.model.basis_vector
     xis = (("e1", e(1)), ("e2", e(2)), ("e1+e2", e(1) + e(2)))
     rng = substream(seed, name)
@@ -245,7 +258,7 @@ def moment_pointmass(params, samples, seed, name):
 
 
 def moment_poisson01(params, samples, seed, name):
-    triplet = poisson_example_triplet(int(params.get("dim", 32)))
+    triplet = poisson_example_triplet(_DIM)
     e = triplet.model.basis_vector
     xis = (("e1", e(1)), ("e2", e(2)), ("e1+2e3", e(1) + 2.0 * e(3)))
     rng = substream(seed, name)
@@ -255,7 +268,7 @@ def moment_poisson01(params, samples, seed, name):
 def projection_identity(params, samples, seed, name):
     """Criterion 5: U_alpha of a k-cylinder function equals its projected
     estimate, for every k in 1..3 and alpha."""
-    model, triplet, rng = _brownian(params, seed, name)
+    model, triplet, rng = _brownian(_DIM, seed, name)
     z = rng.standard_normal(model.dim)
     rows = []
     for k in (1, 2, 3):
@@ -277,14 +290,15 @@ def projection_identity(params, samples, seed, name):
 def reduced_projection(params, samples, seed, name):
     """Criterion 6: the projected reduced function dominates the full one
     per shared path (a violation fails its row), and no gap is refuted."""
-    model, triplet, rng = _brownian(params, seed, name)
-    cfg = _cfg(params, 0.02, 8.0)
+    model, triplet, rng = _brownian(_DIM, seed, name)
     start = np.zeros(model.dim)
     beta = 1.0
     rows = []
     v = TestFunction(lambda y: np.ones(y.shape[:-1]), bound=1.0, name="one")
     for label, M, M_proj in reduced_projection_cases(model):
-        _, samp = reduced_function_family(triplet, v, [M, M_proj], beta, start, samples, cfg, rng)
+        _, samp = reduced_function_family(
+            triplet, v, [M, M_proj], beta, start, samples, _REDUCED_GRID, rng
+        )
         diff = McEstimate.from_samples(samp[1] - samp[0])
         per_sample = bool(np.all(samp[1] >= samp[0] - 1e-12))
         verdict = diff.verdict_at_least(0.0) if per_sample else "fail"
@@ -316,7 +330,7 @@ def reduced_projection_cases(model):
 def dirichlet_slab(params, samples, seed, name):
     """Criterion 7, gambler's ruin: the slab solution at five starts equals
     the linear interpolation of the face values, with every path exited."""
-    model, triplet, rng = _brownian(params, seed, name)
+    model, triplet, rng = _brownian(_DIM, seed, name)
     a, b, fa, fb = -1.0, 2.0, 3.0, -1.0
     dom = slab_domain(model, 1, a, b)
     f = BoundaryData(
@@ -324,12 +338,11 @@ def dirichlet_slab(params, samples, seed, name):
         bound=max(abs(fa), abs(fb)),
         name="slab_faces",
     )
-    cfg = _cfg(params, 0.01, 40.0)
     rows = []
     for x in (-0.5, 0.0, 0.5, 1.0, 1.5):
         z = np.zeros(model.dim)
         z[0] = x
-        res = solve(triplet, dom, f, z, samples, rng=rng, cfg=cfg)
+        res = solve(triplet, dom, f, z, samples, rng=rng, cfg=_SLAB_GRID)
         target = gambler_ruin_value(dom, fa, fb, x)
         rows += [_check(f"gambler_ruin[x={x}]", res.estimate, target), _non_exit(f"x={x}", res)]
     return rows + [_gate("gambler_ruin", (_verdicts(rows), 0))]
@@ -342,10 +355,9 @@ def dirichlet_oracles(params, samples, seed, name):
     (samples/2, dt 0.01); the boundary-continuity trend toward x1 = 1
     (5/8 samples, dt 0.005); and its negative control, data with a point
     jump at that boundary point, which the checker must reject (3/10
-    samples, dt 0.01, horizon 20; the others run to horizon 30).  Each
-    check keeps its own step and horizon, so `dt` and `horizon` are not
-    read.  Every solve must exit."""
-    model, triplet, rng = _brownian(params, seed, name)
+    samples, dt 0.01, horizon 20; the others run to horizon 30).  Every
+    solve must exit."""
+    model, triplet, rng = _brownian(_DIM, seed, name)
     origin = np.zeros(model.dim)
     fine, coarse = PathConfig(dt=0.005, horizon=30.0), PathConfig(dt=0.01, horizon=30.0)
     short = PathConfig(dt=0.01, horizon=20.0)
@@ -399,7 +411,7 @@ def controlled_convergence(params, samples, seed, name):
         rep = controlled_convergence_check(h, f, zero, V0, seqs, ys, tol=0.02)
         ok = rep.all_pass and all(r.branch == "c1" for r in rep.records)
         rows.append(_flag(f"c1[{label}]", ok, len(seqs)))
-    for i in range(int(params.get("points", 10))):
+    for i in range(10):
         slope, k_slope, y1 = rng.uniform(0.5, 2.0), rng.uniform(0.0, 5.0), rng.uniform(0.5, 1.5)
         h = lambda xs, s=slope: s * xs[:, 0]
         k = lambda xs, s=k_slope: s * np.abs(xs[:, 0])
@@ -414,11 +426,11 @@ def capacity_basics(params, samples, seed, name):
     """Criterion 9, capacity: exact on the empty set and the whole space,
     and strictly decreasing (and nonnegative) over the complements of the
     q_x level sets 1..5."""
-    model, triplet, rng = _brownian(params, seed, name, dim=16)
+    model, triplet, rng = _brownian(params.get("dim", 16), seed, name)
     norm = _norm(model, "gaussian")
     beta = 1.0
     cloud = PointCloud(np.zeros((1, model.dim)), np.array([2.0]))
-    cfg = _cfg(params, 0.05, 20.0)
+    cfg = _CAPACITY_GRID
     c_empty = capacity(triplet, cloud, empty_set(model), beta, samples, cfg, rng)
     rows = [_check("capacity_empty", c_empty, 0.0, atol=0.0)]
     c_whole = capacity(triplet, cloud, whole_space(model), beta, samples, cfg, rng)
@@ -439,15 +451,14 @@ def balayage(params, samples, seed, name):
     """Criterion 9, balayage onto M = {x1 >= 1}: equality on F inside M, no
     refuted inequality off M, per-sample inequality, hitting locations in M,
     and at least one hit."""
-    model, triplet, rng = _brownian(params, seed, name, dim=8)
+    model, triplet, rng = _brownian(params.get("dim", 8), seed, name)
     M = coord_halfspace(model, 1, 1.0, +1)
     start = np.zeros(model.dim)
     nu = PointCloud(start[None, :], np.array([1.0]))
     F_in = coord_halfspace(model, 1, 1.5, +1)
     F_out = coord_halfspace(model, 1, -0.5, -1)
     F_specs = [{"target": F_in, "inside": True}, {"target": F_out, "inside": False}]
-    cfg = _cfg(params, 0.02, 12.0)
-    rep = balayage_check(triplet, nu, M, 1.0, F_specs, samples, cfg, rng)
+    rep = balayage_check(triplet, nu, M, 1.0, F_specs, samples, _BALAYAGE_GRID, rng)
     rows, units = [], []
     for r in rep["rows"]:
         op = f"balayage[{r['F']},inside={r['inside']}]"
@@ -464,11 +475,10 @@ def domination(params, samples, seed, name):
     origin (its first 60 hits of samples/10 paths) is dominated by the unit
     mass at the origin on two balls at hit points, and then off the carrier;
     the doubled unit mass, a negative control, fails the hypothesis."""
-    model, triplet, rng = _brownian(params, seed, name)
+    model, triplet, rng = _brownian(_DIM, seed, name)
     beta, start = 1.0, np.zeros(model.dim)
     M = coord_halfspace(model, 1, 1.0, +1)
-    cfg = _cfg(params, 0.02, 12.0)
-    hit, T, loc = simulate_hit_batch(triplet, start, M, cfg, samples // 10, rng)
+    hit, T, loc = simulate_hit_batch(triplet, start, M, _DOMINATION_GRID, samples // 10, rng)
     idx = np.flatnonzero(hit)[:60]
     swept = PointCloud(loc[idx], np.exp(-beta * T[idx]) * (hit.mean() / idx.size))
     nu = PointCloud(start[None, :], np.array([1.0]))
@@ -495,7 +505,7 @@ def tail_projection(params, samples, seed, name):
     """Criterion 10: E||Z_1 - Q_n Z_1||_E^2 matches its closed form and does
     not increase in n for the Brownian triplet, and strictly decreases for
     the embedded Poisson triplet."""
-    model, triplet, rng = _brownian(params, seed, name)
+    model, triplet, rng = _brownian(_DIM, seed, name)
     rep = projection_convergence(triplet, 1.0, (4, 8, 16), samples, rng)
     rows = [
         _row(f"tail_norm[n={r['n']}]", est=r["estimate"], target=r["target"], verdict=r["verdict"])
@@ -523,12 +533,12 @@ def polarity(params, samples, seed, name):
     0.4, so it runs 4 * `samples` paths, 400 at the floor.  The last check
     is E|e1 + Z_1|_H^2 = 1 + N.
 
-    Each family keeps its own grid and horizon, so `dt` and `horizon` are
-    not read.  A 32-d path that has entered no H-ball by t = 0.1 is out near
-    |z|_H = 2 and returns to the largest with probability about (0.98/2)^30
-    < 1e-9; a 1-d view enters the interval of radius r with probability
-    2 Phi(-(1 - r)/sqrt(40)), 0.88 or more, by t = 40."""
-    model, triplet, rng = _brownian(params, seed, name)
+    Each family keeps its own grid and horizon.  A 32-d path that has
+    entered no H-ball by t = 0.1 is out near |z|_H = 2 and returns to the
+    largest with probability about (0.98/2)^30 < 1e-9; a 1-d view enters
+    the interval of radius r with probability 2 Phi(-(1 - r)/sqrt(40)), 0.88
+    or more, by t = 40."""
+    model, triplet, rng = _brownian(_DIM, seed, name)
     dim, e1 = model.dim, model.basis_vector(1)
     origin = np.zeros(dim)
     radii = (0.45, 0.15, 0.05)
@@ -556,23 +566,14 @@ def polarity(params, samples, seed, name):
     return rows + [_gate("polarity", (_verdicts(rows), 0))]
 
 
-# the `parameters` keys each experiment reads; the harness rejects any other
+# the `parameters` keys each experiment reads, the only settings the two
+# shipped configs give different values; the others read none, and the
+# harness rejects any other key
 PARAMETERS = {
-    "variance_identity": ("dim",),
-    "gaussian_lyapunov": ("dim", "points"),
-    "levy_sandwich": ("dim", "points"),
-    "moment_pointmass": ("dim",),
-    "moment_poisson01": ("dim",),
-    "projection_identity": ("dim",),
-    "reduced_projection": ("dim", "dt", "horizon"),
-    "dirichlet_slab": ("dim", "dt", "horizon"),
-    "dirichlet_oracles": ("dim",),
-    "controlled_convergence": ("points",),
-    "capacity_basics": ("dim", "dt", "horizon"),
-    "balayage": ("dim", "dt", "horizon"),
-    "domination": ("dim", "dt", "horizon"),
-    "tail_projection": ("dim",),
-    "polarity": ("dim",),
+    "gaussian_lyapunov": ("points",),
+    "levy_sandwich": ("points",),
+    "capacity_basics": ("dim",),
+    "balayage": ("dim",),
 }
 
 REGISTRY = {

@@ -91,12 +91,24 @@ def _callables():
                     yield (f"{label}.{fn.name}", fn.name, *_signature(fn, 1))
 
 
+def _parameter_keys() -> int:
+    """Names in suite.PARAMETERS, the experiment keys a config may set."""
+    (table,) = (
+        node.value
+        for node in TREES[SRC / "suite.py"].body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "PARAMETERS"
+    )
+    return sum(len(keys.elts) for keys in table.values)
+
+
 def counts() -> dict:
-    """The two sizes that the guards below check, for the CI job summary:
-    defaulted parameters of the public callables and dataclass fields."""
+    """The two sizes that the guards below check, and the experiment keys a
+    config may set, for the CI job summary; read from the source, since CI
+    counts before it installs the package."""
     return {
         "defaulted parameters": sum(len(defaulted) for *_, defaulted in _callables()),
         "dataclass fields": sum(len(_fields(cls)) for _, cls in _dataclasses()),
+        "experiment parameter keys": _parameter_keys(),
     }
 
 

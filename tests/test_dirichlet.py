@@ -19,7 +19,7 @@ from levylab.dirichlet import (
     slab_domain,
     solve,
 )
-from levylab.measures import brownian_triplet
+from levylab.measures import PreconditionError, brownian_triplet
 from levylab.operators import BoundViolation
 from levylab.potential import PathConfig
 from levylab.rng import substream
@@ -162,7 +162,7 @@ def test_exit_locations_exactly_on_boundary(setup):
         for i, (dom, distance) in enumerate(domains):
             hit, _, loc = sample_exits(triplet, dom, start, 400, cfg, substream(30 + i))
             assert hit.all()
-            assert np.all(np.abs(distance(loc)) < 1e-9), (dom.kind, bridge)
+            assert np.all(np.abs(distance(loc)) < 1e-9), (dom.exit_target.name, bridge)
 
 
 @pytest.mark.parametrize("shape", [(7,), (3, 5), (2, 3, 4)])
@@ -204,6 +204,27 @@ def test_harmonicity_ball_must_fit(setup):
             triplet, dom, f, np.zeros(DIM), [2.0], 100,
             PathConfig(dt=0.1, horizon=1.0), substream(8),
         )
+
+
+def test_inner_domain_keeps_the_geometry(setup):
+    """An E-ball's neighborhood of x is the E-ball around x and a box's is
+    the box around x on the same coordinates (a one-coordinate box's is a
+    slab, with the same faces); one that does not fit is refused."""
+    model, _ = setup
+    x = np.zeros(DIM)
+    x[:2] = (0.3, -0.2)
+    ball = e_ball_domain(model, np.zeros(DIM), 1.0)
+    form = ball.inner_domain(x, 0.25).exit_target.e_form
+    assert np.array_equal(form.center, x) and form.r2 == 0.25 * 0.25
+    lo, hi = x[:2] - 0.5, x[:2] + 0.5
+    box = box_domain(model, [-1.0, -1.0], [1.0, 1.0]).inner_domain(x, 0.5)
+    assert box.exit_target.e_form is None
+    assert box.exit_target.faces == ((0, lo[0], -1), (1, lo[1], -1), (0, hi[0], 1), (1, hi[1], 1))
+    slab = box_domain(model, [-1.0], [1.0]).inner_domain(x, 0.5)
+    assert slab.exit_target.faces == ((0, lo[0], -1), (0, hi[0], 1))
+    for dom, r in ((ball, 0.9), (box_domain(model, [-1.0, -1.0], [1.0, 1.0]), 0.75)):
+        with pytest.raises(PreconditionError, match="does not fit"):
+            dom.inner_domain(x, r)
 
 
 def test_boundary_continuity_continuous_data(setup):

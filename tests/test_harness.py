@@ -2,6 +2,7 @@
 
 import ast
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -157,13 +158,16 @@ def test_gate_fails_only_when_failing_units_break_it():
     assert verdict((["pass"], 0), (["fail"], 0)) == "fail"
 
 
-def test_truncated_paths_fail_their_gates(tmp_path):
+def test_truncated_paths_fail_their_gates(tmp_path, monkeypatch):
     """Failure signals reach the gates: slab paths cut off by the horizon
     fail their non-exit rows, and a balayage whose paths never reach M fails
     its degeneracy flag, although its occupancy rows pass."""
-    params = {"dim": 2, "horizon": 0.05}
-    ops = ("dirichlet_slab", "balayage")
-    exps = [{"operation": op, "samples": 200, "parameters": params} for op in ops]
+    for grid in ("_SLAB_GRID", "_BALAYAGE_GRID"):
+        monkeypatch.setattr(suite, grid, replace(getattr(suite, grid), horizon=0.05))
+    exps = [
+        {"operation": "dirichlet_slab", "samples": 200},
+        {"operation": "balayage", "samples": 200, "parameters": {"dim": 2}},
+    ]
     slab, bal = run(_write(tmp_path, {"experiments": exps}), out_dir=tmp_path / "o")["records"]
     slab, bal = ({row["op"]: row["verdict"] for row in rec.rows} for rec in (slab, bal))
     assert slab["non_exit[x=0.5]"] == "fail" and slab["gate[gambler_ruin]"] == "fail"
@@ -188,6 +192,7 @@ _TAIL = {"operation": "tail_projection", "samples": 500}
         ({"experiments": [{**_TAIL, "samples": 500.5}]}, [], "samples"),
         ({"experiments": [_TAIL]}, ["--filter", "c12*"], "filter"),
         ({"experiments": [{**_TAIL, "confidence": 0.999}]}, [], "confidence"),
+        ({"out_dir": "elsewhere", "experiments": [_TAIL]}, [], "out_dir"),
         ({"experiments": [{**_TAIL, "parameters": [1, 2]}]}, [], "parameters"),
         ({"experiments": [{**_TAIL, "operation": ["tail_projection"]}]}, [], "operation"),
         ({"experiments": {"a": 1, "e": 2, "i": 3}}, [], "experiments"),
@@ -201,7 +206,8 @@ _TAIL = {"operation": "tail_projection", "samples": 500}
     ],
     ids=[
         "samples_str", "samples_negative", "samples_below_100", "samples_float",
-        "filter_matches_nothing", "confidence_unknown_key", "parameters_list", "operation_list",
+        "filter_matches_nothing", "confidence_unknown_key", "out_dir_unknown_key",
+        "parameters_list", "operation_list",
         "experiments_object",
         "experiments_not_objects", "seed_str", "seed_float", "workers_str", "workers_zero",
         "workers_bool", "cli_workers_zero",
@@ -210,9 +216,10 @@ _TAIL = {"operation": "tail_projection", "samples": 500}
 def test_cli_malformed_config_values_exit_2(tmp_path, capsys, cfg, args, key):
     """A config value of the wrong type, fewer than one worker, a config
     `samples` below 100 (only a scaled count is floored there), a filter
-    that matches no experiment or a `confidence` key (every band uses the
-    library's one level) is a config error (exit 2) that names the key, not
-    a traceback, an error row or a header-only CSV."""
+    that matches no experiment, a `confidence` key (every band uses the
+    library's one level) or an `out_dir` key (`--out` sets the directory) is
+    a config error (exit 2) that names the key, not a traceback, an error row
+    or a header-only CSV."""
     p = _write(tmp_path, cfg)
     assert main(["run", "--config", str(p), "--out", str(tmp_path / "o"), *args]) == 2
     err = capsys.readouterr().err
@@ -235,16 +242,24 @@ def test_cli_missing_config_exit_2(tmp_path, capsys):
         ({"operation": "polarity", "parameters": {"dt": 0.001}}, "dt"),
         ({"operation": "reduced_projection", "parameters": {"horizn": 4.0}}, "horizn"),
         ({"operation": "controlled_convergence", "parameters": {"dim": 8}}, "dim"),
-        ({"operation": "tail_projection", "parameters": {"dim": "32"}}, "dim"),
+        ({"operation": "capacity_basics", "parameters": {"dim": "32"}}, "dim"),
         ({"operation": "gaussian_lyapunov", "parameters": {"points": 2.5}}, "points"),
         ({"operation": "balayage", "parameters": {"dt": True}}, "dt"),
+        ({"operation": "balayage", "parameters": {"dim": True}}, "dim"),
+        ({"operation": "dirichlet_slab", "parameters": {"dt": 0.01}}, "dt"),
+        ({"operation": "polarity", "parameters": {"dim": 32}}, "dim"),
+        ({"operation": "controlled_convergence", "parameters": {"points": 10}}, "points"),
     ],
-    ids=["unread_dt", "typo_horizon", "unread_dim", "dim_str", "points_float", "dt_bool"],
+    ids=[
+        "unread_dt", "typo_horizon", "unread_dim", "dim_str", "points_float", "dt_bool",
+        "dim_bool", "fixed_grid_dt", "fixed_dim", "fixed_points",
+    ],
 )
 def test_cli_parameters_an_experiment_does_not_read_exit_2(tmp_path, capsys, exp, key):
-    """A `parameters` key the experiment does not read, or a value that is
-    not a number (an integer for dim and points), is a config error that
-    names the key, so a typo never runs silently at the default."""
+    """A `parameters` key the experiment does not read, even one that sets
+    the value it runs at, or a value that is not an integer, is a config
+    error that names the key, so a typo or a fixed setting never runs
+    silently at the constant."""
     p = _write(tmp_path, {"experiments": [{**exp, "samples": 100}]})
     assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
@@ -273,15 +288,31 @@ def test_each_experiment_declares_the_parameters_it_reads():
     module = ast.parse(Path(suite.__file__).read_text())
     tree = {n.name: n for n in module.body if isinstance(n, ast.FunctionDef)}
     reads = {op: _params_read(tree, fn.__name__) for op, fn in suite.REGISTRY.items()}
-    assert reads == {op: set(keys) for op, keys in suite.PARAMETERS.items()}
-    assert all(reads.values())
+    assert reads == {op: set(suite.PARAMETERS.get(op, ())) for op in suite.REGISTRY}
+    # the walk finds the reads: the four keys the shipped configs set differently
+    assert sorted((op, k) for op, keys in reads.items() for k in keys) == [
+        ("balayage", "dim"),
+        ("capacity_basics", "dim"),
+        ("gaussian_lyapunov", "points"),
+        ("levy_sandwich", "points"),
+    ]
 
 
-def test_cli_malformed_env_seed_exit_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("LEVYLAB_SEED", "abc")
-    p = _write(tmp_path, {"experiments": [_TAIL]})
-    assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
-    assert "LEVYLAB_SEED" in capsys.readouterr().err
+def test_cli_ignores_the_environment(tmp_path, monkeypatch):
+    """`--seed`, the config's `seed` and `--out` are the only routes: a set
+    LEVYLAB_SEED or LEVYLAB_OUT changes neither the CSV bytes nor where
+    they are written."""
+    p = _write(tmp_path, {"seed": 5, "experiments": [_TAIL]})
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", str(p), "--out", "plain"]) == 0
+    monkeypatch.setenv("LEVYLAB_SEED", "99")
+    monkeypatch.setenv("LEVYLAB_OUT", str(tmp_path / "env"))
+    assert main(["run", "--config", str(p), "--out", "with_env"]) == 0
+    assert main(["run", "--config", str(p)]) == 0
+    plain = (tmp_path / "plain" / "summary.csv").read_bytes()
+    assert (tmp_path / "with_env" / "summary.csv").read_bytes() == plain
+    assert (tmp_path / "summary.csv").read_bytes() == plain  # --out defaults to "."
+    assert not (tmp_path / "env").exists()
 
 
 def test_cli_clean_run(tmp_path, capsys):

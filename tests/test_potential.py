@@ -410,7 +410,7 @@ def test_polarity_H_band_uses_confidence(setup, monkeypatch):
 def test_polarity_start_inside_the_largest_target_is_refused(setup):
     model, triplet = setup
     balls = [h_ball(model, r) for r in (1.0, 0.5)]
-    with pytest.raises(ValueError, match="inside the largest target"):
+    with pytest.raises(PreconditionError, match="inside the largest target"):
         polarity_diagnostic(
             triplet, balls, [3.0 * model.basis_vector(1), np.zeros(8)], 100,
             PathConfig(dt=0.05, horizon=1.0), substream(22),

@@ -5,7 +5,7 @@ import pytest
 
 from levylab.space import (
     GrowthBasis,
-    ConstructionError,
+    PreconditionError,
     SpaceModel,
     build_growth_basis,
     canonical_x,
@@ -97,14 +97,14 @@ def test_growth_basis_rejects_near_H_point():
     model = make_space(32)
     x = np.zeros(32)
     x[0] = 1.0  # |x|_H^2 = 1, far below the off-H threshold
-    with pytest.raises(ConstructionError):
+    with pytest.raises(PreconditionError):
         build_growth_basis(model, x)
 
 
 def test_growth_basis_threshold_is_100():
     """The off-H certificate needs |x|_H^2 >= 100 at truncation."""
     model = make_space(8)
-    with pytest.raises(ConstructionError):
+    with pytest.raises(PreconditionError):
         build_growth_basis(model, np.full(8, 3.5))  # |x|_H^2 = 98
     datum = build_growth_basis(model, np.full(8, 3.6))  # |x|_H^2 = 103.68
     assert isinstance(datum, GrowthBasis)
