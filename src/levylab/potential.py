@@ -13,7 +13,9 @@ advances the live paths by a block of grid steps, sized so that steps x
 paths x read or stepped coordinates stay within `_BLOCK` = 32768
 elements (or one step, when that is larger); a path stops inside its
 block at its entry step, which is exact because the draws after that step
-are independent of everything kept.  A block is summed along its step
+are independent of everything kept.  No path steps past its last entry;
+balayage reads only the occupancy before the hit (`discounted_occupancy`).
+A block is summed along its step
 axis by contiguous adds of each step onto the next when one step holds at
 least 512 elements, else by `np.cumsum`; both give the same bytes
 (`_prefix_sum`).  The budget is capped by the peak memory of a full-width
@@ -359,7 +361,6 @@ def _step_paths(
     rng: np.random.Generator,
     refine=None,
     observe=None,
-    to_horizon: bool = False,
     locate: bool = True,
     n_steps: int | None = None,
 ):
@@ -368,12 +369,12 @@ def _step_paths(
     `member(z)` maps points (rows, N') to a (targets, rows) membership matrix
     that reads only the coordinates `coords` (None: all); N' is the largest
     read or stepped coordinate + 1.  A path steps until it has entered
-    every target, or to the horizon with to_horizon.  With one target,
-    `refine(z_in, z_out)` moves an entering grid step's end point.  Targets
-    are monitored at the grid points only; `observe(t, idx, z, times)`
-    sees the block grid times t (B,) and points z (B, len(idx), N') of the
-    stepped paths idx.  Paths take `n_steps` grid steps, by default
-    ceil(horizon / dt).  Returns entry times (inf when missed) and entry
+    every target.  With one target, `refine(z_in, z_out)` moves an entering
+    grid step's end point.  Targets are monitored at the grid points only;
+    `observe(t, idx, z, times)` sees the block grid times t (B,), points z
+    (B, len(idx), N') of the stepped paths idx, and the entry times found
+    so far, this block's included, to mask the points past an entry.
+    Paths take `n_steps` grid steps, by default ceil(horizon / dt).  Returns entry times (inf when missed) and entry
     points (the start when missed; none without locate).
 
     Each iteration advances the live paths by a block of B grid steps, the
@@ -426,7 +427,7 @@ def _step_paths(
     # the live set, kept in path order: path ids, stepped positions and the
     # targets each path still awaits; it shrinks only when a path stops, and
     # the positions shrink within the buffer allocated here
-    ids = np.arange(n_paths) if to_horizon else np.flatnonzero(np.isinf(times).any(axis=0))
+    ids = np.flatnonzero(np.isinf(times).any(axis=0))
     pending = np.isinf(times[:, ids])
     y = z0[np.ix_(ids, cols)]
     if n_steps is None:
@@ -462,7 +463,7 @@ def _step_paths(
                 if locate:
                     locs[ti, ids[rows, None], cols] = path[s, rows]
             pending &= ~entered
-            going = pending.any(axis=0) | to_horizon
+            going = pending.any(axis=0)
         if observe is not None:
             observe(t, ids, z, times)
         if not entering or going.all():
@@ -784,12 +785,13 @@ def _face_passage(
     cfg: PathConfig,
     n_paths: int,
     rng: np.random.Generator,
+    locate: bool,
 ):
     """Exact first passage into a target that is the union of its face
     halfspaces, each face coordinate moved by a drift-free Brownian motion
     of variance rate g > 0, under a continuous or finite-activity jump law.
     Returns (times, locations) like a one-target engine run: time inf and
-    the start for a miss.
+    the start for a miss; None without locate, which draws no location.
 
     The target's complement is the box of the intervals (lo_j, hi_j) that
     the faces leave on each face coordinate j.  A start inside the target
@@ -825,6 +827,8 @@ def _face_passage(
         law = replace(triplet, jumps=None)  # the jumps off the faces are in acc
     hit = t <= cfg.horizon
     times[live[hit]] = t[hit]
+    if not locate:
+        return times, None
     locs = z0[None].copy()
     locs[0, live[hit, None], cols] = x[hit]
     _draw_rest(law, cols, z0, times[None], locs, rng)
@@ -1034,10 +1038,12 @@ def _hit(
     n_paths: int,
     rng: np.random.Generator,
     refine=None,
+    locate: bool = True,
 ):
     """The hit planner: entry times of n_paths paths from `start` into one
     target (inf for a miss) and entry points (the start for a miss), by the
-    first of these modes that applies:
+    first of these modes that applies; without locate, face passage and
+    the engine draw no entry point and give None for them:
     0. a target that reads no coordinate (coords == ()) is decided by one
        membership call at time 0, for good, and draws nothing;
     1. exact passage (`_face_passage`), with cfg.bridge, a target that
@@ -1060,13 +1066,14 @@ def _hit(
         and not triplet.drift[cols].any()
         and (triplet.gaussian_diag[cols] > 0).all()
     ):
-        return _face_passage(triplet, start, target, cfg, n_paths, rng)
+        return _face_passage(triplet, start, target, cfg, n_paths, rng, locate)
     if m := _radial_head(triplet, target, start):
         return _radial_passage(triplet, start, target, cfg, n_paths, rng, refine, m)
     times, locs = _step_paths(
-        triplet, start, lambda z: target(z)[None], target.coords, cfg, n_paths, rng, refine=refine
+        triplet, start, lambda z: target(z)[None], target.coords, cfg, n_paths, rng,
+        refine=refine, locate=locate,
     )
-    return times[0], locs[0]
+    return times[0], locs[0] if locate else None
 
 
 def simulate_hit_batch(
@@ -1187,30 +1194,22 @@ def discounted_occupancy(
     n_paths: int,
     rng: np.random.Generator,
 ):
-    """Per-path grid approximations of the discounted occupancies
-
-        A_F = int_0^inf e^{-beta t} 1_F(X_t) dt        (full path)
-        B_F = int_{T_M}^inf e^{-beta t} 1_F(X_t) dt    (after hitting M)
-
-    along one common trajectory per path (the strong-Markov route to the
-    balayage comparison: B_F <= A_F per path, with equality when F lies in
-    M).  Returns (T_M array, A matrix, B matrix, hit locations)."""
-    A = np.zeros((len(F_targets), n_paths))
-    B = np.zeros_like(A)
+    """Per-path grid sums D_F of e^{-beta t} 1_F(X_t) dt over the grid times
+    t < T_M (to the horizon for a miss), each path stopped at its hit of M.
+    By the strong Markov property E D_F = nu U_beta 1_F - nu_M U_beta 1_F,
+    nu the start's point mass.  Returns (T_M array, D matrix, hit locations)."""
+    D = np.zeros((len(F_targets), n_paths))
 
     def observe(t, idx, z, times):
-        w = (np.exp(-beta * t) * cfg.dt)[:, None]
-        after = t[:, None] >= times[0, idx]
+        w = (np.exp(-beta * t) * cfg.dt)[:, None] * (t[:, None] < times[0, idx])
         for fi, F in enumerate(F_targets):
-            inF = F(z)
-            A[fi, idx] += (w * inF).sum(axis=0)
-            B[fi, idx] += (w * (inF & after)).sum(axis=0)
+            D[fi, idx] += (w * F(z)).sum(axis=0)
 
     times, locs = _step_paths(
         triplet, start, lambda z: M(z)[None], _support([M, *F_targets]), cfg, n_paths, rng,
-        observe=observe, to_horizon=True,
+        observe=observe,
     )
-    return times[0], A, B, locs[0]
+    return times[0], D, locs[0]
 
 
 # -- potential-theoretic operations ----------------------------------------
@@ -1233,14 +1232,15 @@ def capacity(
     """c_lambda(M) with the bounded potential p = U_beta 1 = 1/beta:
 
         c_lambda(M) = (1/beta) sum_i m_i E[e^{-beta T_M} ; hit from z_i].
-    """
+
+    It reads hit times alone, so it draws no hit location."""
     if beta <= 0:
         raise PreconditionError("beta must be positive")
     mean = 0.0
     var = 0.0
     for zi, mi in zip(lam.points, lam.masses):
-        hit, time, _ = simulate_hit_batch(triplet, zi, M, cfg, n, rng)
-        vals = np.where(hit, np.exp(-beta * np.where(hit, time, 0.0)), 0.0) / beta
+        time, _ = _hit(triplet, zi, M, cfg, n, rng, locate=False)
+        vals = np.exp(-beta * time) / beta  # exp(-inf) = 0 for a miss
         est = McEstimate.from_samples(vals)
         mean += mi * est.mean
         var += (mi * est.stderr) ** 2
@@ -1291,40 +1291,34 @@ def balayage_check(
     """Compare nu_M o U_beta with nu o U_beta on probe sets F.
 
     F_specs is a list of {"target": TargetSet, "inside": bool} where inside
-    certifies F subset M.  One common trajectory per sample carries both
-    sides: the post-hitting occupancy never exceeds the full occupancy per
-    path, and for F inside M the pre-hitting occupancy vanishes exactly.
-    Also checks the carrier property of the sampled hitting locations.
+    certifies F subset M.  Each row's difference nu U_beta 1_F - nu_M
+    U_beta 1_F is the mean discounted occupancy of F before the hit of M
+    (`discounted_occupancy`, whose paths stop at the hit): nonnegative per
+    path, and for F inside M exactly 0.  Also checks the carrier property
+    of the sampled hitting locations.
     """
+    if beta <= 0:
+        raise PreconditionError("beta must be positive")
     targets = [spec["target"] for spec in F_specs]
-    nF = len(targets)
-    rows = [
-        dict(F=F.name, inside=bool(spec["inside"]), nu_side=0.0, swept_side=0.0, var_diff=0.0)
-        for F, spec in zip(targets, F_specs)
-    ]
+    mean, var = np.zeros(len(targets)), np.zeros(len(targets))
     per_sample_ineq = True
     any_hit = False
     carrier_ok = True
     for zi, mi in zip(nu.points, nu.masses):
-        T, A, B, loc = discounted_occupancy(triplet, zi, M, targets, beta, cfg, n, rng)
+        T, D, loc = discounted_occupancy(triplet, zi, M, targets, beta, cfg, n, rng)
         hits = np.isfinite(T)
         if hits.any():
             any_hit = True
             carrier_ok &= bool(np.all(M(loc[hits])))
-        per_sample_ineq &= bool(np.all(B <= A + 1e-12))
-        for fi in range(nF):
-            diff = A[fi] - B[fi]
-            rows[fi]["nu_side"] += mi * float(A[fi].mean())
-            rows[fi]["swept_side"] += mi * float(B[fi].mean())
-            rows[fi]["var_diff"] += (mi * diff.std(ddof=1) / np.sqrt(n)) ** 2
-    for row in rows:
-        diff_est = McEstimate(
-            row["nu_side"] - row["swept_side"],
-            float(np.sqrt(row.pop("var_diff"))),
-            n * len(nu.points),
-        )
-        row["verdict"] = diff_est.verdict(0.0) if row["inside"] else diff_est.verdict_at_least(0.0)
-        row["difference"] = diff_est
+        per_sample_ineq &= bool(np.all(D >= 0))
+        mean += mi * D.mean(axis=1)
+        var += (mi * D.std(axis=1, ddof=1) / np.sqrt(n)) ** 2
+    rows = []
+    for F, spec, m, v in zip(targets, F_specs, mean, var):
+        diff_est = McEstimate(float(m), float(np.sqrt(v)), n * len(nu.points))
+        inside = bool(spec["inside"])
+        verdict = diff_est.verdict(0.0) if inside else diff_est.verdict_at_least(0.0)
+        rows.append(dict(F=F.name, inside=inside, verdict=verdict, difference=diff_est))
     return {
         "rows": rows,
         "per_sample_inequality": per_sample_ineq,
@@ -1348,6 +1342,8 @@ def domination_check(
 
     Each probe shares one batch of resolvent increments across every cloud
     point of both measures (common random numbers)."""
+    if beta <= 0:
+        raise PreconditionError("beta must be positive")
 
     def probe_row(B: TargetSet):
         t = rng.exponential(1.0 / beta, size=n)

@@ -202,11 +202,40 @@ def test_targets_reading_no_coordinate_are_decided_at_time_zero(setup):
 def test_capacity_beta_validation(setup):
     model, triplet = setup
     cloud = PointCloud(np.zeros((1, 8)), np.array([1.0]))
-    with pytest.raises(PreconditionError, match="beta must be positive"):
-        capacity(
-            triplet, cloud, whole_space(model), 0.0, 200,
-            PathConfig(dt=0.1, horizon=1.0), substream(0),
-        )
+    cfg = PathConfig(dt=0.1, horizon=1.0)
+    M = coord_halfspace(model, 1, 1.0, +1)
+    probes = [e_ball(model, np.zeros(8), 0.5)]
+    calls = [
+        lambda beta: capacity(triplet, cloud, whole_space(model), beta, 200, cfg, substream(0)),
+        lambda beta: balayage_check(
+            triplet, cloud, M, beta, [{"target": M, "inside": True}], 20, cfg, substream(0)
+        ),
+        lambda beta: domination_check(triplet, cloud, cloud, probes, probes, beta, 20, substream(0)),
+    ]
+    for call in calls:
+        for beta in (0.0, -1.0):
+            with pytest.raises(PreconditionError, match="beta must be positive"):
+                call(beta)
+
+
+def test_halfspace_capacity_draws_no_hit_location(setup, monkeypatch):
+    """capacity reads hit times alone, so a face-passage hit draws none of
+    the other coordinates at its time (no draw with an array time)."""
+    model, triplet = setup
+    timed = []
+    draw = potential.sample_increments
+
+    def counted(law, dt, n, rng):
+        if np.ndim(dt) > 0:
+            timed.append(n)
+        return draw(law, dt, n, rng)
+
+    monkeypatch.setattr(potential, "sample_increments", counted)
+    cloud = PointCloud(np.zeros((1, 8)), np.array([1.0]))
+    M = coord_halfspace(model, 1, 1.0, +1)
+    est = capacity(triplet, cloud, M, 1.0, 300, PathConfig(dt=0.01, horizon=10.0), substream(29))
+    assert est.mean > 0.0
+    assert timed == []
 
 
 def test_capacity_tightness_decreasing(setup):
@@ -600,19 +629,44 @@ def test_face_coords_must_be_declared():
 
 
 def test_occupancy_counts_every_grid_time_once(setup):
-    """F = whole space: every path's occupancy is the grid sum over steps
-    1..ceil(H/dt), whatever the block boundaries."""
+    """F = whole space: every path's occupancy is the grid sum over the
+    steps 1..k-1 before its hit step k (k = ceil(H/dt) + 1 for a miss),
+    whatever the block boundaries."""
     model, triplet = setup
     beta, cfg = 0.7, PathConfig(dt=0.02, horizon=3.01)  # 151 steps
+    n_steps = int(np.ceil(cfg.horizon / cfg.dt))
     M = coord_halfspace(model, 1, 0.5, +1)
-    for n in (50, 3000):  # blocks of 81 steps, and of one
-        T, A, B, _ = discounted_occupancy(
-            triplet, np.zeros(8), M, [whole_space(model)], beta, cfg, n, substream(25)
-        )
-        steps = np.arange(1, int(np.ceil(cfg.horizon / cfg.dt)) + 1)
-        exact = np.sum(np.exp(-beta * steps * cfg.dt) * cfg.dt)
-        assert np.all(np.abs(A[0] - exact) < 1e-12)
-        assert np.all(B[0] <= A[0] + 1e-12)
+    F = replace(whole_space(model), coords=None)  # reads all 8 coordinates, so all are stepped
+    for n in (50, 3000):  # blocks of 81 steps at first, and of one
+        T, D, _ = discounted_occupancy(triplet, np.zeros(8), M, [F], beta, cfg, n, substream(25))
+        k = np.where(np.isfinite(T), np.rint(T / cfg.dt), n_steps + 1).astype(int)
+        assert 0 < np.isfinite(T).mean() < 1
+        terms = np.exp(-beta * np.arange(1, n_steps + 1) * cfg.dt) * cfg.dt
+        exact = np.concatenate([[0.0], np.cumsum(terms)])[k - 1]
+        assert np.all(np.abs(D[0] - exact) < 1e-12)
+
+
+def test_occupancy_stops_each_path_at_its_hit(setup, monkeypatch):
+    """No path steps past its hit of M: the grid rows drawn are fewer than
+    every path stepped to the horizon, and at least each path's steps up
+    to its hit."""
+    model, triplet = setup
+    cfg = PathConfig(dt=0.02, horizon=20.0)
+    n, n_steps = 200, int(np.ceil(cfg.horizon / cfg.dt))
+    rows = []
+    draw = potential.sample_increments
+
+    def counted(law, dt, m, rng):
+        if np.ndim(dt) == 0:  # grid steps, not the draws of unstepped coords at the hits
+            rows.append(m)
+        return draw(law, dt, m, rng)
+
+    monkeypatch.setattr(potential, "sample_increments", counted)
+    M, F = coord_halfspace(model, 1, 0.5, +1), coord_halfspace(model, 1, -0.5, -1)
+    T, _, _ = discounted_occupancy(triplet, np.zeros(8), M, [F], 1.0, cfg, n, substream(28))
+    steps = np.where(np.isfinite(T), np.rint(T / cfg.dt), n_steps)
+    assert sum(rows) < n * n_steps
+    assert sum(rows) >= steps.sum()
 
 
 def _engine_hits(triplet, start, target, cfg, n, rng):
