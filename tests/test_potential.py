@@ -12,6 +12,7 @@ from levylab import potential
 from levylab.dirichlet import _exact_exit, e_ball_domain, sample_exits
 from levylab.lyapunov import gaussian_norm
 from levylab.measures import (
+    BAND_Z,
     JumpMeasure,
     LevyTriplet,
     McEstimate,
@@ -211,6 +212,9 @@ def test_capacity_beta_validation(setup):
             triplet, cloud, M, beta, [{"target": M, "inside": True}], 20, cfg, substream(0)
         ),
         lambda beta: domination_check(triplet, cloud, cloud, probes, probes, beta, 20, substream(0)),
+        lambda beta: capacity_tightness_profile(
+            _level_norm(model), triplet, cloud, [1.0], beta, 20, cfg, substream(0)
+        ),
     ]
     for call in calls:
         for beta in (0.0, -1.0):
@@ -250,6 +254,63 @@ def test_capacity_tightness_decreasing(setup):
     means = [p["estimate"].mean for p in prof]
     assert means[0] >= means[1] >= means[2]
     assert means[0] > 0.0
+
+
+def _level_norm(model):
+    return gaussian_norm(model, build_growth_basis(model, canonical_x(model)))
+
+
+@pytest.mark.parametrize("horizon", [1.0, 0.95])
+@pytest.mark.parametrize("shift", [0.0, 0.25])
+def test_level_control_has_mean_zero(setup, horizon, shift):
+    """C = e^(-beta S) h(X_S) / h(z_0) - 1 has mean 0 at S = T_L ^ the last
+    grid time, ceil(horizon / dt) dt (1.0 for both horizons), misses
+    included: 45-49% of the paths miss level 2 by then.  A control that
+    takes C = 0 for a miss reads z above 100 at level 2, and one that
+    stops the misses at the horizon 0.95, off the grid, fails that case."""
+    model, triplet = setup
+    cfg = PathConfig(dt=0.1, horizon=horizon)
+    times, control = potential._level_control(
+        _level_norm(model), triplet, np.full(8, shift), [1.0, 2.0], 1.0, cfg, 40000,
+        substream(31, horizon, shift),
+    )
+    assert np.isinf(times[1]).mean() > 0.3
+    for row in control:
+        est = McEstimate.from_samples(row)
+        assert abs(est.mean) < BAND_Z * est.stderr
+
+
+def test_capacity_tightness_control_narrows_the_band(setup):
+    """On the same paths, the corrected level estimates agree with the
+    plain means e^(-T_L) within the plain band, and at level 2 the band is
+    at least 1.5x narrower."""
+    model, triplet = setup
+    norm, cfg, levels = _level_norm(model), PathConfig(dt=0.05, horizon=15.0), [1.0, 2.0, 3.0]
+    cloud = PointCloud(np.zeros((1, 8)), np.array([1.0]))
+    prof = capacity_tightness_profile(norm, triplet, cloud, levels, 1.0, 2000, cfg, substream(32))
+    times = level_crossing_times(norm, triplet, np.zeros(8), levels, cfg, 2000, substream(32))
+    plain = [McEstimate.from_samples(np.exp(-t)) for t in times]  # exp(-inf) = 0
+    for p, q in zip(prof, plain):
+        assert abs(p["estimate"].mean - q.mean) <= BAND_Z * q.stderr
+    assert 1.5 * prof[1]["estimate"].stderr <= plain[1].stderr
+
+
+def test_capacity_tightness_needs_a_driftless_continuous_law(setup):
+    """The cosh product is a martingale only without jumps and drift."""
+    model, triplet = setup
+    atoms = np.zeros((2, 8))
+    atoms[:, 0] = (0.5, -0.5)
+    jump = LevyTriplet(
+        model, np.zeros(8), np.ones(8), JumpMeasure(intensity=1.0, kind="pointmass", atoms=atoms)
+    )
+    drift = LevyTriplet(model, np.full(8, 0.1), np.ones(8))
+    cloud = PointCloud(np.zeros((1, 8)), np.array([1.0]))
+    cfg = PathConfig(dt=0.1, horizon=1.0)
+    for law in (jump, drift):
+        with pytest.raises(PreconditionError, match="drift-free continuous"):
+            capacity_tightness_profile(
+                _level_norm(model), law, cloud, [1.0], 1.0, 30, cfg, substream(33)
+            )
 
 
 def test_level_crossing_monotone(setup):
@@ -421,11 +482,10 @@ def test_polarity_H_band_uses_confidence(setup, monkeypatch):
     model, triplet = setup
     n, fractions = 400, iter((0.5, 0.7, 0.1))  # hit fractions at rho = 2, 1, 0.5
 
-    def fake_hits(triplet, z, target, cfg, n, rng, refine=None):
-        hit = np.arange(n) < next(fractions) * n
-        return hit, np.zeros(n), np.zeros((n, model.dim))
+    def fake_hits(triplet, z, target, cfg, n, rng, refine=None, locate=True):
+        return np.where(np.arange(n) < next(fractions) * n, 0.0, np.inf), None
 
-    monkeypatch.setattr(potential, "simulate_hit_batch", fake_hits)
+    monkeypatch.setattr(potential, "_hit", fake_hits)
     balls = [h_ball(model, r) for r in (2.0, 1.0, 0.5)]
     start = 3.0 * model.basis_vector(1)
     cfg = PathConfig(dt=0.05, horizon=1.0)
@@ -434,6 +494,29 @@ def test_polarity_H_band_uses_confidence(setup, monkeypatch):
     rise, se = b.mean - a.mean, np.hypot(a.stderr, b.stderr)
     assert 3 * se < rise <= 3 * NormalDist().inv_cdf(0.9995) * se
     assert rep["verdict"] == "consistent with polarity"
+
+
+def test_polarity_draws_no_hit_location(setup, monkeypatch):
+    """polarity_diagnostic reads the hit mask alone, so a coordinate-ball
+    family, whose hits are exact face passages of c1, draws none of the
+    other coordinates at its hit times (no draw with an array time)."""
+    model, triplet = setup
+    timed = []
+    draw = potential.sample_increments
+
+    def counted(law, dt, n, rng):
+        if np.ndim(dt) > 0:
+            timed.append(n)
+        return draw(law, dt, n, rng)
+
+    monkeypatch.setattr(potential, "sample_increments", counted)
+    start = 0.5 * model.basis_vector(1)
+    intervals = [coord_ball(model, np.zeros(8), r, 1) for r in (0.4, 0.2, 0.1)]
+    rep = polarity_diagnostic(
+        triplet, intervals, [start], 300, PathConfig(dt=0.01, horizon=4.0), substream(23)
+    )
+    assert rep["rows"][0]["estimate"].mean > 0.5
+    assert timed == []
 
 
 def test_polarity_start_inside_the_largest_target_is_refused(setup):
