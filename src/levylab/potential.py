@@ -24,11 +24,13 @@ exit: with 1000 paths x 32 coordinates, a block larger than one step
 at 5.25 steps (40960 measured 5.72).
 
 The capacities of the complements of q_x level sets
-(`capacity_tightness_profile`) carry an exact martingale control variate
-from the same paths: e^(-beta t) prod_n cosh(theta_n <e_n^x, X_t>) is a
-martingale for a drift-free continuous law, so its value at the crossing
-(or the last grid time) has a known mean, and each level's samples are
-corrected with cross-fitted coefficients (`_level_control`,
+(`capacity_tightness_profile`) carry exact martingale control variates
+from the same paths: for a drift-free continuous law, e^(-beta t) prod_r
+cosh(theta_r <f_r, X_t>) is a martingale for each of five profiles shaped
+on the two parts of q_x^2 = Q + G^2, so its value at the crossing (or the
+last grid time) has a known mean.  The engine hands `observe` the entries
+it finds, which give each crossing's stop point, and each level's samples
+are corrected with jointly cross-fitted coefficients (`_level_control`,
 `_cross_fitted`).
 
 A single-target hit of a target that reads only its face coordinates
@@ -379,9 +381,12 @@ def _step_paths(
     read or stepped coordinate + 1.  A path steps until it has entered
     every target.  With one target, `refine(z_in, z_out)` moves an entering
     grid step's end point.  Targets are monitored at the grid points only;
-    `observe(t, idx, z, times)` sees the block grid times t (B,), points z
-    (B, len(idx), N') of the stepped paths idx, and the entry times found
-    so far, this block's included, to mask the points past an entry.
+    `observe(t, idx, z, times, entries)` sees the block grid times t (B,),
+    points z (B, len(idx), N') of the stepped paths idx, the entry times
+    found so far, this block's included, to mask the points past an entry,
+    and this block's entries (entered, first): entered (targets, len(idx))
+    marks the paths that entered each target in the block, and first holds
+    the step of the block where they did (read it only where entered).
     Paths take `n_steps` grid steps, by default ceil(horizon / dt).  Returns entry times (inf when missed) and entry
     points (the start when missed; none without locate).
 
@@ -473,7 +478,7 @@ def _step_paths(
             pending &= ~entered
             going = pending.any(axis=0)
         if observe is not None:
-            observe(t, ids, z, times)
+            observe(t, ids, z, times, (entered, first))
         if not entering or going.all():
             y[...] = path[nb - 1]
         else:  # the stopped paths leave the live set; the rest move on
@@ -1182,9 +1187,9 @@ def level_crossing_times(
 
     Returns an array (n_levels, n_paths) of times (inf when never).  Shared
     paths make the times nondecreasing across nested levels per path.
-    `observe(t, idx, z, times)` is handed to the engine (`_step_paths`) and
-    sees each block's full points; it draws nothing, so the times are the
-    same with or without it.
+    `observe(t, idx, z, times, entries)` is handed to the engine
+    (`_step_paths`) and sees each block's full points and entries; it draws
+    nothing, so the times are the same with or without it.
     """
     from .lyapunov import q_x_eval
 
@@ -1196,114 +1201,160 @@ def level_crossing_times(
     return times
 
 
-# The level-set control keeps the growth pairings up to the last whose share
-# w_n^2 s_n^2 is at least this fraction of the largest; each further one
-# costs a pairing a stop and adds almost nothing.  With weights 2^-n and unit
-# rates that is 9 pairings: on capacity_tightness's grid, 8 and 32 pairings
-# cut the level-2 variance alike (5.95 and 5.97x over 3 seeds), 6 by 5.83x.
+# Each profile of the level-set control keeps its forms up to the last whose
+# share theta^2 s^2 is at least this fraction of the largest; each further
+# one costs a form a stop and adds almost nothing.  With weights 2^-n and
+# unit rates that is 9 growth pairings: on capacity_tightness's grid, 8 and
+# 32 pairings cut the level-2 variance alike (5.95 and 5.97x over 3 seeds),
+# 6 by 5.83x.
 _CONTROL_SHARE = 4.0**-4
+
+# The exponents p of the profiles theta_n = kappa w_n^p on the growth
+# pairings; inf keeps the first pairing alone.  Fitted jointly with the
+# coordinate profile of q_x's Q term, they cut the variance 1.23/1.54/1.66x
+# below the p = 1 profile alone at levels 1/2/3 (median of 40 seeds at the
+# shipped capacity grid); further exponents added nothing
+# (BENCH_capacity_family.json).
+_PAIRING_EXPONENTS = (1.0, 1.5, 2.0, np.inf)
 
 
 def _level_control(norm, triplet: LevyTriplet, start, levels, beta: float, cfg, n_paths, rng):
-    """Crossing times of the q_x levels (`level_crossing_times`) from one
-    start and, per (level, path), a control C with E C = 0 exactly, from the
-    same paths.
+    """Crossing times (levels, paths) of the q_x levels
+    (`level_crossing_times`) from one start and, per (level, profile, path),
+    a control C with E C = 0 exactly, from the same paths: (levels,
+    profiles, paths).
 
-    The growth pairings p_n = <e_n^x, z> read disjoint coordinate blocks, so
-    under a drift-free continuous diagonal law they are independent Brownian
-    motions with rates s_n^2 = sum_j e_nj^2 g_j.  Over the first m of them
-    (`_CONTROL_SHARE`), with theta_n = kappa w_n, w_n = 2^(-n/2) the weights
-    of q_x's G term and (1/2) sum theta_n^2 s_n^2 = beta, h(z) = prod_n
-    cosh(theta_n p_n) has generator eigenvalue beta, so e^(-beta t) h(X_t)
-    is a martingale on the grid too.  At the bounded stopping time S = T_L ^
+    A profile is a product h(z) = prod_r cosh(theta_r <f_r, z>) over linear
+    forms f_r with disjoint coordinate supports.  Under a drift-free
+    continuous diagonal law the <f_r, X_t> are independent Brownian motions
+    with rates s_r^2 = sum_j f_rj^2 g_j, so with (1/2) sum theta_r^2 s_r^2 =
+    beta, h has generator eigenvalue beta and e^(-beta t) h(X_t) is a
+    martingale, on the grid too.  At the bounded stopping time S = T_L ^
     (last grid time, ceil(horizon/dt) dt), optional stopping gives
     E e^(-beta S) h(X_S) = h(z_0), so C = e^(-beta S) h(X_S) / h(z_0) - 1
-    has mean 0 (Henderson and Glynn 2002).  Since h <= e^(kappa G) <=
-    e^(kappa q_x), C is bounded on a miss.  One scalar per (level, path) is
-    kept, its log, from the stop point taken at the block where the path
-    enters the level or, for a miss, at the last grid time; log cosh a =
-    a + log(1 + e^(-2a)) - log 2 keeps it finite at any level."""
+    has mean 0 (Henderson and Glynn 2002).  The profiles:
+      - the growth pairings p_n = <e_n^x, z> with theta_n = kappa w_n^p, for
+        each p in _PAIRING_EXPONENTS, w_n = 2^(-n/2) the weights of q_x's G
+        term: p = 1 is G's own shape, p = inf keeps p_1 alone;
+      - the coordinates with theta_j = kappa sqrt(coef_j), the shape of
+        q_x's Q term.
+    Each keeps its forms up to the last with a large share
+    (`_CONTROL_SHARE`), and a profile whose forms the law does not move is
+    left out.  Every h is at most e^(c q_x) for a constant c, so C is
+    bounded on a miss.
+
+    One scalar per (level, profile, path) is kept, its log, from the stop
+    point: the block's entries, which the engine hands `observe`, give each
+    entering path's step, and a miss stops at the last grid time.  log cosh
+    a = a + log(1 + e^(-2a)) - log 2 keeps it finite at any level."""
     if triplet.jumps is not None or triplet.drift.any():
         raise PreconditionError("the level-set control needs a drift-free continuous law")
     basis = norm.growth_basis.basis
-    w2 = 2.0 ** -np.arange(1, basis.shape[0] + 1)  # w_n^2
-    share = w2 * (basis**2 @ triplet.gaussian_diag)  # w_n^2 s_n^2
-    if not share.any():
-        raise PreconditionError("the law moves no growth pairing")
-    # the pairings up to the last with a large share, and the coordinates up
-    # to the last they read: few, since the blocks run on from coordinate 1
-    m = 1 + np.flatnonzero(share >= _CONTROL_SHARE * share.max())[-1]
-    width = 1 + np.flatnonzero(basis[:m].any(axis=0))[-1]
-    # theta_n e_n^x, so that scaled @ z[:, :width].T holds theta_n p_n
-    theta = np.sqrt(2.0 * beta / share[:m].sum() * w2[:m])
-    scaled = basis[:m, :width] * theta[:, None]
+    rates = basis**2 @ triplet.gaussian_diag  # s_n^2 of the growth pairings
+    ratio = 0.5 ** np.arange(basis.shape[0])  # w_n^2 / w_1^2
+    # (forms, their rates, theta^2 up to scale) of each profile
+    shapes = [(basis, rates, ratio**p) for p in _PAIRING_EXPONENTS]
+    shapes.append((np.eye(basis.shape[1]), triplet.gaussian_diag, norm.coef))
+    blocks, spans = [], []  # the rows theta_r f_r of each profile, and their span
+    for forms, rate, u2 in shapes:
+        share = u2 * rate  # theta_r^2 s_r^2 up to scale
+        if not share.any():  # the law moves none of its forms
+            continue
+        m = 1 + np.flatnonzero(share >= _CONTROL_SHARE * share.max())[-1]
+        theta = np.sqrt(2.0 * beta / share[:m].sum() * u2[:m])
+        begin = spans[-1].stop if spans else 0
+        spans.append(slice(begin, begin + m))
+        blocks.append(forms[:m] * theta[:, None])
+    if not blocks:
+        raise PreconditionError("the law moves no form of any control profile")
+    scaled = np.concatenate(blocks)
+    # the coordinates up to the last any profile reads: few, since the forms
+    # run on from coordinate 1; scaled @ z[:, :width].T holds theta_r <f_r, z>
+    width = 1 + np.flatnonzero(scaled.any(axis=0))[-1]
+    scaled = scaled[:, :width]
 
-    def log_h(z):  # log h + m log 2 at points (rows, width): sum a + log prod(1 + e^-2a)
+    def log_h(z):  # log h + (forms) log 2 per profile at points (rows, width)
         a = scaled @ z.T
         np.abs(a, out=a)
-        total = a.sum(axis=0)
+        total = [a[span].sum(axis=0) for span in spans]  # sum a
         a *= -2.0
         np.exp(a, out=a)
         a += 1.0
-        return total + np.log(a.prod(axis=0))
+        return np.array([s + np.log(a[span].prod(axis=0)) for s, span in zip(total, spans)])
 
     levels = np.asarray(levels, dtype=float)
-    log0 = log_h(np.asarray(start, dtype=float)[None, :width])[0]
-    # log(e^(-beta S) h(X_S) / h(z_0)), flat over (level, path); 0 where S = 0
-    log_ratio = np.zeros(levels.size * n_paths)
+    log0 = log_h(np.asarray(start, dtype=float)[None, :width])
+    # log(e^(-beta S) h(X_S) / h(z_0)) per profile, flat over (level, path);
+    # 0 where S = 0
+    log_ratio = np.zeros((len(spans), levels.size * n_paths))
     t_end = int(np.ceil(cfg.horizon / cfg.dt)) * cfg.dt
-    # (flat indices, stop points) of blocks not yet evaluated, settled at a
-    # quarter of an engine block: few log_h calls, and a peak memory within
-    # about 100 KB of the crossing times' own
+    # (flat indices, S, stop points) of blocks not yet evaluated, settled at
+    # a quarter of an engine block: few log_h calls, and a peak memory close
+    # to the crossing times' own
     held, n_held = [], 0
 
-    def settle(flat):  # one log_h call for the held stops; S = min(T_L, t_end)
-        f, pts = (np.concatenate(part) for part in zip(*held))
-        log_ratio[f] = log_h(pts) - beta * np.minimum(flat[f], t_end) - log0
+    def settle():
+        f, stop, pts = (np.concatenate(part) for part in zip(*held))
+        log_ratio[:, f] = log_h(pts) - beta * stop - log0
         held.clear()
 
-    def observe(t, idx, z, times):
+    def observe(t, idx, z, times, entries):
         nonlocal n_held
-        flat = times.ravel()
-        stops = flat >= t[0]  # entered in this block, or still awaited
-        if t[-1] != t_end:  # a miss stops at the last grid time only
-            stops &= flat <= t[-1]
-        f = np.flatnonzero(stops)
+        entered, first = entries
+        f = np.flatnonzero(entered)  # level * live + row
+        steps = first.ravel()[f]
+        if t[-1] == t_end:  # a miss stops at the last grid time
+            missed = np.flatnonzero(np.isinf(times[:, idx]))
+            f = np.concatenate((f, missed))
+            steps = np.concatenate((steps, np.full(missed.size, t.size - 1)))
         if not f.size:
             return
-        # each stop's step in the block (a miss's inf: the last) and live row
-        s = 0 if t.size == 1 else np.minimum(np.searchsorted(t, flat[f]), t.size - 1)
-        rows = np.searchsorted(idx, f % n_paths)  # the live ids are in path order
-        held.append((f, z[s, rows, :width]))
+        level, rows = np.divmod(f, idx.size)
+        held.append((level * n_paths + idx[rows], t[steps], z[steps, rows, :width]))
         n_held += f.size * width
         if n_held >= _BLOCK // 4:
-            settle(flat)
+            settle()
             n_held = 0
 
     times = level_crossing_times(norm, triplet, start, levels, cfg, n_paths, rng, observe)
     if held:
-        settle(times.ravel())
-    return times, np.expm1(log_ratio).reshape(levels.size, n_paths)
+        settle()
+    control = np.expm1(log_ratio).reshape(len(spans), levels.size, n_paths)
+    return times, control.transpose(1, 0, 2)
 
 
 def _cross_fitted(y: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Control-variate residuals y - b c, row by row of (rows, n) samples,
-    each half of the n columns corrected with the least-squares b fitted on
-    the other half (Glasserman 2003, section 4.1).  Every column's b is
-    independent of it, so with E c = 0 the residuals' mean is exactly
-    unbiased; b = 0 where a half has fewer than 2 columns or a constant c."""
+    """Control-variate residuals y - b . c, row by row of (rows, n) samples
+    with k controls each, c (rows, k, n).  Each half of the n columns is
+    corrected with the coefficients b fitted jointly, by least squares with
+    an intercept, on the other half (Glasserman 2003, section 4.1).  Every
+    column's b is independent of it, so with E c = 0 the residuals' mean is
+    exactly unbiased, however b is rounded.  b = 0 where the fitting half
+    has fewer than k + 2 columns or its design [1, c] is singular (a
+    constant or a repeated control): a Gauss-Jordan pivot of the normal
+    equations, the squared part of a column that the earlier ones leave,
+    falls within columns x eps of the column's squared norm.  The normal
+    equations are solved here, not by LAPACK, whose first call in a process
+    maps 0.2-0.7 MB of library pages into the resident set."""
     out = y.copy()
-    n = y.shape[-1]
+    n, k = y.shape[-1], c.shape[-2]
     first, second = slice(0, n // 2), slice(n // 2, n)
     for fit, use in ((second, first), (first, second)):
-        yf, cf = y[:, fit], c[:, fit]
-        if cf.shape[-1] < 2:
+        cf = c[:, :, fit]
+        m = cf.shape[-1]
+        if m < k + 2:
             continue
-        cc = cf - cf.mean(axis=-1, keepdims=True)
-        var = (cc * cc).sum(axis=-1)
-        cov = (cc * (yf - yf.mean(axis=-1, keepdims=True))).sum(axis=-1)
-        b = np.divide(cov, var, out=np.zeros_like(var), where=var > 0)
-        out[:, use] -= b[:, None] * c[:, use]
+        design = np.concatenate((np.ones_like(cf[:, :1]), cf), axis=1)  # (rows, k + 1, m)
+        # the normal equations, their right-hand side in the last column
+        a = design @ np.concatenate((design, y[:, None, fit]), axis=1).transpose(0, 2, 1)
+        floor = m * np.finfo(float).eps * a.diagonal(axis1=1, axis2=2)
+        ok = np.ones(len(a), dtype=bool)
+        for p in range(k + 1):  # a Gram matrix needs no row exchanges
+            ok &= a[:, p, p] > floor[:, p]
+            row = a[:, p] / np.where(ok, a[:, p, p], 1.0)[:, None]
+            a -= a[:, :, p, None] * row[:, None]
+            a[:, p] = row
+        out[ok, use] -= (a[ok, None, 1:, -1] @ c[ok, :, use])[:, 0]
     return out
 
 
@@ -1323,7 +1374,7 @@ def discounted_occupancy(
     nu the start's point mass.  Returns (T_M array, D matrix, hit locations)."""
     D = np.zeros((len(F_targets), n_paths))
 
-    def observe(t, idx, z, times):
+    def observe(t, idx, z, times, entries):
         w = (np.exp(-beta * t) * cfg.dt)[:, None] * (t[:, None] < times[0, idx])
         for fi, F in enumerate(F_targets):
             D[fi, idx] += (w * F(z)).sum(axis=0)
@@ -1382,11 +1433,12 @@ def capacity_tightness_profile(
 ):
     """c_lambda of the complements of nested q_x level sets, on common paths.
 
-    Each level's samples e^(-beta T_L) / beta are corrected by the exact
-    martingale control of `_level_control`, drawn from the same paths with
-    no extra draw, with cross-fitted coefficients (`_cross_fitted`): the
-    estimate stays exactly unbiased, its stderr comes from the residuals,
-    and the bands are 1.8-3.9x narrower at the shipped configs' levels.
+    Each level's samples e^(-beta T_L) / beta are corrected by the five
+    exact martingale controls of `_level_control`, from the same paths with
+    no extra draw, with coefficients fitted jointly on the other half of
+    the paths (`_cross_fitted`): the estimate stays exactly unbiased, its
+    stderr comes from the residuals, and the bands are 2.0-4.8x narrower
+    than the plain means' at the shipped configs' levels.
     Shared paths keep the plain discount factors nonincreasing across
     levels per path, but the corrected means are ordered only in law.  The
     law must be drift-free and continuous (PreconditionError otherwise)."""

@@ -263,11 +263,13 @@ def _level_norm(model):
 @pytest.mark.parametrize("horizon", [1.0, 0.95])
 @pytest.mark.parametrize("shift", [0.0, 0.25])
 def test_level_control_has_mean_zero(setup, horizon, shift):
-    """C = e^(-beta S) h(X_S) / h(z_0) - 1 has mean 0 at S = T_L ^ the last
-    grid time, ceil(horizon / dt) dt (1.0 for both horizons), misses
-    included: 45-49% of the paths miss level 2 by then.  A control that
-    takes C = 0 for a miss reads z above 100 at level 2, and one that
-    stops the misses at the horizon 0.95, off the grid, fails that case."""
+    """Every control of the family, C = e^(-beta S) h(X_S) / h(z_0) - 1,
+    has mean 0 at S = T_L ^ the last grid time, ceil(horizon / dt) dt (1.0
+    for both horizons), misses included: 45-49% of the paths miss level 2
+    by then.  A control that takes C = 0 for a miss reads z above 100 at
+    level 2; one that stops the misses at the horizon 0.95, off the grid,
+    fails that case, and so does a profile whose theta is not scaled to
+    (1/2) sum theta^2 s^2 = beta."""
     model, triplet = setup
     cfg = PathConfig(dt=0.1, horizon=horizon)
     times, control = potential._level_control(
@@ -275,9 +277,111 @@ def test_level_control_has_mean_zero(setup, horizon, shift):
         substream(31, horizon, shift),
     )
     assert np.isinf(times[1]).mean() > 0.3
-    for row in control:
+    assert control.shape == (2, len(potential._PAIRING_EXPONENTS) + 1, 40000)
+    for row in control.reshape(-1, 40000):
         est = McEstimate.from_samples(row)
         assert abs(est.mean) < BAND_Z * est.stderr
+
+
+def test_level_control_leaves_out_unmoved_profiles(setup):
+    """A law that freezes coordinate 1 moves no form of the p = inf
+    profile, the first growth pairing alone, so that control is left out;
+    a law that moves nothing has no control and raises."""
+    model, _ = setup
+    g = np.ones(8)
+    g[0] = 0.0
+    cfg = PathConfig(dt=0.1, horizon=1.0)
+    _, control = potential._level_control(
+        _level_norm(model), LevyTriplet(model, np.zeros(8), g), np.zeros(8), [1.0], 1.0, cfg,
+        50, substream(36),
+    )
+    assert control.shape == (1, len(potential._PAIRING_EXPONENTS), 50)
+    still = LevyTriplet(model, np.zeros(8), np.zeros(8))
+    with pytest.raises(PreconditionError, match="no form of any control profile"):
+        potential._level_control(_level_norm(model), still, np.zeros(8), [1.0], 1.0, cfg, 50, substream(36))
+
+
+def test_level_control_stops_at_the_engine_entries(setup, monkeypatch):
+    """The entries the engine hands `observe` are the crossing times: a
+    path is marked entered in a block exactly when its time falls in the
+    block, at the step first points to.  The family's first control, the
+    G-profile product, is bit for bit the single control computed from stops
+    found by searching each block's grid times for the crossing times."""
+    model, triplet = setup
+    norm, cfg, beta = _level_norm(model), PathConfig(dt=0.05, horizon=3.0), 1.0
+    start = np.full(8, 0.1)
+    blocks = []
+    crossing = potential.level_crossing_times
+
+    def recorded(*args):
+        inner = args[-1]
+
+        def observe(t, idx, z, times, entries):
+            blocks.append((t, idx.copy(), z.copy(), entries[0].copy(), entries[1].copy()))
+            inner(t, idx, z, times, entries)
+
+        return crossing(*args[:-1], observe)
+
+    monkeypatch.setattr(potential, "level_crossing_times", recorded)
+    times, control = potential._level_control(
+        norm, triplet, start, [1.0, 2.0], beta, cfg, 500, substream(34)
+    )
+    assert np.isinf(times[1]).any() and np.isfinite(times[1]).any()
+    # entries agree with times, for every target and live path of each block
+    for t, idx, _, entered, first in blocks:
+        tt = times[:, idx]
+        assert np.array_equal(entered, (tt >= t[0]) & (tt <= t[-1]))
+        assert np.array_equal(t[first[entered]], tt[entered])
+    # the reference: stops searched in the times, the G profile evaluated
+    basis = norm.growth_basis.basis
+    w2 = 2.0 ** -np.arange(1, basis.shape[0] + 1)
+    share = w2 * (basis**2 @ triplet.gaussian_diag)
+    m = 1 + np.flatnonzero(share >= potential._CONTROL_SHARE * share.max())[-1]
+    width = 1 + np.flatnonzero(basis[:m].any(axis=0))[-1]
+    scaled = basis[:m, :width] * np.sqrt(2.0 * beta / share[:m].sum() * w2[:m])[:, None]
+
+    def log_h(z):
+        a = np.abs(scaled @ z.T)
+        return a.sum(axis=0) + np.log((1.0 + np.exp(-2.0 * a)).prod(axis=0))
+
+    t_end = int(np.ceil(cfg.horizon / cfg.dt)) * cfg.dt
+    stopped = np.nonzero(times > 0)
+    stops = np.minimum(times[stopped], t_end)
+    points = []
+    for li, path, stop in zip(*stopped, stops):
+        t, idx, z, _, _ = next(b for b in blocks if b[0][0] <= stop <= b[0][-1])
+        points.append(z[np.searchsorted(t, stop), np.searchsorted(idx, path), :width])
+    expected = np.zeros_like(times)
+    expected[stopped] = np.expm1(
+        log_h(np.array(points)) - beta * stops - log_h(start[None, :width])[0]
+    )
+    assert np.array_equal(control[:, 0], expected)
+
+
+def test_cross_fitted_falls_back_to_the_plain_samples():
+    """Joint least squares on each half, applied to the other: b = 0 for a
+    half whose design is singular (a control constant there, or two equal
+    controls) or that has fewer than k + 2 columns, so the residuals there
+    are the plain samples.  The residuals stay finite (a RuntimeWarning
+    fails the test), and with a full design both halves are corrected."""
+    rng = substream(35)
+    n = 400
+    y = rng.normal(size=(2, n))
+    good = y + 0.5 * rng.normal(size=(2, n))
+    noise = rng.normal(size=(2, n))
+    constant = noise.copy()
+    constant[:, : n // 2] = 0.25  # constant on the first half only
+    resid = potential._cross_fitted(y, np.stack([good, constant], axis=1))
+    assert np.all(np.isfinite(resid))
+    assert np.array_equal(resid[:, n // 2 :], y[:, n // 2 :])  # fitted on the constant half
+    assert not np.array_equal(resid[:, : n // 2], y[:, : n // 2])
+    for c in (np.stack([good, good, noise], axis=1), np.stack([good, noise], axis=1)[..., :6]):
+        m = c.shape[-1]
+        resid = potential._cross_fitted(y[:, :m], c)
+        assert np.all(np.isfinite(resid))
+        assert np.array_equal(resid, y[:, :m])
+    resid = potential._cross_fitted(y, np.stack([good, noise], axis=1))
+    assert np.all(resid.var(axis=1) < 0.5 * y.var(axis=1))
 
 
 def test_capacity_tightness_control_narrows_the_band(setup):
@@ -900,7 +1004,7 @@ def test_blocks_stay_within_the_budget(monkeypatch, full_width):
     potential._step_paths(
         triplet, np.zeros(32), lambda z: target(z)[None], target.coords,
         PathConfig(dt=0.01, horizon=4.0), 1200, substream(45, full_width),
-        observe=lambda t, idx, z, times: blocks.append((t.size, idx.size)),
+        observe=lambda t, idx, z, times, entries: blocks.append((t.size, idx.size)),
     )
     assert len(sizes) == len(blocks)
     for size, (nb, live) in zip(sizes, blocks):
