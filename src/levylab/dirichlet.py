@@ -51,10 +51,7 @@ class Domain:
             if self.model.e_norm(x - form.center) + r >= math.sqrt(form.r2):
                 raise PreconditionError("inner ball does not fit inside the domain")
             return e_ball_domain(self.model, x, r)
-        faces = self.exit_target.faces  # every low face, then every high one
-        cols = sorted({j for j, _, _ in faces})
-        lo = np.array([v for _, v, side in faces if side < 0])
-        hi = np.array([v for _, v, side in faces if side > 0])
+        cols, lo, hi = self.exit_target.face_box()
         xs = x[cols]
         if not (np.all(lo < xs - r) and np.all(xs + r < hi)):
             raise PreconditionError("inner neighborhood does not fit inside the domain")
@@ -107,7 +104,11 @@ BoundaryData = TestFunction
 class DirichletEstimate:
     estimate: McEstimate
     non_exit_fraction: float
-    flagged: bool
+
+    @property
+    def flagged(self) -> bool:
+        """More paths cut off by the horizon than a solve tolerates."""
+        return self.non_exit_fraction > _MAX_NON_EXIT
 
 
 def _exact_exit(domain: Domain):
@@ -188,11 +189,9 @@ def solve(
     vals = np.zeros(n)
     if hit.any():
         vals[hit] = f(loc[hit])
-    frac = float(1.0 - hit.mean())
     return DirichletEstimate(
         estimate=McEstimate.from_samples(vals),
-        non_exit_fraction=frac,
-        flagged=frac > _MAX_NON_EXIT,
+        non_exit_fraction=float(1.0 - hit.mean()),
     )
 
 
@@ -294,7 +293,10 @@ class SequenceRecord:
 @dataclass(frozen=True)
 class ControlReport:
     records: tuple
-    all_pass: bool
+
+    @property
+    def all_pass(self) -> bool:
+        return all(r.verdict == "pass" for r in self.records)
 
 
 # the control's limsup is read off its largest value over the last _TAIL
@@ -338,9 +340,7 @@ def controlled_convergence_check(
             ratio = hv / (1.0 + kv)
             ok = abs(ratio[-1]) <= tol
         records.append(SequenceRecord(branch, "pass" if ok else "fail"))
-    return ControlReport(
-        records=tuple(records), all_pass=all(r.verdict == "pass" for r in records)
-    )
+    return ControlReport(records=tuple(records))
 
 
 def majorant_stability_check(

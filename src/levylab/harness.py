@@ -1,11 +1,12 @@
 """Experiment orchestration: config ingestion, execution, persistence.
 
 Determinism contract: a fixed (config, seed) pair produces byte-identical
-CSV output across runs and across worker counts.  Every experiment draws
-from its own SFC64 stream, seeded through `SeedSequence` from the SHA-256 of
-the seed and the experiment's name (unique within a config, defaulting to
-its operation), and rows are written in config order, so parallel
-scheduling never reaches the output.
+CSV output across runs and across worker counts.  The harness alone keys
+the randomness: `_execute` hands every experiment its own SFC64 stream,
+`rng.substream(seed, name)`, keyed by the seed and the experiment's name
+(unique within a config, defaulting to its operation), and rows are
+written in config order, so parallel scheduling never reaches the output.
+Specs are built only by `run`, from a config `load_config` has validated.
 Wall-clock times are reported only in the JSON detail, never in the CSV.
 """
 
@@ -19,12 +20,12 @@ import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
 from .measures import DEFAULT_CONFIDENCE
-from .rng import ALGORITHM
+from .rng import ALGORITHM, substream
 from .suite import PARAMETERS, REGISTRY
 
 CSV_COLUMNS = ("experiment", "op", "param_hash", "mean", "stderr", "n", "target", "verdict", "seconds")
@@ -38,17 +39,9 @@ class ConfigError(ValueError):
 class ExperimentSpec:
     name: str
     operation: str
-    parameters: dict = field(default_factory=dict)
-    samples: int = 1000
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.operation not in REGISTRY:
-            raise ConfigError(
-                f"experiment {self.name!r}: unknown operation {self.operation!r}"
-            )
-        if self.samples < 100:
-            raise ConfigError(f"experiment {self.name!r}: samples must be >= 100")
+    parameters: dict
+    samples: int
+    seed: int
 
     @property
     def param_hash(self) -> str:
@@ -153,7 +146,8 @@ def load_config(path) -> dict:
 def _execute(spec: ExperimentSpec) -> RunRecord:
     t0 = time.perf_counter()
     try:
-        rows = REGISTRY[spec.operation](spec.parameters, spec.samples, spec.seed, spec.name)
+        rng = substream(spec.seed, spec.name)
+        rows = REGISTRY[spec.operation](spec.parameters, spec.samples, rng)
         return RunRecord(spec, rows, time.perf_counter() - t0)
     except Exception:  # recorded with its traceback, run continues
         return RunRecord(spec, [], time.perf_counter() - t0, error=traceback.format_exc())

@@ -14,6 +14,7 @@ time randomization: v_0(z) = E[q_x^2(z + Z_T)], T ~ Exp(1).  No quadrature,
 no bias; the only error is statistical.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,42 +23,30 @@ from .measures import InstabilityError, LevyTriplet, McEstimate, sample_incremen
 from .space import GrowthBasis, SpaceModel
 
 
-def select_subsequence(model: SpaceModel, depth: int) -> list[int]:
-    """Minimal strictly increasing m_1 < ... < m_depth with, at each level n,
+def select_subsequence(model: SpaceModel) -> list[int]:
+    """The deepest certified subsequence, in one greedy pass: the minimal
+    strictly increasing m_1 < m_2 < ... with, at each level n,
 
         sqrt(lambda_{m+1}) <= 2^-n          (operator-norm certificate)
         sum_{k>m} lambda_k <= 8^-n          (Chebyshev tail certificate, t<=1)
 
-    Tails are taken against the weight generator formula when one is known,
-    so the certificates are those of the untruncated sequence.
+    ending before the first level no m <= dim certifies.  Tails are taken
+    against the weight generator formula when one is known, so the
+    certificates are those of the untruncated sequence.  Level 1 always
+    certifies (m = dim meets both of its bounds), so the list is never empty.
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
     out: list[int] = []
     m = 0
-    for n in range(1, depth + 1):
-        m = max(m + 1, 1) if out else 1
+    for n in itertools.count(1):
+        m += 1
         while m <= model.dim and not (
             np.sqrt(model.weight_after(m)) <= 2.0**-n
             and model.weight_tail(m) <= 8.0**-n
         ):
             m += 1
         if m > model.dim:
-            raise ValueError(
-                f"truncation dim={model.dim} cannot certify subsequence depth {n}"
-            )
+            return out
         out.append(m)
-    return out
-
-
-def _max_depth(model: SpaceModel) -> int:
-    depth = 0
-    try:
-        while True:
-            select_subsequence(model, depth + 1)
-            depth += 1
-    except ValueError:
-        return depth
 
 
 @dataclass(frozen=True)
@@ -77,7 +66,7 @@ class LyapunovNorm:
 
 def gaussian_norm(model: SpaceModel, growth_basis: GrowthBasis) -> LyapunovNorm:
     """The gaussian kind, to the deepest subsequence the truncation certifies."""
-    bounds = (0, *select_subsequence(model, _max_depth(model)), model.dim)
+    bounds = (0, *select_subsequence(model), model.dim)
     dyadic = np.repeat(2.0 ** np.arange(len(bounds) - 1), np.diff(bounds))
     return LyapunovNorm(model, growth_basis, dyadic * model.weights)
 

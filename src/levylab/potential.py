@@ -148,6 +148,18 @@ class TargetSet:
     def __call__(self, z: np.ndarray) -> np.ndarray:
         return np.asarray(self.membership(np.asarray(z, dtype=float)), dtype=bool)
 
+    def face_box(self):
+        """(cols, lo, hi): the box of intervals (lo_i, hi_i) that the faces
+        leave on each face coordinate cols_i, in increasing order; the
+        nearest face on each side bounds the box, and a side with no face
+        is infinite."""
+        cols = np.array(sorted({j for j, _, _ in self.faces}), dtype=int)
+        lo, hi = np.full(cols.size, -np.inf), np.full(cols.size, np.inf)
+        for j, v, side in self.faces:
+            i = np.searchsorted(cols, j)
+            lo[i], hi[i] = (max(lo[i], v), hi[i]) if side < 0 else (lo[i], min(hi[i], v))
+        return cols, lo, hi
+
 
 @dataclass(frozen=True)
 class PointCloud:
@@ -807,7 +819,7 @@ def _face_passage(
     the start for a miss; None without locate, which draws no location.
 
     The target's complement is the box of the intervals (lo_j, hi_j) that
-    the faces leave on each face coordinate j.  A start inside the target
+    the faces leave on each face coordinate j (`TargetSet.face_box`).  A start inside the target
     hits at time 0 and draws nothing.  Under a continuous law, or jumps that
     move no face coordinate, the exit is `_box_exit`; under jumps that move
     one, `_jump_exit`.  A path hits when T <= cfg.horizon; the coordinates
@@ -820,11 +832,7 @@ def _face_passage(
     """
     z0 = _starts(start, n_paths)
     dim = z0.shape[1]
-    cols = np.array(sorted(set(target.coords)))
-    lo, hi = np.full(cols.size, -np.inf), np.full(cols.size, np.inf)
-    for j, v, side in target.faces:  # the nearest face on each side bounds the box
-        i = np.searchsorted(cols, j)
-        lo[i], hi[i] = (max(lo[i], v), hi[i]) if side < 0 else (lo[i], min(hi[i], v))
+    cols, lo, hi = target.face_box()
     g = triplet.gaussian_diag[cols]
     times = np.where(target(z0), 0.0, np.inf)
     live = np.flatnonzero(np.isinf(times))
@@ -1550,8 +1558,7 @@ def domination_check(
     out = {"hypothesis_rows": hyp_rows, "hypothesis_ok": hypothesis_ok}
     if not hypothesis_ok:
         out["conclusion_rows"] = []
-        out["conclusion_ok"] = None
-        out["note"] = "hypothesis not satisfied on G; conclusion skipped"
+        out["conclusion_ok"] = None  # hypothesis not satisfied on G: conclusion skipped
         return out
     conc_rows = [probe_row(B) for B in probes_out_G]
     out["conclusion_rows"] = conc_rows

@@ -1,10 +1,11 @@
 """Registry of named experiments for the CLI harness.
 
-Each experiment maps (parameters, samples, seed, name) to a list of result
-rows.  Randomness is drawn only from the SFC64 substream keyed by
-the seed and the experiment's config name (which defaults to its
-operation), so results are independent of worker scheduling, and two
-experiments running one operation under different names draw independently.
+Each experiment maps (parameters, samples, rng) to a list of result rows,
+and draws its randomness from `rng` alone.  The harness keys that stream
+(`harness._execute`) by the seed and the experiment's config name (which
+defaults to its operation), so results are independent of worker
+scheduling, and two experiments running one operation under different
+names draw independently.
 
 An experiment's time grid and dimension are fixed here: the path
 experiments each keep one `PathConfig`, and every experiment runs at N = 32
@@ -76,7 +77,6 @@ from .potential import (
     simulate_hit_batch,
     whole_space,
 )
-from .rng import substream
 from .space import build_growth_basis, canonical_x, make_space
 
 
@@ -150,11 +150,10 @@ _BALAYAGE_GRID = PathConfig(dt=0.02, horizon=12.0)
 _DOMINATION_GRID = PathConfig(dt=0.02, horizon=12.0)
 
 
-def _brownian(dim, seed, name):
-    """Model of dimension `dim`, its unit Brownian triplet and the
-    experiment's stream."""
+def _brownian(dim):
+    """Model of dimension `dim` and its unit Brownian triplet."""
     model = make_space(dim)
-    return model, brownian_triplet(model), substream(seed, name)
+    return model, brownian_triplet(model)
 
 
 def _norm(model, kind):
@@ -164,10 +163,10 @@ def _norm(model, kind):
     return levy_norm(model, growth_basis)
 
 
-def variance_identity(params, samples, seed, name):
+def variance_identity(params, samples, rng):
     """Criterion 1: E<xi, z + Z_t>^2 = t|xi|^2 + <xi, z>^2; a cell (xi, t)
     holds when both starts pass, and at least 8 of the 9 cells must."""
-    model, triplet, rng = _brownian(_DIM, seed, name)
+    model, triplet = _brownian(_DIM)
     dim = model.dim
     z_rand = rng.standard_normal(dim)
     xis = {
@@ -199,10 +198,10 @@ def _v0_rows(norm, triplet, bounds, params, samples, rng):
     return rows
 
 
-def gaussian_lyapunov(params, samples, seed, name):
+def gaussian_lyapunov(params, samples, rng):
     """Criterion 2: q_x^2 <= v_0 <= 2 q_x^2 + 2 E q_x^2(Z_1) at `points`
     random starts; every lower bound holds and at most one upper misses."""
-    model, triplet, rng = _brownian(_DIM, seed, name)
+    model, triplet = _brownian(_DIM)
     norm = _norm(model, "gaussian")
     mass = qx_square_mean(norm, triplet, 1.0, samples, rng)
     rows = [_row("qx2_mass_at_1", est=mass)]
@@ -224,12 +223,11 @@ def _jump_triplet(dim):
     )
 
 
-def levy_sandwich(params, samples, seed, name):
+def levy_sandwich(params, samples, rng):
     """Criterion 3: q_x^2/2 - 3C <= v_0 <= 2 q_x^2 + 6C for the jump triplet,
     at every one of `points` random starts."""
     norm = _norm(make_space(_DIM), "levy")
     triplet = _jump_triplet(_DIM)
-    rng = substream(seed, name)
     c_tilde = moment_constant_estimate(norm, triplet, (0.25, 0.5, 1.0, 2.0, 4.0), samples, rng)
     rows = [_row("moment_constant", mean=c_tilde, stderr=0.0, n=samples)]
     bounds = lambda q2: (0.5 * q2 - 3.0 * c_tilde, 2.0 * q2 + 6.0 * c_tilde)
@@ -249,26 +247,24 @@ def _moment_rows(triplet, xis, times, samples, rng):
     return rows + [_gate("moments", (_verdicts(rows), 0))]
 
 
-def moment_pointmass(params, samples, seed, name):
+def moment_pointmass(params, samples, rng):
     triplet = _jump_triplet(_DIM)
     e = triplet.model.basis_vector
     xis = (("e1", e(1)), ("e2", e(2)), ("e1+e2", e(1) + e(2)))
-    rng = substream(seed, name)
     return _moment_rows(triplet, xis, (0.5, 1.0, 2.0), samples, rng)
 
 
-def moment_poisson01(params, samples, seed, name):
+def moment_poisson01(params, samples, rng):
     triplet = poisson_example_triplet(_DIM)
     e = triplet.model.basis_vector
     xis = (("e1", e(1)), ("e2", e(2)), ("e1+2e3", e(1) + 2.0 * e(3)))
-    rng = substream(seed, name)
     return _moment_rows(triplet, xis, (0.5, 1.0), samples, rng)
 
 
-def projection_identity(params, samples, seed, name):
+def projection_identity(params, samples, rng):
     """Criterion 5: U_alpha of a k-cylinder function equals its projected
     estimate, for every k in 1..3 and alpha."""
-    model, triplet, rng = _brownian(_DIM, seed, name)
+    model, triplet = _brownian(_DIM)
     z = rng.standard_normal(model.dim)
     rows = []
     for k in (1, 2, 3):
@@ -287,10 +283,10 @@ def projection_identity(params, samples, seed, name):
     return rows + [_gate("projection", (_verdicts(rows), 0))]
 
 
-def reduced_projection(params, samples, seed, name):
+def reduced_projection(params, samples, rng):
     """Criterion 6: the projected reduced function dominates the full one
     per shared path (a violation fails its row), and no gap is refuted."""
-    model, triplet, rng = _brownian(_DIM, seed, name)
+    model, triplet = _brownian(_DIM)
     start = np.zeros(model.dim)
     beta = 1.0
     rows = []
@@ -327,10 +323,10 @@ def reduced_projection_cases(model):
     return cases
 
 
-def dirichlet_slab(params, samples, seed, name):
+def dirichlet_slab(params, samples, rng):
     """Criterion 7, gambler's ruin: the slab solution at five starts equals
     the linear interpolation of the face values, with every path exited."""
-    model, triplet, rng = _brownian(_DIM, seed, name)
+    model, triplet = _brownian(_DIM)
     a, b, fa, fb = -1.0, 2.0, 3.0, -1.0
     dom = slab_domain(model, 1, a, b)
     f = BoundaryData(
@@ -348,7 +344,7 @@ def dirichlet_slab(params, samples, seed, name):
     return rows + [_gate("gambler_ruin", (_verdicts(rows), 0))]
 
 
-def dirichlet_oracles(params, samples, seed, name):
+def dirichlet_oracles(params, samples, rng):
     """Criterion 7 beyond the slab, on a unit E-ball and the slab |x1| < 1:
     the ball's center value for linear data is 0 by symmetry (`samples`
     paths, dt 0.005); the harmonicity tower at radii 0.2, 0.4, 0.6
@@ -357,7 +353,7 @@ def dirichlet_oracles(params, samples, seed, name):
     jump at that boundary point, which the checker must reject (3/10
     samples, dt 0.01, horizon 20; the others run to horizon 30).  Every
     solve must exit."""
-    model, triplet, rng = _brownian(_DIM, seed, name)
+    model, triplet = _brownian(_DIM)
     origin = np.zeros(model.dim)
     fine, coarse = PathConfig(dt=0.005, horizon=30.0), PathConfig(dt=0.01, horizon=30.0)
     short = PathConfig(dt=0.01, horizon=20.0)
@@ -391,12 +387,11 @@ def dirichlet_oracles(params, samples, seed, name):
     return rows + [_gate("oracles", (_verdicts(rows), 0))]
 
 
-def controlled_convergence(params, samples, seed, name):
+def controlled_convergence(params, samples, rng):
     """Criterion 8 on the slab |x1| < 1 of the plane, where h = x1 is
     harmonic: the bounded-control branch c1 under a zero control, for
     linear data and for face data approached from both faces; and, on
     `points` random fixtures, every pass survives doubling the control."""
-    rng = substream(seed, name)
     origin, y_in, y_out = np.zeros(2), np.array([1.0, 0.0]), np.array([-1.0, 0.0])
     seq_in, seq_out = approach_sequence(y_in, origin, 8), approach_sequence(y_out, origin, 8)
     V0 = lambda xs: np.ones(xs.shape[0], dtype=bool)
@@ -422,11 +417,11 @@ def controlled_convergence(params, samples, seed, name):
     return rows + [_gate("controlled_convergence", (_verdicts(rows), 0))]
 
 
-def capacity_basics(params, samples, seed, name):
+def capacity_basics(params, samples, rng):
     """Criterion 9, capacity: exact on the empty set and the whole space,
     and strictly decreasing (and nonnegative) over the complements of the
     q_x level sets 1..5."""
-    model, triplet, rng = _brownian(params.get("dim", 16), seed, name)
+    model, triplet = _brownian(params.get("dim", 16))
     norm = _norm(model, "gaussian")
     beta = 1.0
     cloud = PointCloud(np.zeros((1, model.dim)), np.array([2.0]))
@@ -447,11 +442,11 @@ def capacity_basics(params, samples, seed, name):
     return rows + [_gate("capacity", (_verdicts(rows), 0))]
 
 
-def balayage(params, samples, seed, name):
+def balayage(params, samples, rng):
     """Criterion 9, balayage onto M = {x1 >= 1}: equality on F inside M, no
     refuted inequality off M, per-sample inequality, hitting locations in M,
     and at least one hit."""
-    model, triplet, rng = _brownian(params.get("dim", 8), seed, name)
+    model, triplet = _brownian(params.get("dim", 8))
     M = coord_halfspace(model, 1, 1.0, +1)
     start = np.zeros(model.dim)
     nu = PointCloud(start[None, :], np.array([1.0]))
@@ -470,12 +465,12 @@ def balayage(params, samples, seed, name):
     return rows + [_gate("balayage", (units + _verdicts(rows[-3:]), 0))]
 
 
-def domination(params, samples, seed, name):
+def domination(params, samples, rng):
     """Criterion 9, domination: the measure swept onto {x1 >= 1} from the
     origin (its first 60 hits of samples/10 paths) is dominated by the unit
     mass at the origin on two balls at hit points, and then off the carrier;
     the doubled unit mass, a negative control, fails the hypothesis."""
-    model, triplet, rng = _brownian(_DIM, seed, name)
+    model, triplet = _brownian(_DIM)
     beta, start = 1.0, np.zeros(model.dim)
     M = coord_halfspace(model, 1, 1.0, +1)
     hit, T, loc = simulate_hit_batch(triplet, start, M, _DOMINATION_GRID, samples // 10, rng)
@@ -501,11 +496,11 @@ def domination(params, samples, seed, name):
     return rows + [_gate("domination", (_verdicts(rows, not_fail=True), 0))]
 
 
-def tail_projection(params, samples, seed, name):
+def tail_projection(params, samples, rng):
     """Criterion 10: E||Z_1 - Q_n Z_1||_E^2 matches its closed form and does
     not increase in n for the Brownian triplet, and strictly decreases for
     the embedded Poisson triplet."""
-    model, triplet, rng = _brownian(_DIM, seed, name)
+    model, triplet = _brownian(_DIM)
     rep = projection_convergence(triplet, 1.0, (4, 8, 16), samples, rng)
     rows = [
         _row(f"tail_norm[n={r['n']}]", est=r["estimate"], target=r["target"], verdict=r["verdict"])
@@ -521,7 +516,7 @@ def tail_projection(params, samples, seed, name):
     return rows + [_gate("tails", (_verdicts(rows), 0))]
 
 
-def polarity(params, samples, seed, name):
+def polarity(params, samples, rng):
     """Criterion 12, points and the Cameron-Martin space H are polar: the
     shrinking-target diagnostic (`polarity_diagnostic`) from e1 must read
     "consistent with polarity" for E-balls around the origin and for H-balls
@@ -538,7 +533,7 @@ def polarity(params, samples, seed, name):
     largest with probability about (0.98/2)^30 < 1e-9; a 1-d view enters
     the interval of radius r with probability 2 Phi(-(1 - r)/sqrt(40)), 0.88
     or more, by t = 40."""
-    model, triplet, rng = _brownian(_DIM, seed, name)
+    model, triplet = _brownian(_DIM)
     dim, e1 = model.dim, model.basis_vector(1)
     origin = np.zeros(dim)
     radii = (0.45, 0.15, 0.05)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from levylab import harness, suite
-from levylab.harness import ConfigError, ExperimentSpec, load_config, run
+from levylab.harness import ConfigError, load_config, run
 from levylab.cli import main
 
 SMALL_CONFIG = {
@@ -46,13 +46,6 @@ def test_parse_error_reports_line(tmp_path):
     p.write_text("{\n  broken\n}")
     with pytest.raises(ConfigError, match="line"):
         load_config(p)
-
-
-def test_spec_validation():
-    with pytest.raises(ConfigError):
-        ExperimentSpec(name="x", operation="nonexistent_op")
-    with pytest.raises(ConfigError):
-        ExperimentSpec(name="x", operation="variance_identity", samples=10)
 
 
 def test_empty_experiment_list(tmp_path):
@@ -128,7 +121,7 @@ def test_error_detail_carries_traceback(tmp_path, monkeypatch):
     detail.json entry holds the traceback down to the raising function."""
     from levylab import suite
 
-    def exploding_experiment(params, samples, seed, name):
+    def exploding_experiment(params, samples, rng):
         raise RuntimeError("boom")
 
     monkeypatch.setitem(suite.REGISTRY, "tail_projection", exploding_experiment)
@@ -195,6 +188,7 @@ _TAIL = {"operation": "tail_projection", "samples": 500}
         ({"out_dir": "elsewhere", "experiments": [_TAIL]}, [], "out_dir"),
         ({"experiments": [{**_TAIL, "parameters": [1, 2]}]}, [], "parameters"),
         ({"experiments": [{**_TAIL, "operation": ["tail_projection"]}]}, [], "operation"),
+        ({"experiments": [{**_TAIL, "operation": "nonexistent_op"}]}, [], "operation"),
         ({"experiments": {"a": 1, "e": 2, "i": 3}}, [], "experiments"),
         ({"experiments": [1, 2]}, [], "experiments"),
         ({"seed": "3", "experiments": [_TAIL]}, [], "seed"),
@@ -207,19 +201,19 @@ _TAIL = {"operation": "tail_projection", "samples": 500}
     ids=[
         "samples_str", "samples_negative", "samples_below_100", "samples_float",
         "filter_matches_nothing", "confidence_unknown_key", "out_dir_unknown_key",
-        "parameters_list", "operation_list",
+        "parameters_list", "operation_list", "operation_unknown",
         "experiments_object",
         "experiments_not_objects", "seed_str", "seed_float", "workers_str", "workers_zero",
         "workers_bool", "cli_workers_zero",
     ],
 )
 def test_cli_malformed_config_values_exit_2(tmp_path, capsys, cfg, args, key):
-    """A config value of the wrong type, fewer than one worker, a config
-    `samples` below 100 (only a scaled count is floored there), a filter
-    that matches no experiment, a `confidence` key (every band uses the
-    library's one level) or an `out_dir` key (`--out` sets the directory) is
-    a config error (exit 2) that names the key, not a traceback, an error row
-    or a header-only CSV."""
+    """A config value of the wrong type, an unknown operation, fewer than
+    one worker, a config `samples` below 100 (only a scaled count is
+    floored there), a filter that matches no experiment, a `confidence` key
+    (every band uses the library's one level) or an `out_dir` key (`--out`
+    sets the directory) is a config error (exit 2) that names the key, not a
+    traceback, an error row or a header-only CSV."""
     p = _write(tmp_path, cfg)
     assert main(["run", "--config", str(p), "--out", str(tmp_path / "o"), *args]) == 2
     err = capsys.readouterr().err
@@ -296,6 +290,30 @@ def test_each_experiment_declares_the_parameters_it_reads():
         ("gaussian_lyapunov", "points"),
         ("levy_sandwich", "points"),
     ]
+
+
+_STREAM_MAKERS = {
+    "substream", "default_rng", "Generator", "BitGenerator", "SeedSequence",
+    "SFC64", "PCG64", "PCG64DXSM", "Philox", "MT19937", "RandomState",
+}
+
+
+def test_only_the_harness_keys_streams():
+    """suite.py names no stream or bit generator, so every experiment draws
+    from the `rng` the harness hands it, and `harness._execute` is the one
+    caller of `substream` in the library."""
+    module = ast.parse(Path(suite.__file__).read_text())
+    named = {getattr(n, "id", None) or getattr(n, "attr", None) or getattr(n, "name", None)
+             for n in ast.walk(module) if isinstance(n, (ast.Name, ast.Attribute, ast.alias))}
+    assert named & _STREAM_MAKERS == set()
+    callers = []
+    for path in sorted(Path(suite.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                calls = (n.func for n in ast.walk(fn) if isinstance(n, ast.Call))
+                if any(getattr(f, "id", None) == "substream" for f in calls):
+                    callers.append(f"{path.stem}.{fn.name}")
+    assert callers == ["harness._execute"]
 
 
 def test_cli_ignores_the_environment(tmp_path, monkeypatch):

@@ -5,7 +5,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from levylab import lyapunov
 from levylab.lyapunov import (
     gaussian_norm,
     levy_norm,
@@ -37,7 +36,7 @@ def levy_setup():
 def test_subsequence_certificates_hold():
     """Independent re-check of both defining inequalities per level."""
     model = make_space(32)
-    seq = select_subsequence(model, 4)
+    seq = select_subsequence(model)[:4]
     assert seq == sorted(set(seq))
     for n, m in enumerate(seq, start=1):
         assert np.sqrt(model.weight_after(m)) <= 2.0**-n
@@ -54,15 +53,23 @@ def test_subsequence_certificates_hold():
 def test_subsequence_frozen_values():
     model = make_space(32)
     # enumeration oracle for weights 4^-n: tail after m is 4^-m/3
-    assert select_subsequence(model, 3) == [1, 3, 4]
+    assert select_subsequence(model)[:3] == [1, 3, 4]
 
 
-def test_subsequence_depth_errors():
-    model = make_space(32)
-    with pytest.raises(ValueError):
-        select_subsequence(model, 0)
-    with pytest.raises(ValueError):
-        select_subsequence(make_space(4), 10)  # range error at truncation
+def test_subsequence_ends_at_the_truncation():
+    """The list is the deepest one certified: 5, 11 and 21 levels at N = 8,
+    16 and 32, where no coordinate after the last m certifies the next
+    level; one truncation's list starts every deeper one's."""
+    seqs = {dim: select_subsequence(make_space(dim)) for dim in (1, 8, 16, 32)}
+    assert {dim: len(seq) for dim, seq in seqs.items()} == {1: 1, 8: 5, 16: 11, 32: 21}
+    for dim, seq in seqs.items():
+        model, n = make_space(dim), len(seq) + 1
+        for m in range(seq[-1] + 1, dim + 1):
+            assert (
+                np.sqrt(model.weight_after(m)) > 2.0**-n or model.weight_tail(m) > 8.0**-n
+            )
+    for short, long in zip(seqs.values(), list(seqs.values())[1:]):
+        assert long[: len(short)] == short
 
 
 def test_gaussian_norm_dominates_e_norm(gaussian_setup):
@@ -123,7 +130,7 @@ def test_q_x_eval_one_pass_matches_block_sums(shape):
         model = make_space(dim)
         growth_basis = build_growth_basis(model, canonical_x(model))
         z = np.random.default_rng(len(shape)).standard_normal(shape + (dim,)) * 3.0
-        subseq = select_subsequence(model, lyapunov._max_depth(model))
+        subseq = select_subsequence(model)
         ref = _q_x_elementwise(model, growth_basis, z, subseq=subseq)
         got = q_x_eval(gaussian_norm(model, growth_basis), z)
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
