@@ -1,9 +1,11 @@
 """Exit-distribution solution of the Dirichlet problem on regular open sets.
 
 The stochastic solution at z is the mean of the boundary data at the exit
-location of a path started at z.  Supported domains are E-balls, coordinate
-slabs and coordinate boxes; all have the exterior-cone property, so paths
-of the continuous process exit through the topological boundary.
+location of a path started at z: a hit of the domain's exit target
+(`potential.simulate_hit_batch`, whose docstring gives the exit law).
+Supported domains are E-balls, coordinate slabs and coordinate boxes; all
+have the exterior-cone property, so paths of the continuous process exit
+through the topological boundary, where the hit lands them.
 
 The controlled-convergence checker is deterministic: it consumes evaluators
 for the candidate solution h, the boundary data f and the control k, and
@@ -84,7 +86,8 @@ def slab_domain(model: SpaceModel, coord: int, a: float, b: float) -> Domain:
 def box_domain(model: SpaceModel, lows, highs) -> Domain:
     lo = np.asarray(lows, dtype=float)
     hi = np.asarray(highs, dtype=float)
-    if lo.ndim != 1 or lo.shape != hi.shape or not lo.size or np.any(lo >= hi):
+    # a NaN bound fails lo < hi, so it is refused too
+    if lo.ndim != 1 or lo.shape != hi.shape or not lo.size or not np.all(lo < hi):
         raise ValueError("need nonempty 1-d lows < highs, elementwise")
     return Domain(
         model=model,
@@ -95,8 +98,7 @@ def box_domain(model: SpaceModel, lows, highs) -> Domain:
 
 # Boundary data: a test function whose declared bound is checked on every
 # batch of exit locations.  Its evaluator takes any point a path exits at:
-# points in a collar around the boundary and, for jump processes, exterior
-# landing points.
+# points on the boundary and, for jump processes, exterior landing points.
 BoundaryData = TestFunction
 
 
@@ -109,61 +111,6 @@ class DirichletEstimate:
     def flagged(self) -> bool:
         """More paths cut off by the horizon than a solve tolerates."""
         return self.non_exit_fraction > _MAX_NON_EXIT
-
-
-def _exact_exit(domain: Domain):
-    """Refinement callback: the point where the last step's segment
-    z_in + theta*(z_out - z_in), z_in inside, meets the boundary."""
-
-    def refine(z_in: np.ndarray, z_out: np.ndarray) -> np.ndarray:
-        d = z_out - z_in
-        form = domain.exit_target.e_form
-        if form is not None:
-            # a theta^2 + 2b theta + q = 0 with a > 0 > q: the positive root,
-            # in a form that does not cancel
-            w, p = form.weights, z_in - form.center
-            a, b = (d * d) @ w, (p * d) @ w
-            q = (p * p) @ w - form.r2
-            theta = -q / (b + np.sqrt(b * b - a * q))
-        else:  # the segment leaves through the first face it crosses
-            theta = np.ones(len(z_in))
-            for j, v, side in domain.exit_target.faces:
-                crossed = side * (z_out[:, j] - v) >= 0
-                frac = (v - z_in[crossed, j]) / d[crossed, j]
-                theta[crossed] = np.minimum(theta[crossed], frac)
-        return z_in + theta[..., None] * d
-
-    return refine
-
-
-def sample_exits(
-    triplet: LevyTriplet,
-    domain: Domain,
-    z,
-    n: int,
-    cfg: PathConfig,
-    rng: np.random.Generator,
-):
-    """Exit simulation; returns (exited mask, times, locations), with the
-    start as the location of a path that has not exited by the horizon.
-
-    Continuous paths exit on the boundary.  A slab or box exit, when the
-    law moves each of its coordinates without drift, is sampled exactly with
-    no time grid (`potential._face_passage`): the coordinate that leaves
-    first lands on its face value, and the other box coordinates are drawn
-    at the exit time conditioned on having stayed inside.  E-balls and
-    drifted slabs and boxes report the point where the crossing step's
-    segment meets the boundary.  An E-ball exit of a Brownian law whose far
-    coordinates start at the centre's steps those coordinates as one
-    squared radius and draws them only at the exit step
-    (`potential._radial_passage`), with the same law.  Jump paths exit
-    exactly too, between jumps on a face and at a jump on the landing
-    point, which may lie outside the closure; drifted ones are stepped.
-    """
-    refine = _exact_exit(domain) if triplet.is_continuous else None
-    return simulate_hit_batch(
-        triplet, z, domain.exit_target, cfg, n, rng, refine=refine
-    )
 
 
 # the largest non-exit mass a solve tolerates before it is flagged
@@ -185,7 +132,7 @@ def solve(
     z = np.asarray(z, dtype=float)
     if not domain.contains(z):
         raise PreconditionError("start point must lie inside the domain")
-    hit, _, loc = sample_exits(triplet, domain, z, n, cfg, rng)
+    hit, _, loc = simulate_hit_batch(triplet, z, domain.exit_target, cfg, n, rng)
     vals = np.zeros(n)
     if hit.any():
         vals[hit] = f(loc[hit])
@@ -202,7 +149,7 @@ def gambler_ruin_value(domain: Domain, fa: float, fb: float, x: float) -> float:
     return fa * (b - x) / (b - a) + fb * (x - a) / (b - a)
 
 
-def approach_sequence(y: np.ndarray, x0: np.ndarray, n_points: int = 8) -> np.ndarray:
+def approach_sequence(y: np.ndarray, x0: np.ndarray, n_points: int) -> np.ndarray:
     """Geometric ray x_k = y + 2^-k (x0 - y), k = 1..n_points."""
     y = np.asarray(y, dtype=float)
     x0 = np.asarray(x0, dtype=float)
@@ -261,7 +208,7 @@ def harmonicity_check(
     rows = []
     for r in r_grid:
         inner = domain.inner_domain(x, r)  # raises if it does not fit
-        hit, _, mid = sample_exits(triplet, inner, x, n, cfg, rng)
+        hit, _, mid = simulate_hit_batch(triplet, x, inner.exit_target, cfg, n, rng)
         if not hit.all():
             raise RuntimeError("inner exit did not complete before the horizon")
         staged = solve(triplet, domain, f, mid, n, cfg, rng)
@@ -312,7 +259,7 @@ def controlled_convergence_check(
     V0_membership: Callable[[np.ndarray], np.ndarray],
     sequences: list[np.ndarray],
     boundary_points: list[np.ndarray],
-    tol: float = 1e-2,
+    tol: float,
 ) -> ControlReport:
     """Classify each approach sequence by the control k.
 
@@ -344,7 +291,7 @@ def controlled_convergence_check(
 
 
 def majorant_stability_check(
-    h_eval, f_eval, k_eval, V0_membership, sequences, boundary_points, tol: float = 1e-2
+    h_eval, f_eval, k_eval, V0_membership, sequences, boundary_points, tol: float
 ) -> dict:
     """A pass must survive replacing the control k by its majorant 2k."""
     k2_eval = lambda xs: 2.0 * np.asarray(k_eval(xs), dtype=float)

@@ -245,13 +245,13 @@ def brownian_triplet(model: SpaceModel) -> LevyTriplet:
     return LevyTriplet(model, np.zeros(model.dim), np.ones(model.dim))
 
 
-def poisson_example_space(dim: int = 32) -> SpaceModel:
+def poisson_example_space(dim: int) -> SpaceModel:
     """Spectral realization of L^2(0,1) in H^-1: lambda_n = 1/(1 + n^2 pi^2)."""
     n = np.arange(1, dim + 1)
     return SpaceModel(1.0 / (1.0 + (n * np.pi) ** 2))
 
 
-def poisson_example_triplet(dim: int = 32) -> LevyTriplet:
+def poisson_example_triplet(dim: int) -> LevyTriplet:
     """Poisson point measure on (0,1) embedded via the sine basis."""
     model = poisson_example_space(dim)
     return LevyTriplet(

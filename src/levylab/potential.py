@@ -60,7 +60,10 @@ One planner (`_hit`) picks the mode of a one-target hit: a target that
 reads no coordinate is decided at time 0, else face passage, else the
 radial mode, else the engine.  `simulate_hit_batch` calls it, and
 so does `multi_target_hit` when, past the targets every start lies in and
-the repeats of one target object, a single target is left.
+the repeats of one target object, a single target is left.  A continuous
+hit of `simulate_hit_batch` lands on the target's declared boundary: on
+its face by face passage, else cut there from the entering grid step
+(`_boundary_cut`); a jump law keeps its landing points.
 
 Hitting uses the D-convention: membership is checked at time 0, so a start
 inside an open target hits immediately.
@@ -78,8 +81,8 @@ from .space import SpaceModel
 
 @dataclass(frozen=True)
 class PathConfig:
-    dt: float = 0.01
-    horizon: float = 50.0
+    dt: float
+    horizon: float
     # exact first passage for targets made of coordinate faces (see the
     # module docstring); False keeps them on the engine, monitored at the
     # grid points only
@@ -260,6 +263,8 @@ def coord_halfspace(model: SpaceModel, coord: int, level: float, side: int) -> T
 def slab_complement(model: SpaceModel, coord: int, a: float, b: float) -> TargetSet:
     """Complement of the open slab a < c_coord < b."""
     j = _column(model, coord)
+    if math.isnan(a) or math.isnan(b):  # face passage would drop a NaN face
+        raise ValueError("slab bounds must not be NaN")
     return TargetSet(
         f"slab_complement(c{coord} outside ({a},{b}))",
         lambda z: (z[..., j] <= a) | (z[..., j] >= b),
@@ -278,6 +283,8 @@ def _box_bounds(model: SpaceModel, lows, highs):
         raise ValueError("lows and highs must be 1-d and of one length")
     if lo.size > model.dim:
         raise ValueError(f"{lo.size} box bounds for {model.dim} coordinates")
+    if np.isnan(lo).any() or np.isnan(hi).any():  # face passage would drop a NaN face
+        raise ValueError("box bounds must not be NaN")
     return lo, hi
 
 
@@ -1071,7 +1078,7 @@ def _hit(
        reads only its face coordinates, and a continuous or finite-activity
        jump law that moves each of them without drift (b_j = 0, g_j > 0);
        the coordinate a continuous exit leaves by is its face value, the
-       point any exact `refine` would cut to, so `refine` is not called;
+       point the boundary cut gives, so `refine` is not called;
     2. the radial mode (`_radial_passage`), for a declared E-form whose
        tail can be stepped as one radius (`_radial_head`): the engine's law
        on its grid, and `refine` gets full points;
@@ -1097,6 +1104,38 @@ def _hit(
     return times[0], locs[0] if locate else None
 
 
+def _boundary_cut(target: TargetSet):
+    """The cut of a continuous hit onto the target's declared boundary:
+    `cut(z_in, z_out)` is the point where the entering step's segment
+    z_in + theta*(z_out - z_in), z_in outside the target, meets the sphere
+    of its E-form, else the first face it crosses.  None for a target that
+    declares neither."""
+    form = target.e_form
+    if form is None and not target.faces:
+        return None
+
+    def cut(z_in, z_out):
+        d = z_out - z_in
+        if form is not None:
+            # a theta^2 + 2b theta + q = 0 with a > 0: the root in (0, 1], in
+            # a form that does not cancel; leaving the ball q < 0 and it is
+            # the larger root, entering it q > 0 > b and it is the smaller
+            w, p = form.weights, z_in - form.center
+            a, b = (d * d) @ w, (p * d) @ w
+            q = (p * p) @ w - form.r2
+            root = np.sqrt(b * b - a * q)
+            theta = q / (root - b) if form.inside else -q / (b + root)
+        else:
+            theta = np.ones(len(z_in))
+            for j, v, side in target.faces:
+                crossed = side * (z_out[:, j] - v) >= 0
+                frac = (v - z_in[crossed, j]) / d[crossed, j]
+                theta[crossed] = np.minimum(theta[crossed], frac)
+        return z_in + theta[..., None] * d
+
+    return cut
+
+
 def simulate_hit_batch(
     triplet: LevyTriplet,
     start: np.ndarray,
@@ -1104,15 +1143,27 @@ def simulate_hit_batch(
     cfg: PathConfig,
     n_paths: int,
     rng: np.random.Generator,
-    refine: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
 ):
     """Step n_paths trajectories from `start` until they enter the target or
     the horizon runs out.  Returns (hit mask, times, locations); non-hit
     rows carry time=inf and the start as their location.  A 2-d start gives
-    each path its own origin (one row per path).  `refine(z_in, z_out)`
-    moves the entering step's end point; like the membership, it may read
-    only the target's coords.  The planner (`_hit`) picks exact face
-    passage, the radial mode or the engine."""
+    each path its own origin (one row per path).  The planner (`_hit`)
+    picks exact face passage, the radial mode or the engine.
+
+    Continuous paths land on the target's declared boundary.  A face
+    target, when the law moves each face coordinate without drift, is hit
+    exactly with no time grid (`_face_passage`): the coordinate that leaves
+    first lands on its face, and the other face coordinates are drawn at
+    the hit time conditioned on having stayed in the box the faces leave.
+    E-forms and drifted face targets report the point where the entering
+    step's segment meets the boundary (`_boundary_cut`), other targets the
+    grid point.  An E-form hit of a Brownian law whose far coordinates
+    start at the centre's steps those as one squared radius and draws them
+    only at the entry step (`_radial_passage`), with the same law.  Jump
+    paths hit exactly too, between jumps on a face and at a jump on the
+    landing point, which may lie beyond the face; drifted ones are
+    stepped.  No landing point of a jump law is cut."""
+    refine = _boundary_cut(target) if triplet.is_continuous else None
     times, loc = _hit(triplet, start, target, cfg, n_paths, rng, refine)
     return np.isfinite(times), times, loc
 

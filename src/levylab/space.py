@@ -73,7 +73,7 @@ class SpaceModel:
         return e
 
 
-def make_space(dim: int = 32) -> SpaceModel:
+def make_space(dim: int) -> SpaceModel:
     """The triple with weights lambda_n = 4^-n, truncated to `dim` coordinates."""
     return SpaceModel(4.0 ** -np.arange(1, dim + 1), generator="4^-n")
 

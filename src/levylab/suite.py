@@ -66,8 +66,10 @@ from .potential import (
     capacity_tightness_profile,
     coord_ball,
     coord_halfspace,
+    coordinate_box,
     domination_check,
     e_ball,
+    e_ball_complement,
     empty_set,
     h_ball,
     horizon_bias_bound,
@@ -306,19 +308,17 @@ def reduced_projection_cases(model):
     """Five target sets with the membership test of their coordinate
     projection.  Projecting a path can only speed up entry, so the
     projected reduced value dominates the full one per shared path."""
-    from .potential import TargetSet, coordinate_box, e_ball_complement
-
     dim = model.dim
     cases = []
     for coord, level, side in ((1, 1.0, +1), (1, -1.5, -1), (2, 1.0, +1)):
         M = coord_halfspace(model, coord, level, side)
         cases.append((f"{M.name}|k={coord}", M, M))
     box = coordinate_box(model, np.array([1.0, 1.0]), np.array([9.0, 9.0]))
-    box1 = TargetSet("box_proj_k1", lambda z: (z[..., 0] >= 1.0) & (z[..., 0] <= 9.0), coords=(0,))
+    box1 = coordinate_box(model, [1.0], [9.0])
     cases.append(("box2d|k=1", box, box1))
     shell = e_ball_complement(model, np.zeros(dim), 1.5)
     # every k-dim point extends into the shell, so the projection is total
-    whole = TargetSet("whole_proj", lambda z: np.ones(z.shape[:-1], dtype=bool), coords=())
+    whole = whole_space(model)
     cases.append(("eball_shell|k=1", shell, whole))
     return cases
 

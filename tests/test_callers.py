@@ -1,7 +1,8 @@
 """Everything public in src/levylab has a use outside tests: every public
 top-level name has a caller, every defaulted parameter of a public function,
-method or dataclass is passed by some caller, and every dataclass field is
-read.  Callers and readers are src/levylab and levybench."""
+method or dataclass is passed by some caller and left out by another, and
+every dataclass field is read.  Callers and readers are src/levylab and
+levybench."""
 
 import ast
 from pathlib import Path
@@ -131,36 +132,51 @@ def _aliases() -> dict:
     return out
 
 
-def _passed() -> dict:
-    """Call name -> (keywords passed, largest positional count; None for all)."""
+def _calls() -> dict:
+    """Call name -> (keywords passed, positional count; None when starred)
+    of each call."""
     aliases, out = _aliases(), {}
     for tree in TREES.values():
         for call in ast.walk(tree):
             if not isinstance(call, ast.Call):
                 continue
             name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
-            name = aliases.get(name, name)
-            keywords, count = out.setdefault(name, (set(), 0))
-            keywords |= {k.arg for k in call.keywords}
             starred = any(isinstance(a, ast.Starred) for a in call.args)
-            if count is not None:
-                count = None if starred else max(count, len(call.args))
-            out[name] = (keywords, count)
+            out.setdefault(aliases.get(name, name), []).append(
+                ({k.arg for k in call.keywords}, None if starred else len(call.args))
+            )
     return out
+
+
+def _passes(call, p, positional) -> bool:
+    """Whether a call passes parameter p; `**kwargs` or `*args` may pass any."""
+    keywords, count = call
+    by_position = p in positional and (count is None or positional.index(p) < count)
+    return None in keywords or p in keywords or by_position
 
 
 def test_every_defaulted_parameter_is_passed():
     """A default that no caller overrides is a constant: the parameter goes."""
-    passed, unpassed = _passed(), []
+    calls, unpassed = _calls(), []
     for label, name, positional, defaulted in _callables():
-        keywords, count = passed.get(name, (set(), 0))
         for p in sorted(defaulted):
-            by_position = p in positional and (count is None or positional.index(p) < count)
-            if None not in keywords and p not in keywords and not by_position:
+            if not any(_passes(c, p, positional) for c in calls.get(name, [])):
                 unpassed.append(f"{label}({p})")
     missing = sorted(set(unpassed) - UNPASSED)
     assert missing == [], f"defaulted parameters no caller passes: {missing}"
     assert set(unpassed) >= UNPASSED, f"exceptions no longer needed: {UNPASSED - set(unpassed)}"
+
+
+def test_no_defaulted_parameter_is_passed_by_every_caller():
+    """A default that every caller overrides is never taken: the parameter
+    is required."""
+    calls, always = _calls(), []
+    for label, name, positional, defaulted in _callables():
+        sites = calls.get(name, [])
+        for p in sorted(defaulted):
+            if sites and all(_passes(c, p, positional) for c in sites):
+                always.append(f"{label}({p})")
+    assert always == [], f"defaulted parameters every caller passes: {always}"
 
 
 def _reads() -> set:

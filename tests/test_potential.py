@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from levylab import potential
-from levylab.dirichlet import _exact_exit, e_ball_domain, sample_exits
+from levylab.dirichlet import e_ball_domain
 from levylab.lyapunov import gaussian_norm
 from levylab.measures import (
     BAND_Z,
@@ -82,6 +82,22 @@ def test_point_cloud_validation():
         PointCloud(np.zeros((2, 4)), np.array([1.0]))
     with pytest.raises(ValueError):
         PointCloud(np.zeros((1, 4)), np.array([-1.0]))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda m: slab_complement(m, 1, math.nan, 1.0),
+        lambda m: potential.box_complement(m, [-1.0, -1.0], [1.0, math.nan]),
+        lambda m: coordinate_box(m, [math.nan], [1.0]),
+    ],
+    ids=["slab_complement", "box_complement", "coordinate_box"],
+)
+def test_nan_bounds_are_refused(setup, build):
+    """Face passage would take a NaN face for a missing one, while the
+    membership compares False with it everywhere."""
+    with pytest.raises(ValueError, match="NaN"):
+        build(setup[0])
 
 
 def test_start_inside_target_hits_at_zero(setup):
@@ -706,10 +722,11 @@ def test_multi_target_one_pending_takes_the_single_target_law(label):
     """On the 32-d model of the reduced-projection experiment, a halfspace
     passed twice as one object, and the E-shell with a target that every
     start lies in, leave one target M pending.  multi_target_hit then gives
-    the law of simulate_hit_batch on M (a z-test on independent streams of
+    the law of the planner `_hit` on M (a z-test on independent streams of
     the hit probability, E[exp(-T)] and E[c1] at the hit), its very bytes
     on one stream, and the shared-trajectory orderings: the repeat shares
-    its time, and the whole-space target is entered at time 0 at the start."""
+    its time, and the whole-space target is entered at time 0 at the start.
+    (`simulate_hit_batch` runs the planner with a cut onto the boundary.)"""
     model = make_space(32)
     triplet = brownian_triplet(model)
     half = coord_halfspace(model, 1, 1.0, +1)
@@ -720,7 +737,8 @@ def test_multi_target_one_pending_takes_the_single_target_law(label):
     cfg = PathConfig(dt=0.02, horizon=8.0)
     start = np.zeros(32)
     times, locs = multi_target_hit(triplet, start, targets, cfg, 2000, substream(60, label))
-    hit, T, loc = simulate_hit_batch(triplet, start, M, cfg, 2000, substream(61, label))
+    T, loc = potential._hit(triplet, start, M, cfg, 2000, substream(61, label))
+    hit = np.isfinite(T)
     for a, b in (
         (np.isfinite(times[0]), hit),
         (np.exp(-times[0]), np.exp(-T)),
@@ -729,7 +747,7 @@ def test_multi_target_one_pending_takes_the_single_target_law(label):
         ea, eb = McEstimate.from_samples(a.astype(float)), McEstimate.from_samples(b.astype(float))
         diff = McEstimate(ea.mean - eb.mean, float(np.hypot(ea.stderr, eb.stderr)), a.size)
         assert diff.verdict(0.0) == "pass", label
-    _, T1, loc1 = simulate_hit_batch(triplet, start, M, cfg, 2000, substream(60, label))
+    T1, loc1 = potential._hit(triplet, start, M, cfg, 2000, substream(60, label))
     assert times[0].tobytes() == T1.tobytes() and locs[0].tobytes() == loc1.tobytes()
     if targets[1] is M:
         assert times[1].tobytes() == times[0].tobytes() and np.array_equal(locs[1], locs[0])
@@ -908,8 +926,8 @@ def test_block_steps_agree_with_single_steps(setup, monkeypatch):
         return [loc[:, 0], np.exp(-T)]
 
     def ball_case(rng):
-        hit, T, loc = sample_exits(
-            triplet, ball, np.zeros(8), 1500, PathConfig(dt=0.01, horizon=20.0), rng
+        hit, T, loc = simulate_hit_batch(
+            triplet, np.zeros(8), ball.exit_target, PathConfig(dt=0.01, horizon=20.0), 1500, rng
         )
         assert hit.all()
         return [loc[:, 0], np.exp(-T)]
@@ -1041,9 +1059,8 @@ def test_refine_sees_the_entering_step(setup, monkeypatch):
 
     cfg = PathConfig(dt=0.01, horizon=20.0)
     shell = e_ball_complement(model, np.zeros(8), 1.0)
-    hit, _, _ = simulate_hit_batch(
-        triplet, np.zeros(8), shell, cfg, 2000, substream(32), refine=refine
-    )
+    times, _ = potential._hit(triplet, np.zeros(8), shell, cfg, 2000, substream(32), refine=refine)
+    hit = np.isfinite(times)
     assert hit.all()
     step = np.concatenate(seen)[:, 7]
     assert McEstimate.from_samples(step**2 / cfg.dt).verdict(1.0) == "pass"
@@ -1177,8 +1194,8 @@ def test_rows_started_inside_draw_nothing(setup):
     outside = np.zeros(8)
     outside[:2] = (3.0, -1.0)  # beyond the ball, the slab and both halfspaces
     cases = {
-        "e_ball": (ball.exit_target, lambda z, m, r: sample_exits(
-            triplet, ball, z, m, PathConfig(dt=0.01, horizon=3.0), r)[1:]),
+        "e_ball": (ball.exit_target, lambda z, m, r: simulate_hit_batch(
+            triplet, z, ball.exit_target, PathConfig(dt=0.01, horizon=3.0), m, r)[1:]),
         "slab": (slab, lambda z, m, r: _engine_hits(
             triplet, z, slab, PathConfig(dt=0.01, horizon=2.0), m, r)[1:]),
         "two_targets": (None, lambda z, m, r: multi_target_hit(
@@ -1229,7 +1246,7 @@ def test_full_width_exit_memory(monkeypatch, radial, center_c32):
     cfg = PathConfig(dt=0.01, horizon=4.0)
     tracemalloc.start()
     try:
-        hit, _, _ = sample_exits(brownian_triplet(model), ball, start, 1000, cfg, substream(43))
+        hit, _, _ = simulate_hit_batch(brownian_triplet(model), start, ball.exit_target, cfg, 1000, substream(43))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1473,7 +1490,7 @@ def _radial_cases():
 def test_radial_mode_takes_only_eligible_inputs():
     """Every ineligible input runs the engine unchanged: its hit times and
     locations are byte-identical to a direct `_step_paths` run on the same
-    substream.  Refused are a drifted tail, unequal tail variance rates, a
+    substream, with the same cut onto the sphere for a continuous law.  Refused are a drifted tail, unequal tail variance rates, a
     jump law, a start whose tail is off the centre's and a 6-d model, whose
     tail is one coordinate; the centred 32-d and 8-d Brownian exits take
     the mode with a head of 5."""
@@ -1497,8 +1514,10 @@ def test_radial_mode_takes_only_eligible_inputs():
     for name, (law, target, start) in cases.items():
         assert potential._radial_head(law, target, start) == 0, name
         _, t0, loc0 = simulate_hit_batch(law, start, target, cfg, 200, substream(61, name))
+        cut = potential._boundary_cut(target) if law.is_continuous else None
         times, locs = potential._step_paths(
-            law, start, lambda z: target(z)[None], target.coords, cfg, 200, substream(61, name)
+            law, start, lambda z: target(z)[None], target.coords, cfg, 200, substream(61, name),
+            refine=cut,
         )
         assert np.isfinite(t0).any(), name
         assert t0.tobytes() == times[0].tobytes(), name
@@ -1517,7 +1536,7 @@ def _engine_ball_exits(dim, rng):
     cfg = PathConfig(dt=0.01, horizon=40.0)
     times, locs = potential._step_paths(
         triplet, start, lambda z: ball.exit_target(z)[None], None, cfg, 3000, rng,
-        refine=_exact_exit(ball),
+        refine=potential._boundary_cut(ball.exit_target),
     )
     return model, triplet, ball, start, cfg, times[0], locs[0]
 
@@ -1531,7 +1550,7 @@ def _same_exit_law(model, start, hit, T, loc, t_ref, loc_ref, tail_from):
     """P(T <= t) at t = 1, 3 and 6, E[c1] and E[c1^2] at the exit, and the
     E-norm^2 of the coordinates from `tail_from` on there agree.  Every path
     of both sides exits by the horizon of 40, and every exit of the mode lies
-    on the sphere, cut by `refine`.  P(T > 10) is about 0.013 on both sides,
+    on the sphere, cut by `_boundary_cut`.  P(T > 10) is about 0.013 on both sides,
     and P(T > t) falls by about 0.28 every 2.5, so a path stays in the ball
     past t = 40 with probability about 3e-9.  Over the 15000 paths the radial
     tests check (3000 engine and 3000 mode paths at 8-d, 3000 engine and
@@ -1551,7 +1570,7 @@ def _same_exit_law(model, start, hit, T, loc, t_ref, loc_ref, tail_from):
 
 @pytest.mark.parametrize("head_fraction", [0.25, None], ids=["head2", "default"])
 def test_radial_exit_law_matches_the_engine(monkeypatch, engine_ball_exits, head_fraction):
-    """`sample_exits` from a 32-d E-ball, stepping the tail as one radius,
+    """`simulate_hit_batch` out of a 32-d E-ball, stepping the tail as one radius,
     gives the engine's exit law: P(T <= t) at t = 1, 3 and 6, E[c1] and
     E[c1^2] at the exit, and the E-norm^2 of the tail c9..c32 there.  A head
     of 2 coordinates leaves most stops undecided, so many paths realize
@@ -1565,7 +1584,7 @@ def test_radial_exit_law_matches_the_engine(monkeypatch, engine_ball_exits, head
     monkeypatch.setattr(
         potential, "_step_paths", lambda *a, **k: handed.append(a[5]) or engine(*a, **k)
     )
-    hit, T, loc = sample_exits(triplet, ball, start, 3000, cfg, substream(63, head_fraction))
+    hit, T, loc = simulate_hit_batch(triplet, start, ball.exit_target, cfg, 3000, substream(63, head_fraction))
     assert sum(handed) > (600 if head_fraction else 0)
     _same_exit_law(model, start, hit, T, loc, t_ref, loc_ref, 8)
 
@@ -1578,15 +1597,16 @@ def test_radial_exit_law_matches_the_engine_in_8_d():
     radial_passage = potential._radial_passage
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(potential, "_radial_passage", lambda *a: taken.append(a[-1]) or radial_passage(*a))
-        hit, T, loc = sample_exits(triplet, ball, start, 3000, cfg, substream(68))
+        hit, T, loc = simulate_hit_batch(triplet, start, ball.exit_target, cfg, 3000, substream(68))
     assert taken == [5]
     _same_exit_law(model, start, hit, T, loc, t_ref, loc_ref, 5)
 
 
 def test_radial_ball_hits_match_the_engine():
     """A hit of the closed ball around (1.5, 0, ...) of E-radius 0.5 from
-    the origin, which has the centre's tail, takes the radial mode and
-    gives the engine's P(T <= t) at t = 1 and 4 and mean hit point c1."""
+    the origin, which has the centre's tail, takes the radial mode, lands
+    on the sphere and gives the engine's P(T <= t) at t = 1 and 4 and mean
+    hit point c1, both cut onto the sphere where they enter."""
     model, triplet, _ = _radial_cases()
     centre = np.zeros(32)
     centre[0] = 1.5
@@ -1595,9 +1615,10 @@ def test_radial_ball_hits_match_the_engine():
     cfg = PathConfig(dt=0.02, horizon=4.0)
     hit, T, loc = simulate_hit_batch(triplet, np.zeros(32), ball, cfg, 3000, substream(64))
     times, locs = potential._step_paths(
-        triplet, np.zeros(32), lambda z: ball(z)[None], None, cfg, 3000, substream(65)
+        triplet, np.zeros(32), lambda z: ball(z)[None], None, cfg, 3000, substream(65),
+        refine=potential._boundary_cut(ball),
     )
-    assert np.all(ball(loc[hit]))
+    np.testing.assert_allclose(model.e_norm2(loc[hit] - centre), 0.25, rtol=1e-9)
     pairs = ((T <= 1.0, times[0] <= 1.0), (T <= 4.0, times[0] <= 4.0), (loc[:, 0], locs[0, :, 0]))
     for a, b in pairs:
         ea, eb = McEstimate.from_samples(a), McEstimate.from_samples(b)
@@ -1631,15 +1652,14 @@ def test_radial_refine_sees_a_gaussian_tail_step():
     ball = e_ball_domain(model, np.zeros(32), 1.0)
     cfg = PathConfig(dt=0.01, horizon=20.0)
     seen = []
-    exact = _exact_exit(ball)
+    exact = potential._boundary_cut(ball.exit_target)
 
     def refine(z_in, z_out):
         seen.append(z_out - z_in)
         return exact(z_in, z_out)
 
-    hit, _, _ = simulate_hit_batch(
-        triplet, np.zeros(32), ball.exit_target, cfg, 2000, substream(67), refine
-    )
+    times, _ = potential._hit(triplet, np.zeros(32), ball.exit_target, cfg, 2000, substream(67), refine)
+    hit = np.isfinite(times)
     step = np.concatenate(seen)
     assert hit.all() and step.shape == (2000, 32)
     tail = McEstimate.from_samples((step[:, 8:] ** 2).sum(axis=1) / cfg.dt)
@@ -1793,7 +1813,8 @@ def test_engine_monitors_faces_on_the_grid_only(setup):
     """With the bridge pass gone, the engine reads a target's faces
     nowhere: a face target that stays on the engine (a box under a drift in
     c1, a halfspace with bridge=False) gives the bytes of the same target
-    declared without faces."""
+    declared without faces.  The planner is called without a cut, which
+    `simulate_hit_batch` adds for a continuous law."""
     model, triplet = setup
     drift = np.zeros(8)
     drift[0] = 0.3
@@ -1802,10 +1823,43 @@ def test_engine_monitors_faces_on_the_grid_only(setup):
     cfg = PathConfig(dt=0.02, horizon=4.0)
     cases = ((_scaled_law(model, 1.0, drift), box, cfg), (triplet, half, replace(cfg, bridge=False)))
     for i, (law, target, c) in enumerate(cases):
-        _, t0, loc0 = simulate_hit_batch(law, np.zeros(8), target, c, 300, substream(96, i))
-        _, t1, loc1 = simulate_hit_batch(law, np.zeros(8), replace(target, faces=()), c, 300, substream(96, i))
+        t0, loc0 = potential._hit(law, np.zeros(8), target, c, 300, substream(96, i))
+        t1, loc1 = potential._hit(law, np.zeros(8), replace(target, faces=()), c, 300, substream(96, i))
         assert np.isfinite(t0).any()
         assert t0.tobytes() == t1.tobytes() and loc0.tobytes() == loc1.tobytes()
+
+
+def test_only_continuous_hits_are_cut_onto_the_faces(setup):
+    """On the engine (bridge=False), `simulate_hit_batch` cuts a Brownian
+    hit of the slab complement c1 outside (-1, 1.5) onto a face, and keeps
+    a jump law's landing points: those are the bytes of the same slab
+    declared without faces, all strictly beyond a face."""
+    model, triplet = setup
+    slab = slab_complement(model, 1, -1.0, 1.5)
+    start = np.zeros(8)
+    start[0] = 0.25
+    cfg = PathConfig(dt=0.02, horizon=8.0, bridge=False)
+    gap = lambda loc: np.minimum(np.abs(loc[:, 0] + 1.0), np.abs(loc[:, 0] - 1.5))
+    hit, _, loc = simulate_hit_batch(triplet, start, slab, cfg, 300, substream(97))
+    assert hit.any() and np.all(gap(loc[hit]) < 1e-9)
+    law = _jump_law(model)
+    hit, t0, loc0 = simulate_hit_batch(law, start, slab, cfg, 300, substream(98))
+    _, t1, loc1 = simulate_hit_batch(law, start, replace(slab, faces=()), cfg, 300, substream(98))
+    assert hit.any() and t0.tobytes() == t1.tobytes() and loc0.tobytes() == loc1.tobytes()
+    assert np.all(gap(loc0[hit]) > 1e-9)
+
+
+def test_boundary_cut_enters_a_ball_at_its_first_crossing(setup):
+    """Into an E-ball the cut is the segment's first point on the sphere:
+    from c1 = 3 to c1 = -1.9, inside the unit E-ball (|c1| <= 2 on the c1
+    axis), it lands at c1 = 2, not at -2.  A target that declares neither
+    an E-form nor faces has no cut."""
+    model, _ = setup
+    cut = potential._boundary_cut(e_ball(model, np.zeros(8), 1.0))
+    z_in, z_out = np.zeros((2, 1, 8))
+    z_in[0, 0], z_out[0, 0] = 3.0, -1.9
+    np.testing.assert_allclose(cut(z_in, z_out), 2.0 * np.eye(8)[:1], rtol=0, atol=1e-12)
+    assert potential._boundary_cut(h_ball(model, 1.0)) is None
 
 
 def test_constant_read_columns_reach_membership_at_their_starts(setup, monkeypatch):
