@@ -46,8 +46,8 @@ class McEstimate:
     """Monte Carlo estimate with its standard error.
 
     The verdict rule: pass when the target sits inside the band of
-    DEFAULT_CONFIDENCE (BAND_Z standard errors), fail when it is more than
-    three bands away, inconclusive in between.
+    DEFAULT_CONFIDENCE (BAND_Z standard errors), inconclusive within three
+    bands, fail otherwise, a NaN mean or stderr included.
     """
 
     mean: float
@@ -72,9 +72,9 @@ class McEstimate:
         band = BAND_Z * self.stderr
         if gap <= band + atol:
             return "pass"
-        if gap > 3.0 * band + atol:
-            return "fail"
-        return "inconclusive"
+        if gap <= 3.0 * band + atol:
+            return "inconclusive"
+        return "fail"  # NaN compares False with every band
 
     def verdict(self, target: float, atol: float = DEFAULT_ATOL) -> str:
         return self._classify(abs(self.mean - target), atol)

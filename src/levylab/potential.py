@@ -8,20 +8,14 @@ its targets read (`TargetSet.coords`) and it moves, and its jump support,
 from its marginal law on them (`LevyTriplet.carried`, `.marginal`).  A
 read coordinate it does not move stays at its start; the other moved ones
 carry no jumps, so they are a diagonal Brownian motion with drift,
-independent of every stopping time, drawn exactly at each stopping time.  Each engine iteration
-advances the live paths by a block of grid steps, sized so that steps x
-paths x read or stepped coordinates stay within `_BLOCK` = 32768
-elements (or one step, when that is larger); a path stops inside its
-block at its entry step, which is exact because the draws after that step
-are independent of everything kept.  No path steps past its last entry;
+independent of every stopping time, drawn exactly at each stopping time.
+The engine steps blocks of grid steps within `_BLOCK` = 32768 elements
+and stops each path inside its block at its last entry (`_step_paths`);
 balayage reads only the occupancy before the hit (`discounted_occupancy`).
-A block is summed along its step
-axis by contiguous adds of each step onto the next when one step holds at
-least 512 elements, else by `np.cumsum`; both give the same bytes
-(`_prefix_sum`).  The budget is capped by the peak memory of a full-width
-exit: with 1000 paths x 32 coordinates, a block larger than one step
-(32000 elements) raises the peak that `test_full_width_exit_memory` bounds
-at 5.25 steps (40960 measured 5.72).
+The budget is capped by the peak memory of a full-width exit: with 1000
+paths x 32 coordinates, a block larger than one step (32000 elements)
+raises the peak that `test_full_width_exit_memory` bounds at 5.25 steps
+(40960 measured 5.72).
 
 The capacities of the complements of q_x level sets
 (`capacity_tightness_profile`) carry exact martingale control variates
@@ -37,12 +31,9 @@ A single-target hit of a target that reads only its face coordinates
 (a halfspace, a slab, a box), when the law moves each of them as a
 drift-free Brownian motion, skips the grid altogether: its first passage
 is sampled exactly (`_face_passage`), so it carries no monitoring error
-and its hit times are off the grid.  Each face coordinate's exit time
-comes from the Levy law or the walk on intervals, the earliest lands on
-its face, and the others are drawn at that time from the killed
-transition (`_killed_positions`).  A finite-activity jump law runs the
-same passage from one jump epoch to the next.  Drifted face coordinates
-keep the engine.
+and its hit times are off the grid, also from one jump epoch to the next
+under a finite-activity jump law.  Drifted face coordinates keep the
+engine.
 
 A single-target hit of an E-ball or its complement (a target with a
 declared `EForm`) steps only the head of the E-norm on the grid, the
@@ -50,20 +41,19 @@ coordinates whose weight is at least _HEAD_FRACTION of the first, when the
 law is continuous, the tail has at least two coordinates moved without
 drift at one variance rate, and every start's tail is the centre's.  The
 tail then enters the E-norm only through its squared radius, a squared
-Bessel process stepped exactly, its root in units of sqrt(g dt) by an add,
-a square, an add and a square root a step (`_tail_radii`); the tail vector
-is drawn only at the step where the weight bounds on it cannot rule out
-entry (`_radial_passage`).  Its hits stay on the grid and have the
+Bessel process stepped exactly (`_tail_radii`); the tail vector is drawn
+only at the step where the weight bounds on it cannot rule out entry
+(`_radial_passage`).  Its hits stay on the grid and have the
 engine's law.
 
 One planner (`_hit`) picks the mode of a one-target hit: a target that
 reads no coordinate is decided at time 0, else face passage, else the
 radial mode, else the engine.  `simulate_hit_batch` calls it, and
 so does `multi_target_hit` when, past the targets every start lies in and
-the repeats of one target object, a single target is left.  A continuous
-hit of `simulate_hit_batch` lands on the target's declared boundary: on
-its face by face passage, else cut there from the entering grid step
-(`_boundary_cut`); a jump law keeps its landing points.
+the repeats of one target object, a single target is left.  Every located
+continuous hit lands on the target's declared boundary: on its face by
+face passage, else cut there from the entering grid step (`_boundary_cut`,
+handed to the engine per target); a jump law keeps its landing points.
 
 Hitting uses the D-convention: membership is checked at time 0, so a start
 inside an open target hits immediately.
@@ -388,7 +378,7 @@ def _step_paths(
     cfg: PathConfig,
     n_paths: int,
     rng: np.random.Generator,
-    refine=None,
+    cuts=None,
     observe=None,
     locate: bool = True,
     n_steps: int | None = None,
@@ -398,15 +388,17 @@ def _step_paths(
     `member(z)` maps points (rows, N') to a (targets, rows) membership matrix
     that reads only the coordinates `coords` (None: all); N' is the largest
     read or stepped coordinate + 1.  A path steps until it has entered
-    every target.  With one target, `refine(z_in, z_out)` moves an entering
-    grid step's end point.  Targets are monitored at the grid points only;
-    `observe(t, idx, z, times, entries)` sees the block grid times t (B,),
-    points z (B, len(idx), N') of the stepped paths idx, the entry times
-    found so far, this block's included, to mask the points past an entry,
-    and this block's entries (entered, first): entered (targets, len(idx))
-    marks the paths that entered each target in the block, and first holds
-    the step of the block where they did (read it only where entered).
-    Paths take `n_steps` grid steps, by default ceil(horizon / dt).  Returns entry times (inf when missed) and entry
+    every target.  `cuts` holds a cut or None per membership row: a cut maps
+    the entering grid step's points to the entry point, cut(z_in, z_out),
+    and the path moves on from the grid point.  Targets are monitored at the grid
+    points only; `observe(t, idx, z, times, entries)` sees the block grid
+    times t (B,), points z (B, len(idx), N') of the stepped paths idx, the
+    entry times found so far, this block's included, to mask the points
+    past an entry, and this block's entries (entered, first): entered
+    (targets, len(idx)) marks the paths that entered each target in the
+    block, and first holds the step of the block where they did (read it
+    only where entered).  Paths take `n_steps` grid steps, by default
+    ceil(horizon / dt).  Returns entry times (inf when missed) and entry
     points (the start when missed; none without locate).
 
     Each iteration advances the live paths by a block of B grid steps, the
@@ -483,17 +475,16 @@ def _step_paths(
         t = (done + 1 + np.arange(nb)) * cfg.dt
         entering = entered.any()
         if entering:
-            if refine is not None:
-                rows = np.flatnonzero(entered[0])
-                s = first[0, rows]
-                z_in = np.where((s > 0)[:, None], path[s - 1, rows], y[rows])
-                path[s, rows] = refine(widen(z_in, rows), widen(path[s, rows], rows))[:, cols]
             for ti in np.flatnonzero(entered.any(axis=1)):
                 rows = np.flatnonzero(entered[ti])
                 s = first[ti, rows]
                 times[ti, ids[rows]] = t[s]
                 if locate:
-                    locs[ti, ids[rows, None], cols] = path[s, rows]
+                    z_at = path[s, rows]
+                    if cuts and cuts[ti] is not None:
+                        z_in = np.where((s > 0)[:, None], path[s - 1, rows], y[rows])
+                        z_at = cuts[ti](widen(z_in, rows), widen(z_at, rows))[:, cols]
+                    locs[ti, ids[rows, None], cols] = z_at
             pending &= ~entered
             going = pending.any(axis=0)
         if observe is not None:
@@ -959,7 +950,7 @@ def _radial_passage(
     cfg: PathConfig,
     n_paths: int,
     rng: np.random.Generator,
-    refine,
+    cut,
     m: int,
 ):
     """A hit of an E-form target that steps the head coordinates c_1..c_m
@@ -979,13 +970,13 @@ def _radial_passage(
     kappa = sqrt(rho_{s-1} rho_s) / (g dt) = r_{s-1} r_s
     (`_von_mises_fisher`), the law of a Gaussian step given its end
     radius.  The real membership then decides.  A path that entered stops
-    at s, with `refine` applied to its points at s - 1 and s; one that did
+    at s, located by `cut` from its points at s - 1 and s; one that did
     not leaves the radial mode at s with its realized point.  So do all
     live paths, their tails drawn uniform, once fewer than
     _RADIAL_MIN_PATHS remain.  The paths that left finish on the engine
     (`_step_paths`) in one call from their points, for as many steps as
-    the longest of their remaining counts; an entry past a path's own count
-    is a miss.  The head's increments come from `sample_increments`.
+    the longest of their remaining counts, with `cut`; an entry past a
+    path's own count is a miss.  The head steps by `sample_increments`.
     """
     form = target.e_form
     z0 = _starts(start, n_paths)
@@ -1042,14 +1033,13 @@ def _radial_passage(
         entered = target(z_out)
         times[ids[entered]] = steps[entered] * cfg.dt
         left.append((ids[~entered], z_out[~entered], steps[~entered]))
-        z_in, z_out = z_in[entered], z_out[entered]
-        locs[ids[entered]] = z_out if refine is None else refine(z_in, z_out)
+        locs[ids[entered]] = cut(z_in[entered], z_out[entered])
         del u, v, z_in, z_out  # free this chunk before the next one is drawn
     ids, z, steps = (np.concatenate(x) for x in zip(*left))
     if ids.size:
         t, loc = _step_paths(
             triplet, z, lambda z: target(z)[None], None, cfg, ids.size, rng,
-            refine=refine, n_steps=n_steps - int(steps.min()),
+            cuts=[cut], n_steps=n_steps - int(steps.min()),
         )
         j = np.rint(t[0] / cfg.dt)  # the grid steps each path took on the engine
         hit = steps + j <= n_steps
@@ -1065,7 +1055,6 @@ def _hit(
     cfg: PathConfig,
     n_paths: int,
     rng: np.random.Generator,
-    refine=None,
     locate: bool = True,
 ):
     """The hit planner: entry times of n_paths paths from `start` into one
@@ -1077,12 +1066,11 @@ def _hit(
     1. exact passage (`_face_passage`), with cfg.bridge, a target that
        reads only its face coordinates, and a continuous or finite-activity
        jump law that moves each of them without drift (b_j = 0, g_j > 0);
-       the coordinate a continuous exit leaves by is its face value, the
-       point the boundary cut gives, so `refine` is not called;
+       the coordinate a continuous exit leaves by is its face value;
     2. the radial mode (`_radial_passage`), for a declared E-form whose
        tail can be stepped as one radius (`_radial_head`): the engine's law
-       on its grid, and `refine` gets full points;
-    3. the engine, which monitors the target at its grid points only."""
+       on its grid, a continuous hit cut onto the boundary (`_boundary_cut`);
+    3. the engine, which monitors the target at its grid points, cut alike."""
     if target.coords == ():
         z0 = _starts(start, n_paths)
         return np.where(target(z0), 0.0, np.inf), z0
@@ -1095,23 +1083,26 @@ def _hit(
         and (triplet.gaussian_diag[cols] > 0).all()
     ):
         return _face_passage(triplet, start, target, cfg, n_paths, rng, locate)
+    cut = _boundary_cut(triplet, target)
     if m := _radial_head(triplet, target, start):
-        return _radial_passage(triplet, start, target, cfg, n_paths, rng, refine, m)
+        return _radial_passage(triplet, start, target, cfg, n_paths, rng, cut, m)
     times, locs = _step_paths(
         triplet, start, lambda z: target(z)[None], target.coords, cfg, n_paths, rng,
-        refine=refine, locate=locate,
+        cuts=[cut], locate=locate,
     )
     return times[0], locs[0] if locate else None
 
 
-def _boundary_cut(target: TargetSet):
+def _boundary_cut(triplet: LevyTriplet, target: TargetSet):
     """The cut of a continuous hit onto the target's declared boundary:
     `cut(z_in, z_out)` is the point where the entering step's segment
     z_in + theta*(z_out - z_in), z_in outside the target, meets the sphere
-    of its E-form, else the first face it crosses.  None for a target that
-    declares neither."""
+    of its E-form, else the first face it crosses, with that face's
+    coordinate set to the face value, as face passage lands, so the point
+    lies in the closed target.  None for a target that declares neither,
+    and under a jump law, whose landing points are kept."""
     form = target.e_form
-    if form is None and not target.faces:
+    if not triplet.is_continuous or (form is None and not target.faces):
         return None
 
     def cut(z_in, z_out):
@@ -1125,13 +1116,17 @@ def _boundary_cut(target: TargetSet):
             q = (p * p) @ w - form.r2
             root = np.sqrt(b * b - a * q)
             theta = q / (root - b) if form.inside else -q / (b + root)
-        else:
-            theta = np.ones(len(z_in))
-            for j, v, side in target.faces:
-                crossed = side * (z_out[:, j] - v) >= 0
-                frac = (v - z_in[crossed, j]) / d[crossed, j]
-                theta[crossed] = np.minimum(theta[crossed], frac)
-        return z_in + theta[..., None] * d
+            return z_in + theta[..., None] * d
+        theta, face = np.ones(len(z_in)), np.full(len(z_in), -1)
+        for i, (j, v, side) in enumerate(target.faces):
+            rows = np.flatnonzero(side * (z_out[:, j] - v) >= 0)
+            frac = (v - z_in[rows, j]) / d[rows, j]
+            nearer = frac <= theta[rows]
+            theta[rows[nearer]], face[rows[nearer]] = frac[nearer], i
+        z = z_in + theta[:, None] * d
+        for i, (j, v, _) in enumerate(target.faces):  # z_in + theta*d may round off it
+            z[face == i, j] = v
+        return z
 
     return cut
 
@@ -1155,16 +1150,15 @@ def simulate_hit_batch(
     exactly with no time grid (`_face_passage`): the coordinate that leaves
     first lands on its face, and the other face coordinates are drawn at
     the hit time conditioned on having stayed in the box the faces leave.
-    E-forms and drifted face targets report the point where the entering
-    step's segment meets the boundary (`_boundary_cut`), other targets the
-    grid point.  An E-form hit of a Brownian law whose far coordinates
-    start at the centre's steps those as one squared radius and draws them
-    only at the entry step (`_radial_passage`), with the same law.  Jump
+    Other E-form and face hits are cut onto the boundary from the entering
+    step (`_boundary_cut`), other targets' kept at the grid point.  An
+    E-form hit of a Brownian law whose far coordinates start at the
+    centre's steps those as one squared radius and draws them only at the
+    entry step (`_radial_passage`), with the same law.  Jump
     paths hit exactly too, between jumps on a face and at a jump on the
     landing point, which may lie beyond the face; drifted ones are
     stepped.  No landing point of a jump law is cut."""
-    refine = _boundary_cut(target) if triplet.is_continuous else None
-    times, loc = _hit(triplet, start, target, cfg, n_paths, rng, refine)
+    times, loc = _hit(triplet, start, target, cfg, n_paths, rng)
     return np.isfinite(times), times, loc
 
 
@@ -1186,14 +1180,15 @@ def multi_target_hit(
     and one that is the same object as an earlier one (identity, not
     equality) copies its hits.  A single other target goes through the
     planner (`_hit`); with two or more, every target is monitored on the
-    engine's grid alone, so all identically."""
+    engine's grid alone, so all identically, each entry cut onto its
+    target's boundary as `simulate_hit_batch` cuts it (`_boundary_cut`)."""
     z0 = _starts(start, n_paths)
     first = [next(i for i, u in enumerate(targets) if u is t) for t in targets]
     pending = [i for i, t in enumerate(targets) if first[i] == i and not t(z0).all()]
     if len(pending) > 1:
         return _step_paths(
             triplet, start, lambda z: np.array([t(z) for t in targets]), _support(targets),
-            cfg, n_paths, rng,
+            cfg, n_paths, rng, cuts=[_boundary_cut(triplet, t) for t in targets],
         )
     times, loc = np.zeros(n_paths), z0
     if pending:
@@ -1430,7 +1425,8 @@ def discounted_occupancy(
     """Per-path grid sums D_F of e^{-beta t} 1_F(X_t) dt over the grid times
     t < T_M (to the horizon for a miss), each path stopped at its hit of M.
     By the strong Markov property E D_F = nu U_beta 1_F - nu_M U_beta 1_F,
-    nu the start's point mass.  Returns (T_M array, D matrix, hit locations)."""
+    nu the start's point mass.  Returns (T_M array, D matrix, hit locations),
+    a continuous hit cut onto M's boundary (`_boundary_cut`)."""
     D = np.zeros((len(F_targets), n_paths))
 
     def observe(t, idx, z, times, entries):
@@ -1440,7 +1436,7 @@ def discounted_occupancy(
 
     times, locs = _step_paths(
         triplet, start, lambda z: M(z)[None], _support([M, *F_targets]), cfg, n_paths, rng,
-        observe=observe,
+        cuts=[_boundary_cut(triplet, M)], observe=observe,
     )
     return times[0], D, locs[0]
 
@@ -1537,8 +1533,9 @@ def balayage_check(
     certifies F subset M.  Each row's difference nu U_beta 1_F - nu_M
     U_beta 1_F is the mean discounted occupancy of F before the hit of M
     (`discounted_occupancy`, whose paths stop at the hit): nonnegative per
-    path, and for F inside M exactly 0.  Also checks the carrier property
-    of the sampled hitting locations.
+    path, and for F inside M exactly 0.  Also checks the carrier property:
+    the sampled hitting locations lie in M's closure, where a continuous hit
+    is cut onto its boundary (an E-form's sphere up to rounding).
     """
     if beta <= 0:
         raise PreconditionError("beta must be positive")
@@ -1552,7 +1549,10 @@ def balayage_check(
         hits = np.isfinite(T)
         if hits.any():
             any_hit = True
-            carrier_ok &= bool(np.all(M(loc[hits])))
+            pts, form = loc[hits], M.e_form
+            q = None if form is None else ((pts - form.center) ** 2) @ form.weights
+            on_sphere = form is not None and np.isclose(q, form.r2, rtol=1e-9, atol=0)
+            carrier_ok &= bool(np.all(M(pts) | on_sphere))
         per_sample_ineq &= bool(np.all(D >= 0))
         mean += mi * D.mean(axis=1)
         var += (mi * D.std(axis=1, ddof=1) / np.sqrt(n)) ** 2

@@ -175,7 +175,7 @@ def test_exit_locations_exactly_on_boundary(setup):
 def test_eball_exit_root_matches_elementwise_sums(setup, shape):
     """The E-ball exit point, with its quadratic forms in one pass, agrees
     with the elementwise sums to 1e-12 for 1, 2 and 3 batch axes."""
-    model, _ = setup
+    model, triplet = setup
     rng = np.random.default_rng(len(shape))
     center, radius = 0.1 * rng.standard_normal(DIM), 1.0
     u, v = rng.standard_normal((2,) + shape + (DIM,))
@@ -185,7 +185,8 @@ def test_eball_exit_root_matches_elementwise_sums(setup, shape):
     a, b = np.sum(w * d * d, axis=-1), np.sum(w * p * d, axis=-1)
     q = np.sum(w * p * p, axis=-1) - radius**2
     ref = z_in + (-q / (b + np.sqrt(b * b - a * q)))[..., None] * d
-    got = potential._boundary_cut(e_ball_domain(model, center, radius).exit_target)(z_in, z_out)
+    cut = potential._boundary_cut(triplet, e_ball_domain(model, center, radius).exit_target)
+    got = cut(z_in, z_out)
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
 
 

@@ -37,6 +37,14 @@ def test_verdict_trivial_cases():
     assert est.verdict(1.0 + 2.0 * 0.1 * 3.3) == "inconclusive"
 
 
+def test_nan_estimates_fail():
+    """A NaN mean or stderr fails every verdict: no band holds a NaN gap."""
+    for est, target in ((McEstimate(np.nan, 0.1, 100), 0.0), (McEstimate(0.0, np.nan, 100), 1.0)):
+        assert est.verdict(target) == "fail"
+        assert est.verdict_at_least(target) == "fail"
+        assert est.verdict_at_most(target) == "fail"
+
+
 def test_one_sided_verdicts():
     est = McEstimate(mean=1.0, stderr=0.01, n_samples=1000)
     assert est.verdict_at_least(0.5) == "pass"

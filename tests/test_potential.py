@@ -503,6 +503,20 @@ def test_balayage_atom_outside_M(setup):
     assert rep["rows"][1]["verdict"] != "fail"  # one-sided off M
 
 
+@pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+def test_balayage_carrier_holds_on_an_e_shell(setup, closed):
+    """Hits of an E-shell M are cut onto its sphere, where rounding leaves
+    some just inside the ball: they still lie in M's closure, the carrier
+    of the swept measure."""
+    model, triplet = setup
+    M = e_ball_complement(model, np.zeros(8), 1.0, closed=closed)
+    nu = PointCloud(np.zeros((1, 8)), np.array([1.0]))
+    F = e_ball_complement(model, np.zeros(8), 1.5)
+    cfg = PathConfig(dt=0.02, horizon=12.0)
+    rep = balayage_check(triplet, nu, M, 1.0, [{"target": F, "inside": True}], 400, cfg, substream(15))
+    assert rep["carrier_ok"] and not rep["degenerate"]
+
+
 def test_balayage_degenerate_warning(setup):
     model, triplet = setup
     M = coord_halfspace(model, 1, 50.0, +1)  # unreachable
@@ -602,7 +616,7 @@ def test_polarity_H_band_uses_confidence(setup, monkeypatch):
     model, triplet = setup
     n, fractions = 400, iter((0.5, 0.7, 0.1))  # hit fractions at rho = 2, 1, 0.5
 
-    def fake_hits(triplet, z, target, cfg, n, rng, refine=None, locate=True):
+    def fake_hits(triplet, z, target, cfg, n, rng, locate=True):
         return np.where(np.arange(n) < next(fractions) * n, 0.0, np.inf), None
 
     monkeypatch.setattr(potential, "_hit", fake_hits)
@@ -726,7 +740,7 @@ def test_multi_target_one_pending_takes_the_single_target_law(label):
     the hit probability, E[exp(-T)] and E[c1] at the hit), its very bytes
     on one stream, and the shared-trajectory orderings: the repeat shares
     its time, and the whole-space target is entered at time 0 at the start.
-    (`simulate_hit_batch` runs the planner with a cut onto the boundary.)"""
+    Those are `simulate_hit_batch`'s bytes too, so both land a hit alike."""
     model = make_space(32)
     triplet = brownian_triplet(model)
     half = coord_halfspace(model, 1, 1.0, +1)
@@ -749,6 +763,8 @@ def test_multi_target_one_pending_takes_the_single_target_law(label):
         assert diff.verdict(0.0) == "pass", label
     T1, loc1 = potential._hit(triplet, start, M, cfg, 2000, substream(60, label))
     assert times[0].tobytes() == T1.tobytes() and locs[0].tobytes() == loc1.tobytes()
+    _, T2, loc2 = simulate_hit_batch(triplet, start, M, cfg, 2000, substream(60, label))
+    assert times[0].tobytes() == T2.tobytes() and locs[0].tobytes() == loc2.tobytes()
     if targets[1] is M:
         assert times[1].tobytes() == times[0].tobytes() and np.array_equal(locs[1], locs[0])
     else:
@@ -791,6 +807,46 @@ def test_two_pending_targets_keep_the_engine_bytes():
     )
     assert times.tobytes() == t_ref.tobytes() and locs.tobytes() == l_ref.tobytes()
     assert np.isfinite(times).any() and not np.isfinite(times).all()
+
+
+def test_two_pending_e_shells_land_on_their_spheres():
+    """Two pending E-ball complements of radius 1 and 1.5 share each path:
+    every hit is cut onto its own sphere, as `simulate_hit_batch` cuts it,
+    and the inner shell is hit no later than the outer one."""
+    model = make_space(32)
+    shells = [e_ball_complement(model, np.zeros(32), r) for r in (1.0, 1.5)]
+    cfg = PathConfig(dt=0.02, horizon=8.0)
+    times, locs = multi_target_hit(brownian_triplet(model), np.zeros(32), shells, cfg, 1000, substream(70))
+    hit = np.isfinite(times)
+    assert hit[1].mean() > 0.5 and np.all(hit[0] >= hit[1])
+    for i, r2 in enumerate((1.0, 2.25)):
+        np.testing.assert_allclose(model.e_norm2(locs[i, hit[i]]), r2, rtol=1e-9)
+    assert np.all(times[0] <= times[1])
+
+
+def test_reduced_function_reads_v_on_the_sphere():
+    """v = ||z||_E^2 with the bound 2.25 holds at every hit of the shell of
+    E-radius 1.5: the hits are cut onto it, not read one grid step past."""
+    model = make_space(32)
+    v = TestFunction(model.e_norm2, bound=2.25)
+    shell = e_ball_complement(model, np.zeros(32), 1.5)
+    cfg = PathConfig(dt=0.02, horizon=8.0)
+    _, samples = reduced_function_family(
+        brownian_triplet(model), v, [shell, whole_space(model)], 1.0, np.zeros(32), 400, cfg,
+        substream(71),
+    )
+    assert np.count_nonzero(samples[0]) > 200 and np.all(samples[0] <= 2.25)
+
+
+def test_occupancy_hits_lie_on_the_face(setup):
+    """discounted_occupancy lands each Brownian hit of c1 >= 1 on the face
+    c1 = 1 exactly, inside the closed halfspace."""
+    model, triplet = setup
+    M, F = coord_halfspace(model, 1, 1.0, +1), coord_halfspace(model, 1, -0.5, -1)
+    cfg = PathConfig(dt=0.02, horizon=12.0)
+    T, _, loc = discounted_occupancy(triplet, np.zeros(8), M, [F], 1.0, cfg, 400, substream(72))
+    hit = np.isfinite(T)
+    assert hit.mean() > 0.5 and np.all(loc[hit, 0] == 1.0)
 
 
 def test_multi_target_all_at_time_zero_draws_nothing(setup):
@@ -1046,9 +1102,9 @@ class _CountingRng:
 
 
 def test_refine_sees_the_entering_step(setup, monkeypatch):
-    """refine(z_in, z_out) gets the two grid points around the entry, also
-    deep inside a block: c8 barely moves the E-norm, so its change between
-    them is close to N(0, dt)."""
+    """The planner's cut(z_in, z_out) gets the two grid points around the
+    entry, also deep inside a block: c8 barely moves the E-norm, so its
+    change between them is close to N(0, dt)."""
     model, triplet = setup
     monkeypatch.setattr(potential, "_BLOCK", 2**20)
     seen = []
@@ -1057,9 +1113,10 @@ def test_refine_sees_the_entering_step(setup, monkeypatch):
         seen.append(z_out - z_in)
         return z_out
 
+    monkeypatch.setattr(potential, "_boundary_cut", lambda *_: refine)
     cfg = PathConfig(dt=0.01, horizon=20.0)
     shell = e_ball_complement(model, np.zeros(8), 1.0)
-    times, _ = potential._hit(triplet, np.zeros(8), shell, cfg, 2000, substream(32), refine=refine)
+    times, _ = potential._hit(triplet, np.zeros(8), shell, cfg, 2000, substream(32))
     hit = np.isfinite(times)
     assert hit.all()
     step = np.concatenate(seen)[:, 7]
@@ -1514,10 +1571,10 @@ def test_radial_mode_takes_only_eligible_inputs():
     for name, (law, target, start) in cases.items():
         assert potential._radial_head(law, target, start) == 0, name
         _, t0, loc0 = simulate_hit_batch(law, start, target, cfg, 200, substream(61, name))
-        cut = potential._boundary_cut(target) if law.is_continuous else None
+        cut = potential._boundary_cut(law, target)
         times, locs = potential._step_paths(
             law, start, lambda z: target(z)[None], target.coords, cfg, 200, substream(61, name),
-            refine=cut,
+            cuts=[cut],
         )
         assert np.isfinite(t0).any(), name
         assert t0.tobytes() == times[0].tobytes(), name
@@ -1536,7 +1593,7 @@ def _engine_ball_exits(dim, rng):
     cfg = PathConfig(dt=0.01, horizon=40.0)
     times, locs = potential._step_paths(
         triplet, start, lambda z: ball.exit_target(z)[None], None, cfg, 3000, rng,
-        refine=potential._boundary_cut(ball.exit_target),
+        cuts=[potential._boundary_cut(triplet, ball.exit_target)],
     )
     return model, triplet, ball, start, cfg, times[0], locs[0]
 
@@ -1616,7 +1673,7 @@ def test_radial_ball_hits_match_the_engine():
     hit, T, loc = simulate_hit_batch(triplet, np.zeros(32), ball, cfg, 3000, substream(64))
     times, locs = potential._step_paths(
         triplet, np.zeros(32), lambda z: ball(z)[None], None, cfg, 3000, substream(65),
-        refine=potential._boundary_cut(ball),
+        cuts=[potential._boundary_cut(triplet, ball)],
     )
     np.testing.assert_allclose(model.e_norm2(loc[hit] - centre), 0.25, rtol=1e-9)
     pairs = ((T <= 1.0, times[0] <= 1.0), (T <= 4.0, times[0] <= 4.0), (loc[:, 0], locs[0, :, 0]))
@@ -1642,23 +1699,24 @@ def test_tail_radii_step_a_squared_bessel_process(r0):
     assert McEstimate.from_samples((rho - mean) ** 2).verdict(var) == "pass"
 
 
-def test_radial_refine_sees_a_gaussian_tail_step():
-    """In the radial mode, `refine(z_in, z_out)` gets the realized points
-    around the entry: the tail's step between them is the N(0, dt) step of
-    each tail coordinate, |dz_tail|^2 / dt averaging 24 over c9..c32, and
-    c8's step is N(0, dt) too.  (The few paths that finish on the engine add
+def test_radial_refine_sees_a_gaussian_tail_step(monkeypatch):
+    """In the radial mode, the planner's cut(z_in, z_out) gets the realized
+    points around the entry: the tail's step between them is the N(0, dt)
+    step of each tail coordinate, |dz_tail|^2 / dt averaging 24 over
+    c9..c32, and c8's step is N(0, dt) too.  (The few paths that finish on the engine add
     engine steps, which have the same law.)"""
     model, triplet, _ = _radial_cases()
     ball = e_ball_domain(model, np.zeros(32), 1.0)
     cfg = PathConfig(dt=0.01, horizon=20.0)
     seen = []
-    exact = potential._boundary_cut(ball.exit_target)
+    exact = potential._boundary_cut(triplet, ball.exit_target)
 
     def refine(z_in, z_out):
         seen.append(z_out - z_in)
         return exact(z_in, z_out)
 
-    times, _ = potential._hit(triplet, np.zeros(32), ball.exit_target, cfg, 2000, substream(67), refine)
+    monkeypatch.setattr(potential, "_boundary_cut", lambda *_: refine)
+    times, _ = potential._hit(triplet, np.zeros(32), ball.exit_target, cfg, 2000, substream(67))
     hit = np.isfinite(times)
     step = np.concatenate(seen)
     assert hit.all() and step.shape == (2000, 32)
@@ -1811,10 +1869,10 @@ def test_jump_slab_exit_side_matches_the_engine_extrapolated(setup):
 
 def test_engine_monitors_faces_on_the_grid_only(setup):
     """With the bridge pass gone, the engine reads a target's faces
-    nowhere: a face target that stays on the engine (a box under a drift in
-    c1, a halfspace with bridge=False) gives the bytes of the same target
-    declared without faces.  The planner is called without a cut, which
-    `simulate_hit_batch` adds for a continuous law."""
+    nowhere but in its cut: a face target that stays on the engine (a box
+    under a drift in c1, a halfspace with bridge=False) gives the bytes of
+    the same target declared without faces, stepped with the face target's
+    cut."""
     model, triplet = setup
     drift = np.zeros(8)
     drift[0] = 0.3
@@ -1824,7 +1882,10 @@ def test_engine_monitors_faces_on_the_grid_only(setup):
     cases = ((_scaled_law(model, 1.0, drift), box, cfg), (triplet, half, replace(cfg, bridge=False)))
     for i, (law, target, c) in enumerate(cases):
         t0, loc0 = potential._hit(law, np.zeros(8), target, c, 300, substream(96, i))
-        t1, loc1 = potential._hit(law, np.zeros(8), replace(target, faces=()), c, 300, substream(96, i))
+        t1, loc1 = (x[0] for x in potential._step_paths(
+            law, np.zeros(8), lambda z: replace(target, faces=())(z)[None], target.coords, c,
+            300, substream(96, i), cuts=[potential._boundary_cut(law, target)],
+        ))
         assert np.isfinite(t0).any()
         assert t0.tobytes() == t1.tobytes() and loc0.tobytes() == loc1.tobytes()
 
@@ -1849,17 +1910,30 @@ def test_only_continuous_hits_are_cut_onto_the_faces(setup):
     assert np.all(gap(loc0[hit]) > 1e-9)
 
 
+def test_face_cut_lands_on_the_face(setup):
+    """A Brownian hit of c1 >= 0.3 kept on the engine is cut onto the face
+    exactly, so it lies in the closed halfspace; z_in + theta*d alone rounds
+    off the face at this level."""
+    model, triplet = setup
+    half = coord_halfspace(model, 1, 0.3, +1)
+    cfg = PathConfig(dt=0.01, horizon=20.0, bridge=False)
+    hit, _, loc = simulate_hit_batch(triplet, np.zeros(8), half, cfg, 20000, substream(5, 0.3))
+    assert hit.mean() > 0.9
+    assert np.all(loc[hit, 0] == 0.3) and half(loc[hit]).all()
+
+
 def test_boundary_cut_enters_a_ball_at_its_first_crossing(setup):
     """Into an E-ball the cut is the segment's first point on the sphere:
     from c1 = 3 to c1 = -1.9, inside the unit E-ball (|c1| <= 2 on the c1
     axis), it lands at c1 = 2, not at -2.  A target that declares neither
-    an E-form nor faces has no cut."""
-    model, _ = setup
-    cut = potential._boundary_cut(e_ball(model, np.zeros(8), 1.0))
+    an E-form nor faces has no cut, and neither has a jump law."""
+    model, triplet = setup
+    cut = potential._boundary_cut(triplet, e_ball(model, np.zeros(8), 1.0))
     z_in, z_out = np.zeros((2, 1, 8))
     z_in[0, 0], z_out[0, 0] = 3.0, -1.9
     np.testing.assert_allclose(cut(z_in, z_out), 2.0 * np.eye(8)[:1], rtol=0, atol=1e-12)
-    assert potential._boundary_cut(h_ball(model, 1.0)) is None
+    assert potential._boundary_cut(triplet, h_ball(model, 1.0)) is None
+    assert potential._boundary_cut(_jump_law(model), e_ball(model, np.zeros(8), 1.0)) is None
 
 
 def test_constant_read_columns_reach_membership_at_their_starts(setup, monkeypatch):
