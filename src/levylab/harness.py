@@ -86,7 +86,8 @@ def _check_workers(workers):
 
 def _check_parameters(i, operation, params):
     """Every key is one the operation reads (see suite.PARAMETERS), with an
-    integer for its value: each is a count."""
+    integer >= 1 for its value: each is a count, and a gate over no points
+    would check nothing."""
     reads = PARAMETERS.get(operation, ())
     unread = set(params) - set(reads)
     if unread:
@@ -95,9 +96,9 @@ def _check_parameters(i, operation, params):
             f"it reads {list(reads) or 'none'}"
         )
     for key, value in params.items():
-        if not _is_int(value):
+        if not (_is_int(value) and value >= 1):
             raise ConfigError(
-                f"experiment #{i}: parameter {key!r} must be an integer, got {value!r}"
+                f"experiment #{i}: parameter {key!r} must be an integer >= 1, got {value!r}"
             )
 
 
@@ -136,6 +137,9 @@ def load_config(path) -> dict:
             # only the scaled count is floored at 100
             raise ConfigError(f"experiment #{i}: samples must be an integer >= 100")
         name = exp.get("name", exp["operation"])
+        if not (isinstance(name, str) and name):
+            # the name is the CSV's experiment column and the --filter subject
+            raise ConfigError(f"experiment #{i}: name must be a non-empty string, got {name!r}")
         if name in names:
             # the name keys the experiment's random stream
             raise ConfigError(f"experiment #{i}: duplicate name {name!r}")

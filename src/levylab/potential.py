@@ -173,6 +173,17 @@ class PointCloud:
     def total_mass(self) -> float:
         return float(self.masses.sum())
 
+    def weighted_sum(self, estimates) -> McEstimate:
+        """sum_i m_i X_i of independent estimates X_i, one per point: the
+        means add with the masses, and so do the variances with their
+        squares."""
+        pairs = list(zip(self.masses, estimates))
+        return McEstimate(
+            float(sum((m * e.mean for m, e in pairs), 0.0)),
+            float(np.sqrt(sum(((m * e.stderr) ** 2 for m, e in pairs), 0.0))),
+            sum(e.n_samples for _, e in pairs),
+        )
+
 
 # -- target constructors ----------------------------------------------------
 
@@ -1465,15 +1476,12 @@ def capacity(
     It reads hit times alone, so it draws no hit location."""
     if beta <= 0:
         raise PreconditionError("beta must be positive")
-    mean = 0.0
-    var = 0.0
-    for zi, mi in zip(lam.points, lam.masses):
+    ests = []
+    for zi in lam.points:
         time, _ = _hit(triplet, zi, M, cfg, n, rng, locate=False)
-        vals = np.exp(-beta * time) / beta  # exp(-inf) = 0 for a miss
-        est = McEstimate.from_samples(vals)
-        mean += mi * est.mean
-        var += (mi * est.stderr) ** 2
-    return McEstimate(mean, float(np.sqrt(var)), n * len(lam.points))
+        # exp(-inf) = 0 for a miss
+        ests.append(McEstimate.from_samples(np.exp(-beta * time) / beta))
+    return lam.weighted_sum(ests)
 
 
 def capacity_tightness_profile(
@@ -1500,20 +1508,14 @@ def capacity_tightness_profile(
     if beta <= 0:
         raise PreconditionError("beta must be positive")
     levels = list(levels)
-    means = np.zeros(len(levels))
-    var = np.zeros(len(levels))
-    for zi, mi in zip(lam.points, lam.masses):
+    per_point = []  # each point's estimates, one a level
+    for zi in lam.points:
         times, control = _level_control(norm, triplet, zi, levels, beta, cfg, n, rng)
         disc = np.where(np.isfinite(times), np.exp(-beta * times), 0.0) / beta
-        resid = _cross_fitted(disc, control)
-        for li in range(len(levels)):
-            est = McEstimate.from_samples(resid[li])
-            means[li] += mi * est.mean
-            var[li] += (mi * est.stderr) ** 2
-    n_all = n * len(lam.points)
+        per_point.append([McEstimate.from_samples(r) for r in _cross_fitted(disc, control)])
     return [
-        {"level": lv, "estimate": McEstimate(float(m), float(np.sqrt(v)), n_all)}
-        for lv, m, v in zip(levels, means, var)
+        {"level": lv, "estimate": lam.weighted_sum(ests)}
+        for lv, ests in zip(levels, zip(*per_point))
     ]
 
 
@@ -1540,11 +1542,11 @@ def balayage_check(
     if beta <= 0:
         raise PreconditionError("beta must be positive")
     targets = [spec["target"] for spec in F_specs]
-    mean, var = np.zeros(len(targets)), np.zeros(len(targets))
+    per_point = []  # each point's estimates, one a probe set
     per_sample_ineq = True
     any_hit = False
     carrier_ok = True
-    for zi, mi in zip(nu.points, nu.masses):
+    for zi in nu.points:
         T, D, loc = discounted_occupancy(triplet, zi, M, targets, beta, cfg, n, rng)
         hits = np.isfinite(T)
         if hits.any():
@@ -1554,11 +1556,10 @@ def balayage_check(
             on_sphere = form is not None and np.isclose(q, form.r2, rtol=1e-9, atol=0)
             carrier_ok &= bool(np.all(M(pts) | on_sphere))
         per_sample_ineq &= bool(np.all(D >= 0))
-        mean += mi * D.mean(axis=1)
-        var += (mi * D.std(axis=1, ddof=1) / np.sqrt(n)) ** 2
+        per_point.append([McEstimate.from_samples(d) for d in D])
     rows = []
-    for F, spec, m, v in zip(targets, F_specs, mean, var):
-        diff_est = McEstimate(float(m), float(np.sqrt(v)), n * len(nu.points))
+    for F, spec, ests in zip(targets, F_specs, zip(*per_point)):
+        diff_est = nu.weighted_sum(ests)
         inside = bool(spec["inside"])
         verdict = diff_est.verdict(0.0) if inside else diff_est.verdict_at_least(0.0)
         rows.append(dict(F=F.name, inside=inside, verdict=verdict, difference=diff_est))
@@ -1583,8 +1584,12 @@ def domination_check(
     """Domination principle: verify mu o U_beta <= nu o U_beta on probes in
     the carrier G, then test the conclusion on probes outside G.
 
-    Each probe shares one batch of resolvent increments across every cloud
-    point of both measures (common random numbers)."""
+    Each probe's row holds the difference nu U_beta 1_B - mu U_beta 1_B and
+    its one-sided verdict (at least 0); the report holds the rows of each
+    side and whether the hypothesis holds on G (no row fails).  The
+    conclusion rows are empty when it does not.  Each probe shares one
+    batch of resolvent increments across every cloud point of both measures
+    (common random numbers)."""
     if beta <= 0:
         raise PreconditionError("beta must be positive")
 
@@ -1594,61 +1599,48 @@ def domination_check(
         def side(c):  # each point's share added onto zeros in cloud order
             return sum((m * B(p + incr) / beta for p, m in zip(c.points, c.masses)), np.zeros(n))
 
-        mu_samples, nu_samples = side(mu), side(nu)
-        diff = McEstimate.from_samples(nu_samples - mu_samples)
-        return {
-            "probe": B.name,
-            "mu_value": float(mu_samples.mean()),
-            "nu_value": float(nu_samples.mean()),
-            "difference": diff,
-            "verdict": diff.verdict_at_least(0.0),
-        }
+        diff = McEstimate.from_samples(side(nu) - side(mu))
+        return {"difference": diff, "verdict": diff.verdict_at_least(0.0)}
 
     hyp_rows = [probe_row(B) for B in probes_in_G]
     hypothesis_ok = all(r["verdict"] != "fail" for r in hyp_rows)
-    out = {"hypothesis_rows": hyp_rows, "hypothesis_ok": hypothesis_ok}
-    if not hypothesis_ok:
-        out["conclusion_rows"] = []
-        out["conclusion_ok"] = None  # hypothesis not satisfied on G: conclusion skipped
-        return out
-    conc_rows = [probe_row(B) for B in probes_out_G]
-    out["conclusion_rows"] = conc_rows
-    out["conclusion_ok"] = all(r["verdict"] != "fail" for r in conc_rows)
-    return out
+    return {
+        "hypothesis_rows": hyp_rows,
+        "hypothesis_ok": hypothesis_ok,
+        # skipped when the hypothesis fails on G
+        "conclusion_rows": [probe_row(B) for B in probes_out_G] if hypothesis_ok else [],
+    }
 
 
 def polarity_diagnostic(
     triplet: LevyTriplet,
     targets,
-    starts,
+    start: np.ndarray,
     n: int,
     cfg: PathConfig,
     rng: np.random.Generator,
 ) -> dict:
     """Hit probabilities of a nested family of targets, largest first, from
-    each start (E-balls around a point, H-balls, ...).
+    one start (E-balls around a point, H-balls, ...): a row a target, with
+    its name and estimate.
 
-    A diagnostic, not a proof: verdict "consistent with polarity" when, at
-    every start, no probability rises above the one before it by more than
-    3 BAND_Z hypot(se), and the last is at most half the first plus that band.
-    A start inside the largest target would hit them all at time 0."""
-    if targets[0](np.asarray(starts, dtype=float)).any():
-        raise PreconditionError("a start lies inside the largest target")
+    A diagnostic, not a proof: verdict "consistent with polarity" when no
+    probability rises above the one before it by more than 3 BAND_Z
+    hypot(se), and the last is at most half the first plus that band.  A
+    start inside the largest target would hit them all at time 0."""
+    start = np.asarray(start, dtype=float)
+    if targets[0](start[None, :]).any():
+        raise PreconditionError("the start lies inside the largest target")
     band = lambda a, b: 3 * BAND_Z * np.hypot(a.stderr, b.stderr)
-    rows = []
-    consistent = True
-    for start in starts:
-        ests = []
-        for target in targets:
-            times, _ = _hit(triplet, start, target, cfg, n, rng, locate=False)
-            ests.append(McEstimate.from_samples(np.isfinite(times).astype(float)))
-            rows.append({"start": np.asarray(start), "target": target.name, "estimate": ests[-1]})
-        monotone = all(b.mean <= a.mean + band(a, b) for a, b in zip(ests, ests[1:]))
-        shrinking = ests[-1].mean <= 0.5 * ests[0].mean + band(ests[0], ests[-1])
-        consistent &= monotone and shrinking
+    ests = []
+    for target in targets:
+        times, _ = _hit(triplet, start, target, cfg, n, rng, locate=False)
+        ests.append(McEstimate.from_samples(np.isfinite(times).astype(float)))
+    monotone = all(b.mean <= a.mean + band(a, b) for a, b in zip(ests, ests[1:]))
+    shrinking = ests[-1].mean <= 0.5 * ests[0].mean + band(ests[0], ests[-1])
     return {
-        "rows": rows,
-        "verdict": "consistent with polarity" if consistent else "not consistent",
+        "rows": [{"target": t.name, "estimate": e} for t, e in zip(targets, ests)],
+        "verdict": "consistent with polarity" if monotone and shrinking else "not consistent",
     }
 
 

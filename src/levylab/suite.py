@@ -126,9 +126,10 @@ def _cell(verdicts):
 
 def _gate(name, *groups):
     """The experiment's gate row.  Each group is (unit verdicts, misses
-    allowed); the criterion holds when no group has more misses than it
-    allows.  mean counts the passing units, target the units needed."""
-    holds = all(sum(v != "pass" for v in vs) <= m for vs, m in groups)
+    allowed); the criterion holds when no group is empty or has more misses
+    than it allows, since a group with no units checked nothing.  mean
+    counts the passing units, target the units needed."""
+    holds = all(vs and sum(v != "pass" for v in vs) <= m for vs, m in groups)
     broken = any(sum(v == "fail" for v in vs) > m for vs, m in groups)
     return _row(
         f"gate[{name}]",
@@ -483,10 +484,11 @@ def domination(params, samples, rng):
     dom = domination_check(
         triplet, swept, nu, probes_in, [e_ball(model, far, 0.5)], beta, samples, rng
     )
+    sides = (("hypothesis", dom["hypothesis_rows"]), ("conclusion", dom["conclusion_rows"]))
     rows = [
         _row(f"{side}[{i}]", est=r["difference"], target=0.0, verdict=r["verdict"])
-        for side in ("hypothesis", "conclusion")
-        for i, r in enumerate(dom[f"{side}_rows"])
+        for side, probes in sides
+        for i, r in enumerate(probes)
     ]
     doubled = PointCloud(start[None, :], np.array([2.0]))
     control = domination_check(
@@ -551,7 +553,7 @@ def polarity(params, samples, rng):
     rows = []
     for label, law, targets, cfg, polar in families:
         n = samples if polar else 4 * samples
-        rep = polarity_diagnostic(law, targets, [e1], n, cfg, rng)
+        rep = polarity_diagnostic(law, targets, e1, n, cfg, rng)
         rows += [_row(f"hit[{label},{r['target']}]", est=r["estimate"]) for r in rep["rows"]]
         want = "consistent with polarity" if polar else "not consistent"
         rows.append(_flag(f"verdict[{label}]={want.replace(' ', '_')}", rep["verdict"] == want, n))

@@ -1,8 +1,8 @@
 """Everything public in src/levylab has a use outside tests: every public
 top-level name has a caller, every defaulted parameter of a public function,
-method or dataclass is passed by some caller and left out by another, and
-every dataclass field is read.  Callers and readers are src/levylab and
-levybench."""
+method or dataclass is passed by some caller and left out by another, every
+dataclass field is read, and so is every key a library function puts in the
+dict it returns.  Callers and readers are src/levylab and levybench."""
 
 import ast
 from pathlib import Path
@@ -103,12 +103,13 @@ def _parameter_keys() -> int:
 
 
 def counts() -> dict:
-    """The two sizes that the guards below check, and the experiment keys a
-    config may set, for the CI job summary; read from the source, since CI
+    """The three sizes that the guards below check, and the experiment keys
+    a config may set, for the CI job summary; read from the source, since CI
     counts before it installs the package."""
     return {
         "defaulted parameters": sum(len(defaulted) for *_, defaulted in _callables()),
         "dataclass fields": sum(len(_fields(cls)) for _, cls in _dataclasses()),
+        "report keys": len(_written_keys()),
         "experiment parameter keys": _parameter_keys(),
     }
 
@@ -228,3 +229,70 @@ def test_every_dataclass_field_is_read():
         if (None, f.target.id) not in reads and (cls.name, f.target.id) not in reads
     ]
     assert unread == [], f"dataclass fields nothing reads: {unread}"
+
+
+# dicts that are output, not reports: the harness writes its dicts to the
+# run's files, and suite's rows are the CSV's rows
+_OUTPUT_MODULES = {"harness", "suite"}
+
+
+def _key(node):
+    """The string of a constant string key, else None."""
+    return node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) else None
+
+
+def _functions(path):
+    """(label, node) of every top-level function and method of a module;
+    a nested function belongs to the one around it."""
+    for node in TREES[path].body:
+        if isinstance(node, ast.FunctionDef):
+            yield f"{path.stem}.{node.name}", node
+        elif isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef):
+                    yield f"{path.stem}.{node.name}.{fn.name}", fn
+
+
+def _written_keys() -> set:
+    """(function, key) of every constant string key that a function of
+    src/levylab puts into a dict: a dict display, a `dict(...)` keyword or
+    a subscript store."""
+    out = set()
+    for path in FILES:
+        if path.parent != SRC or path.stem in _OUTPUT_MODULES:
+            continue
+        for label, fn in _functions(path):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Dict):
+                    keys = [_key(k) for k in node.keys if k is not None]
+                elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "dict":
+                    keys = [k.arg for k in node.keywords]
+                elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+                    keys = [_key(node.slice)]
+                else:
+                    continue
+                out |= {(label, k) for k in keys if k is not None}
+    return out
+
+
+def _read_keys() -> set:
+    """Every constant string read by a subscript load or a `.get`."""
+    out = set()
+    for tree in TREES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
+                out.add(_key(node.slice))
+            elif (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "get"
+                and node.args
+            ):
+                out.add(_key(node.args[0]))
+    return out - {None}
+
+
+def test_every_report_key_is_read():
+    """A key that nothing outside tests reads is dead output: it goes."""
+    reads = _read_keys()
+    unread = sorted(f"{label}[{key!r}]" for label, key in _written_keys() if key not in reads)
+    assert unread == [], f"report keys nothing reads: {unread}"

@@ -135,9 +135,9 @@ def test_error_detail_carries_traceback(tmp_path, monkeypatch):
 
 
 def test_gate_fails_only_when_failing_units_break_it():
-    """A gate holds when no group misses more units than it allows, fails
-    when a group's fail units alone exceed its allowance, and is
-    inconclusive in between."""
+    """A gate holds when no group is empty or misses more units than it
+    allows, fails when a group's fail units alone exceed its allowance, and
+    is inconclusive in between."""
     from levylab.suite import _gate
 
     def verdict(*groups):
@@ -149,6 +149,10 @@ def test_gate_fails_only_when_failing_units_break_it():
     assert verdict((["fail", "fail"], 1)) == "fail"
     assert verdict((["pass"], 0), (["inconclusive"], 1)) == "pass"
     assert verdict((["pass"], 0), (["fail"], 0)) == "fail"
+    # a group with no units checked nothing, so the gate does not hold
+    assert verdict(([], 0)) == "inconclusive"
+    assert verdict(([], 1), (["pass"], 0)) == "inconclusive"
+    assert verdict(([], 0), (["fail"], 0)) == "fail"
 
 
 def test_truncated_paths_fail_their_gates(tmp_path, monkeypatch):
@@ -197,6 +201,10 @@ _TAIL = {"operation": "tail_projection", "samples": 500}
         ({"workers": 0, "experiments": [_TAIL]}, [], "workers"),
         ({"workers": True, "experiments": [_TAIL]}, [], "workers"),
         ({"experiments": [_TAIL]}, ["--workers", "0"], "workers"),
+        ({"experiments": [{**_TAIL, "name": 5}]}, [], "name"),
+        ({"experiments": [{**_TAIL, "name": None}]}, [], "name"),
+        ({"experiments": [{**_TAIL, "name": ["x"]}]}, [], "name"),
+        ({"experiments": [{**_TAIL, "name": ""}]}, [], "name"),
     ],
     ids=[
         "samples_str", "samples_negative", "samples_below_100", "samples_float",
@@ -204,12 +212,12 @@ _TAIL = {"operation": "tail_projection", "samples": 500}
         "parameters_list", "operation_list", "operation_unknown",
         "experiments_object",
         "experiments_not_objects", "seed_str", "seed_float", "workers_str", "workers_zero",
-        "workers_bool", "cli_workers_zero",
+        "workers_bool", "cli_workers_zero", "name_int", "name_null", "name_list", "name_empty",
     ],
 )
 def test_cli_malformed_config_values_exit_2(tmp_path, capsys, cfg, args, key):
-    """A config value of the wrong type, an unknown operation, fewer than
-    one worker, a config `samples` below 100 (only a scaled count is
+    """A config value of the wrong type (a `name` must be a non-empty
+    string), an unknown operation, fewer than one worker, a config `samples` below 100 (only a scaled count is
     floored there), a filter that matches no experiment, a `confidence` key
     (every band uses the library's one level) or an `out_dir` key (`--out`
     sets the directory) is a config error (exit 2) that names the key, not a
@@ -243,17 +251,21 @@ def test_cli_missing_config_exit_2(tmp_path, capsys):
         ({"operation": "dirichlet_slab", "parameters": {"dt": 0.01}}, "dt"),
         ({"operation": "polarity", "parameters": {"dim": 32}}, "dim"),
         ({"operation": "controlled_convergence", "parameters": {"points": 10}}, "points"),
+        ({"operation": "gaussian_lyapunov", "parameters": {"points": 0}}, "points"),
+        ({"operation": "levy_sandwich", "parameters": {"points": -2}}, "points"),
+        ({"operation": "balayage", "parameters": {"dim": 0}}, "dim"),
     ],
     ids=[
         "unread_dt", "typo_horizon", "unread_dim", "dim_str", "points_float", "dt_bool",
-        "dim_bool", "fixed_grid_dt", "fixed_dim", "fixed_points",
+        "dim_bool", "fixed_grid_dt", "fixed_dim", "fixed_points", "points_zero",
+        "points_negative", "dim_zero",
     ],
 )
 def test_cli_parameters_an_experiment_does_not_read_exit_2(tmp_path, capsys, exp, key):
     """A `parameters` key the experiment does not read, even one that sets
-    the value it runs at, or a value that is not an integer, is a config
-    error that names the key, so a typo or a fixed setting never runs
-    silently at the constant."""
+    the value it runs at, or a value that is not an integer >= 1, is a
+    config error that names the key, so a typo or a fixed setting never runs
+    silently at the constant, and no gate is taken over zero points."""
     p = _write(tmp_path, {"experiments": [{**exp, "samples": 100}]})
     assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err

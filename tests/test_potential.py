@@ -555,7 +555,7 @@ def test_domination_equal_measures_pass(setup):
         triplet, mu, mu, probes[:1], probes[1:], 1.0, 2000, substream(14)
     )
     assert rep["hypothesis_ok"]
-    assert rep["conclusion_ok"]
+    assert rep["conclusion_rows"] and all(r["verdict"] != "fail" for r in rep["conclusion_rows"])
 
 
 def test_domination_negative_control(setup):
@@ -568,7 +568,7 @@ def test_domination_negative_control(setup):
         triplet, mu, nu, [probe], [probe], 1.0, 2000, substream(15)
     )
     assert not rep["hypothesis_ok"]
-    assert rep["conclusion_ok"] is None
+    assert rep["conclusion_rows"] == []
 
 
 def test_polarity_point_trend(setup):
@@ -579,7 +579,7 @@ def test_polarity_point_trend(setup):
     start[0] = 1.0
     cfg = PathConfig(dt=0.01, horizon=2.0)
     balls = [coord_ball(model, y, r, 2) for r in (0.6, 0.3, 0.1)]
-    rep = polarity_diagnostic(triplet, balls, [start], 1500, cfg, substream(17))
+    rep = polarity_diagnostic(triplet, balls, start, 1500, cfg, substream(17))
     assert rep["verdict"] == "consistent with polarity"
 
 
@@ -591,7 +591,7 @@ def test_polarity_point_negative_control_1d(setup):
     start[0] = 0.5
     cfg = PathConfig(dt=0.01, horizon=4.0)
     intervals = [coord_ball(model, y, r, 1) for r in (0.4, 0.2, 0.1)]
-    rep = polarity_diagnostic(triplet, intervals, [start], 1200, cfg, substream(18))
+    rep = polarity_diagnostic(triplet, intervals, start, 1200, cfg, substream(18))
     assert rep["verdict"] == "not consistent"
 
 
@@ -604,7 +604,7 @@ def test_polarity_H_structural(setup):
     start[0] = 1.0
     cfg = PathConfig(dt=0.002, horizon=0.1)
     balls = [h_ball(model, r) for r in (0.98, 0.9, 0.5)]
-    rep = polarity_diagnostic(triplet, balls, [start], 2000, cfg, substream(19))
+    rep = polarity_diagnostic(triplet, balls, start, 2000, cfg, substream(19))
     p = [row["estimate"].mean for row in rep["rows"]]
     assert p[0] > 0.3 and p[2] < 0.5 * p[0]
     assert rep["verdict"] == "consistent with polarity"
@@ -623,7 +623,7 @@ def test_polarity_H_band_uses_confidence(setup, monkeypatch):
     balls = [h_ball(model, r) for r in (2.0, 1.0, 0.5)]
     start = 3.0 * model.basis_vector(1)
     cfg = PathConfig(dt=0.05, horizon=1.0)
-    rep = polarity_diagnostic(triplet, balls, [start], n, cfg, substream(21))
+    rep = polarity_diagnostic(triplet, balls, start, n, cfg, substream(21))
     a, b, _ = (row["estimate"] for row in rep["rows"])
     rise, se = b.mean - a.mean, np.hypot(a.stderr, b.stderr)
     assert 3 * se < rise <= 3 * NormalDist().inv_cdf(0.9995) * se
@@ -647,7 +647,7 @@ def test_polarity_draws_no_hit_location(setup, monkeypatch):
     start = 0.5 * model.basis_vector(1)
     intervals = [coord_ball(model, np.zeros(8), r, 1) for r in (0.4, 0.2, 0.1)]
     rep = polarity_diagnostic(
-        triplet, intervals, [start], 300, PathConfig(dt=0.01, horizon=4.0), substream(23)
+        triplet, intervals, start, 300, PathConfig(dt=0.01, horizon=4.0), substream(23)
     )
     assert rep["rows"][0]["estimate"].mean > 0.5
     assert timed == []
@@ -658,7 +658,7 @@ def test_polarity_start_inside_the_largest_target_is_refused(setup):
     balls = [h_ball(model, r) for r in (1.0, 0.5)]
     with pytest.raises(PreconditionError, match="inside the largest target"):
         polarity_diagnostic(
-            triplet, balls, [3.0 * model.basis_vector(1), np.zeros(8)], 100,
+            triplet, balls, np.zeros(8), 100,
             PathConfig(dt=0.05, horizon=1.0), substream(22),
         )
 
