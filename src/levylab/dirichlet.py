@@ -15,7 +15,7 @@ must vanish).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -29,10 +29,10 @@ from .space import SpaceModel
 
 @dataclass(frozen=True)
 class Domain:
-    """Open set with an exit TargetSet, which holds its geometry: the
-    `e_form` of an E-ball's complement, or the `faces` of a slab's or a
-    box's.  All three satisfy an exterior cone condition at every boundary
-    point, the regularity needed for boundary exit of continuous paths.
+    """Open set whose exit TargetSet holds its geometry, from which `_domain`
+    derives its membership: the `e_form` of an E-ball's complement, or the
+    `faces` of a slab's or a box's.  All three satisfy an exterior cone
+    condition at every boundary point, the regularity continuous paths need.
     """
 
     model: SpaceModel
@@ -50,7 +50,7 @@ class Domain:
         x = np.asarray(x, dtype=float)
         form = self.exit_target.e_form
         if form is not None:
-            if self.model.e_norm(x - form.center) + r >= math.sqrt(form.r2):
+            if math.sqrt(form.distance2(x)) + r >= math.sqrt(form.r2):
                 raise PreconditionError("inner ball does not fit inside the domain")
             return e_ball_domain(self.model, x, r)
         cols, lo, hi = self.exit_target.face_box()
@@ -62,38 +62,30 @@ class Domain:
         return box_domain(self.model, xs - r, xs + r)  # a box reads columns 0..k-1
 
 
+def _domain(model: SpaceModel, exit_target: TargetSet) -> Domain:
+    """The open domain outside `exit_target`, a face or E-form target: the
+    open box its faces leave or the other side of its E-form, so a NaN in a
+    read column lies in neither the domain nor its exit set."""
+    form = exit_target.e_form
+    if form is not None:
+        rest = replace(form, inside=not form.inside, closed=not form.closed)
+        return Domain(model, lambda z: rest.holds(form.distance2(z)), exit_target)
+    cols, lo, hi = exit_target.face_box()
+    if not (lo.size and np.all(lo < hi)):
+        raise ValueError("the faces must leave a nonempty open box, lows < highs")
+    return Domain(model, lambda z: in_box(z[..., cols], lo, hi, closed=False), exit_target)
+
+
 def e_ball_domain(model: SpaceModel, center: np.ndarray, radius: float) -> Domain:
-    c = np.asarray(center, dtype=float)
-    return Domain(
-        model=model,
-        membership=lambda z: model.e_norm(z - c) < radius,
-        exit_target=e_ball_complement(model, c, radius, closed=True),
-    )
+    return _domain(model, e_ball_complement(model, center, radius, closed=True))
 
 
 def slab_domain(model: SpaceModel, coord: int, a: float, b: float) -> Domain:
-    if not a < b:
-        raise ValueError("need a < b")
-    exit_target = slab_complement(model, coord, a, b)  # checks the coordinate
-    j = coord - 1
-    return Domain(
-        model=model,
-        membership=lambda z: (z[..., j] > a) & (z[..., j] < b),
-        exit_target=exit_target,
-    )
+    return _domain(model, slab_complement(model, coord, a, b))
 
 
 def box_domain(model: SpaceModel, lows, highs) -> Domain:
-    lo = np.asarray(lows, dtype=float)
-    hi = np.asarray(highs, dtype=float)
-    # a NaN bound fails lo < hi, so it is refused too
-    if lo.ndim != 1 or lo.shape != hi.shape or not lo.size or not np.all(lo < hi):
-        raise ValueError("need nonempty 1-d lows < highs, elementwise")
-    return Domain(
-        model=model,
-        membership=lambda z: in_box(z, lo, hi, closed=False),
-        exit_target=box_complement(model, lo, hi),
-    )
+    return _domain(model, box_complement(model, lows, highs))
 
 
 # Boundary data: a test function whose declared bound is checked on every

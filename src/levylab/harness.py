@@ -18,7 +18,6 @@ import json
 import numbers
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -86,9 +85,9 @@ def _check_workers(workers):
 
 def _check_parameters(i, operation, params):
     """Every key is one the operation reads (see suite.PARAMETERS), with an
-    integer >= 1 for its value: each is a count, and a gate over no points
-    would check nothing."""
-    reads = PARAMETERS.get(operation, ())
+    integer of at least the key's least value: each is a count, and so is
+    capacity_basics' `dim`, whose growth basis must be certified."""
+    reads = PARAMETERS.get(operation, {})
     unread = set(params) - set(reads)
     if unread:
         raise ConfigError(
@@ -96,9 +95,9 @@ def _check_parameters(i, operation, params):
             f"it reads {list(reads) or 'none'}"
         )
     for key, value in params.items():
-        if not (_is_int(value) and value >= 1):
+        if not (_is_int(value) and value >= reads[key]):
             raise ConfigError(
-                f"experiment #{i}: parameter {key!r} must be an integer >= 1, got {value!r}"
+                f"experiment #{i}: parameter {key!r} must be an integer >= {reads[key]}, got {value!r}"
             )
 
 
@@ -258,6 +257,8 @@ def run(
 
     with _one_blas_thread() as blas:
         if workers > 1:
+            from concurrent.futures import ThreadPoolExecutor  # loads logging: not at import
+
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 records = list(pool.map(_execute, specs))
         else:

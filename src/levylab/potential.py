@@ -1,66 +1,47 @@
 """Path simulation, hitting times, reduced functions, capacity and balayage.
 
-Every path estimator runs on one stepping engine.  Paths are stepped on a
-fixed time grid; each increment is drawn exactly from the increment law at
-the step size, so there is no Euler error, only the discrete monitoring of
-the target at the grid points.  Every triplet steps only the coordinates
-its targets read (`TargetSet.coords`) and it moves, and its jump support,
-from its marginal law on them (`LevyTriplet.carried`, `.marginal`).  A
-read coordinate it does not move stays at its start; the other moved ones
-carry no jumps, so they are a diagonal Brownian motion with drift,
-independent of every stopping time, drawn exactly at each stopping time.
-The engine steps blocks of grid steps within `_BLOCK` = 32768 elements
-and stops each path inside its block at its last entry (`_step_paths`);
-balayage reads only the occupancy before the hit (`discounted_occupancy`).
-The budget is capped by the peak memory of a full-width exit: with 1000
-paths x 32 coordinates, a block larger than one step (32000 elements)
+Every path estimator runs on one stepping engine (`_step_paths`).  Paths
+are stepped on a fixed time grid, each increment drawn exactly from the
+increment law at the step size, so the only error is the discrete
+monitoring of the targets at the grid points.  A triplet steps only the
+coordinates its targets read (`TargetSet.coords`) and it moves, plus its
+jump support, from its marginal law on them; the other coordinates it
+moves are a diagonal Brownian motion with drift, drawn exactly at each
+stopping time (`_draw_rest`).  The engine steps blocks of grid steps within
+`_BLOCK` = 32768 elements and stops each path inside its block at its last
+entry.  The budget is capped by the peak memory of a full-width exit: with
+1000 paths x 32 coordinates, a block larger than one step (32000 elements)
 raises the peak that `test_full_width_exit_memory` bounds at 5.25 steps
 (40960 measured 5.72).
 
-The capacities of the complements of q_x level sets
-(`capacity_tightness_profile`) carry exact martingale control variates
-from the same paths: for a drift-free continuous law, e^(-beta t) prod_r
-cosh(theta_r <f_r, X_t>) is a martingale for each of five profiles shaped
-on the two parts of q_x^2 = Q + G^2, so its value at the crossing (or the
-last grid time) has a known mean.  The engine hands `observe` the entries
-it finds, which give each crossing's stop point, and each level's samples
-are corrected with jointly cross-fitted coefficients (`_level_control`,
-`_cross_fitted`).
+A face or E-form target states its geometry once, as its faces or its
+`EForm`, and one builder (`_target`) makes its membership from it; a
+`dirichlet` domain's interior is the complement of the same geometry, and
+`EForm.distance2` is the one squared E-distance from a centre.
 
-A single-target hit of a target that reads only its face coordinates
-(a halfspace, a slab, a box), when the law moves each of them as a
-drift-free Brownian motion, skips the grid altogether: its first passage
-is sampled exactly (`_face_passage`), so it carries no monitoring error
-and its hit times are off the grid, also from one jump epoch to the next
-under a finite-activity jump law.  Drifted face coordinates keep the
-engine.
+A single-target hit of a target that reads only its face coordinates, each
+moved as a drift-free Brownian motion, is sampled exactly off the grid
+(`_face_passage`), also between the epochs of a finite-activity jump law.
+A single-target hit of an E-form target under a continuous law whose tail
+coordinates move at one rate from the centre's tail steps that tail as one
+squared Bessel radius (`_radial_passage`), with the engine's law.  One
+planner (`_hit`) picks the mode: a target that reads no coordinate is
+decided at time 0, else face passage, else the radial mode, else the
+engine.  `simulate_hit_batch` calls it, and so does `multi_target_hit` when
+a single target is left to step.  Every located continuous hit lands on the
+target's declared boundary, in the closed target: on its face by face
+passage, else cut there from the entering grid step (`_boundary_cut`); a
+jump law keeps its landing points.
 
-A single-target hit of an E-ball or its complement (a target with a
-declared `EForm`) steps only the head of the E-norm on the grid, the
-coordinates whose weight is at least _HEAD_FRACTION of the first, when the
-law is continuous, the tail has at least two coordinates moved without
-drift at one variance rate, and every start's tail is the centre's.  The
-tail then enters the E-norm only through its squared radius, a squared
-Bessel process stepped exactly (`_tail_radii`); the tail vector is drawn
-only at the step where the weight bounds on it cannot rule out entry
-(`_radial_passage`).  Its hits stay on the grid and have the
-engine's law.
-
-One planner (`_hit`) picks the mode of a one-target hit: a target that
-reads no coordinate is decided at time 0, else face passage, else the
-radial mode, else the engine.  `simulate_hit_batch` calls it, and
-so does `multi_target_hit` when, past the targets every start lies in and
-the repeats of one target object, a single target is left.  Every located
-continuous hit lands on the target's declared boundary: on its face by
-face passage, else cut there from the entering grid step (`_boundary_cut`,
-handed to the engine per target); a jump law keeps its landing points.
-
-Hitting uses the D-convention: membership is checked at time 0, so a start
-inside an open target hits immediately.
+The capacities of the complements of q_x level sets carry exact
+martingale control variates from the same paths (`_level_control`,
+`_cross_fitted`).  Hitting uses the D-convention: membership is checked at
+time 0, so a start inside an open target hits immediately.
 """
 
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -90,7 +71,8 @@ class PathConfig:
 class EForm:
     """An E-norm target: the ball ||z - center||_E^2 <= r2 (inside) or its
     complement ||z - center||_E^2 > r2, with the sphere ||z - center||_E^2 =
-    r2 on the target's side when closed."""
+    r2 on the target's side when closed.  Every reader of the target's
+    geometry takes its squared E-distance from `distance2`."""
 
     weights: np.ndarray
     center: np.ndarray
@@ -103,6 +85,27 @@ class EForm:
         if self.inside:
             return q <= self.r2 if self.closed else q < self.r2
         return q >= self.r2 if self.closed else q > self.r2
+
+    def distance2(self, z: np.ndarray) -> np.ndarray:
+        """||z - center||_E^2 of points z (..., N), in one temporary, summed
+        by numpy's own loop: a point's value is the same in any batch, which
+        a BLAS product (`@`) does not give.  A sparse centre goes column by
+        column, since `d -= center` also allocates a 64 KB iteration buffer
+        that a full-width exit's peak memory would carry; z_j - 0.0 is z_j."""
+        moved = np.flatnonzero(self.center)
+        d = z.copy()
+        if moved.size > _SPARSE_CENTER:
+            d -= self.center
+        else:
+            for j in moved.tolist():
+                d[..., j] -= self.center[j]
+        return np.einsum("...j,j->...", np.multiply(d, d, out=d), self.weights)
+
+
+# Centres with more nonzero coordinates than this are subtracted in one
+# pass.  On 32 coordinates, one pass costs what 4 column passes cost at
+# 40000 rows and 8 at 1000 rows.
+_SPARSE_CENTER = 4
 
 
 @dataclass(frozen=True)
@@ -118,14 +121,11 @@ class TargetSet:
     The engine steps those the law moves and the jump support
     (`LevyTriplet.carried`); a membership may be handed only the columns up
     to the largest read or stepped one, a read one it does not step at its
-    start and an unread one at 0.
-    `e_form` declares a membership that is an E-ball or its complement,
-    which lets a hit step the E-norm's tail as one radius
-    (`_radial_passage`).
-
-    The membership of an axis-aligned target combines one column at a
-    time (`in_box`, `off_open_box`): a reduction over a short last axis,
-    such as np.all(..., axis=-1), costs tens of ns a row.
+    start and an unread one at 0.  `e_form` declares an E-ball or its
+    complement, which lets a hit step the E-norm's tail as one radius
+    (`_radial_passage`).  The face and E-form targets of this module are
+    built from their faces or `e_form` alone (`_target`), so their
+    membership restates nothing.
     """
 
     name: str
@@ -196,36 +196,25 @@ def whole_space(model: SpaceModel) -> TargetSet:
     return TargetSet("whole", lambda z: np.ones(z.shape[:-1], dtype=bool), coords=())
 
 
-# Centres with more nonzero coordinates than this are subtracted in one
-# pass.  On 32 coordinates, one pass costs what 4 column passes cost at
-# 40000 rows and 8 at 1000 rows.
-_SPARSE_CENTER = 4
+def _target(name, faces=(), form=None) -> TargetSet:
+    """A face or E-form target from its geometry alone: the union of the
+    closed face halfspaces side*(c_j - v) >= 0, read on the face columns by
+    one compare a face (a difference of unequal floats never rounds to 0,
+    and a NaN column lies in none), or the points the form holds."""
+    if form is not None:
+        return TargetSet(name, lambda z: form.holds(form.distance2(z)), e_form=form)
+    compares = [(j, float(v), np.greater_equal if side > 0 else np.less_equal) for j, v, side in faces]
 
+    def union(z):
+        hits = [compare(z[..., j], v) for j, v, compare in compares]
+        return reduce(np.logical_or, hits) if hits else np.zeros(z.shape[:-1], dtype=bool)
 
-def _e_target(name, model: SpaceModel, center, radius, inside, closed) -> TargetSet:
-    c = np.asarray(center, dtype=float)
-    form = EForm(model.weights, c, radius * radius, inside, closed)
-    moved = [(j, c[j]) for j in np.flatnonzero(c)]
-
-    def off_center_norm2(z):
-        # e_norm2(z - c) bit for bit (z_j - 0.0 is z_j) in one temporary.  A
-        # sparse centre goes column by column, because `d -= c` also
-        # allocates numpy's 64 KB iteration buffer, which a full-width
-        # exit's peak memory would carry
-        d = z.copy()
-        if len(moved) > _SPARSE_CENTER:
-            d -= c
-        else:
-            for j, cj in moved:
-                d[..., j] -= cj
-        return np.multiply(d, d, out=d) @ model.weights
-
-    norm2 = off_center_norm2 if moved else model.e_norm2
-    return TargetSet(name, lambda z: form.holds(norm2(z)), e_form=form)
+    return TargetSet(name, union, faces=faces, coords=tuple(sorted({j for j, _, _ in faces})))
 
 
 def e_ball(model: SpaceModel, center: np.ndarray, radius: float) -> TargetSet:
-    return _e_target(f"e_ball(r={radius})", model, center, radius, True, True)
+    form = EForm(model.weights, np.asarray(center, dtype=float), radius * radius, True, True)
+    return _target(f"e_ball(r={radius})", form=form)
 
 
 def e_ball_complement(
@@ -233,8 +222,8 @@ def e_ball_complement(
 ) -> TargetSet:
     """||z - center||_E > radius, or >= radius when closed (the exit set of
     the open ball)."""
-    name = f"e_ball_complement(r={radius}{', closed' if closed else ''})"
-    return _e_target(name, model, center, radius, False, closed)
+    form = EForm(model.weights, np.asarray(center, dtype=float), radius * radius, False, closed)
+    return _target(f"e_ball_complement(r={radius}{', closed' if closed else ''})", form=form)
 
 
 def _column(model: SpaceModel, coord: int) -> int:
@@ -250,15 +239,7 @@ def coord_halfspace(model: SpaceModel, coord: int, level: float, side: int) -> T
     if side not in (1, -1) or not math.isfinite(level):
         raise ValueError("need side +1 or -1 and a finite level")
     j = _column(model, coord)
-    # c_j >= level gives the booleans of side*(c_j - level) >= 0 for side
-    # +1: a difference of unequal floats never rounds to zero
-    above = side > 0
-    return TargetSet(
-        f"halfspace(c{coord}{'>=' if above else '<='}{level})",
-        lambda z: z[..., j] >= level if above else z[..., j] <= level,
-        faces=((j, level, side),),
-        coords=(j,),
-    )
+    return _target(f"halfspace(c{coord}{'>=' if side > 0 else '<='}{level})", ((j, level, side),))
 
 
 def slab_complement(model: SpaceModel, coord: int, a: float, b: float) -> TargetSet:
@@ -266,15 +247,11 @@ def slab_complement(model: SpaceModel, coord: int, a: float, b: float) -> Target
     j = _column(model, coord)
     if math.isnan(a) or math.isnan(b):  # face passage would drop a NaN face
         raise ValueError("slab bounds must not be NaN")
-    return TargetSet(
-        f"slab_complement(c{coord} outside ({a},{b}))",
-        lambda z: (z[..., j] <= a) | (z[..., j] >= b),
-        faces=((j, a, -1), (j, b, +1)),
-        coords=(j,),
-    )
+    return _target(f"slab_complement(c{coord} outside ({a},{b}))", ((j, a, -1), (j, b, +1)))
 
 
-# Axis-aligned membership, one column at a time (see `TargetSet`).
+# Axis-aligned membership, one column at a time: a reduction over a short
+# last axis, such as np.all(..., axis=-1), costs tens of ns a row.
 
 
 def _box_bounds(model: SpaceModel, lows, highs):
@@ -300,17 +277,6 @@ def in_box(z, lo, hi, closed):
     return m
 
 
-def off_open_box(z, lo, hi):
-    """Whether z_j <= lo_j or z_j >= hi_j in some column j < lo.size of z
-    (..., N): the complement of the open box, which a NaN column does not
-    reach; False everywhere for an empty box."""
-    m = np.zeros(z.shape[:-1], dtype=bool)
-    for j, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
-        m |= z[..., j] <= a
-        m |= z[..., j] >= b
-    return m
-
-
 def coordinate_box(model: SpaceModel, lows: np.ndarray, highs: np.ndarray) -> TargetSet:
     lo, hi = _box_bounds(model, lows, highs)
     return TargetSet(
@@ -324,13 +290,8 @@ def box_complement(model: SpaceModel, lows: np.ndarray, highs: np.ndarray) -> Ta
     """Complement of the open box lows < c < highs in the first k coordinates."""
     lo, hi = _box_bounds(model, lows, highs)
     k = lo.size
-    return TargetSet(
-        "box_complement",
-        lambda z: off_open_box(z, lo, hi),
-        faces=tuple((j, lo[j], -1) for j in range(k))
-        + tuple((j, hi[j], +1) for j in range(k)),
-        coords=tuple(range(k)),
-    )
+    faces = tuple((j, lo[j], -1) for j in range(k)) + tuple((j, hi[j], +1) for j in range(k))
+    return _target("box_complement", faces)
 
 
 def coord_ball(model: SpaceModel, center: np.ndarray, radius: float, k: int) -> TargetSet:
@@ -806,7 +767,7 @@ def _jump_exit(jumps, dim, x, lo, hi, g, cols, moved, horizon, pool, rng):
         jump = jumps.sample(rows.size, dim, rng)
         x[rows] += jump[:, cols]
         acc[rows] += jump[:, moved]
-        out = off_open_box(x[rows], lo, hi)
+        out = ~in_box(x[rows], lo, hi, closed=False)
         times[rows[out]] = elapsed[rows[out]]
         rows = rows[~out]
     return times, x, acc
@@ -1104,17 +1065,25 @@ def _hit(
     return times[0], locs[0] if locate else None
 
 
+# Doubling steps an E-form cut takes toward z_out (`_boundary_cut`): over
+# 6800 cut calls at radii 0.001-100 on 4-32 coordinates, the most was 4.
+_CUT_STEPS = 8
+
+
 def _boundary_cut(triplet: LevyTriplet, target: TargetSet):
     """The cut of a continuous hit onto the target's declared boundary:
     `cut(z_in, z_out)` is the point where the entering step's segment
     z_in + theta*(z_out - z_in), z_in outside the target, meets the sphere
     of its E-form, else the first face it crosses, with that face's
-    coordinate set to the face value, as face passage lands, so the point
-    lies in the closed target.  None for a target that declares neither,
-    and under a jump law, whose landing points are kept."""
+    coordinate set to the face value, as face passage lands.  The point
+    lies in the closed target (`_closure`): an E-form point moves a few ulps
+    past the sphere toward z_out, else lands at z_out.  None for a target
+    that declares neither, and under a jump law, whose landing points are
+    kept."""
     form = target.e_form
     if not triplet.is_continuous or (form is None and not target.faces):
         return None
+    in_closure = _closure(target)
 
     def cut(z_in, z_out):
         d = z_out - z_in
@@ -1127,7 +1096,23 @@ def _boundary_cut(triplet: LevyTriplet, target: TargetSet):
             q = (p * p) @ w - form.r2
             root = np.sqrt(b * b - a * q)
             theta = q / (root - b) if form.inside else -q / (b + root)
-            return z_in + theta[..., None] * d
+            # the root rounds about one point in three off the closed target,
+            # so theta moves toward z_out by a step of 4 ulps of r2 in q,
+            # doubled while the point is still off
+            with np.errstate(divide="ignore"):  # a tangent segment goes to z_out
+                step = 2 * np.spacing(form.r2) / np.abs(a * theta + b)
+            theta = np.minimum(theta + step, 1.0)
+            z = z_in + theta[..., None] * d
+            off = ~in_closure(z)
+            for _ in range(_CUT_STEPS):
+                if not off.any():
+                    return z
+                step[off] *= 2
+                theta[off] = np.minimum(theta[off] + step[off], 1.0)
+                z[off] = z_in[off] + theta[off][:, None] * d[off]
+                off[off] = ~in_closure(z[off])
+            z[off] = z_out[off]  # in the target, as the entering grid point
+            return z
         theta, face = np.ones(len(z_in)), np.full(len(z_in), -1)
         for i, (j, v, side) in enumerate(target.faces):
             rows = np.flatnonzero(side * (z_out[:, j] - v) >= 0)
@@ -1140,6 +1125,16 @@ def _boundary_cut(triplet: LevyTriplet, target: TargetSet):
         return z
 
     return cut
+
+
+def _closure(target: TargetSet):
+    """Membership of the target's closure: an E-form target's with its
+    sphere; every other target this module builds is closed."""
+    form = target.e_form
+    if form is None:
+        return target
+    closed = replace(form, closed=True)
+    return lambda z: closed.holds(form.distance2(z))
 
 
 def simulate_hit_batch(
@@ -1536,8 +1531,8 @@ def balayage_check(
     U_beta 1_F is the mean discounted occupancy of F before the hit of M
     (`discounted_occupancy`, whose paths stop at the hit): nonnegative per
     path, and for F inside M exactly 0.  Also checks the carrier property:
-    the sampled hitting locations lie in M's closure, where a continuous hit
-    is cut onto its boundary (an E-form's sphere up to rounding).
+    the sampled hitting locations lie in M's closure (`_closure`), where a
+    continuous hit is cut onto its boundary.
     """
     if beta <= 0:
         raise PreconditionError("beta must be positive")
@@ -1546,15 +1541,13 @@ def balayage_check(
     per_sample_ineq = True
     any_hit = False
     carrier_ok = True
+    in_closure = _closure(M)
     for zi in nu.points:
         T, D, loc = discounted_occupancy(triplet, zi, M, targets, beta, cfg, n, rng)
         hits = np.isfinite(T)
         if hits.any():
             any_hit = True
-            pts, form = loc[hits], M.e_form
-            q = None if form is None else ((pts - form.center) ** 2) @ form.weights
-            on_sphere = form is not None and np.isclose(q, form.r2, rtol=1e-9, atol=0)
-            carrier_ok &= bool(np.all(M(pts) | on_sphere))
+            carrier_ok &= bool(np.all(in_closure(loc[hits])))
         per_sample_ineq &= bool(np.all(D >= 0))
         per_point.append([McEstimate.from_samples(d) for d in D])
     rows = []

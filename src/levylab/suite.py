@@ -9,9 +9,9 @@ names draw independently.
 
 An experiment's time grid and dimension are fixed here: the path
 experiments each keep one `PathConfig`, and every experiment runs at N = 32
-but two.  `PARAMETERS` lists the four settable keys: `points` of
-gaussian_lyapunov and levy_sandwich (default 5), and `dim` of
-capacity_basics (default 16) and balayage (default 8).
+but two.  `PARAMETERS` lists the four settable keys and their least
+values: `points` of gaussian_lyapunov and levy_sandwich (default 5), and
+`dim` of capacity_basics (default 16) and balayage (default 8).
 
 Each experiment is also an acceptance criterion, and its last row is the
 criterion's gate, `gate[...]`.  The gate counts units (a row, or a cell of
@@ -23,6 +23,8 @@ already fail.  Failure signals are rows too (Dirichlet non-exit mass,
 balayage carrier and degeneracy), so the gates read them.  The shipped
 `configs/acceptance.json` runs every criterion at full scale.
 """
+
+import itertools
 
 import numpy as np
 
@@ -79,7 +81,7 @@ from .potential import (
     simulate_hit_batch,
     whole_space,
 )
-from .space import build_growth_basis, canonical_x, make_space
+from .space import PreconditionError, build_growth_basis, canonical_x, make_space
 
 
 def _row(op, est=None, target=None, verdict=None, mean=None, stderr=None, n=None):
@@ -563,14 +565,25 @@ def polarity(params, samples, rng):
     return rows + [_gate("polarity", (_verdicts(rows), 0))]
 
 
+def _growth_certified(dim) -> bool:
+    """Whether `build_growth_basis` certifies the canonical x of `dim`
+    coordinates, as capacity_basics' q_x needs."""
+    model = make_space(dim)
+    try:
+        build_growth_basis(model, canonical_x(model))
+    except PreconditionError:
+        return False
+    return True
+
+
 # the `parameters` keys each experiment reads, the only settings the two
-# shipped configs give different values; the others read none, and the
-# harness rejects any other key
+# shipped configs give different values, each with the least value it
+# takes; the others read none, and the harness rejects any other key
 PARAMETERS = {
-    "gaussian_lyapunov": ("points",),
-    "levy_sandwich": ("points",),
-    "capacity_basics": ("dim",),
-    "balayage": ("dim",),
+    "gaussian_lyapunov": {"points": 1},
+    "levy_sandwich": {"points": 1},
+    "capacity_basics": {"dim": next(d for d in itertools.count(1) if _growth_certified(d))},
+    "balayage": {"dim": 1},
 }
 
 REGISTRY = {

@@ -99,7 +99,7 @@ def _parameter_keys() -> int:
         for node in TREES[SRC / "suite.py"].body
         if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "PARAMETERS"
     )
-    return sum(len(keys.elts) for keys in table.values)
+    return sum(len(keys.keys) for keys in table.values)
 
 
 def counts() -> dict:

@@ -2,6 +2,9 @@
 
 import ast
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,6 +13,8 @@ import pytest
 from levylab import harness, suite
 from levylab.harness import ConfigError, load_config, run
 from levylab.cli import main
+from levylab.rng import substream
+from levylab.space import PreconditionError
 
 SMALL_CONFIG = {
     "seed": 3,
@@ -254,11 +259,12 @@ def test_cli_missing_config_exit_2(tmp_path, capsys):
         ({"operation": "gaussian_lyapunov", "parameters": {"points": 0}}, "points"),
         ({"operation": "levy_sandwich", "parameters": {"points": -2}}, "points"),
         ({"operation": "balayage", "parameters": {"dim": 0}}, "dim"),
+        ({"operation": "capacity_basics", "parameters": {"dim": 5}}, "dim"),
     ],
     ids=[
         "unread_dt", "typo_horizon", "unread_dim", "dim_str", "points_float", "dt_bool",
         "dim_bool", "fixed_grid_dt", "fixed_dim", "fixed_points", "points_zero",
-        "points_negative", "dim_zero",
+        "points_negative", "dim_zero", "dim_uncertified",
     ],
 )
 def test_cli_parameters_an_experiment_does_not_read_exit_2(tmp_path, capsys, exp, key):
@@ -271,6 +277,35 @@ def test_cli_parameters_an_experiment_does_not_read_exit_2(tmp_path, capsys, exp
     err = capsys.readouterr().err
     assert err.startswith("config error") and key in err
     assert not (tmp_path / "o").exists()
+
+
+def test_capacity_basics_least_dim_is_the_least_certified(tmp_path):
+    """capacity_basics' least `dim` comes from the growth-basis certificate:
+    the experiment raises one below it, and a config at it runs with no
+    error row."""
+    least = suite.PARAMETERS["capacity_basics"]["dim"]
+    assert least == 6  # |x|_H^2 of the canonical x is 2^(d+1) - 2, at least 100 from d = 6
+    with pytest.raises(PreconditionError):
+        suite.capacity_basics({"dim": least - 1}, 100, substream(0, "capacity_basics"))
+    exp = {"operation": "capacity_basics", "parameters": {"dim": least}, "samples": 100}
+    res = run(_write(tmp_path, {"experiments": [exp]}), out_dir=tmp_path / "o")
+    assert res["counts"]["error"] == 0 and res["records"][0].error is None
+
+
+def test_harness_import_loads_no_thread_pool():
+    """Only a run with workers > 1 uses the thread pool, so importing the
+    harness in a fresh interpreter loads neither concurrent.futures nor the
+    logging module it imports."""
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = (
+        "import sys, levylab.harness; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'logging')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def _params_read(tree, name, seen=()):

@@ -1,6 +1,8 @@
 """Axis-aligned membership kernels, the rank-wise jump sums and the
 run-sliced rest draw, each against the expression it replaces: the same
-booleans, and for floats the same bytes, signed zeros included."""
+booleans, and for floats the same bytes, signed zeros included.  The face
+and E-form targets and the domains built from them, against reference
+formulas for their sets."""
 
 from dataclasses import replace
 
@@ -8,8 +10,17 @@ import numpy as np
 import pytest
 
 from levylab import dirichlet, potential
-from levylab.measures import JumpMeasure, LevyTriplet, sample_increments
-from levylab.potential import box_complement, coord_halfspace, coordinate_box, slab_complement
+from levylab.measures import JumpMeasure, LevyTriplet, PreconditionError, brownian_triplet, sample_increments
+from levylab.operators import TestFunction
+from levylab.potential import (
+    PathConfig,
+    box_complement,
+    coord_halfspace,
+    coordinate_box,
+    e_ball,
+    e_ball_complement,
+    slab_complement,
+)
 from levylab.rng import substream
 from levylab.space import make_space
 
@@ -52,9 +63,10 @@ def test_box_kernels_match_their_reductions(lows, highs, shape):
     _same(coordinate_box(MODEL, lo, hi)(z), np.all((col >= lo) & (col <= hi), axis=-1))
     off = np.any((col <= lo) | (col >= hi), axis=-1)
     _same(box_complement(MODEL, lo, hi)(z), off)
-    _same(potential.off_open_box(z, lo, hi), off)  # `_jump_exit`'s exit test
+    inside = np.all((col > lo) & (col < hi), axis=-1)
+    _same(potential.in_box(z, lo, hi, closed=False), inside)  # `_jump_exit` exits off it
     dom = dirichlet.box_domain(MODEL, lo, hi)
-    _same(dom.membership(z), np.all((col > lo) & (col < hi), axis=-1))
+    _same(dom.membership(z), inside)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -108,6 +120,115 @@ def test_halfspace_compare_matches_signed_difference(side, level, shape):
 def test_halfspace_needs_a_unit_side_and_a_finite_level(side, level):
     with pytest.raises(ValueError):
         coord_halfspace(MODEL, 1, level, side)
+
+
+# (target, its set, its domain or None, the domain's set): unions of closed
+# face halfspaces, and their complements, open boxes, as the domains
+FACE_TARGETS = {
+    "halfspace_up": (coord_halfspace(MODEL, 2, 0.5, +1), lambda z: z[..., 1] >= 0.5, None, None),
+    "halfspace_down": (coord_halfspace(MODEL, 2, 0.5, -1), lambda z: z[..., 1] <= 0.5, None, None),
+    "slab": (
+        slab_complement(MODEL, 3, -1.0, 2.0),
+        lambda z: (z[..., 2] <= -1.0) | (z[..., 2] >= 2.0),
+        dirichlet.slab_domain(MODEL, 3, -1.0, 2.0),
+        lambda z: (-1.0 < z[..., 2]) & (z[..., 2] < 2.0),
+    ),
+    "box1": (
+        box_complement(MODEL, [-1.0], [0.5]),
+        lambda z: (z[..., 0] <= -1.0) | (z[..., 0] >= 0.5),
+        dirichlet.box_domain(MODEL, [-1.0], [0.5]),
+        lambda z: (-1.0 < z[..., 0]) & (z[..., 0] < 0.5),
+    ),
+    "box2": (
+        box_complement(MODEL, [-1.0, 0.5], [2.0, 2.5]),
+        lambda z: (z[..., 0] <= -1.0) | (z[..., 0] >= 2.0) | (z[..., 1] <= 0.5) | (z[..., 1] >= 2.5),
+        dirichlet.box_domain(MODEL, [-1.0, 0.5], [2.0, 2.5]),
+        lambda z: (-1.0 < z[..., 0]) & (z[..., 0] < 2.0) & (0.5 < z[..., 1]) & (z[..., 1] < 2.5),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", FACE_TARGETS)
+def test_face_targets_and_domains_match_their_sets(name):
+    """Random points, NaN, +-inf and points exactly on each face: a NaN
+    read column lies in neither the target nor its domain."""
+    target, in_target, domain, in_domain = FACE_TARGETS[name]
+    z = _batch((2000, MODEL.dim), [-1.0, 0.5, 2.0, 2.5], seed=9)
+    _same(target(z), in_target(z))
+    assert target.coords == tuple(sorted({j for j, _, _ in target.faces}))
+    if domain is not None:
+        _same(domain.membership(z), in_domain(z))
+        assert [domain.contains(p) for p in z[:200]] == in_domain(z[:200]).tolist()
+        assert not (target(z) & domain.membership(z)).any()
+
+
+def _e_center(kind):
+    """A centre with no, two (sparse) or six (dense) nonzero coordinates,
+    each a multiple of 1/4, so that c + 2 e_1 is exactly on the unit sphere
+    (lambda_1 = 1/4)."""
+    return {
+        "zero": np.zeros(MODEL.dim),
+        "sparse": np.array([0.0, 0.0, 0.5, 0.0, -0.25, 0.0]),
+        "dense": np.array([0.25, -0.5, 0.75, 1.0, -1.25, 0.5]),
+    }[kind]
+
+
+def _e_points(center, seed):
+    """Random points around the centre, rows with NaN and +-inf, and points
+    on the unit sphere: c +- 2 e_1 and c +- 4 e_2 (lambda_2 = 1/16)."""
+    rng = substream(seed, "e_points")
+    z = center + 1.5 * rng.standard_normal((600, MODEL.dim))
+    z[::50, 3] = np.nan
+    z[1::50, 0] = np.inf
+    z[2::50, 5] = -np.inf
+    sphere = center + np.array([2.0, -2.0, 0.0, 0.0])[:, None] * MODEL.basis_vector(1)
+    sphere[2:] = center + np.array([4.0, -4.0])[:, None] * MODEL.basis_vector(2)
+    return np.vstack([z, sphere])
+
+
+@pytest.mark.parametrize("kind", ["zero", "sparse", "dense"])
+def test_e_targets_and_ball_domain_match_their_sets(kind):
+    """E-balls, their open and closed complements and the E-ball domain
+    against ||z - c||_E^2 summed column by column, on random points, NaN,
+    +-inf and points exactly on the sphere.  A point's squared distance is
+    the same alone as in its batch."""
+    c = _e_center(kind)
+    z = _e_points(c, seed=len(kind))
+    q = sum(MODEL.weights[j] * (z[:, j] - c[j]) ** 2 for j in range(MODEL.dim))
+    on_sphere = q == 1.0
+    assert on_sphere.sum() == 4
+    _same(e_ball(MODEL, c, 1.0)(z), q <= 1.0)
+    _same(e_ball_complement(MODEL, c, 1.0)(z), q > 1.0)
+    _same(e_ball_complement(MODEL, c, 1.0, closed=True)(z), q >= 1.0)
+    domain = dirichlet.e_ball_domain(MODEL, c, 1.0)
+    _same(domain.membership(z), q < 1.0)
+    assert [domain.contains(p) for p in z] == (q < 1.0).tolist()
+    form = domain.exit_target.e_form
+    _same(form.distance2(z), np.array([form.distance2(p) for p in z]))
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [
+        dirichlet.slab_domain(MODEL, 3, -1.0, 2.0),
+        dirichlet.box_domain(MODEL, [-1.0], [0.5]),
+        dirichlet.box_domain(MODEL, [-1.0, -1.0], [1.0, 1.0]),
+        dirichlet.e_ball_domain(MODEL, _e_center("zero"), 1.0),
+        dirichlet.e_ball_domain(MODEL, _e_center("sparse"), 1.0),
+        dirichlet.e_ball_domain(MODEL, _e_center("dense"), 1.0),
+    ],
+    ids=["slab", "box1", "box2", "ball_zero", "ball_sparse", "ball_dense"],
+)
+def test_a_nan_start_is_refused(domain):
+    """A start with NaN in a column the domain reads lies outside it, so
+    `solve` refuses it before drawing."""
+    form = domain.exit_target.e_form
+    start = np.zeros(MODEL.dim) if form is None else form.center.copy()
+    assert domain.contains(start)
+    start[domain.exit_target.coords[-1] if form is None else 3] = np.nan
+    f = TestFunction(lambda y: y[..., 0], bound=10.0)
+    with pytest.raises(PreconditionError, match="inside the domain"):
+        dirichlet.solve(brownian_triplet(MODEL), domain, f, start, 100, PathConfig(0.01, 1.0), substream(10))
 
 
 @pytest.mark.parametrize("kind", ["pointmass", "poisson01"])

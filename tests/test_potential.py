@@ -505,9 +505,8 @@ def test_balayage_atom_outside_M(setup):
 
 @pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
 def test_balayage_carrier_holds_on_an_e_shell(setup, closed):
-    """Hits of an E-shell M are cut onto its sphere, where rounding leaves
-    some just inside the ball: they still lie in M's closure, the carrier
-    of the swept measure."""
+    """Hits of an E-shell M are cut onto its sphere, on M's side of it: they
+    lie in M's closure, the carrier of the swept measure, open M or not."""
     model, triplet = setup
     M = e_ball_complement(model, np.zeros(8), 1.0, closed=closed)
     nu = PointCloud(np.zeros((1, 8)), np.array([1.0]))
@@ -515,6 +514,43 @@ def test_balayage_carrier_holds_on_an_e_shell(setup, closed):
     cfg = PathConfig(dt=0.02, horizon=12.0)
     rep = balayage_check(triplet, nu, M, 1.0, [{"target": F, "inside": True}], 400, cfg, substream(15))
     assert rep["carrier_ok"] and not rep["degenerate"]
+
+
+def _in_closed_form(target, z):
+    """Whether points z lie in the target's closed E-form set."""
+    form = replace(target.e_form, closed=True)
+    return form.holds(form.distance2(z))
+
+
+def test_occupancy_e_shell_hits_land_in_the_closed_target(setup):
+    """Every continuous hit of a closed E-shell lies in it exactly.  The
+    cut used to round 115 of these 400 hits just inside the ball."""
+    model, triplet = setup
+    shell = e_ball_complement(model, np.zeros(8), 1.0, closed=True)
+    cfg = PathConfig(dt=0.02, horizon=12.0)
+    T, _, loc = discounted_occupancy(triplet, np.zeros(8), shell, [], 1.0, cfg, 400, substream(1))
+    hits = np.isfinite(T)
+    assert hits.sum() > 350 and _in_closed_form(shell, loc[hits]).all()
+
+
+@pytest.mark.parametrize("dim", [4, 8], ids=["engine", "radial"])
+def test_e_form_hits_land_in_the_closed_target(dim):
+    """Every continuous E-form hit lies in its closed target: entries into
+    an off-centre ball and exits of the open shell by `simulate_hit_batch`
+    (the engine at 4 coordinates, the radial mode at 8), and two pending
+    shells of `multi_target_hit`."""
+    model = make_space(dim)
+    triplet = brownian_triplet(model)
+    start, center = np.zeros(dim), 3.0 * model.basis_vector(1)
+    cfg = PathConfig(dt=0.02, horizon=8.0)
+    for target in (e_ball(model, center, 1.0), e_ball_complement(model, start, 1.0)):
+        hit, _, loc = simulate_hit_batch(triplet, start, target, cfg, 2000, substream(72, target.name))
+        assert hit.mean() > 0.3 and _in_closed_form(target, loc[hit]).all()
+    shells = [e_ball_complement(model, start, r) for r in (1.0, 1.5)]
+    times, locs = multi_target_hit(triplet, start, shells, cfg, 2000, substream(73))
+    for shell, t, loc in zip(shells, times, locs):
+        hit = np.isfinite(t)
+        assert hit.mean() > 0.5 and _in_closed_form(shell, loc[hit]).all()
 
 
 def test_balayage_degenerate_warning(setup):
@@ -1314,9 +1350,10 @@ def test_full_width_exit_memory(monkeypatch, radial, center_c32):
 
 @pytest.mark.parametrize("nonzero", [1, 32])
 def test_off_centre_norm_is_the_difference_norm(monkeypatch, nonzero):
-    """An off-centre E-ball reads e_norm2(z - c) byte for byte, whether its
-    centre is subtracted column by column (one nonzero coordinate) or in
-    one pass (a dense centre, as `domination`'s probes have)."""
+    """An off-centre E-ball reads the zero-centred distance of z - c byte
+    for byte, whether its centre is subtracted column by column (one
+    nonzero coordinate) or in one pass (a dense centre, as `domination`'s
+    probes have)."""
     model = make_space(32)
     rng = substream(44)
     center = np.zeros(32)
@@ -1325,9 +1362,11 @@ def test_off_centre_norm_is_the_difference_norm(monkeypatch, nonzero):
     seen = []
     holds = potential.EForm.holds
     monkeypatch.setattr(potential.EForm, "holds", lambda self, q: seen.append(q) or holds(self, q))
-    inside = e_ball(model, center, 1.0)(z)
-    assert seen[0].tobytes() == model.e_norm2(z - center).tobytes()
-    assert (inside == (model.e_norm2(z - center) <= 1.0)).all()
+    ball = e_ball(model, center, 1.0)
+    inside = ball(z)
+    from_zero = replace(ball.e_form, center=np.zeros(32)).distance2(z - center)
+    assert seen[0].tobytes() == from_zero.tobytes()
+    assert (inside == (from_zero <= 1.0)).all()
 
 
 
