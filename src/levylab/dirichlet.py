@@ -20,11 +20,11 @@ from typing import Callable
 
 import numpy as np
 
-from .measures import BAND_Z, LevyTriplet, McEstimate, PreconditionError
+from .measures import BAND_Z, LevyTriplet, McEstimate
 from .operators import TestFunction
 from .potential import PathConfig, TargetSet, simulate_hit_batch
-from .potential import box_complement, e_ball_complement, in_box, slab_complement
-from .space import SpaceModel
+from .potential import box_complement, e_ball_complement, slab_complement
+from .space import PreconditionError, SpaceModel, in_box
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ from typing import Callable
 
 import numpy as np
 
-from .measures import LevyTriplet, McEstimate, PreconditionError, sample_increments, sample_read
+from .measures import LevyTriplet, McEstimate, sample_increments, sample_read
+from .space import PreconditionError
 
 
 class BoundViolation(RuntimeError):

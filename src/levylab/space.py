@@ -49,9 +49,6 @@ class SpaceModel:
     def h_norm2(self, z: np.ndarray) -> np.ndarray:
         return np.sum(np.asarray(z) ** 2, axis=-1)
 
-    def e_norm(self, z: np.ndarray) -> np.ndarray:
-        return np.sqrt(self.e_norm2(z))
-
     def weight_tail(self, m: int) -> float:
         """sum_{k > m} lambda_k against the generator formula when known.
 
@@ -71,6 +68,19 @@ class SpaceModel:
         e = np.zeros(self.dim)
         e[n - 1] = 1.0
         return e
+
+
+def in_box(z, lo, hi, closed):
+    """Whether lo_j <= z_j <= hi_j (closed) or lo_j < z_j < hi_j (open) in
+    every column j < lo.size of z (..., N); True everywhere for an empty box.
+    One column at a time: a reduction over a short last axis, such as
+    np.all(..., axis=-1), costs tens of ns a row."""
+    above, below = (np.greater_equal, np.less_equal) if closed else (np.greater, np.less)
+    m = np.ones(z.shape[:-1], dtype=bool)
+    for j, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
+        m &= above(z[..., j], a)
+        m &= below(z[..., j], b)
+    return m
 
 
 def make_space(dim: int) -> SpaceModel:

@@ -2,7 +2,8 @@
 top-level name has a caller, every defaulted parameter of a public function,
 method or dataclass is passed by some caller and left out by another, every
 dataclass field is read, and so is every key a library function puts in the
-dict it returns.  Callers and readers are src/levylab and levybench."""
+dict it returns.  Callers and readers are src/levylab and levybench.  And
+every name is imported from the module that defines it."""
 
 import ast
 from pathlib import Path
@@ -296,3 +297,46 @@ def test_every_report_key_is_read():
     reads = _read_keys()
     unread = sorted(f"{label}[{key!r}]" for label, key in _written_keys() if key not in reads)
     assert unread == [], f"report keys nothing reads: {unread}"
+
+
+# the modules `passage` may import: the samplers read the targets of
+# `potential` only through the arguments they are handed
+PASSAGE_IMPORTS = {"measures", "space"}
+
+
+def _relative_imports():
+    """(importing module, imported module, name) of every relative import
+    in src/levylab outside `__init__.py`: `from .m import x` gives (m, x),
+    `from . import m` of a module m gives (m, None), and `from . import x`
+    of any other name (`__init__`, x)."""
+    modules = {p.stem for p in SRC.glob("*.py")}
+    for path in FILES:
+        if path.parent != SRC or path.name == "__init__.py":
+            continue
+        for node in ast.walk(TREES[path]):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None and alias.name in modules:
+                        yield path.stem, alias.name, None
+                    else:
+                        yield path.stem, node.module or "__init__", alias.name
+
+
+def _top_level(module: str) -> set:
+    """Names a module of src/levylab defines at its top level."""
+    tree = TREES[SRC / f"{module}.py"]
+    names = {n.name for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    assigned = (t for n in tree.body if isinstance(n, ast.Assign) for t in n.targets)
+    return names | {t.id for t in assigned if isinstance(t, ast.Name)}
+
+
+def test_every_import_names_its_owner():
+    """A name is imported from the module that defines it, never through
+    another that imports it, so a name moved between modules leaves no
+    re-export behind; and `passage` imports no levylab module but
+    `measures` and `space`."""
+    imports = list(_relative_imports())
+    borrowed = [f"{src}: from .{m} import {x}" for src, m, x in imports if x and x not in _top_level(m)]
+    assert borrowed == [], f"imports of a name its module does not define: {borrowed}"
+    passage = {m for src, m, _ in imports if src == "passage"}
+    assert passage <= PASSAGE_IMPORTS, f"passage imports {sorted(passage - PASSAGE_IMPORTS)}"

@@ -144,7 +144,7 @@ def test_exit_locations_on_boundary(setup):
     dom = e_ball_domain(model, np.zeros(DIM), 1.0)
     cfg = PathConfig(dt=0.01, horizon=20.0)
     hit, _, loc = simulate_hit_batch(triplet, np.zeros(DIM), dom.exit_target, cfg, 400, substream(6))
-    r = model.e_norm(loc[hit])
+    r = np.sqrt(model.e_norm2(loc[hit]))
     assert np.all(np.abs(r - 1.0) < 0.05)  # collar from one dt step
 
 
@@ -161,7 +161,7 @@ def test_exit_locations_exactly_on_boundary(setup):
     domains = (
         (slab_domain(model, 1, -1.0, 1.0), lambda z: faces(z, 1)),
         (box_domain(model, [-1.0, -1.0], [1.0, 1.0]), lambda z: faces(z, 2)),
-        (e_ball_domain(model, np.zeros(DIM), 1.0), lambda z: 1.0 - model.e_norm(z)),
+        (e_ball_domain(model, np.zeros(DIM), 1.0), lambda z: 1.0 - np.sqrt(model.e_norm2(z))),
     )
     for bridge in (True, False):
         cfg = PathConfig(dt=0.01, horizon=20.0, bridge=bridge)
@@ -179,8 +179,8 @@ def test_eball_exit_root_matches_elementwise_sums(setup, shape):
     rng = np.random.default_rng(len(shape))
     center, radius = 0.1 * rng.standard_normal(DIM), 1.0
     u, v = rng.standard_normal((2,) + shape + (DIM,))
-    z_in = center + 0.5 * u / model.e_norm(u)[..., None]
-    z_out = z_in + 3.0 * v / model.e_norm(v)[..., None]
+    z_in = center + 0.5 * u / np.sqrt(model.e_norm2(u))[..., None]
+    z_out = z_in + 3.0 * v / np.sqrt(model.e_norm2(v))[..., None]
     w, p, d = model.weights, z_in - center, z_out - z_in
     a, b = np.sum(w * d * d, axis=-1), np.sum(w * p * d, axis=-1)
     q = np.sum(w * p * p, axis=-1) - radius**2

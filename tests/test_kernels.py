@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from levylab import dirichlet, potential
+from levylab import dirichlet, passage
 from levylab.measures import JumpMeasure, LevyTriplet, PreconditionError, brownian_triplet, sample_increments
 from levylab.operators import TestFunction
 from levylab.potential import (
@@ -22,7 +22,7 @@ from levylab.potential import (
     slab_complement,
 )
 from levylab.rng import substream
-from levylab.space import make_space
+from levylab.space import in_box, make_space
 
 MODEL = make_space(6)
 SPECIAL = [np.nan, np.inf, -np.inf, 0.0, -0.0]
@@ -64,7 +64,7 @@ def test_box_kernels_match_their_reductions(lows, highs, shape):
     off = np.any((col <= lo) | (col >= hi), axis=-1)
     _same(box_complement(MODEL, lo, hi)(z), off)
     inside = np.all((col > lo) & (col < hi), axis=-1)
-    _same(potential.in_box(z, lo, hi, closed=False), inside)  # `_jump_exit` exits off it
+    _same(in_box(z, lo, hi, closed=False), inside)  # `_jump_exit` exits off it
     dom = dirichlet.box_domain(MODEL, lo, hi)
     _same(dom.membership(z), inside)
 
@@ -252,7 +252,7 @@ def _draw_rest_fancy(triplet, cols, z0, times, locs, rng):
     """`_draw_rest` with the rest columns as one fancy index on both axes."""
     rest = np.delete(np.arange(z0.shape[1]), cols)
     rest_law = triplet.marginal(rest)
-    chunk = max(1, potential._BLOCK // rest.size)
+    chunk = max(1, passage._BLOCK // rest.size)
     paths = np.arange(z0.shape[0])
     t_prev = np.zeros(paths.size)
     for kth in np.argsort(times, axis=0, kind="stable"):
@@ -270,7 +270,7 @@ def _draw_rest_fancy(triplet, cols, z0, times, locs, rng):
 
 @pytest.mark.parametrize("cols", [(0,), (1,), (1, 3)], ids=["1run", "2runs", "3runs"])
 def test_draw_rest_runs_match_the_fancy_index(cols, monkeypatch):
-    monkeypatch.setattr(potential, "_BLOCK", 64)  # several chunks of rows
+    monkeypatch.setattr(passage, "_BLOCK", 64)  # several chunks of rows
     law = LevyTriplet(MODEL, np.zeros(MODEL.dim), np.linspace(0.5, 2.0, MODEL.dim))
     rng = substream(7, "rest")
     n = 60
@@ -281,7 +281,7 @@ def test_draw_rest_runs_match_the_fancy_index(cols, monkeypatch):
     z0 = rng.standard_normal((n, MODEL.dim))
     locs = np.broadcast_to(z0, (2, n, MODEL.dim)).copy()
     got_z, got_locs = z0.copy(), locs.copy()
-    potential._draw_rest(law, np.array(cols), got_z, times, got_locs, substream(8, "rest"))
+    passage._draw_rest(law, np.array(cols), got_z, times, got_locs, substream(8, "rest"))
     _draw_rest_fancy(law, np.array(cols), z0, times, locs, substream(8, "rest"))
     _same(got_z, z0)
     _same(got_locs, locs)

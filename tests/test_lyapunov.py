@@ -78,7 +78,7 @@ def test_gaussian_norm_dominates_e_norm(gaussian_setup):
     rng = np.random.default_rng(2)
     z = rng.standard_normal((50, 32)) * 3.0
     q = q_x_eval(norm, z)
-    assert np.all(model.e_norm(z) <= np.sqrt(2.0) * q + 1e-12)
+    assert np.all(np.sqrt(model.e_norm2(z)) <= np.sqrt(2.0) * q + 1e-12)
 
 
 def test_gaussian_norm_bounded_on_H(gaussian_setup):
@@ -150,7 +150,7 @@ def test_levy_norm_dominates_e_norm(levy_setup):
     model, _, norm = levy_setup
     rng = np.random.default_rng(4)
     z = rng.standard_normal((50, 32))
-    assert np.all(model.e_norm(z) <= q_x_eval(norm, z) + 1e-12)
+    assert np.all(np.sqrt(model.e_norm2(z)) <= q_x_eval(norm, z) + 1e-12)
 
 
 def test_norm_axioms(levy_setup, gaussian_setup):

@@ -8,7 +8,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from levylab import potential
+from levylab import passage, potential
 from levylab.dirichlet import e_ball_domain
 from levylab.lyapunov import gaussian_norm
 from levylab.measures import (
@@ -23,7 +23,6 @@ from levylab.operators import TestFunction
 from levylab.potential import (
     PathConfig,
     PointCloud,
-    PreconditionError,
     TargetSet,
     balayage_check,
     capacity,
@@ -48,7 +47,7 @@ from levylab.potential import (
     whole_space,
 )
 from levylab.rng import substream
-from levylab.space import build_growth_basis, canonical_x, make_space
+from levylab.space import PreconditionError, build_growth_basis, canonical_x, make_space
 
 ONE = TestFunction(lambda y: np.ones(y.shape[:-1]), bound=1.0, name="one")
 
@@ -240,22 +239,25 @@ def test_capacity_beta_validation(setup):
 
 def test_halfspace_capacity_draws_no_hit_location(setup, monkeypatch):
     """capacity reads hit times alone, so a face-passage hit draws none of
-    the other coordinates at its time (no draw with an array time)."""
+    the other coordinates at its time (no draw with an array time).  A
+    located hit of the same target draws them, so the count sees them."""
     model, triplet = setup
     timed = []
-    draw = potential.sample_increments
+    draw = passage.sample_increments
 
     def counted(law, dt, n, rng):
         if np.ndim(dt) > 0:
             timed.append(n)
         return draw(law, dt, n, rng)
 
-    monkeypatch.setattr(potential, "sample_increments", counted)
+    monkeypatch.setattr(passage, "sample_increments", counted)
     cloud = PointCloud(np.zeros((1, 8)), np.array([1.0]))
     M = coord_halfspace(model, 1, 1.0, +1)
     est = capacity(triplet, cloud, M, 1.0, 300, PathConfig(dt=0.01, horizon=10.0), substream(29))
     assert est.mean > 0.0
     assert timed == []
+    simulate_hit_batch(triplet, np.zeros(8), M, PathConfig(dt=0.01, horizon=10.0), 300, substream(29))
+    assert timed
 
 
 def test_capacity_tightness_decreasing(setup):
@@ -668,18 +670,21 @@ def test_polarity_H_band_uses_confidence(setup, monkeypatch):
 
 def test_polarity_draws_no_hit_location(setup, monkeypatch):
     """polarity_diagnostic reads the hit mask alone, so a coordinate-ball
-    family, whose hits are exact face passages of c1, draws none of the
-    other coordinates at its hit times (no draw with an array time)."""
+    family draws none of the other coordinates at its hit times (no draw
+    with an array time).  A coord_ball declares no faces, so its hits run
+    on the engine, stepping c1 alone; a run without locate never calls
+    `_draw_rest`.  A located hit of the largest one draws them, so the
+    count sees them."""
     model, triplet = setup
     timed = []
-    draw = potential.sample_increments
+    draw = passage.sample_increments
 
     def counted(law, dt, n, rng):
         if np.ndim(dt) > 0:
             timed.append(n)
         return draw(law, dt, n, rng)
 
-    monkeypatch.setattr(potential, "sample_increments", counted)
+    monkeypatch.setattr(passage, "sample_increments", counted)
     start = 0.5 * model.basis_vector(1)
     intervals = [coord_ball(model, np.zeros(8), r, 1) for r in (0.4, 0.2, 0.1)]
     rep = polarity_diagnostic(
@@ -687,6 +692,8 @@ def test_polarity_draws_no_hit_location(setup, monkeypatch):
     )
     assert rep["rows"][0]["estimate"].mean > 0.5
     assert timed == []
+    simulate_hit_batch(triplet, start, intervals[0], PathConfig(dt=0.01, horizon=4.0), 300, substream(23))
+    assert timed
 
 
 def test_polarity_start_inside_the_largest_target_is_refused(setup):
@@ -815,9 +822,9 @@ def test_equal_but_not_identical_targets_stay_on_the_engine(setup, monkeypatch):
     a, b = coord_halfspace(model, 1, 1.0, +1), coord_halfspace(model, 1, 1.0, +1)
     calls = []
     for name in ("_step_paths", "_face_passage"):
-        fn = getattr(potential, name)
+        fn = getattr(passage, name)
         monkeypatch.setattr(
-            potential, name, lambda *x, fn=fn, name=name, **k: calls.append(name) or fn(*x, **k)
+            passage, name, lambda *x, fn=fn, name=name, **k: calls.append(name) or fn(*x, **k)
         )
     times, _ = multi_target_hit(
         triplet, np.zeros(8), [a, b], PathConfig(dt=0.02, horizon=4.0), 300, substream(62)
@@ -838,7 +845,7 @@ def test_two_pending_targets_keep_the_engine_bytes():
     cfg = PathConfig(dt=0.02, horizon=8.0)
     start = np.zeros(32)
     times, locs = multi_target_hit(triplet, start, [box, box1], cfg, 400, substream(63))
-    t_ref, l_ref = potential._step_paths(
+    t_ref, l_ref = passage._step_paths(
         triplet, start, lambda z: np.array([box(z), box1(z)]), (0, 1), cfg, 400, substream(63)
     )
     assert times.tobytes() == t_ref.tobytes() and locs.tobytes() == l_ref.tobytes()
@@ -951,14 +958,14 @@ def test_occupancy_stops_each_path_at_its_hit(setup, monkeypatch):
     cfg = PathConfig(dt=0.02, horizon=20.0)
     n, n_steps = 200, int(np.ceil(cfg.horizon / cfg.dt))
     rows = []
-    draw = potential.sample_increments
+    draw = passage.sample_increments
 
     def counted(law, dt, m, rng):
         if np.ndim(dt) == 0:  # grid steps, not the draws of unstepped coords at the hits
             rows.append(m)
         return draw(law, dt, m, rng)
 
-    monkeypatch.setattr(potential, "sample_increments", counted)
+    monkeypatch.setattr(passage, "sample_increments", counted)
     M, F = coord_halfspace(model, 1, 0.5, +1), coord_halfspace(model, 1, -0.5, -1)
     T, _, _ = discounted_occupancy(triplet, np.zeros(8), M, [F], 1.0, cfg, n, substream(28))
     steps = np.where(np.isfinite(T), np.rint(T / cfg.dt), n_steps)
@@ -969,7 +976,7 @@ def test_occupancy_stops_each_path_at_its_hit(setup, monkeypatch):
 def _engine_hits(triplet, start, target, cfg, n, rng):
     """simulate_hit_batch on the stepping engine: the grid path that a
     halfspace or slab target would skip through exact face passage."""
-    times, locs = potential._step_paths(
+    times, locs = passage._step_paths(
         triplet, start, lambda z: target(z)[None], target.coords, cfg, n, rng
     )
     return np.isfinite(times[0]), times[0], locs[0]
@@ -980,14 +987,14 @@ def test_hit_times_on_the_grid_within_horizon(setup, monkeypatch):
     cfg = PathConfig(dt=0.03, horizon=2.0)  # 67 steps, the last past the horizon
     n_steps = int(np.ceil(cfg.horizon / cfg.dt))
     rows = []
-    draw = potential.sample_increments
+    draw = passage.sample_increments
 
     def counted(law, dt, n, rng):
         if np.ndim(dt) == 0:  # grid steps, not the terminal draw of unstepped coords
             rows.append(n)
         return draw(law, dt, n, rng)
 
-    monkeypatch.setattr(potential, "sample_increments", counted)
+    monkeypatch.setattr(passage, "sample_increments", counted)
     hit, T, _ = _engine_hits(
         triplet, np.zeros(8), coord_halfspace(model, 1, 0.8, +1), cfg, 300, substream(26)
     )
@@ -1033,7 +1040,7 @@ def test_block_steps_agree_with_single_steps(setup, monkeypatch):
     for case in (slab_case, ball_case, multi_case):
         blocked = case(substream(28))
         with monkeypatch.context() as m:
-            m.setattr(potential, "_BLOCK", 1)
+            m.setattr(passage, "_BLOCK", 1)
             single = case(substream(29))
         for a, b in zip(blocked, single):
             ea, eb = McEstimate.from_samples(a), McEstimate.from_samples(b)
@@ -1066,17 +1073,17 @@ def test_prefix_sum_branches_give_identical_bytes(monkeypatch, shape):
         start[:2] = (0.3, -0.2)
     else:
         target, n, first = coord_halfspace(model, 1, 1.0, +1), 50, (655, 50, 1)
-    monkeypatch.setattr(potential, "_BLOCK", 32768)
+    monkeypatch.setattr(passage, "_BLOCK", 32768)
     shapes = []
-    engine_sum = potential._prefix_sum
+    engine_sum = passage._prefix_sum
 
     def recorded(path):
         shapes.append(path.shape)
         engine_sum(path)
 
     def run(prefix_sum):
-        monkeypatch.setattr(potential, "_prefix_sum", prefix_sum)
-        times, locs = potential._step_paths(
+        monkeypatch.setattr(passage, "_prefix_sum", prefix_sum)
+        times, locs = passage._step_paths(
             triplet, start, lambda z: target(z)[None], target.coords,
             PathConfig(dt=0.01, horizon=10.0), n, substream(44, shape != "narrow"),
         )
@@ -1103,15 +1110,15 @@ def test_blocks_stay_within_the_budget(monkeypatch, full_width):
     else:
         target, k = coord_halfspace(model, 1, 1.0, +1), 1
     sizes, blocks = [], []
-    draw = potential.sample_increments
+    draw = passage.sample_increments
 
     def counted(law, dt, n, rng):
         if np.ndim(dt) == 0:  # grid steps, not the terminal draw of unstepped coords
             sizes.append(n * law.model.dim)
         return draw(law, dt, n, rng)
 
-    monkeypatch.setattr(potential, "sample_increments", counted)
-    potential._step_paths(
+    monkeypatch.setattr(passage, "sample_increments", counted)
+    passage._step_paths(
         triplet, np.zeros(32), lambda z: target(z)[None], target.coords,
         PathConfig(dt=0.01, horizon=4.0), 1200, substream(45, full_width),
         observe=lambda t, idx, z, times, entries: blocks.append((t.size, idx.size)),
@@ -1119,22 +1126,8 @@ def test_blocks_stay_within_the_budget(monkeypatch, full_width):
     assert len(sizes) == len(blocks)
     for size, (nb, live) in zip(sizes, blocks):
         assert size == nb * live * k
-        assert size <= max(potential._BLOCK, live * k)
-    assert any(nb > 1 and size > potential._BLOCK // 2 for size, (nb, _) in zip(sizes, blocks))
-
-
-class _CountingRng:
-    """A generator that counts the uniforms drawn through `random`."""
-
-    def __init__(self, rng):
-        self._rng, self.uniforms = rng, 0
-
-    def random(self, size=None):
-        self.uniforms += 1 if size is None else int(np.prod(size))
-        return self._rng.random(size)
-
-    def __getattr__(self, name):
-        return getattr(self._rng, name)
+        assert size <= max(passage._BLOCK, live * k)
+    assert any(nb > 1 and size > passage._BLOCK // 2 for size, (nb, _) in zip(sizes, blocks))
 
 
 def test_refine_sees_the_entering_step(setup, monkeypatch):
@@ -1142,7 +1135,7 @@ def test_refine_sees_the_entering_step(setup, monkeypatch):
     entry, also deep inside a block: c8 barely moves the E-norm, so its
     change between them is close to N(0, dt)."""
     model, triplet = setup
-    monkeypatch.setattr(potential, "_BLOCK", 2**20)
+    monkeypatch.setattr(passage, "_BLOCK", 2**20)
     seen = []
 
     def refine(z_in, z_out):
@@ -1228,13 +1221,13 @@ def test_jump_support_sets_the_stepped_coordinates(setup, monkeypatch):
     assert jump13.jumps.support(8).tolist() == [0, 2]
     assert JumpMeasure(1.0, "poisson01").support(8).tolist() == list(range(8))
     steps, rests = [], []
-    draw = potential.sample_increments
+    draw = passage.sample_increments
 
     def recorded(law, dt, n, rng):
         (steps if np.ndim(dt) == 0 else rests).append(law)
         return draw(law, dt, n, rng)
 
-    monkeypatch.setattr(potential, "sample_increments", recorded)
+    monkeypatch.setattr(passage, "sample_increments", recorded)
     cfg = PathConfig(dt=0.05, horizon=1.0, bridge=False)  # the engine, not exact passage
     simulate_hit_batch(jump13, np.zeros(8), coord_halfspace(model, 1, 1.0, +1), cfg, 50, substream(37))
     assert steps and all(law.model.dim == 2 for law in steps)
@@ -1332,9 +1325,9 @@ def test_full_width_exit_memory(monkeypatch, radial, center_c32):
     if not radial:
         start[31] = 0.5 - center_c32  # moves the E-norm by 4^-32 / 4
     taken = []
-    radial_passage = potential._radial_passage
+    radial_passage = passage._radial_passage
     monkeypatch.setattr(
-        potential, "_radial_passage", lambda *a: taken.append(1) or radial_passage(*a)
+        passage, "_radial_passage", lambda *a: taken.append(1) or radial_passage(*a)
     )
     cfg = PathConfig(dt=0.01, horizon=4.0)
     tracemalloc.start()
@@ -1378,31 +1371,6 @@ def _scaled_law(model, g, drift=None):
     scalar) and the given drift (zero by default)."""
     g = np.broadcast_to(np.asarray(g, dtype=float), (model.dim,)).copy()
     return LevyTriplet(model, np.zeros(model.dim) if drift is None else drift, g)
-
-
-def test_unit_exit_time_law():
-    """J*: mean 1, variance 2/3 and E exp(-sJ) = 1/cosh(sqrt(2s))."""
-    J = potential._unit_exit_times(100_000, substream(50))
-    assert McEstimate.from_samples(J).verdict(1.0) == "pass"
-    assert McEstimate.from_samples((J - 1.0) ** 2).verdict(2.0 / 3.0) == "pass"
-    for s in (1.0, 3.0):
-        exact = 1.0 / np.cosh(np.sqrt(2.0 * s))
-        assert McEstimate.from_samples(np.exp(-s * J)).verdict(exact) == "pass", s
-
-
-def test_unit_exit_time_series_rejects_at_its_rate():
-    """The proposal has density a_0 / Z, with Z the integral of a_0, and
-    the series check accepts it with probability 1/Z.  So a draw rejects a
-    geometric number of proposals, of mean Z - 1 (about 7e-4) and variance
-    Z (Z - 1); each proposal takes two uniforms.  Accepting every proposal
-    passes the law checks above, which cannot see a 7e-4 share of the mass
-    moved, but it fails here."""
-    n, t = 400_000, 0.64
-    rng = _CountingRng(substream(59))
-    potential._unit_exit_times(n, rng)
-    Z = 4.0 / np.pi * np.exp(-np.pi**2 * t / 8.0) + 2.0 * math.erfc(1.0 / math.sqrt(2.0 * t))
-    rejected = McEstimate((rng.uniforms / 2 - n) / n, float(np.sqrt(Z * (Z - 1.0) / n)), n)
-    assert rejected.verdict(Z - 1.0) == "pass"
 
 
 @pytest.mark.parametrize("g", [0.25, 1.0, 4.0])
@@ -1521,13 +1489,13 @@ def test_face_passage_takes_only_its_targets(setup, monkeypatch):
     every other case steps the engine."""
     model, triplet = setup
     calls = []
-    exact = potential._face_passage
+    exact = passage._face_passage
 
     def recorded(*args):
         calls.append(True)
         return exact(*args)
 
-    monkeypatch.setattr(potential, "_face_passage", recorded)
+    monkeypatch.setattr(passage, "_face_passage", recorded)
     half = coord_halfspace(model, 1, 1.0, +1)
     drift1, drift2, flat1 = np.zeros(8), np.zeros(8), np.ones(8)
     drift1[0], drift2[1], flat1[0] = 0.5, 0.5, 0.0
@@ -1566,7 +1534,7 @@ def test_von_mises_fisher_cosine_mean(kappa, d):
     n = 20000
     mu = rng.standard_normal((n, d))
     mu /= np.linalg.norm(mu, axis=1, keepdims=True)
-    x = potential._von_mises_fisher(mu, np.full(n, kappa), rng)
+    x = passage._von_mises_fisher(mu, np.full(n, kappa), rng)
     np.testing.assert_allclose(np.linalg.norm(x, axis=1), 1.0, rtol=1e-9)
 
     def moment(p):
@@ -1591,9 +1559,9 @@ def test_radial_mode_takes_only_eligible_inputs():
     tail is one coordinate; the centred 32-d and 8-d Brownian exits take
     the mode with a head of 5."""
     model, triplet, shell = _radial_cases()
-    assert potential._radial_head(triplet, shell, np.zeros(32)) == 5
+    assert passage._radial_head(triplet, shell, np.zeros(32)) == 5
     eight = make_space(8)
-    assert potential._radial_head(
+    assert passage._radial_head(
         brownian_triplet(eight), e_ball_complement(eight, np.zeros(8), 1.0), np.zeros(8)
     ) == 5
     drifted, unequal, off_centre = np.zeros(32), np.ones(32), np.zeros(32)
@@ -1608,10 +1576,10 @@ def test_radial_mode_takes_only_eligible_inputs():
     }
     cfg = PathConfig(dt=0.02, horizon=3.0)
     for name, (law, target, start) in cases.items():
-        assert potential._radial_head(law, target, start) == 0, name
+        assert passage._radial_head(law, target, start) == 0, name
         _, t0, loc0 = simulate_hit_batch(law, start, target, cfg, 200, substream(61, name))
         cut = potential._boundary_cut(law, target)
-        times, locs = potential._step_paths(
+        times, locs = passage._step_paths(
             law, start, lambda z: target(z)[None], target.coords, cfg, 200, substream(61, name),
             cuts=[cut],
         )
@@ -1630,7 +1598,7 @@ def _engine_ball_exits(dim, rng):
     start = np.zeros(dim)
     start[1] = 0.3
     cfg = PathConfig(dt=0.01, horizon=40.0)
-    times, locs = potential._step_paths(
+    times, locs = passage._step_paths(
         triplet, start, lambda z: ball.exit_target(z)[None], None, cfg, 3000, rng,
         cuts=[potential._boundary_cut(triplet, ball.exit_target)],
     )
@@ -1674,11 +1642,11 @@ def test_radial_exit_law_matches_the_engine(monkeypatch, engine_ball_exits, head
     5 hands off fewer."""
     model, triplet, ball, start, cfg, t_ref, loc_ref = engine_ball_exits
     if head_fraction is not None:
-        monkeypatch.setattr(potential, "_HEAD_FRACTION", head_fraction)
+        monkeypatch.setattr(passage, "_HEAD_FRACTION", head_fraction)
     handed = []
-    engine = potential._step_paths
+    engine = passage._step_paths
     monkeypatch.setattr(
-        potential, "_step_paths", lambda *a, **k: handed.append(a[5]) or engine(*a, **k)
+        passage, "_step_paths", lambda *a, **k: handed.append(a[5]) or engine(*a, **k)
     )
     hit, T, loc = simulate_hit_batch(triplet, start, ball.exit_target, cfg, 3000, substream(63, head_fraction))
     assert sum(handed) > (600 if head_fraction else 0)
@@ -1690,9 +1658,9 @@ def test_radial_exit_law_matches_the_engine_in_8_d():
     a tail of 3, and gives the engine's exit law, as the 32-d one does."""
     model, triplet, ball, start, cfg, t_ref, loc_ref = _engine_ball_exits(8, substream(69))
     taken = []
-    radial_passage = potential._radial_passage
+    radial_passage = passage._radial_passage
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(potential, "_radial_passage", lambda *a: taken.append(a[-1]) or radial_passage(*a))
+        mp.setattr(passage, "_radial_passage", lambda *a: taken.append(a[-1]) or radial_passage(*a))
         hit, T, loc = simulate_hit_batch(triplet, start, ball.exit_target, cfg, 3000, substream(68))
     assert taken == [5]
     _same_exit_law(model, start, hit, T, loc, t_ref, loc_ref, 5)
@@ -1707,10 +1675,10 @@ def test_radial_ball_hits_match_the_engine():
     centre = np.zeros(32)
     centre[0] = 1.5
     ball = e_ball(model, centre, 0.5)
-    assert potential._radial_head(triplet, ball, np.zeros(32)) == 5
+    assert passage._radial_head(triplet, ball, np.zeros(32)) == 5
     cfg = PathConfig(dt=0.02, horizon=4.0)
     hit, T, loc = simulate_hit_batch(triplet, np.zeros(32), ball, cfg, 3000, substream(64))
-    times, locs = potential._step_paths(
+    times, locs = passage._step_paths(
         triplet, np.zeros(32), lambda z: ball(z)[None], None, cfg, 3000, substream(65),
         cuts=[potential._boundary_cut(triplet, ball)],
     )
@@ -1720,22 +1688,6 @@ def test_radial_ball_hits_match_the_engine():
         ea, eb = McEstimate.from_samples(a), McEstimate.from_samples(b)
         diff = McEstimate(ea.mean - eb.mean, float(np.hypot(ea.stderr, eb.stderr)), a.size)
         assert diff.verdict(0.0) == "pass"
-
-
-@pytest.mark.parametrize("r0", [0.0, 2.0])
-def test_tail_radii_step_a_squared_bessel_process(r0):
-    """After n steps of variance v, the squared radius of a d-dimensional
-    Brownian motion from radius r0 has mean r0^2 + n d v and variance
-    2 n^2 d v^2 + 4 r0^2 n v; at every step the radii stay nonnegative.
-    The chain steps in units of sqrt(v), so its radii are scaled back."""
-    d, n, v = 24, 50, 0.01
-    rad = np.sqrt(v) * potential._tail_radii(np.full(20000, r0 / np.sqrt(v)), n, d, substream(66, r0))
-    assert rad.shape == (n + 1, 20000) and np.all(rad >= 0)
-    rho = rad[-1] ** 2
-    mean = r0 * r0 + n * d * v
-    assert McEstimate.from_samples(rho).verdict(mean) == "pass"
-    var = 2 * n * n * d * v * v + 4 * r0 * r0 * n * v
-    assert McEstimate.from_samples((rho - mean) ** 2).verdict(var) == "pass"
 
 
 def test_radial_refine_sees_a_gaussian_tail_step(monkeypatch):
@@ -1799,7 +1751,7 @@ def test_killed_transition_density(lo, hi, x, s):
     the first (the two half-line factors) fails there, and one that accepts
     every proposal inside fails all four."""
     n = 100_000
-    y = potential._killed_positions(
+    y = passage._killed_positions(
         np.full(n, x), np.full(n, lo), np.full(n, hi), np.full(n, s), substream(90, lo, hi)
     )
     assert np.all((lo < y) & (y < hi))
@@ -1921,7 +1873,7 @@ def test_engine_monitors_faces_on_the_grid_only(setup):
     cases = ((_scaled_law(model, 1.0, drift), box, cfg), (triplet, half, replace(cfg, bridge=False)))
     for i, (law, target, c) in enumerate(cases):
         t0, loc0 = potential._hit(law, np.zeros(8), target, c, 300, substream(96, i))
-        t1, loc1 = (x[0] for x in potential._step_paths(
+        t1, loc1 = (x[0] for x in passage._step_paths(
             law, np.zeros(8), lambda z: replace(target, faces=())(z)[None], target.coords, c,
             300, substream(96, i), cuts=[potential._boundary_cut(law, target)],
         ))
@@ -1983,13 +1935,13 @@ def test_constant_read_columns_reach_membership_at_their_starts(setup, monkeypat
     model, _ = setup
     line = LevyTriplet(model, np.zeros(model.dim), np.eye(model.dim)[0])
     widths = []
-    draw = potential.sample_increments
+    draw = passage.sample_increments
 
     def recorded(law, dt, n, rng):
         widths.append(law.model.dim)
         return draw(law, dt, n, rng)
 
-    monkeypatch.setattr(potential, "sample_increments", recorded)
+    monkeypatch.setattr(passage, "sample_increments", recorded)
     # entered when c1 reaches the path's own level in c3, 0.5 to 2
     above = TargetSet("c1>=c3", lambda z: z[..., 0] >= z[..., 2], coords=(0, 2))
     starts = np.zeros((200, model.dim))

@@ -32,7 +32,7 @@ def test_norms_basis_vector():
     model = make_space(32)
     e1 = model.basis_vector(1)
     assert model.h_norm2(e1) == 1.0
-    assert model.e_norm(e1) == pytest.approx(0.5)  # sqrt(lambda_1) = sqrt(1/4)
+    assert np.sqrt(model.e_norm2(e1)) == pytest.approx(0.5)  # sqrt(lambda_1) = sqrt(1/4)
 
 
 def test_canonical_x_norms():
