@@ -578,45 +578,26 @@ def _uniform_directions(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     return u / np.linalg.norm(u, axis=1, keepdims=True)
 
 
-def _von_mises_fisher(mu: np.ndarray, kappa: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One unit vector around each unit row of mu (n, d), d >= 2, with
-    density proportional to exp(kappa <mu, x>) on the sphere.
-
-    Wood's (1994) sampler: the cosine w = <mu, x> by rejection from
-    proposals w = 1 - 2bZ/t, t = 1 - (1 - b) Z, Z ~ Beta((d-1)/2, (d-1)/2),
-    b = (d - 1) / (2 kappa + sqrt(4 kappa^2 + (d - 1)^2)), then a uniform
-    direction orthogonal to mu.  The acceptance ratio and sqrt(1 - w^2) are
-    written in b, Z and t, which do not cancel when kappa is large; kappa =
-    0 accepts every proposal, the uniform law."""
-    n, d = mu.shape
-    b = (d - 1) / (2 * kappa + np.sqrt(4 * kappa * kappa + (d - 1) ** 2))
-    w, sin = np.empty(n), np.empty(n)
-    todo = np.arange(n)
-    while todo.size:
-        bt, z = b[todo], rng.beta((d - 1) / 2, (d - 1) / 2, todo.size)
-        t = 1 - (1 - bt) * z
-        # log of exp(kappa w) (1 - x0 w)^(d-1) over its value at w = x0 = (1 - b) / (1 + b)
-        log_ratio = kappa[todo] * (2 * bt / (1 + bt) - 2 * bt * z / t) + (d - 1) * np.log(
-            (1 + bt) / (2 * t)
-        )
-        ok = np.log1p(-rng.random(todo.size)) <= log_ratio
-        w[todo[ok]] = 1 - 2 * bt[ok] * z[ok] / t[ok]
-        sin[todo[ok]] = 2 * np.sqrt(bt[ok] * z[ok] * (1 - z[ok])) / t[ok]
-        todo = todo[~ok]
-    v = rng.standard_normal((n, d))
-    v -= (v * mu).sum(axis=1, keepdims=True) * mu
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    return w[:, None] * mu + sin[:, None] * v
+def _tail_step(u, r_in, along, across, sd, rng):
+    """The tails at step s minus the centre's, sd ((r_in + along) u +
+    sqrt(across) v) (n, d), of paths at sd r_in u at s - 1, u unit rows,
+    whose radius chain drew `along` and `across` for step s (`_tail_radii`);
+    v is uniform on the unit sphere orthogonal to u: the Gaussian step's law
+    given those draws, also at r_in = 0."""
+    v = rng.standard_normal(u.shape)
+    v -= (v * u).sum(axis=1, keepdims=True) * u
+    v *= (sd * np.sqrt(across) / np.linalg.norm(v, axis=1))[:, None]
+    return v + (sd * (r_in + along))[:, None] * u
 
 
 def _tail_radii(radius: np.ndarray, nb: int, d: int, rng: np.random.Generator):
     """Radii (nb + 1, r) of r standard Brownian motions in R^d over nb unit
-    steps, from `radius` (r,): the step's component along the current point
-    is a normal N, its squared rest chi^2_{d-1}, so r_s = sqrt((r_{s-1} +
-    N)^2 + chi^2_{d-1}).  The draws of all nb steps come from one call
-    each; the steps chain in a Python loop of an add, a multiply, an add
-    and a sqrt in place on each row, with no hypot, which costs about six
-    times those three together an element (BENCH_radial_floor.json)."""
+    steps from `radius` (r,), and their draws (along, across) (nb, r): a
+    step's component along the current point is a normal N, its squared
+    rest a chi^2_{d-1}, so r_s = sqrt((r_{s-1} + N)^2 + chi^2_{d-1}).  Each
+    kind comes from one call; the steps chain in a Python loop of an add, a
+    multiply, an add and a sqrt in place on each row, with no hypot, which
+    costs about six times those three an element (BENCH_radial_floor.json)."""
     rad = np.empty((nb + 1, radius.size))
     rad[0] = radius
     along = rng.standard_normal((nb, radius.size))
@@ -626,7 +607,7 @@ def _tail_radii(radius: np.ndarray, nb: int, d: int, rng: np.random.Generator):
         np.multiply(r, r, r)
         np.add(r, c, r)
         np.sqrt(r, r)
-    return rad
+    return rad, along, across
 
 
 def _radial_passage(
@@ -636,12 +617,14 @@ def _radial_passage(
     cfg,
     n_paths: int,
     rng: np.random.Generator,
+    locate: bool,
     cut,
     m: int,
 ):
     """A hit of an E-form target that steps the head coordinates c_1..c_m
     on the grid and the tail c_{m+1}..c_N as one squared radius.  Returns
-    (times, locations) like a one-target engine run.
+    (times, locations) like a one-target engine run; without locate it
+    builds no entry point, calls no cut and gives None for them.
 
     The tail minus the centre's is sqrt(g) times a d-dimensional Brownian
     motion from 0 (d = N - m), so its squared norm rho is a squared Bessel
@@ -650,15 +633,13 @@ def _radial_passage(
     so the tail's share of the E-norm^2 lies between lambda_N rho and
     lambda_{m+1} rho, and a step whose bound keeps it out of the target is
     decided without the tail.  At a path's first step s that the bound
-    cannot rule out, the tail is drawn: given the radii its direction is
-    uniform (rotation invariance), so at s - 1 it is sqrt(rho_{s-1}) U, and
-    at s it is sqrt(rho_s) times a von Mises-Fisher draw around U with
-    kappa = sqrt(rho_{s-1} rho_s) / (g dt) = r_{s-1} r_s
-    (`_von_mises_fisher`), the law of a Gaussian step given its end
-    radius.  The real membership then decides.  A path that entered stops
-    at s, located by `cut` from its points at s - 1 and s; one that did
-    not leaves the radial mode at s with its realized point.  So do all
-    live paths, their tails drawn uniform, once fewer than
+    cannot rule out, the tail is placed from the chain's draws of step s:
+    given them its direction U at s - 1 is uniform (rotation invariance),
+    and the step is the draw a along U plus sqrt(c) times a uniform V
+    orthogonal to U (`_tail_step`).  The real membership then decides.  A
+    path that entered stops at s, located by `cut` from its points at s - 1
+    and s; one that did not leaves the radial mode at s with its realized
+    point.  So do all live paths, their tails drawn uniform, once fewer than
     _RADIAL_MIN_PATHS remain.  The paths that left finish on the engine
     (`_step_paths`) in one call from their points, for as many steps as
     the longest of their remaining counts, with `cut`; an entry past a
@@ -680,7 +661,7 @@ def _radial_passage(
     ids = np.flatnonzero(np.isinf(times))
     y, radius = z0[ids, :m], np.zeros(ids.size)
     n_steps = int(np.ceil(cfg.horizon / cfg.dt))
-    undecided = []  # per block: path ids, steps, head points at s - 1 and s, radii there
+    undecided = []  # per block: path ids, steps, head points at s - 1 and s, r_{s-1}, a, c
     done = 0
     while done < n_steps and ids.size >= _RADIAL_MIN_PATHS:
         r = ids.size
@@ -688,7 +669,7 @@ def _radial_passage(
         path = sample_increments(head, cfg.dt, nb * r, rng).reshape(nb, r, m)
         _prefix_sum(path)
         path += y
-        rad = _tail_radii(radius, nb, d, rng)
+        rad, along, across = _tail_radii(radius, nb, d, rng)
         p = path if c_head is None else path - c_head  # z - 0.0 is z, bit for bit
         maybe = form.holds((p * p) @ w_head + w_near * rad[1:] ** 2)
         stop = maybe.any(axis=0)
@@ -696,9 +677,8 @@ def _radial_passage(
             rows = np.flatnonzero(stop)
             s = maybe[:, rows].argmax(axis=0)
             head_in = np.where((s > 0)[:, None], path[s - 1, rows], y[rows])
-            undecided.append(
-                (ids[rows], done + 1 + s, head_in, path[s, rows], rad[s, rows], rad[s + 1, rows])
-            )
+            chain = (x[s, rows] for x in (rad, along, across))  # r_{s-1} and step s's draws
+            undecided.append((ids[rows], done + 1 + s, head_in, path[s, rows], *chain))
         ids, y, radius = ids[~stop], path[-1, ~stop], rad[nb, ~stop]
         done += nb
         del path, p  # free this block before the next one is drawn
@@ -711,24 +691,24 @@ def _radial_passage(
     # chunks of rows whose eight or so temporaries of N floats stay within a block
     chunk = max(1, _BLOCK // (8 * z0.shape[1]))
     for lo in range(0, undecided[0].size, chunk):
-        ids, steps, head_in, head_out, r_in, r_out = (x[lo : lo + chunk] for x in undecided)
+        ids, steps, head_in, head_out, r_in, a, c = (x[lo : lo + chunk] for x in undecided)
         u = _uniform_directions(ids.size, d, rng)
-        v = _von_mises_fisher(u, r_in * r_out, rng)
-        z_in = np.hstack([head_in, c_tail + (sd * r_in)[:, None] * u])
-        z_out = np.hstack([head_out, c_tail + (sd * r_out)[:, None] * v])
+        z_out = np.hstack([head_out, c_tail + _tail_step(u, r_in, a, c, sd, rng)])
         entered = target(z_out)
         times[ids[entered]] = steps[entered] * cfg.dt
         left.append((ids[~entered], z_out[~entered], steps[~entered]))
-        locs[ids[entered]] = cut(z_in[entered], z_out[entered])
-        del u, v, z_in, z_out  # free this chunk before the next one is drawn
+        if locate:
+            z_in = np.hstack([head_in[entered], c_tail + (sd * r_in[entered])[:, None] * u[entered]])
+            locs[ids[entered]] = cut(z_in, z_out[entered])
     ids, z, steps = (np.concatenate(x) for x in zip(*left))
     if ids.size:
         t, loc = _step_paths(
             triplet, z, lambda z: target(z)[None], None, cfg, ids.size, rng,
-            cuts=[cut], n_steps=n_steps - int(steps.min()),
+            cuts=[cut], locate=locate, n_steps=n_steps - int(steps.min()),
         )
         j = np.rint(t[0] / cfg.dt)  # the grid steps each path took on the engine
         hit = steps + j <= n_steps
         times[ids[hit]] = (steps[hit] + j[hit]) * cfg.dt
-        locs[ids[hit]] = loc[0, hit]
-    return times, locs
+        if locate:
+            locs[ids[hit]] = loc[0, hit]
+    return times, locs if locate else None

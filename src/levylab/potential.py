@@ -296,8 +296,8 @@ def _hit(
 ):
     """The hit planner: entry times of n_paths paths from `start` into one
     target (inf for a miss) and entry points (the start for a miss), by the
-    first of these modes that applies; without locate, face passage and
-    the engine draw no entry point and give None for them:
+    first of these modes that applies; without locate, no mode computes an
+    entry point, and each gives None for them:
     0. a target that reads no coordinate (coords == ()) is decided by one
        membership call at time 0, for good, and draws nothing;
     1. exact passage (`passage._face_passage`), where `_face_eligible`
@@ -309,12 +309,12 @@ def _hit(
     3. the engine, which monitors the target at its grid points, cut alike."""
     if target.coords == ():
         z0 = passage._starts(start, n_paths)
-        return np.where(target(z0), 0.0, np.inf), z0
+        return np.where(target(z0), 0.0, np.inf), z0 if locate else None
     if passage._face_eligible(triplet, target, cfg):
         return passage._face_passage(triplet, start, target, cfg, n_paths, rng, locate)
-    cut = _boundary_cut(triplet, target)
+    cut = _boundary_cut(triplet, target) if locate else None
     if m := passage._radial_head(triplet, target, start):
-        return passage._radial_passage(triplet, start, target, cfg, n_paths, rng, cut, m)
+        return passage._radial_passage(triplet, start, target, cfg, n_paths, rng, locate, cut, m)
     times, locs = passage._step_paths(
         triplet, start, lambda z: target(z)[None], target.coords, cfg, n_paths, rng,
         cuts=[cut], locate=locate,

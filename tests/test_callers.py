@@ -1,11 +1,13 @@
-"""Everything public in src/levylab has a use outside tests: every public
-top-level name has a caller, every defaulted parameter of a public function,
+"""Everything in src/levylab has a use outside tests: every public
+top-level name has a caller, every function and method but the dunders is
+referenced, every defaulted parameter of a public function,
 method or dataclass is passed by some caller and left out by another, every
 dataclass field is read, and so is every key a library function puts in the
 dict it returns.  Callers and readers are src/levylab and levybench.  And
 every name is imported from the module that defines it."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -17,13 +19,14 @@ TREES = {p: ast.parse(p.read_text()) for p in FILES}
 UNPASSED = {"cli.main(argv)"}
 
 
-def _used(node) -> set[str]:
-    """Names, attributes and imported names referenced in code, not prose."""
-    return {
+def _used(node) -> Counter:
+    """How often each name, attribute and imported name is referenced in
+    code, not prose."""
+    return Counter(
         getattr(n, "id", None) or getattr(n, "attr", None) or getattr(n, "name", None)
         for n in ast.walk(node)
         if isinstance(n, (ast.Name, ast.Attribute, ast.alias))
-    }
+    )
 
 
 def test_every_public_name_has_a_caller():
@@ -104,10 +107,11 @@ def _parameter_keys() -> int:
 
 
 def counts() -> dict:
-    """The three sizes that the guards below check, and the experiment keys
+    """The four sizes that the guards below check, and the experiment keys
     a config may set, for the CI job summary; read from the source, since CI
     counts before it installs the package."""
     return {
+        "functions and methods": sum(1 for _ in _definitions()),
         "defaulted parameters": sum(len(defaulted) for *_, defaulted in _callables()),
         "dataclass fields": sum(len(_fields(cls)) for _, cls in _dataclasses()),
         "report keys": len(_written_keys()),
@@ -252,6 +256,25 @@ def _functions(path):
             for fn in node.body:
                 if isinstance(fn, ast.FunctionDef):
                     yield f"{path.stem}.{node.name}.{fn.name}", fn
+
+
+def _definitions():
+    """(label, node) of every top-level function and every method of
+    src/levylab but the dunders, which Python calls."""
+    for path in FILES:
+        if path.parent == SRC:
+            for label, fn in _functions(path):
+                if not (fn.name.startswith("__") and fn.name.endswith("__")):
+                    yield label, fn
+
+
+def test_every_function_has_a_caller():
+    """A function or method that nothing outside tests references, other
+    than its own body, is dead code: it goes.  `__init__.py` re-exports
+    names, so its imports are no reference."""
+    refs = sum((_used(t) for p, t in TREES.items() if p.name != "__init__.py"), Counter())
+    orphans = [label for label, fn in _definitions() if refs[fn.name] <= _used(fn)[fn.name]]
+    assert orphans == [], f"referenced only from tests or their own body: {orphans}"
 
 
 def _written_keys() -> set:
