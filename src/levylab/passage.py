@@ -58,7 +58,7 @@ def _step_paths(
     cuts=None,
     observe=None,
     locate: bool = True,
-    n_steps: int | None = None,
+    n_steps: int | np.ndarray | None = None,
 ):
     """The stepping engine behind every path estimator.
 
@@ -75,26 +75,28 @@ def _step_paths(
     (targets, len(idx)) marks the paths that entered each target in the
     block, and first holds the step of the block where they did (read it
     only where entered).  Paths take `n_steps` grid steps, by default
-    ceil(horizon / dt).  Returns entry times (inf when missed) and entry
-    points (the start when missed; none without locate).
+    ceil(horizon / dt), or each its own count (an array, one a path): no
+    entry past a path's count is recorded.  Returns entry times (inf when
+    missed) and entry points (the start when missed; none without locate).
 
     Each iteration advances the live paths by a block of B grid steps, the
     largest B (at least 1) with B * paths * read or stepped coordinates <=
-    _BLOCK, so blocks grow as the live set shrinks.  One draw of B * paths
-    increments, summed along the step axis (`_prefix_sum`) and added to the
-    positions, gives the block's grid points; a path stops at the step
-    where it entered its last target.  Stopping inside a block is exact:
-    that step's decision reads only the increments up to it, and the
-    discarded draws after it are independent of everything kept.
+    _BLOCK and none past the longest count left, so blocks grow as the live
+    set shrinks.  One draw of B * paths increments, summed along the step
+    axis (`_prefix_sum`) and added to the positions, gives the block's grid
+    points; a path stops at the step where it entered its last target, or
+    at the end of the block that reaches its count.  Stopping inside a
+    block is exact: that step's decision reads only the increments up to
+    it, and the discarded draws after it are independent of everything kept.
 
     The live paths are held compacted, in their original order: their ids,
-    stepped positions and still-awaited targets are dense arrays, shrunk
+    stepped positions, awaited targets and counts are dense arrays, shrunk
     only on an iteration where some path stopped; paths that start inside
-    every target are never live.  The draws are unchanged by this: each
-    iteration draws B * paths increments for the same live paths in the
-    same order as a scan of all paths would.  The positions stay in the
-    buffer allocated before the loop and shrink within it, so an iteration
-    allocates only its block and the membership's temporaries.
+    every target or have no step are never live.  The draws are unchanged
+    by this: each iteration draws B * paths increments for the same live
+    paths in the same order as a scan of all paths would.  The positions
+    stay in the buffer allocated before the loop and shrink within it, so
+    an iteration allocates only its block and the membership's temporaries.
 
     The stepped coordinates are the read ones the law moves plus the jump
     support (`LevyTriplet.carried`), drawn from the law's marginal on them;
@@ -125,18 +127,20 @@ def _step_paths(
     times = np.where(member(z0), 0.0, np.inf)
     n_t = times.shape[0]
     locs = np.repeat(z0[None], n_t if locate else 0, axis=0)
-    # the live set, kept in path order: path ids, stepped positions and the
-    # targets each path still awaits; it shrinks only when a path stops, and
-    # the positions shrink within the buffer allocated here
-    ids = np.flatnonzero(np.isinf(times).any(axis=0))
-    pending = np.isinf(times[:, ids])
-    y = z0[np.ix_(ids, cols)]
     if n_steps is None:
         n_steps = int(np.ceil(cfg.horizon / cfg.dt))
+    ends = np.broadcast_to(n_steps, z0.shape[:1])  # each path's step count
+    # the live set, kept in path order: path ids, stepped positions, awaited
+    # targets and step counts; it shrinks only when a path stops, and the
+    # positions shrink within the buffer allocated here
+    ids = np.flatnonzero(np.isinf(times).any(axis=0) & (ends > 0))
+    pending, ends = np.isinf(times[:, ids]), ends[ids]
+    y = z0[np.ix_(ids, cols)]
+    last, soonest = int(ends.max(initial=0)), int(ends.min(initial=0))  # of the live paths
     done = 0
-    while done < n_steps and ids.size:
+    while ids.size:
         r = ids.size
-        nb = min(n_steps - done, max(1, _BLOCK // (r * max(len(shown), 1))))
+        nb = min(last - done, max(1, _BLOCK // (r * max(len(shown), 1))))
         if law is None:
             path = np.empty((nb, r, 0))
         else:
@@ -145,11 +149,15 @@ def _step_paths(
         path += y
         z = widen(path)
         inside = member(z.reshape(nb * r, width)).reshape(n_t, nb, r) & pending[:, None]
+        steps = done + 1 + np.arange(nb)
+        ending = soonest <= done + nb  # some path takes its last step in this block
+        if ending:  # no entry past a path's own count
+            inside &= steps[:, None] <= ends
         if nb == 1:  # many live paths: no block axis to search
             entered, first = inside[:, 0], np.zeros((n_t, r), dtype=int)
         else:
             entered, first = inside.any(axis=1), inside.argmax(axis=1)
-        t = (done + 1 + np.arange(nb)) * cfg.dt
+        t = steps * cfg.dt
         entering = entered.any()
         if entering:
             for ti in np.flatnonzero(entered.any(axis=1)):
@@ -163,15 +171,17 @@ def _step_paths(
                         z_at = cuts[ti](widen(z_in, rows), widen(z_at, rows))[:, cols]
                     locs[ti, ids[rows, None], cols] = z_at
             pending &= ~entered
-            going = pending.any(axis=0)
         if observe is not None:
             observe(t, ids, z, times, (entered, first))
-        if not entering or going.all():
+        done += nb
+        if entering or ending:
+            going = pending.any(axis=0) & (ends > done)
+        if not (entering or ending) or going.all():
             y[...] = path[nb - 1]
         else:  # the stopped paths leave the live set; the rest move on
-            ids, pending = ids[going], pending[:, going]
+            ids, pending, ends = ids[going], pending[:, going], ends[going]
             y = np.compress(going, path[nb - 1], axis=0, out=y[: ids.size])
-        done += nb
+            last, soonest = int(ends.max(initial=0)), int(ends.min(initial=0))
         del path, z  # free this block before the next one is drawn
     if locate:
         _draw_rest(triplet, cols, z0, times, locs, rng)
@@ -641,9 +651,8 @@ def _radial_passage(
     and s; one that did not leaves the radial mode at s with its realized
     point.  So do all live paths, their tails drawn uniform, once fewer than
     _RADIAL_MIN_PATHS remain.  The paths that left finish on the engine
-    (`_step_paths`) in one call from their points, for as many steps as
-    the longest of their remaining counts, with `cut`; an entry past a
-    path's own count is a miss.  The head steps by `sample_increments`.
+    (`_step_paths`) in one call from their points, each for its remaining
+    step count, with `cut`.  The head steps by `sample_increments`.
     """
     form = target.e_form
     z0 = _starts(start, n_paths)
@@ -704,11 +713,11 @@ def _radial_passage(
     if ids.size:
         t, loc = _step_paths(
             triplet, z, lambda z: target(z)[None], None, cfg, ids.size, rng,
-            cuts=[cut], locate=locate, n_steps=n_steps - int(steps.min()),
+            cuts=[cut], locate=locate, n_steps=n_steps - steps,
         )
-        j = np.rint(t[0] / cfg.dt)  # the grid steps each path took on the engine
-        hit = steps + j <= n_steps
-        times[ids[hit]] = (steps[hit] + j[hit]) * cfg.dt
+        # its steps before the hand-off and on the engine; a miss stays inf
+        times[ids] = (steps + np.rint(t[0] / cfg.dt)) * cfg.dt
         if locate:
+            hit = np.isfinite(t[0])
             locs[ids[hit]] = loc[0, hit]
     return times, locs if locate else None

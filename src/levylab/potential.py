@@ -558,10 +558,12 @@ def _level_control(norm, triplet: LevyTriplet, start, levels, beta: float, cfg, 
     left out.  Every h is at most e^(c q_x) for a constant c, so C is
     bounded on a miss.
 
-    One scalar per (level, profile, path) is kept, its log, from the stop
-    point: the block's entries, which the engine hands `observe`, give each
-    entering path's step, and a miss stops at the last grid time.  log cosh
-    a = a + log(1 + e^(-2a)) - log 2 keeps it finite at any level."""
+    `observe` keeps each block's stops: the entries the engine hands it
+    give each entering path's step, and a miss stops at the last grid time.
+    Once the crossing times are found, the stop points are evaluated in
+    chunks whose temporaries stay within passage._BLOCK elements, one
+    scalar per (level, profile, path), its log: log cosh a = a + log(1 +
+    e^(-2a)) - log 2 keeps it finite at any level."""
     if triplet.jumps is not None or triplet.drift.any():
         raise PreconditionError("the level-set control needs a drift-free continuous law")
     basis = norm.growth_basis.basis
@@ -598,23 +600,11 @@ def _level_control(norm, triplet: LevyTriplet, start, levels, beta: float, cfg, 
         return np.array([s + np.log(a[span].prod(axis=0)) for s, span in zip(total, spans)])
 
     levels = np.asarray(levels, dtype=float)
-    log0 = log_h(np.asarray(start, dtype=float)[None, :width])
-    # log(e^(-beta S) h(X_S) / h(z_0)) per profile, flat over (level, path);
-    # 0 where S = 0
-    log_ratio = np.zeros((len(spans), levels.size * n_paths))
     t_end = int(np.ceil(cfg.horizon / cfg.dt)) * cfg.dt
-    # (flat indices, S, stop points) of blocks not yet evaluated, settled at
-    # a quarter of an engine block: few log_h calls, and a peak memory close
-    # to the crossing times' own
-    held, n_held = [], 0
-
-    def settle():
-        f, stop, pts = (np.concatenate(part) for part in zip(*held))
-        log_ratio[:, f] = log_h(pts) - beta * stop - log0
-        held.clear()
+    # per block: flat indices (level, path), S and the stop points
+    stops = [(np.empty(0, dtype=int), np.empty(0), np.empty((0, width)))]
 
     def observe(t, idx, z, times, entries):
-        nonlocal n_held
         entered, first = entries
         f = np.flatnonzero(entered)  # level * live + row
         steps = first.ravel()[f]
@@ -622,18 +612,18 @@ def _level_control(norm, triplet: LevyTriplet, start, levels, beta: float, cfg, 
             missed = np.flatnonzero(np.isinf(times[:, idx]))
             f = np.concatenate((f, missed))
             steps = np.concatenate((steps, np.full(missed.size, t.size - 1)))
-        if not f.size:
-            return
         level, rows = np.divmod(f, idx.size)
-        held.append((level * n_paths + idx[rows], t[steps], z[steps, rows, :width]))
-        n_held += f.size * width
-        if n_held >= passage._BLOCK // 4:
-            settle()
-            n_held = 0
+        stops.append((level * n_paths + idx[rows], t[steps], z[steps, rows, :width]))
 
     times = level_crossing_times(norm, triplet, start, levels, cfg, n_paths, rng, observe)
-    if held:
-        settle()
+    # log(e^(-beta S) h(X_S) / h(z_0)) per profile and flat (level, path), 0 at S = 0
+    log_ratio = np.zeros((len(spans), levels.size * n_paths))
+    log0 = log_h(np.asarray(start, dtype=float)[None, :width])
+    f, stop, pts = (np.concatenate(part) for part in zip(*stops))
+    chunk = max(1, passage._BLOCK // len(scaled))  # log_h's (forms, rows) temporaries
+    for lo in range(0, f.size, chunk):
+        at = slice(lo, lo + chunk)
+        log_ratio[:, f[at]] = log_h(pts[at]) - beta * stop[at] - log0
     control = np.expm1(log_ratio).reshape(len(spans), levels.size, n_paths)
     return times, control.transpose(1, 0, 2)
 
@@ -761,7 +751,7 @@ def capacity_tightness_profile(
     per_point = []  # each point's estimates, one a level
     for zi in lam.points:
         times, control = _level_control(norm, triplet, zi, levels, beta, cfg, n, rng)
-        disc = np.where(np.isfinite(times), np.exp(-beta * times), 0.0) / beta
+        disc = np.exp(-beta * times) / beta  # exp(-inf) = 0 for a miss
         per_point.append([McEstimate.from_samples(r) for r in _cross_fitted(disc, control)])
     return [
         {"level": lv, "estimate": lam.weighted_sum(ests)}

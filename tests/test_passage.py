@@ -1,9 +1,11 @@
-"""The samplers' own kernels, called directly: the J* sampler of the walk
-on intervals, the squared-Bessel radius chain of the radial mode and its
-tail placement; and the radial mode's exit law against the engine's.  The
-other samplers' laws through the hit API are checked in test_potential.py."""
+"""The samplers' own kernels, called directly: the engine's blocks and step
+counts, the J* sampler of the walk on intervals, the squared-Bessel radius
+chain of the radial mode and its tail placement; and the radial mode's exit
+law against the engine's.  The other samplers' laws through the hit API are
+checked in test_potential.py."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from levylab.potential import (
     PathConfig,
     PointCloud,
     capacity,
+    coord_halfspace,
     e_ball,
     e_ball_complement,
     polarity_diagnostic,
@@ -101,6 +104,181 @@ def test_tail_step_places_the_chain_draws(d):
     rest = x - along[:, None] * u
     assert np.all(np.abs((rest * u).sum(axis=1)) <= 1e-12 * scale)
     np.testing.assert_allclose(np.linalg.norm(rest, axis=1), sd * np.sqrt(c), rtol=1e-9)
+
+
+# -- the engine's blocks and step counts ------------------------------------------
+
+
+def _sum_by_adds(path):
+    for s in range(1, path.shape[0]):
+        np.add(path[s], path[s - 1], out=path[s])
+
+
+@pytest.mark.parametrize("shape", ["wide", "mid", "narrow"])
+def test_prefix_sum_branches_give_identical_bytes(monkeypatch, shape):
+    """Contiguous adds and np.cumsum sum a block to the same bytes: for one
+    substream, the hit times and locations are bit-identical whichever of
+    them sums every block.  At a budget of 32768 elements, a full-width
+    E-ball over 400 paths starts with a wide block of 2 steps and a 2-d box
+    over 300 paths with a block of 54 steps x 600 elements, which the
+    engine sums by adds, and a one-coordinate halfspace over 50 paths
+    starts with a deep block of 655 steps, which it sums by cumsum."""
+    model = make_space(32)
+    triplet = brownian_triplet(model)
+    start = np.zeros(32)
+    if shape == "wide":
+        target, n, first = e_ball_complement(model, np.zeros(32), 1.0), 400, (2, 400, 32)
+    elif shape == "mid":
+        box = potential.box_complement(model, [-1.0, -1.0], [1.0, 1.0])
+        target, n, first = box, 300, (54, 300, 2)
+        start[:2] = (0.3, -0.2)
+    else:
+        target, n, first = coord_halfspace(model, 1, 1.0, +1), 50, (655, 50, 1)
+    monkeypatch.setattr(passage, "_BLOCK", 32768)
+    shapes = []
+    engine_sum = passage._prefix_sum
+
+    def recorded(path):
+        shapes.append(path.shape)
+        engine_sum(path)
+
+    def run(prefix_sum):
+        monkeypatch.setattr(passage, "_prefix_sum", prefix_sum)
+        times, locs = passage._step_paths(
+            triplet, start, lambda z: target(z)[None], target.coords,
+            PathConfig(dt=0.01, horizon=10.0), n, substream(44, shape != "narrow"),
+        )
+        assert np.isfinite(times).any()
+        return times.tobytes(), locs.tobytes()
+
+    by_engine = run(recorded)
+    assert shapes[0] == first
+    assert run(_sum_by_adds) == by_engine
+    assert run(lambda path: np.cumsum(path, axis=0, out=path)) == by_engine
+
+
+@pytest.mark.parametrize("full_width", [False, True])
+def test_blocks_stay_within_the_budget(monkeypatch, full_width):
+    """Every grid-step draw holds B steps x live paths x stepped coordinates
+    and stays within max(_BLOCK, live paths x stepped coordinates), and
+    blocks of several steps fill more than half the budget: for a
+    one-coordinate halfspace, and for a full-width E-ball whose 1200 paths
+    step one at a time at first, each step over the budget."""
+    model = make_space(32)
+    triplet = brownian_triplet(model)
+    if full_width:
+        target, k = e_ball_complement(model, np.zeros(32), 1.0), 32
+    else:
+        target, k = coord_halfspace(model, 1, 1.0, +1), 1
+    sizes, blocks = [], []
+    draw = passage.sample_increments
+
+    def counted(law, dt, n, rng):
+        if np.ndim(dt) == 0:  # grid steps, not the terminal draw of unstepped coords
+            sizes.append(n * law.model.dim)
+        return draw(law, dt, n, rng)
+
+    monkeypatch.setattr(passage, "sample_increments", counted)
+    passage._step_paths(
+        triplet, np.zeros(32), lambda z: target(z)[None], target.coords,
+        PathConfig(dt=0.01, horizon=4.0), 1200, substream(45, full_width),
+        observe=lambda t, idx, z, times, entries: blocks.append((t.size, idx.size)),
+    )
+    assert len(sizes) == len(blocks)
+    for size, (nb, live) in zip(sizes, blocks):
+        assert size == nb * live * k
+        assert size <= max(passage._BLOCK, live * k)
+    assert any(nb > 1 and size > passage._BLOCK // 2 for size, (nb, _) in zip(sizes, blocks))
+
+
+@pytest.mark.parametrize(
+    "radial, center_c32", [(True, 0.0), (False, 0.0), (False, 0.5)], ids=["True", "False", "off_centre"]
+)
+def test_full_width_exit_memory(monkeypatch, radial, center_c32):
+    """A full-width E-ball exit (1000 paths x 32 coordinates, cut at the
+    boundary) peaks under tracemalloc within 5.25 blocks of 1000 x 32
+    floats.  From the centre it takes the radial mode (3.87 measured).  A
+    start whose tail coordinate c32 differs from the centre's by 0.5
+    refuses that mode, and the engine peaks at 5.20: the starts, the entry
+    points, the live positions, the drawn block and the membership's
+    squares.  A centred ball subtracts nothing; an off-centre one squares
+    its difference from the centre in place, so it peaks at 5.19 (6.22
+    when it squared into a second temporary, 5.43 with a broadcast
+    subtraction's iteration buffer).  Before the live set was compacted
+    the engine peaked at 6.16.  Holding one more copy of the positions or
+    of a block through the membership call adds a whole block."""
+    model = make_space(32)
+    center = np.zeros(32)
+    center[31] = center_c32
+    ball = e_ball_domain(model, center, 1.0)
+    start = np.zeros(32)
+    if not radial:
+        start[31] = 0.5 - center_c32  # moves the E-norm by 4^-32 / 4
+    taken = []
+    radial_passage = passage._radial_passage
+    monkeypatch.setattr(
+        passage, "_radial_passage", lambda *a: taken.append(1) or radial_passage(*a)
+    )
+    cfg = PathConfig(dt=0.01, horizon=4.0)
+    tracemalloc.start()
+    try:
+        hit, _, _ = simulate_hit_batch(brownian_triplet(model), start, ball.exit_target, cfg, 1000, substream(43))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bool(taken) == radial
+    assert 0.5 < hit.mean() < 1.0  # exits inside blocks and paths live at the horizon
+    assert peak <= 5.25 * 1000 * 32 * 8
+
+
+def test_each_path_ends_at_its_own_count(monkeypatch):
+    """Per-path step counts: no entry past a path's own count is recorded,
+    and a path leaves the live set at the end of the block that reaches its
+    count.  400 paths of a one-coordinate halfspace step in blocks of 81,
+    so the first block draws what the scalar count 200 draws, and a path
+    whose count ends in it keeps the scalar run's entry up to its count and
+    misses after it.  Equal counts give the scalar count's bytes and draws.
+    A target no path enters draws fewer rows than paths x the longest
+    count, and at least each path's own count."""
+    model = make_space(32)
+    triplet = brownian_triplet(model)
+    half, far = coord_halfspace(model, 1, 0.5, +1), coord_halfspace(model, 1, 100.0, +1)
+    cfg = PathConfig(dt=0.01, horizon=2.0)
+    counts = substream(74).integers(1, 201, 400)
+    counts[0] = 200
+    sizes = []
+    draw = passage.sample_increments
+
+    def counted(law, dt, n, rng):
+        sizes.append(n)
+        return draw(law, dt, n, rng)
+
+    monkeypatch.setattr(passage, "sample_increments", counted)
+
+    def run(target, n_steps):
+        sizes.clear()
+        times, locs = passage._step_paths(
+            triplet, np.zeros(32), lambda z: target(z)[None], target.coords, cfg, 400,
+            substream(75), n_steps=n_steps,
+        )
+        return times[0], locs[0], list(sizes)
+
+    times, _, _ = run(half, counts)
+    scalar, scalar_locs, scalar_sizes = run(half, 200)
+    assert scalar_sizes[0] == 81 * 400
+    hit = np.isfinite(times)
+    assert hit.any() and not hit.all()
+    assert np.all(times[hit] <= counts[hit] * cfg.dt)
+    first = counts <= 81  # paths whose count ends in the first block
+    late = scalar[first] > counts[first] * cfg.dt
+    assert late.any() and (~late & np.isfinite(scalar[first])).any()
+    assert np.array_equal(times[first], np.where(late, np.inf, scalar[first]))
+    same = run(half, np.full(400, 200))
+    assert same[0].tobytes() == scalar.tobytes() and same[1].tobytes() == scalar_locs.tobytes()
+    assert same[2] == scalar_sizes == run(half, None)[2]
+    never, _, drawn = run(far, counts)
+    assert np.isinf(never).all()
+    assert counts.sum() <= sum(drawn) < 400 * counts.max()
 
 
 # -- the E-norm tail as one squared-Bessel radius -------------------------------
@@ -280,6 +458,63 @@ def test_radial_refine_sees_a_gaussian_tail_step(monkeypatch):
     tail = McEstimate.from_samples((step[:, 8:] ** 2).sum(axis=1) / cfg.dt)
     assert tail.verdict(24.0) == "pass"
     assert McEstimate.from_samples(step[:, 7] ** 2 / cfg.dt).verdict(1.0) == "pass"
+
+
+def test_radial_stops_place_the_tail_at_the_chain_radii(monkeypatch):
+    """Where the radial mode decides an entry itself, its cut sees the tail
+    at the radii the bound decided on: the tail of z_out has norm sd r_s and
+    that of z_in sd r_{s-1}, both from one column of one recorded radius
+    chain, at consecutive steps.  Every path handed to the engine starts
+    with a tail norm of sd times a recorded radius.  A placement that takes
+    a fresh Gaussian step from sd r_{s-1} u, which the exit-law tests above
+    pass, fails here."""
+    model, triplet, shell = _radial_cases()
+    cfg = PathConfig(dt=0.01, horizon=3.0)
+    sd = math.sqrt(cfg.dt)
+    m = passage._radial_head(triplet, shell, np.zeros(32))
+    chains, cut_calls, handed = [], [], []
+    radii, engine = passage._tail_radii, passage._step_paths
+    exact = potential._boundary_cut(triplet, shell)
+
+    def recorded_radii(*args):
+        out = radii(*args)
+        chains.append(sd * out[0])
+        return out
+
+    def cut(z_in, z_out):
+        cut_calls.append((z_in[:, m:].copy(), z_out[:, m:].copy()))
+        return exact(z_in, z_out)
+
+    def engine_run(*args, **kwargs):  # the hand-off: every later cut is the engine's
+        handed.append((args[1][:, m:].copy(), len(cut_calls)))
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(passage, "_tail_radii", recorded_radii)
+    monkeypatch.setattr(passage, "_step_paths", engine_run)
+    times, _ = passage._radial_passage(
+        triplet, np.zeros(32), shell, cfg, 2000, substream(76), True, cut, m
+    )
+    assert np.isfinite(times).mean() > 0.5 and len(handed) == 1
+    starts, n_radial = handed[0]
+    # (sd r_{s-1}, sd r_s) of every step of every chain, sorted by sd r_s
+    before = np.concatenate([c[:-1].ravel() for c in chains])
+    after = np.concatenate([c[1:].ravel() for c in chains])
+    order = np.argsort(after)
+    before, after = before[order], after[order]
+
+    def on_a_chain(r_in, r_out):
+        lo, hi = np.searchsorted(after, [r_out * (1 - 1e-12), r_out * (1 + 1e-12)])
+        return np.isclose(before[lo:hi], r_in, rtol=1e-12, atol=0.0).any()
+
+    entered = [(a, b) for z_in, z_out in cut_calls[:n_radial] for a, b in zip(z_in, z_out)]
+    assert len(entered) > 100
+    for tail_in, tail_out in entered:
+        assert on_a_chain(np.linalg.norm(tail_in), np.linalg.norm(tail_out))
+    every = np.sort(np.concatenate([c.ravel() for c in chains]))
+    for r in np.linalg.norm(starts, axis=1):
+        i = min(np.searchsorted(every, r), every.size - 1)
+        assert np.isclose(every[max(i - 1, 0) : i + 1], r, rtol=1e-12, atol=0.0).any()
+    assert starts.shape[0] > 10
 
 
 def test_unlocated_radial_hits_call_no_cut(monkeypatch):

@@ -469,6 +469,29 @@ def test_level_crossing_keeps_no_locations():
     assert peak([1.0, 2.0, 3.0]) - peak([1.0]) < one_level_locations
 
 
+def test_level_control_evaluates_its_stops_in_chunks():
+    """The control keeps each block's stops and evaluates them once the
+    crossing times are found, in chunks within an engine block: at 3 levels
+    x 1000 paths x N=32 its tracemalloc peak exceeds the crossing times'
+    own by less than 60% of the (3, 1000, 32) entry points it never builds.
+    Measured on numpy 2 (x86-64): 282 KB in chunks, 383 KB when a quarter
+    block of stops was evaluated at a time, 631 KB in one call."""
+    model = make_space(32)
+    norm = gaussian_norm(model, build_growth_basis(model, canonical_x(model)))
+    triplet, levels, cfg = brownian_triplet(model), [1.0, 2.0, 3.0], PathConfig(dt=0.05, horizon=20.0)
+
+    def peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(norm, triplet, np.zeros(32), levels, *args, cfg, 1000, substream(30))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    extra = peak(potential._level_control, 1.0) - peak(level_crossing_times)
+    assert extra < 0.6 * 3 * 1000 * 32 * 8
+
+
 def test_balayage_atom_inside_M(setup):
     """Start inside open M: T = 0, swept measure equals the original."""
     model, triplet = setup
@@ -1048,88 +1071,6 @@ def test_block_steps_agree_with_single_steps(setup, monkeypatch):
             assert diff.verdict(0.0) == "pass", case.__name__
 
 
-def _sum_by_adds(path):
-    for s in range(1, path.shape[0]):
-        np.add(path[s], path[s - 1], out=path[s])
-
-
-@pytest.mark.parametrize("shape", ["wide", "mid", "narrow"])
-def test_prefix_sum_branches_give_identical_bytes(monkeypatch, shape):
-    """Contiguous adds and np.cumsum sum a block to the same bytes: for one
-    substream, the hit times and locations are bit-identical whichever of
-    them sums every block.  At a budget of 32768 elements, a full-width
-    E-ball over 400 paths starts with a wide block of 2 steps and a 2-d box
-    over 300 paths with a block of 54 steps x 600 elements, which the
-    engine sums by adds, and a one-coordinate halfspace over 50 paths
-    starts with a deep block of 655 steps, which it sums by cumsum."""
-    model = make_space(32)
-    triplet = brownian_triplet(model)
-    start = np.zeros(32)
-    if shape == "wide":
-        target, n, first = e_ball_complement(model, np.zeros(32), 1.0), 400, (2, 400, 32)
-    elif shape == "mid":
-        box = potential.box_complement(model, [-1.0, -1.0], [1.0, 1.0])
-        target, n, first = box, 300, (54, 300, 2)
-        start[:2] = (0.3, -0.2)
-    else:
-        target, n, first = coord_halfspace(model, 1, 1.0, +1), 50, (655, 50, 1)
-    monkeypatch.setattr(passage, "_BLOCK", 32768)
-    shapes = []
-    engine_sum = passage._prefix_sum
-
-    def recorded(path):
-        shapes.append(path.shape)
-        engine_sum(path)
-
-    def run(prefix_sum):
-        monkeypatch.setattr(passage, "_prefix_sum", prefix_sum)
-        times, locs = passage._step_paths(
-            triplet, start, lambda z: target(z)[None], target.coords,
-            PathConfig(dt=0.01, horizon=10.0), n, substream(44, shape != "narrow"),
-        )
-        assert np.isfinite(times).any()
-        return times.tobytes(), locs.tobytes()
-
-    by_engine = run(recorded)
-    assert shapes[0] == first
-    assert run(_sum_by_adds) == by_engine
-    assert run(lambda path: np.cumsum(path, axis=0, out=path)) == by_engine
-
-
-@pytest.mark.parametrize("full_width", [False, True])
-def test_blocks_stay_within_the_budget(monkeypatch, full_width):
-    """Every grid-step draw holds B steps x live paths x stepped coordinates
-    and stays within max(_BLOCK, live paths x stepped coordinates), and
-    blocks of several steps fill more than half the budget: for a
-    one-coordinate halfspace, and for a full-width E-ball whose 1200 paths
-    step one at a time at first, each step over the budget."""
-    model = make_space(32)
-    triplet = brownian_triplet(model)
-    if full_width:
-        target, k = e_ball_complement(model, np.zeros(32), 1.0), 32
-    else:
-        target, k = coord_halfspace(model, 1, 1.0, +1), 1
-    sizes, blocks = [], []
-    draw = passage.sample_increments
-
-    def counted(law, dt, n, rng):
-        if np.ndim(dt) == 0:  # grid steps, not the terminal draw of unstepped coords
-            sizes.append(n * law.model.dim)
-        return draw(law, dt, n, rng)
-
-    monkeypatch.setattr(passage, "sample_increments", counted)
-    passage._step_paths(
-        triplet, np.zeros(32), lambda z: target(z)[None], target.coords,
-        PathConfig(dt=0.01, horizon=4.0), 1200, substream(45, full_width),
-        observe=lambda t, idx, z, times, entries: blocks.append((t.size, idx.size)),
-    )
-    assert len(sizes) == len(blocks)
-    for size, (nb, live) in zip(sizes, blocks):
-        assert size == nb * live * k
-        assert size <= max(passage._BLOCK, live * k)
-    assert any(nb > 1 and size > passage._BLOCK // 2 for size, (nb, _) in zip(sizes, blocks))
-
-
 def test_refine_sees_the_entering_step(setup, monkeypatch):
     """The planner's cut(z_in, z_out) gets the two grid points around the
     entry, also deep inside a block: c8 barely moves the E-norm, so its
@@ -1299,46 +1240,6 @@ def test_rows_started_inside_draw_nothing(setup):
         assert t1[..., others].tobytes() == t0.tobytes(), name
         assert loc1[..., others, :].tobytes() == loc0.tobytes(), name
         assert np.isfinite(t0).any() and not np.isfinite(t0).all(), name  # hits and misses
-
-
-@pytest.mark.parametrize(
-    "radial, center_c32", [(True, 0.0), (False, 0.0), (False, 0.5)], ids=["True", "False", "off_centre"]
-)
-def test_full_width_exit_memory(monkeypatch, radial, center_c32):
-    """A full-width E-ball exit (1000 paths x 32 coordinates, cut at the
-    boundary) peaks under tracemalloc within 5.25 blocks of 1000 x 32
-    floats.  From the centre it takes the radial mode (3.87 measured).  A
-    start whose tail coordinate c32 differs from the centre's by 0.5
-    refuses that mode, and the engine peaks at 5.20: the starts, the entry
-    points, the live positions, the drawn block and the membership's
-    squares.  A centred ball subtracts nothing; an off-centre one squares
-    its difference from the centre in place, so it peaks at 5.19 (6.22
-    when it squared into a second temporary, 5.43 with a broadcast
-    subtraction's iteration buffer).  Before the live set was compacted
-    the engine peaked at 6.16.  Holding one more copy of the positions or
-    of a block through the membership call adds a whole block."""
-    model = make_space(32)
-    center = np.zeros(32)
-    center[31] = center_c32
-    ball = e_ball_domain(model, center, 1.0)
-    start = np.zeros(32)
-    if not radial:
-        start[31] = 0.5 - center_c32  # moves the E-norm by 4^-32 / 4
-    taken = []
-    radial_passage = passage._radial_passage
-    monkeypatch.setattr(
-        passage, "_radial_passage", lambda *a: taken.append(1) or radial_passage(*a)
-    )
-    cfg = PathConfig(dt=0.01, horizon=4.0)
-    tracemalloc.start()
-    try:
-        hit, _, _ = simulate_hit_batch(brownian_triplet(model), start, ball.exit_target, cfg, 1000, substream(43))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert bool(taken) == radial
-    assert 0.5 < hit.mean() < 1.0  # exits inside blocks and paths live at the horizon
-    assert peak <= 5.25 * 1000 * 32 * 8
 
 
 @pytest.mark.parametrize("nonzero", [1, 32])
