@@ -50,7 +50,7 @@ class Domain:
         x = np.asarray(x, dtype=float)
         form = self.exit_target.e_form
         if form is not None:
-            if math.sqrt(form.distance2(x)) + r >= math.sqrt(form.r2):
+            if math.sqrt(form.distance2(x)) + r >= form.radius:
                 raise PreconditionError("inner ball does not fit inside the domain")
             return e_ball_domain(self.model, x, r)
         cols, lo, hi = self.exit_target.face_box()

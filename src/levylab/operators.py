@@ -37,7 +37,7 @@ class TestFunction:
         vals = np.asarray(self.evaluator(np.asarray(z, dtype=float)), dtype=float)
         if self.bound is not None and vals.size:
             worst = float(np.max(np.abs(vals)))
-            if worst > self.bound * (1.0 + 1e-12) + 1e-12:
+            if not worst <= self.bound * (1.0 + 1e-12) + 1e-12:  # NaN fails it too
                 raise BoundViolation(
                     f"{self.name or 'test function'}: |f| reached {worst:.6g} "
                     f"above the certified bound {self.bound:.6g}"

@@ -63,19 +63,19 @@ def _step_paths(
     """The stepping engine behind every path estimator.
 
     `member(z)` maps points (rows, N') to a (targets, rows) membership matrix
-    that reads only the coordinates `coords` (None: all); N' is the largest
-    read or stepped coordinate + 1.  A path steps until it has entered
-    every target.  `cuts` holds a cut or None per membership row: a cut maps
-    the entering grid step's points to the entry point, cut(z_in, z_out),
-    and the path moves on from the grid point.  Targets are monitored at the grid
+    that reads only the coordinates `coords`; N' is the largest read or
+    stepped coordinate + 1.  A path steps until it has entered every
+    target.  `cuts` holds a cut or None per membership row: a cut maps the
+    entering grid step's points to the entry point, cut(z_in, z_out), and
+    the path moves on from the grid point.  Targets are monitored at the grid
     points only; `observe(t, idx, z, times, entries)` sees the block grid
     times t (B,), points z (B, len(idx), N') of the stepped paths idx, the
     entry times found so far, this block's included, to mask the points
     past an entry, and this block's entries (entered, first): entered
     (targets, len(idx)) marks the paths that entered each target in the
     block, and first holds the step of the block where they did (read it
-    only where entered).  Paths take `n_steps` grid steps, by default
-    ceil(horizon / dt), or each its own count (an array, one a path): no
+    only where entered).  Paths take `n_steps` grid steps, by default the
+    grid's `cfg.n_steps`, or each its own count (an array, one a path): no
     entry past a path's count is recorded.  Returns entry times (inf when
     missed) and entry points (the start when missed; none without locate).
 
@@ -106,12 +106,11 @@ def _step_paths(
     every stopping time and are drawn at the entry times (`_draw_rest`).
     """
     z0 = _starts(start, n_paths)
-    read = range(z0.shape[1]) if coords is None else coords
-    cols = triplet.carried(read)
+    cols = triplet.carried(coords)
     k = cols.size
     law = triplet.marginal(cols) if k else None
     # the columns membership is handed: the read ones and the stepped ones
-    shown = {*read, *cols.tolist()}
+    shown = {*coords, *cols.tolist()}
     width = max(shown) + 1 if shown else 0
     held = sorted(shown.difference(cols.tolist()))  # read, but not moved by the law
 
@@ -128,7 +127,7 @@ def _step_paths(
     n_t = times.shape[0]
     locs = np.repeat(z0[None], n_t if locate else 0, axis=0)
     if n_steps is None:
-        n_steps = int(np.ceil(cfg.horizon / cfg.dt))
+        n_steps = cfg.n_steps
     ends = np.broadcast_to(n_steps, z0.shape[:1])  # each path's step count
     # the live set, kept in path order: path ids, stepped positions, awaited
     # targets and step counts; it shrinks only when a path stops, and the
@@ -492,7 +491,7 @@ def _face_eligible(triplet: LevyTriplet, target, cfg) -> bool:
     """Whether `_face_passage` applies: cfg.bridge, a target that reads only
     its face coordinates, each moved without drift (b_j = 0, g_j > 0)."""
     cols = sorted({j for j, _, _ in target.faces})
-    if not cfg.bridge or target.coords is None or sorted(set(target.coords)) != cols:
+    if not cfg.bridge or sorted(set(target.coords)) != cols:
         return False
     return not triplet.drift[cols].any() and (triplet.gaussian_diag[cols] > 0).all()
 
@@ -567,11 +566,11 @@ _RADIAL_MIN_PATHS = 12
 def _radial_head(triplet: LevyTriplet, target, start) -> int:
     """The head size m of the radial mode (`_radial_passage`) for a hit of
     `target` from `start`, or 0 when it does not apply.  It needs a
-    continuous law, a declared E-form, at least two tail coordinates (those
-    whose weight is below _HEAD_FRACTION of the first), moved without drift
-    at one variance rate g > 0, and every start's tail at the centre's."""
+    continuous law, an E-form on all N columns, two or more tail ones (of
+    weight below _HEAD_FRACTION of the first), moved without drift at one
+    variance rate g > 0, and every start's tail at the centre's."""
     form = target.e_form
-    if form is None or not triplet.is_continuous:
+    if form is None or form.weights.size != triplet.model.dim or not triplet.is_continuous:
         return 0
     w = form.weights
     m = int(np.count_nonzero(w >= _HEAD_FRACTION * w[0]))
@@ -669,7 +668,7 @@ def _radial_passage(
     locs = z0  # a private copy: the entry points overwrite it, a miss keeps its start
     ids = np.flatnonzero(np.isinf(times))
     y, radius = z0[ids, :m], np.zeros(ids.size)
-    n_steps = int(np.ceil(cfg.horizon / cfg.dt))
+    n_steps = cfg.n_steps
     undecided = []  # per block: path ids, steps, head points at s - 1 and s, r_{s-1}, a, c
     done = 0
     while done < n_steps and ids.size >= _RADIAL_MIN_PATHS:
@@ -712,7 +711,7 @@ def _radial_passage(
     ids, z, steps = (np.concatenate(x) for x in zip(*left))
     if ids.size:
         t, loc = _step_paths(
-            triplet, z, lambda z: target(z)[None], None, cfg, ids.size, rng,
+            triplet, z, lambda z: target(z)[None], target.coords, cfg, ids.size, rng,
             cuts=[cut], locate=locate, n_steps=n_steps - steps,
         )
         # its steps before the hand-off and on the engine; a miss stays inf

@@ -3,14 +3,14 @@
 Paths are sampled by `passage`; this module says what they hit and what is
 estimated from them.  A face or E-form target states its geometry once, as
 its faces or its `EForm`, and one builder (`_target`) makes its membership
-from it; a `dirichlet` domain's interior is the complement of the same
-geometry, and `EForm.distance2` is the one squared E-distance from a centre.
-The planner (`_hit`) picks the sampler of a single-target hit; runs with
-several targets or an observer step the engine.  Every located continuous
-hit lands on the target's declared boundary, in the closed target: on its
-face by face passage, else cut there from the entering grid step
-(`_boundary_cut`); a jump law keeps its landing points.  The capacities of
-the complements of q_x level sets carry exact martingale control variates
+and read columns from it; a `dirichlet` domain's interior is the complement
+of the same geometry, and `EForm.distance2` is the one squared distance from
+a centre.  The planner (`_hit`) picks the sampler of a single-target hit;
+runs with several targets or an observer step the engine.  Every located
+continuous hit lands on the target's declared boundary, in the closed
+target: on its face by face passage, else cut there from the entering grid
+step (`_boundary_cut`); a jump law keeps its landing points.  The capacities
+of the complements of q_x level sets carry exact martingale control variates
 from the same paths (`_level_control`, `_cross_fitted`).  Hitting uses the
 D-convention: membership is checked at time 0, so a start inside an open
 target hits immediately.
@@ -45,34 +45,44 @@ class PathConfig:
         if self.dt <= 0 or self.horizon <= 0 or self.dt > self.horizon:
             raise ValueError("need 0 < dt <= horizon")
 
+    @property
+    def n_steps(self) -> int:  # the grid's step count
+        return int(np.ceil(self.horizon / self.dt))
+
 
 @dataclass(frozen=True)
 class EForm:
-    """An E-norm target: the ball ||z - center||_E^2 <= r2 (inside) or its
-    complement ||z - center||_E^2 > r2, with the sphere ||z - center||_E^2 =
-    r2 on the target's side when closed.  Every reader of the target's
-    geometry takes its squared E-distance from `distance2`."""
+    """The ball ||z - center|| <= radius (inside) or its complement, with
+    the sphere on the target's side when closed, in the norm ||y||^2 = sum
+    w_j y_j^2 of the leading weights.size columns: with the E-norm's
+    weights an E-ball; with unit ones a coordinate ball, or on all N the
+    H-ball.  Every reader of its geometry takes `distance2`."""
 
     weights: np.ndarray
-    center: np.ndarray
-    r2: float
+    center: np.ndarray  # (k,)
+    radius: float
     inside: bool
     closed: bool
 
+    def __post_init__(self):
+        if not 0 <= self.radius < math.inf:  # NaN fails the compare too
+            raise ValueError(f"radius {self.radius} must be finite and nonnegative")
+
     def holds(self, q):
-        """Membership of points at squared E-distance q from the centre."""
+        """Membership of points at squared distance q from the centre."""
+        r2 = self.radius * self.radius
         if self.inside:
-            return q <= self.r2 if self.closed else q < self.r2
-        return q >= self.r2 if self.closed else q > self.r2
+            return q <= r2 if self.closed else q < r2
+        return q >= r2 if self.closed else q > r2
 
     def distance2(self, z: np.ndarray) -> np.ndarray:
-        """||z - center||_E^2 of points z (..., N), in one temporary, summed
-        by numpy's own loop: a point's value is the same in any batch, which
-        a BLAS product (`@`) does not give.  A sparse centre goes column by
-        column, since `d -= center` also allocates a 64 KB iteration buffer
+        """||z - center||^2 of points z (..., N >= k), in one temporary,
+        summed by numpy's own loop: a point's value is the same in any batch,
+        which a BLAS product (`@`) does not give.  A sparse centre goes column
+        by column, since `d -= center` also allocates a 64 KB iteration buffer
         that a full-width exit's peak memory would carry; z_j - 0.0 is z_j."""
         moved = np.flatnonzero(self.center)
-        d = z.copy()
+        d = z[..., : self.weights.size].copy()
         if moved.size > _SPARSE_CENTER:
             d -= self.center
         else:
@@ -89,32 +99,30 @@ _SPARSE_CENTER = 4
 
 @dataclass(frozen=True)
 class TargetSet:
-    """Membership predicate plus optional coordinate-aligned faces.
-
-    A face (j, v, side) declares the halfspace side*(c_j - v) >= 0 as part
-    of the target.  A target that reads only face coordinates (coords is
-    the set of its faces' coordinates) is the union of its face halfspaces,
-    the complement of a box of intervals, and its first passage is sampled
-    exactly (`passage._face_passage`); the engine reads no faces.  `coords`
-    lists the 0-based coordinates the membership reads; None means all of
-    them.  The engine steps those the law moves and the jump support
-    (`LevyTriplet.carried`); a membership may be handed only the columns up
-    to the largest read or stepped one, a read one it does not step at its
-    start and an unread one at 0.  `e_form` declares an E-ball or its
-    complement, which lets a hit step the E-norm's tail as one radius
+    """Membership predicate, the 0-based coordinates it reads (`coords`, ()
+    for none) and optional geometry.  The engine steps the read coordinates
+    the law moves and the jump support (`LevyTriplet.carried`); a
+    membership may be handed only the columns up to the largest read or
+    stepped one, a read one it does not step at its start and an unread one
+    at 0.  A face (j, v, side) declares the halfspace side*(c_j - v) >= 0
+    as part of the target.  A target that reads only face coordinates
+    (coords is the set of its faces' coordinates) is the union of its face
+    halfspaces, the complement of a box of intervals, and its first passage
+    is sampled exactly (`passage._face_passage`); the engine reads no
+    faces.  `e_form` declares a ball or its complement; one on every column
+    lets a hit step the norm's tail as one radius
     (`passage._radial_passage`).  The face and E-form targets of this
-    module are built from their faces or `e_form` alone (`_target`), so
-    their membership restates nothing.
+    module are built from their faces or `e_form` alone (`_target`).
     """
 
     name: str
     membership: Callable[[np.ndarray], np.ndarray]
+    coords: tuple
     faces: tuple = ()
-    coords: tuple | None = None
     e_form: EForm | None = None
 
     def __post_init__(self):
-        if self.coords is not None and any(j not in self.coords for j, _, _ in self.faces):
+        if any(j not in self.coords for j, _, _ in self.faces):
             raise ValueError("every face coordinate must be among the declared coords")
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
@@ -181,18 +189,19 @@ def _target(name, faces=(), form=None) -> TargetSet:
     one compare a face (a difference of unequal floats never rounds to 0,
     and a NaN column lies in none), or the points the form holds."""
     if form is not None:
-        return TargetSet(name, lambda z: form.holds(form.distance2(z)), e_form=form)
+        coords = tuple(range(form.weights.size))
+        return TargetSet(name, lambda z: form.holds(form.distance2(z)), coords, e_form=form)
     compares = [(j, float(v), np.greater_equal if side > 0 else np.less_equal) for j, v, side in faces]
 
     def union(z):
         hits = [compare(z[..., j], v) for j, v, compare in compares]
         return reduce(np.logical_or, hits) if hits else np.zeros(z.shape[:-1], dtype=bool)
 
-    return TargetSet(name, union, faces=faces, coords=tuple(sorted({j for j, _, _ in faces})))
+    return TargetSet(name, union, tuple(sorted({j for j, _, _ in faces})), faces)
 
 
 def e_ball(model: SpaceModel, center: np.ndarray, radius: float) -> TargetSet:
-    form = EForm(model.weights, np.asarray(center, dtype=float), radius * radius, True, True)
+    form = EForm(model.weights, np.asarray(center, dtype=float), radius, True, True)
     return _target(f"e_ball(r={radius})", form=form)
 
 
@@ -201,7 +210,7 @@ def e_ball_complement(
 ) -> TargetSet:
     """||z - center||_E > radius, or >= radius when closed (the exit set of
     the open ball)."""
-    form = EForm(model.weights, np.asarray(center, dtype=float), radius * radius, False, closed)
+    form = EForm(model.weights, np.asarray(center, dtype=float), radius, False, closed)
     return _target(f"e_ball_complement(r={radius}{', closed' if closed else ''})", form=form)
 
 
@@ -259,30 +268,19 @@ def box_complement(model: SpaceModel, lows: np.ndarray, highs: np.ndarray) -> Ta
 
 
 def coord_ball(model: SpaceModel, center: np.ndarray, radius: float, k: int) -> TargetSet:
-    """Euclidean ball in the first k pairing coordinates."""
-    c = np.asarray(center, dtype=float)[:k]
-    return TargetSet(
-        f"coord_ball(k={k}, r={radius})",
-        lambda z: np.sum((z[..., :k] - c) ** 2, axis=-1) <= radius * radius,
-        coords=tuple(range(k)),
-    )
+    """Euclidean ball in the first k pairing coordinates, 1 <= k <= N."""
+    _column(model, k)  # the ball reads coordinates 1..k
+    form = EForm(np.ones(k), np.asarray(center, dtype=float)[:k], radius, True, True)
+    return _target(f"coord_ball(k={k}, r={radius})", form=form)
 
 
 def h_ball(model: SpaceModel, radius: float) -> TargetSet:
     """Truncated H-norm ball around the origin."""
-    return TargetSet(
-        f"h_ball(r={radius})", lambda z: model.h_norm2(z) <= radius * radius
-    )
+    form = EForm(np.ones(model.dim), np.zeros(model.dim), radius, True, True)
+    return _target(f"h_ball(r={radius})", form=form)
 
 
 # -- the hit planner and the landing rule -----------------------------------
-
-
-def _support(targets):
-    """Union of the targets' declared coordinates; None when one reads all."""
-    if any(t.coords is None for t in targets):
-        return None
-    return tuple(sorted(set().union(*(t.coords for t in targets))))
 
 
 def _hit(
@@ -336,7 +334,7 @@ def _boundary_cut(triplet: LevyTriplet, target: TargetSet):
     lies in the closed target (`_closure`): an E-form point moves a few ulps
     past the sphere toward z_out, else lands at z_out.  None for a target
     that declares neither, and under a jump law, whose landing points are
-    kept."""
+    kept.  An E-form's coefficients read its own columns alone."""
     form = target.e_form
     if not triplet.is_continuous or (form is None and not target.faces):
         return None
@@ -348,16 +346,17 @@ def _boundary_cut(triplet: LevyTriplet, target: TargetSet):
             # a theta^2 + 2b theta + q = 0 with a > 0: the root in (0, 1], in
             # a form that does not cancel; leaving the ball q < 0 and it is
             # the larger root, entering it q > 0 > b and it is the smaller
-            w, p = form.weights, z_in - form.center
-            a, b = (d * d) @ w, (p * d) @ w
-            q = (p * p) @ w - form.r2
+            r2, w, k = form.radius * form.radius, form.weights, form.weights.size
+            p, dk = z_in[:, :k] - form.center, d[:, :k]
+            a, b = (dk * dk) @ w, (p * dk) @ w
+            q = (p * p) @ w - r2
             root = np.sqrt(b * b - a * q)
             theta = q / (root - b) if form.inside else -q / (b + root)
             # the root rounds about one point in three off the closed target,
             # so theta moves toward z_out by a step of 4 ulps of r2 in q,
             # doubled while the point is still off
             with np.errstate(divide="ignore"):  # a tangent segment goes to z_out
-                step = 2 * np.spacing(form.r2) / np.abs(a * theta + b)
+                step = 2 * np.spacing(r2) / np.abs(a * theta + b)
             theta = np.minimum(theta + step, 1.0)
             z = z_in + theta[..., None] * d
             off = ~in_closure(z)
@@ -450,7 +449,8 @@ def multi_target_hit(
     pending = [i for i, t in enumerate(targets) if first[i] == i and not t(z0).all()]
     if len(pending) > 1:
         return passage._step_paths(
-            triplet, start, lambda z: np.array([t(z) for t in targets]), _support(targets),
+            triplet, start, lambda z: np.array([t(z) for t in targets]),
+            sorted({j for t in targets for j in t.coords}),
             cfg, n_paths, rng, cuts=[_boundary_cut(triplet, t) for t in targets],
         )
     times, loc = np.zeros(n_paths), z0
@@ -510,8 +510,8 @@ def level_crossing_times(
     """
     levels = np.asarray(levels, dtype=float)
     times, _ = passage._step_paths(
-        triplet, start, lambda z: q_x_eval(norm, z) > levels[:, None], None, cfg,
-        n_paths, rng, observe=observe, locate=False,
+        triplet, start, lambda z: q_x_eval(norm, z) > levels[:, None], range(np.shape(start)[-1]),
+        cfg, n_paths, rng, observe=observe, locate=False,
     )
     return times
 
@@ -600,7 +600,7 @@ def _level_control(norm, triplet: LevyTriplet, start, levels, beta: float, cfg, 
         return np.array([s + np.log(a[span].prod(axis=0)) for s, span in zip(total, spans)])
 
     levels = np.asarray(levels, dtype=float)
-    t_end = int(np.ceil(cfg.horizon / cfg.dt)) * cfg.dt
+    t_end = cfg.n_steps * cfg.dt
     # per block: flat indices (level, path), S and the stop points
     stops = [(np.empty(0, dtype=int), np.empty(0), np.empty((0, width)))]
 
@@ -685,8 +685,9 @@ def discounted_occupancy(
         for fi, F in enumerate(F_targets):
             D[fi, idx] += (w * F(z)).sum(axis=0)
 
+    read = sorted({j for t in (M, *F_targets) for j in t.coords})
     times, locs = passage._step_paths(
-        triplet, start, lambda z: M(z)[None], _support([M, *F_targets]), cfg, n_paths, rng,
+        triplet, start, lambda z: M(z)[None], read, cfg, n_paths, rng,
         cuts=[_boundary_cut(triplet, M)], observe=observe,
     )
     return times[0], D, locs[0]

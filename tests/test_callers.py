@@ -4,7 +4,8 @@ referenced, every defaulted parameter of a public function,
 method or dataclass is passed by some caller and left out by another, every
 dataclass field is read, and so is every key a library function puts in the
 dict it returns.  Callers and readers are src/levylab and levybench.  And
-every name is imported from the module that defines it."""
+every name is imported from the module that defines it, and every target
+but three exempt ones is built from the geometry it declares."""
 
 import ast
 from collections import Counter
@@ -107,7 +108,7 @@ def _parameter_keys() -> int:
 
 
 def counts() -> dict:
-    """The four sizes that the guards below check, and the experiment keys
+    """The five sizes that the guards below check, and the experiment keys
     a config may set, for the CI job summary; read from the source, since CI
     counts before it installs the package."""
     return {
@@ -115,6 +116,7 @@ def counts() -> dict:
         "defaulted parameters": sum(len(defaulted) for *_, defaulted in _callables()),
         "dataclass fields": sum(len(_fields(cls)) for _, cls in _dataclasses()),
         "report keys": len(_written_keys()),
+        "hand-written memberships": len(_hand_written()),
         "experiment parameter keys": _parameter_keys(),
     }
 
@@ -363,3 +365,41 @@ def test_every_import_names_its_owner():
     assert borrowed == [], f"imports of a name its module does not define: {borrowed}"
     passage = {m for src, m, _ in imports if src == "passage"}
     assert passage <= PASSAGE_IMPORTS, f"passage imports {sorted(passage - PASSAGE_IMPORTS)}"
+
+
+# the builders of src/levylab that write a target's membership by hand,
+# each with its reason; every other target is built by `potential._target`
+# from the geometry it declares, its faces or its EForm
+HAND_WRITTEN = {
+    "empty_set": "reads no column",
+    "whole_space": "reads no column",
+    "coordinate_box": "a closed box, an intersection of halfspaces, which faces do not declare",
+}
+
+
+def _hand_written() -> list:
+    """The top-level function (or `<module>`) around each `TargetSet(...)`
+    call in src/levylab outside `potential._target`, once a call."""
+    out = []
+    for path in FILES:
+        if path.parent != SRC:
+            continue
+        for node in TREES[path].body:
+            owner = getattr(node, "name", "<module>")
+            for call in ast.walk(node):
+                if not isinstance(call, ast.Call):
+                    continue
+                name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+                if name == "TargetSet" and (path.stem, owner) != ("potential", "_target"):
+                    out.append(owner)
+    return out
+
+
+def test_every_target_is_built_from_its_geometry():
+    """A target's membership comes from its declared faces or EForm
+    (`potential._target`), so no builder restates a norm or a face by hand,
+    but the exempt ones, and an exemption no builder needs goes."""
+    found = set(_hand_written())
+    extra = sorted(found - set(HAND_WRITTEN))
+    assert extra == [], f"TargetSet built outside potential._target: {extra}"
+    assert found >= set(HAND_WRITTEN), f"exemptions no longer needed: {set(HAND_WRITTEN) - found}"

@@ -222,7 +222,7 @@ def test_inner_domain_keeps_the_geometry(setup):
     x[:2] = (0.3, -0.2)
     ball = e_ball_domain(model, np.zeros(DIM), 1.0)
     form = ball.inner_domain(x, 0.25).exit_target.e_form
-    assert np.array_equal(form.center, x) and form.r2 == 0.25 * 0.25
+    assert np.array_equal(form.center, x) and form.radius == 0.25
     lo, hi = x[:2] - 0.5, x[:2] + 0.5
     box = box_domain(model, [-1.0, -1.0], [1.0, 1.0]).inner_domain(x, 0.5)
     assert box.exit_target.e_form is None

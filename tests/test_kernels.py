@@ -15,10 +15,12 @@ from levylab.operators import TestFunction
 from levylab.potential import (
     PathConfig,
     box_complement,
+    coord_ball,
     coord_halfspace,
     coordinate_box,
     e_ball,
     e_ball_complement,
+    h_ball,
     slab_complement,
 )
 from levylab.rng import substream
@@ -122,6 +124,29 @@ def test_halfspace_needs_a_unit_side_and_a_finite_level(side, level):
         coord_halfspace(MODEL, 1, level, side)
 
 
+# each ball builder from a radius r and, for the coordinate ball, k columns
+BALLS = {
+    "e_ball": lambda r, k: e_ball(MODEL, np.zeros(MODEL.dim), r),
+    "e_ball_complement": lambda r, k: e_ball_complement(MODEL, np.zeros(MODEL.dim), r),
+    "coord_ball": lambda r, k: coord_ball(MODEL, np.zeros(MODEL.dim), r, k),
+    "h_ball": lambda r, k: h_ball(MODEL, r),
+}
+
+
+@pytest.mark.parametrize(
+    "name, r, k",
+    [(name, r, 2) for name in BALLS for r in (np.nan, np.inf, -1.0)]
+    + [("coord_ball", 1.0, 0), ("coord_ball", 1.0, MODEL.dim + 1)],
+)
+def test_ball_builders_refuse_bad_radii_and_column_counts(name, r, k):
+    """A NaN, infinite or negative radius is refused, not read as an empty
+    ball, a ball of everything or one of radius |r|; a coordinate ball
+    reads 1 to N coordinates, not none (which every point would lie in) or
+    columns the model does not have."""
+    with pytest.raises(ValueError):
+        BALLS[name](r, k)
+
+
 # (target, its set, its domain or None, the domain's set): unions of closed
 # face halfspaces, and their complements, open boxes, as the domains
 FACE_TARGETS = {
@@ -188,10 +213,11 @@ def _e_points(center, seed):
 
 @pytest.mark.parametrize("kind", ["zero", "sparse", "dense"])
 def test_e_targets_and_ball_domain_match_their_sets(kind):
-    """E-balls, their open and closed complements and the E-ball domain
-    against ||z - c||_E^2 summed column by column, on random points, NaN,
-    +-inf and points exactly on the sphere.  A point's squared distance is
-    the same alone as in its batch."""
+    """E-balls, their open and closed complements, the E-ball domain, a
+    coordinate ball and the H-ball against their squared norms summed
+    column by column, on random points, NaN, +-inf and points exactly on
+    the sphere.  A point's squared distance is the same alone as in its
+    batch."""
     c = _e_center(kind)
     z = _e_points(c, seed=len(kind))
     q = sum(MODEL.weights[j] * (z[:, j] - c[j]) ** 2 for j in range(MODEL.dim))
@@ -205,6 +231,15 @@ def test_e_targets_and_ball_domain_match_their_sets(kind):
     assert [domain.contains(p) for p in z] == (q < 1.0).tolist()
     form = domain.exit_target.e_form
     _same(form.distance2(z), np.array([form.distance2(p) for p in z]))
+    # the coordinate ball of radius 2 on c1, c2 and the H-ball of radius 2,
+    # E-forms of unit weights, against their sums of squares; c +- 2 e_1
+    # lies on the first's sphere, and +-2 e_j on the second's
+    zb = np.vstack([z, 2.0 * np.eye(MODEL.dim), -2.0 * np.eye(MODEL.dim)])
+    for ball, center, k in ((coord_ball(MODEL, c, 2.0, 2), c, 2), (h_ball(MODEL, 2.0), 0 * c, MODEL.dim)):
+        qb = sum((zb[:, j] - center[j]) ** 2 for j in range(k))
+        assert (qb == 4.0).sum() >= 2 and ball.coords == tuple(range(k))
+        _same(ball(zb), qb <= 4.0)
+        _same(ball.e_form.distance2(zb), np.array([ball.e_form.distance2(p) for p in zb]))
 
 
 @pytest.mark.parametrize(

@@ -45,6 +45,17 @@ def test_bound_violation_detected(setup):
         apply_Ualpha(triplet, liar, 0.2, np.zeros(32), 2000, substream(2))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_values_fail_the_bound(value):
+    """A NaN exceeds no bound by `>`, so a bounded function that returns
+    NaN must still fail its bound, as an infinite value does; one NaN
+    among finite values too."""
+    for values in (np.full(3, value), np.array([0.5, value, -0.5])):
+        f = TestFunction(lambda z: values, bound=1.0, name="non-finite")
+        with pytest.raises(BoundViolation):
+            f(np.zeros((3, 2)))
+
+
 def test_projection_identity_resolvent(setup):
     """Full resolvent of a cylinder function vs the k-dim estimate."""
     model, triplet = setup

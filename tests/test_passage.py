@@ -343,7 +343,7 @@ def _engine_ball_exits(dim, rng):
     start[1] = 0.3
     cfg = PathConfig(dt=0.01, horizon=40.0)
     times, locs = passage._step_paths(
-        triplet, start, lambda z: ball.exit_target(z)[None], None, cfg, 3000, rng,
+        triplet, start, lambda z: ball.exit_target(z)[None], ball.exit_target.coords, cfg, 3000, rng,
         cuts=[potential._boundary_cut(triplet, ball.exit_target)],
     )
     return model, triplet, ball, start, cfg, times[0], locs[0]
@@ -423,7 +423,7 @@ def test_radial_ball_hits_match_the_engine():
     cfg = PathConfig(dt=0.02, horizon=4.0)
     hit, T, loc = simulate_hit_batch(triplet, np.zeros(32), ball, cfg, 3000, substream(64))
     times, locs = passage._step_paths(
-        triplet, np.zeros(32), lambda z: ball(z)[None], None, cfg, 3000, substream(65),
+        triplet, np.zeros(32), lambda z: ball(z)[None], ball.coords, cfg, 3000, substream(65),
         cuts=[potential._boundary_cut(triplet, ball)],
     )
     np.testing.assert_allclose(model.e_norm2(loc[hit] - centre), 0.25, rtol=1e-9)

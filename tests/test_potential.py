@@ -578,6 +578,23 @@ def test_e_form_hits_land_in_the_closed_target(dim):
         assert hit.mean() > 0.5 and _in_closed_form(shell, loc[hit]).all()
 
 
+def test_coordinate_and_h_ball_hits_land_on_their_spheres(setup):
+    """Located continuous hits of a coordinate ball on c1, c2 and of the
+    H-ball, E-forms of unit weights, are cut onto the sphere from the
+    entering step as an E-ball's are: each lies in the closed ball, within
+    rounding of its sphere, and each point's membership alone equals its
+    batch value."""
+    model, triplet = setup
+    start = model.basis_vector(1)
+    cfg = PathConfig(dt=0.01, horizon=4.0)
+    for target, r in ((coord_ball(model, np.zeros(8), 0.5, 2), 0.5), (h_ball(model, 0.9), 0.9)):
+        hit, _, loc = simulate_hit_batch(triplet, start, target, cfg, 1000, substream(74, target.name))
+        assert hit.mean() > 0.2 and _in_closed_form(target, loc[hit]).all()
+        np.testing.assert_allclose(np.sqrt(target.e_form.distance2(loc[hit])), r, rtol=1e-12)
+        alone = np.array([target(p) for p in loc])
+        assert alone.tobytes() == target(loc).tobytes()
+
+
 def test_balayage_degenerate_warning(setup):
     model, triplet = setup
     M = coord_halfspace(model, 1, 50.0, +1)  # unreachable
@@ -930,14 +947,14 @@ def test_multi_target_all_at_time_zero_draws_nothing(setup):
 
 
 def test_fallback_agreement_undeclared_coords(setup):
-    """The same halfspace with coords=None steps every coordinate; both
+    """The same halfspace declaring all 8 coordinates steps every one; both
     engine runs agree on the discounted hit value and on c2 at the hit.
     bridge=False keeps the declared halfspace off exact passage, so both
     are monitored on the same grid."""
     model, triplet = setup
     cfg = PathConfig(dt=0.02, horizon=10.0, bridge=False)
     declared = coord_halfspace(model, 1, 1.0, +1)
-    undeclared = replace(declared, coords=None)
+    undeclared = replace(declared, coords=tuple(range(8)))
 
     def stats(target, seed):
         hit, T, loc = simulate_hit_batch(triplet, np.zeros(8), target, cfg, 3000, substream(seed))
@@ -963,7 +980,7 @@ def test_occupancy_counts_every_grid_time_once(setup):
     beta, cfg = 0.7, PathConfig(dt=0.02, horizon=3.01)  # 151 steps
     n_steps = int(np.ceil(cfg.horizon / cfg.dt))
     M = coord_halfspace(model, 1, 0.5, +1)
-    F = replace(whole_space(model), coords=None)  # reads all 8 coordinates, so all are stepped
+    F = replace(whole_space(model), coords=tuple(range(8)))  # reads all 8, so all are stepped
     for n in (50, 3000):  # blocks of 81 steps at first, and of one
         T, D, _ = discounted_occupancy(triplet, np.zeros(8), M, [F], beta, cfg, n, substream(25))
         k = np.where(np.isfinite(T), np.rint(T / cfg.dt), n_steps + 1).astype(int)
@@ -1136,7 +1153,7 @@ def test_jump_stepped_coordinates_covary(setup):
 
 def test_jump_restriction_agrees_with_full_stepping(setup):
     """Stepping c1 and c2 alone, from the law's marginal on them, and
-    stepping every coordinate (coords=None) give the same law of exp(-T),
+    stepping every coordinate (all 8 declared) give the same law of exp(-T),
     of the overshoot c1 and of c2 at exit."""
     model, _ = setup
     slab = slab_complement(model, 1, -1.0, 1.5)
@@ -1148,7 +1165,7 @@ def test_jump_restriction_agrees_with_full_stepping(setup):
         T, loc = _jump_slab_exits(model, target, 3000, substream(seed))
         return [McEstimate.from_samples(x) for x in (np.exp(-T), loc[:, 0], loc[:, 1], loc[:, 1] ** 2)]
 
-    for fast, slow in zip(stats(slab, 35), stats(replace(slab, coords=None), 36)):
+    for fast, slow in zip(stats(slab, 35), stats(replace(slab, coords=tuple(range(8))), 36)):
         diff = McEstimate(fast.mean - slow.mean, float(np.hypot(fast.stderr, slow.stderr)), 3000)
         assert diff.verdict(0.0) == "pass"
 
@@ -1183,7 +1200,7 @@ def test_jump_support_sets_the_stepped_coordinates(setup, monkeypatch):
 @pytest.mark.parametrize("law", ["brownian", "jump"])
 def test_restricted_exit_memory_stays_flat(law):
     """Stepping a c1 slab on its own coordinates (c1, and c2 for the jumps)
-    peaks no higher under tracemalloc than stepping all 32 (coords=None):
+    peaks no higher under tracemalloc than stepping all 32 (all declared):
     the unstepped coordinates are drawn straight into the returned arrays,
     in chunks of consecutive paths."""
     model = make_space(32)
@@ -1201,7 +1218,7 @@ def test_restricted_exit_memory_stays_flat(law):
         finally:
             tracemalloc.stop()
 
-    assert peak(slab) <= peak(replace(slab, coords=None))
+    assert peak(slab) <= peak(replace(slab, coords=tuple(range(32))))
 
 
 def test_rows_started_inside_draw_nothing(setup):
@@ -1406,7 +1423,7 @@ def test_face_passage_takes_only_its_targets(setup, monkeypatch):
         (triplet, slab_complement(model, 2, -1.0, 1.0), cfg, True),
         (_scaled_law(model, 1.0, drift2), half, cfg, True),
         (triplet, half, replace(cfg, bridge=False), False),
-        (triplet, replace(half, coords=None), cfg, False),
+        (triplet, replace(half, coords=tuple(range(8))), cfg, False),
         (triplet, potential.box_complement(model, [-1.0, -1.0], [1.0, 1.0]), cfg, True),
         (_scaled_law(model, 1.0, drift1), half, cfg, False),
         (_scaled_law(model, flat1), half, cfg, False),
@@ -1627,7 +1644,7 @@ def test_boundary_cut_enters_a_ball_at_its_first_crossing(setup):
     z_in, z_out = np.zeros((2, 1, 8))
     z_in[0, 0], z_out[0, 0] = 3.0, -1.9
     np.testing.assert_allclose(cut(z_in, z_out), 2.0 * np.eye(8)[:1], rtol=0, atol=1e-12)
-    assert potential._boundary_cut(triplet, h_ball(model, 1.0)) is None
+    assert potential._boundary_cut(triplet, coordinate_box(model, [-1.0], [1.0])) is None
     assert potential._boundary_cut(_jump_law(model), e_ball(model, np.zeros(8), 1.0)) is None
 
 
